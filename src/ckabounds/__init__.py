@@ -14,9 +14,7 @@ from .secrecy import (ClassicalChannel, JointDistribution, SearchBudget,
                       intrinsic_information, s_n, shannon_cmi, total_correlation)
 from .attacks import CcAttack, build_cc_attack, eve_postprocess, local_behavior_from_chi
 from .bounds import (BoundCurve, PartitionBoundInput, RelayTranscript,
-                     compute_curves, default_grid, dual_bound_curve,
-                     dw_lower_proxy_curve, enumerate_partitions,
-                     intrinsic_bound_curve, partition_bound, relay_simulate,
-                     trivial_bound_curve, write_curves_csv)
+                     compute_curves, default_grid, enumerate_partitions,
+                     partition_bound, relay_simulate, write_curves_csv)
 
 __version__ = "0.1.0"

@@ -10,7 +10,6 @@ setting is `KEY_SETTING`, where every party measures sigma_z.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ import numpy as np
 
 from . import states
 from .qmat import DensityMatrix, Povm, eig_hermitian
+from .secrecy import table_from_csv, table_to_csv
 
 CLAMP_WINDOW = 1e-12
 NORMALIZATION_TOL = 1e-9
@@ -287,37 +287,13 @@ def qber(p: Behavior, key_inputs: Sequence[int] = KEY_SETTING) -> float:
 def behavior_to_csv(p: Behavior, fh) -> None:
     """Write rows `x1,...,xN,a1,...,aN,p` with full double precision."""
     n = p.parties
-    header = ",".join([f"x{i+1}" for i in range(n)] + [f"a{i+1}" for i in range(n)] + ["p"])
-    fh.write(header + "\n")
-    for xs in itertools.product(*(range(k) for k in p.input_alphabets)):
-        for outs in itertools.product(*(range(k) for k in p.output_alphabets)):
-            row = list(xs) + list(outs)
-            fh.write(",".join(str(v) for v in row) + f",{p.table[xs + outs]:.15g}\n")
+    table_to_csv(p.table, [f"x{i+1}" for i in range(n)] + [f"a{i+1}" for i in range(n)], fh)
 
 
 def behavior_from_csv(fh) -> Behavior:
     """Inverse of `behavior_to_csv`; alphabets are inferred from the rows."""
-    header = fh.readline().strip().split(",")
-    if not header or header[-1] != "p" or len(header) % 2 != 1:
+    columns, table = table_from_csv(fh)
+    if len(columns) % 2:
         raise ValueError("malformed behavior CSV header")
-    n = (len(header) - 1) // 2
-    entries = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        idx = tuple(int(v) for v in parts[:2 * n])
-        entries.append((idx, float(parts[2 * n])))
-    ins = tuple(max(e[0][i] for e in entries) + 1 for i in range(n))
-    outs = tuple(max(e[0][n + i] for e in entries) + 1 for i in range(n))
-    table = np.zeros(ins + outs)
-    for idx, val in entries:
-        table[idx] = val
-    return Behavior(ins, outs, table)
-
-
-def csv_string(p: Behavior) -> str:
-    buf = io.StringIO()
-    behavior_to_csv(p, buf)
-    return buf.getvalue()
+    n = len(columns) // 2
+    return Behavior(table.shape[:n], table.shape[n:], table)

@@ -12,8 +12,9 @@ the three-party honest device:
   distribution.  This stand-in only has the shape of a one-way distillation
   rate; it is not a proved bound, hence the PROXY label in every output.
 
-Curves beyond three parties are rejected: no biseparable decomposition of
-the noisy state is constructed for N > 3.
+`compute_curves` is the one curve evaluator; it is defined for three
+parties only, since no biseparable decomposition of the noisy state is
+constructed for N > 3.
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ def _check_grid(grid: Sequence[float]) -> list[float]:
     if any(not 0.0 <= nu < 1.0 for nu in grid):
         raise ValueError("noise grid must lie in [0, 1)")
     return grid
-
-
-def _check_three_parties(n_parties: int) -> None:
-    if n_parties != _N_PARTIES:
-        raise ValueError("bound curves are only defined for three parties")
 
 
 def _proxy_value(attack: CcAttack) -> float:
@@ -129,46 +125,6 @@ def compute_curves(grid: Sequence[float], minimize: bool = False,
         BoundCurve("trivial", tuple((nu, r["trivial"]) for nu, r in zip(grid, rows))),
         BoundCurve("dw_lower_PROXY", tuple((nu, r["proxy"]) for nu, r in zip(grid, rows))),
     ]
-
-
-def intrinsic_bound_curve(grid: Sequence[float], minimize: bool = False,
-                          budget: SearchBudget | None = None,
-                          n_parties: int = 3) -> BoundCurve:
-    """Conference-key upper bound (1/(N-1)) I(A:B1:B2|F) along the noise grid."""
-    _check_three_parties(n_parties)
-    grid = _check_grid(grid)
-    suffix = "min" if minimize else "fixed"
-    return BoundCurve(
-        f"intrinsic_{suffix}",
-        tuple((nu, _intrinsic_value(build_cc_attack(nu), minimize, budget)) for nu in grid))
-
-
-def dual_bound_curve(grid: Sequence[float], minimize: bool = False,
-                     budget: SearchBudget | None = None,
-                     n_parties: int = 3) -> BoundCurve:
-    """Telescoping-sum upper bound along the noise grid (no 1/(N-1) prefactor)."""
-    _check_three_parties(n_parties)
-    grid = _check_grid(grid)
-    suffix = "min" if minimize else "fixed"
-    return BoundCurve(
-        f"dual_{suffix}",
-        tuple((nu, _dual_value(build_cc_attack(nu), minimize, budget)) for nu in grid))
-
-
-def trivial_bound_curve(grid: Sequence[float]) -> BoundCurve:
-    """1 - nu: weight of the entangled part in the single-site separable split."""
-    grid = [float(nu) for nu in grid]
-    if not grid:
-        raise ValueError("empty noise grid")
-    return BoundCurve("trivial", tuple((nu, 1.0 - nu) for nu in grid))
-
-
-def dw_lower_proxy_curve(grid: Sequence[float]) -> BoundCurve:
-    """One-way-rate-shaped proxy curve (see module docstring; always PROXY)."""
-    grid = _check_grid(grid)
-    return BoundCurve(
-        "dw_lower_PROXY",
-        tuple((nu, _proxy_value(build_cc_attack(nu))) for nu in grid))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ deterministic functions of the resolved configuration, including the seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 
@@ -48,6 +49,10 @@ _CONFIG_PARSERS = {
 }
 
 
+MAX_GRID_POINTS = 100_000
+MAX_WORKERS = 64
+
+
 class _CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
@@ -72,7 +77,10 @@ def _read_config(path: str) -> dict:
             key = key.replace("-", "_")
             if key not in _CONFIG_PARSERS:
                 raise _CliError(f"unknown config key {key!r}", 1)
-            cfg[key] = _CONFIG_PARSERS[key](value)
+            try:
+                cfg[key] = _CONFIG_PARSERS[key](value)
+            except ValueError:
+                raise _CliError(f"invalid value for config key {key!r}: {value!r}", 1)
     return cfg
 
 
@@ -96,14 +104,29 @@ def _check_format(cfg: dict) -> None:
         raise _CliError(f"unsupported output format {cfg['format']!r} (only csv)", 1)
 
 
-def _grid_from(cfg: dict) -> list[float]:
+def _grid_size(cfg: dict) -> int:
+    """Number of grid points, checked before any point is built."""
     lo, hi, step = cfg["nu_min"], cfg["nu_max"], cfg["nu_step"]
-    if not (0.0 <= lo < hi <= 1.0) or step <= 0.0:
+    if not (0.0 <= lo < hi <= 1.0 and step > 0.0):
         raise _CliError(
             f"invalid grid: need 0 <= nu_min < nu_max <= 1 and nu_step > 0 "
             f"(got {lo}, {hi}, {step})", 1)
-    count = int(math.floor((hi - lo) / step + 1e-9))
-    grid = [round(lo + i * step, 12) for i in range(count + 1)]
+    span = (hi - lo) / step + 1e-9
+    if span >= MAX_GRID_POINTS:
+        raise _CliError(f"invalid grid: more than {MAX_GRID_POINTS} points", 1)
+    return int(math.floor(span)) + 1
+
+
+def _check_workers(cfg: dict) -> int:
+    workers = cfg["workers"]
+    if not 1 <= workers <= MAX_WORKERS:
+        raise _CliError(f"invalid workers: need 1 <= workers <= {MAX_WORKERS}, got {workers}", 1)
+    return workers
+
+
+def _grid_from(cfg: dict) -> list[float]:
+    lo, step = cfg["nu_min"], cfg["nu_step"]
+    grid = [round(lo + i * step, 12) for i in range(_grid_size(cfg))]
     if any(nu >= 1.0 for nu in grid):
         raise _CliError("invalid grid: curve evaluation requires nu < 1", 1)
     return grid
@@ -196,11 +219,36 @@ def _suite_permutation(seed: int) -> tuple[int, float, int | None]:
     return count, worst, worst_seed
 
 
+def _suite_order(seed: int) -> tuple[int, float, int | None]:
+    """S_N in every party order against the dual total correlation.
+
+    sum_k H(A_{!=k} E) - (N-1) H(A E) - H(E) is symmetric in the parties.
+    """
+    worst, worst_seed = 0.0, None
+    count = 120
+    for i in range(count):
+        inst_seed = seed + 30_000 + i
+        rng = np.random.default_rng(inst_seed)
+        n = 2 + i % 3
+        alphabets = tuple(int(a) for a in rng.integers(2, 4, size=n))
+        dist = _random_joint(rng, alphabets, int(rng.integers(1, 4)))
+        p = dist.probs
+        dual_total = (sum(entropy_bits(p.sum(axis=k)) for k in range(n))
+                      - (n - 1) * entropy_bits(p) - entropy_bits(p.sum(axis=tuple(range(n)))))
+        for perm in itertools.permutations(range(n)):
+            q = np.transpose(p, perm + (n,))
+            err = abs(s_n(JointDistribution(q.shape[:n], q.shape[n], q)) - dual_total)
+            if err > worst:
+                worst, worst_seed = err, inst_seed
+    return count, worst, worst_seed
+
+
 _SUITES = (
     ("expansion", _suite_expansion, 1e-9),
     ("duality", _suite_duality, 1e-9),
     ("reconstruction", _suite_reconstruction, 1e-10),
     ("permutation", _suite_permutation, 1e-9),
+    ("order", _suite_order, 1e-12),
 )
 
 
@@ -228,8 +276,9 @@ def _cmd_verify(cfg: dict, corrupt: bool, stdout) -> int:
 
 def _cmd_curves(cfg: dict, stdout) -> int:
     _check_format(cfg)
+    workers = _check_workers(cfg)
     grid = _grid_from(cfg)
-    curves = bounds.compute_curves(grid, minimize=cfg["minimize"], workers=cfg["workers"])
+    curves = bounds.compute_curves(grid, minimize=cfg["minimize"], workers=workers)
     out_path = cfg["out"] or "curves.csv"
     try:
         with open(out_path, "w") as fh:
@@ -293,7 +342,10 @@ def _cmd_attack(cfg: dict, stdout) -> int:
 
 
 def _cmd_relay(cfg: dict, stdout) -> int:
-    t = bounds.relay_simulate(cfg["parties"], cfg["key_len"], cfg["seed"])
+    try:
+        t = bounds.relay_simulate(cfg["parties"], cfg["key_len"], cfg["seed"])
+    except ValueError as exc:
+        raise _CliError(f"invalid relay arguments: {exc}", 1)
     width = max(1, (t.key_len + 3) // 4)
     stdout.write(f"relay over {t.n_parties} parties, key_len={t.key_len}, seed={cfg['seed']}\n")
     stdout.write(f"secret r    = {t.r:0{width}x}\n")
@@ -306,7 +358,10 @@ def _cmd_relay(cfg: dict, stdout) -> int:
 
 
 def _cmd_partitions(cfg: dict, stdout) -> int:
-    parts = bounds.enumerate_partitions(cfg["parties"])
+    try:
+        parts = bounds.enumerate_partitions(cfg["parties"])
+    except ValueError as exc:
+        raise _CliError(f"invalid partitions arguments: {exc}", 1)
     for blocks in parts:
         stdout.write("".join("{" + ",".join(str(i) for i in b) + "}" for b in blocks) + "\n")
     stdout.write(f"{len(parts)} nontrivial partitions of {cfg['parties']} parties\n")
@@ -319,7 +374,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("curves", "compute the four bound curves and write them as CSV"),
-        ("verify", "run the randomized identity suites"),
+        ("verify", "run the five randomized identity suites"),
         ("game", "print parity-game diagnostics"),
         ("attack", "build the convex-combination attack at nu-min"),
         ("relay", "simulate the XOR key relay"),

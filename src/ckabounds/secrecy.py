@@ -21,10 +21,10 @@ via `SearchBudget.extra_outputs`.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -127,57 +127,65 @@ class ClassicalChannel:
         return ClassicalChannel(m)
 
 
-def _cmi_array(p: np.ndarray, n_parties: int) -> float:
-    """sum_i H(A_i E) - H(A_1..A_N E) - (N-1) H(E) on a raw probability array."""
-    h_eve = entropy_bits(p.sum(axis=tuple(range(n_parties))))
-    h_all = entropy_bits(p)
+def _monotone_terms(n_parties: int, kind: str) -> list[list[tuple[tuple[int, ...], float]]]:
+    """The one definition of each monotone: groups of (party subset X, c_X).
+
+    The value is sum_X c_X * H(X, E), summed group by group in this order.
+    "cmi" is I(A_1:...:A_N|E) = sum_i H(A_i E) - H(A_1..A_N E) - (N-1) H(E),
+    one group.  "sn" is the telescoping sum S_N, one group per term
+    I(A_k:A_{k+1}..A_N|A_1..A_{k-1} E).  S_N is the dual total correlation
+    H(A|E) - sum_k H(A_k|A_{!=k} E), so its value does not depend on the
+    party ordering used to write it down.
+    """
+    everyone = tuple(range(n_parties))
+    if kind == "cmi":
+        return [[((i,), 1.0) for i in everyone] + [(everyone, -1.0), ((), -(n_parties - 1.0))]]
+    if kind == "sn":
+        return [[(everyone[:k + 1], 1.0),
+                 (everyone[:k] + everyone[k + 1:], 1.0),
+                 (everyone[:k], -1.0),
+                 (everyone, -1.0)] for k in range(n_parties - 1)]
+    raise ValueError(f"unknown objective {kind!r}")
+
+
+@lru_cache(maxsize=None)
+def _plan(n_parties: int, kind: str):
+    """Sum axes of each distinct subset, and the groups as (subset index, c_X)."""
+    index: dict[tuple[int, ...], int] = {}
+    groups = tuple(
+        tuple((index.setdefault(parties, len(index)), c) for parties, c in group)
+        for group in _monotone_terms(n_parties, kind))
+    axes = tuple(tuple(j for j in range(n_parties) if j not in parties) for parties in index)
+    return axes, groups
+
+
+def _objective(p: np.ndarray, n_parties: int, kind: str) -> float:
+    """Monotone `kind` of a raw array with party axes first and Eve's last."""
+    axes, groups = _plan(n_parties, kind)
+    h = [entropy_bits(p.sum(axis=a)) for a in axes]
     total = 0.0
-    for i in range(n_parties):
-        axes = tuple(j for j in range(n_parties) if j != i)
-        total += entropy_bits(p.sum(axis=axes))
-    return total - h_all - (n_parties - 1) * h_eve
-
-
-def _sn_array(p: np.ndarray, n_parties: int, order: Sequence[int] | None = None) -> float:
-    """Telescoping sum of conditional mutual informations on a raw array."""
-    order = list(order) if order is not None else list(range(n_parties))
-    h_all = entropy_bits(p)
-
-    def h_of(parties: Sequence[int]) -> float:
-        axes = tuple(j for j in range(n_parties) if j not in parties)
-        return entropy_bits(p.sum(axis=axes))
-
-    total = 0.0
-    for k in range(n_parties - 1):
-        prefix = order[:k]
-        head = order[:k + 1]
-        rest = prefix + order[k + 1:]
-        total += h_of(head) + h_of(rest) - h_of(prefix) - h_all
+    for group in groups:
+        part = 0.0
+        for i, c in group:
+            part += c * h[i]
+        total += part
     return total
 
 
 def shannon_cmi(dist: JointDistribution) -> float:
     """Multipartite conditional mutual information I(A_1:...:A_N|E) in bits."""
-    return _cmi_array(dist.probs, dist.parties)
+    return _objective(dist.probs, dist.parties, "cmi")
 
 
 def total_correlation(dist: JointDistribution) -> float:
     """I(A_1:...:A_N) with no conditioning (the adversary symbol is ignored)."""
     marg = dist.probs.sum(axis=-1)[..., np.newaxis]
-    return _cmi_array(marg, dist.parties)
+    return _objective(marg, dist.parties, "cmi")
 
 
-def s_n(dist: JointDistribution, symmetrize: bool = False) -> float:
-    """Telescoping secrecy quantity; with `symmetrize`, minimized over orderings.
-
-    The term-by-term value depends on the party ordering even though the
-    telescoping total of the companion measure does not; the canonical
-    ordering evaluates the sum exactly as written.
-    """
-    if not symmetrize:
-        return _sn_array(dist.probs, dist.parties)
-    return min(_sn_array(dist.probs, dist.parties, order)
-               for order in itertools.permutations(range(dist.parties)))
+def s_n(dist: JointDistribution) -> float:
+    """Telescoping secrecy quantity S_N in bits; invariant under party reordering."""
+    return _objective(dist.probs, dist.parties, "sn")
 
 
 def apply_channel(dist: JointDistribution, channel: ClassicalChannel) -> JointDistribution:
@@ -211,29 +219,12 @@ class SearchBudget:
     extra_outputs: int = 0
 
 
-def _objective_coefficients(n_parties: int, kind: str) -> list[tuple[tuple[int, ...], float]]:
-    """Write the objective as sum_X c_X * H(X, F) over party subsets X."""
+def _merged_terms(n_parties: int, kind: str) -> list[tuple[tuple[int, ...], float]]:
+    """The monotone with one coefficient per party subset (zeros dropped)."""
     coeffs: dict[tuple[int, ...], float] = {}
-
-    def add(parties: Sequence[int], c: float):
-        key = tuple(sorted(parties))
-        coeffs[key] = coeffs.get(key, 0.0) + c
-
-    everyone = tuple(range(n_parties))
-    if kind == "cmi":
-        for i in range(n_parties):
-            add((i,), 1.0)
-        add(everyone, -1.0)
-        add((), -(n_parties - 1.0))
-    elif kind == "sn":
-        for k in range(n_parties - 1):
-            prefix = list(range(k))
-            add(prefix + [k], 1.0)
-            add(prefix + list(range(k + 1, n_parties)), 1.0)
-            add(prefix, -1.0)
-            add(everyone, -1.0)
-    else:
-        raise ValueError(f"unknown objective {kind!r}")
+    for group in _monotone_terms(n_parties, kind):
+        for parties, c in group:
+            coeffs[parties] = coeffs.get(parties, 0.0) + c
     return [(k, c) for k, c in coeffs.items() if c != 0.0]
 
 
@@ -250,7 +241,7 @@ def _block_values(dist: JointDistribution, kind: str) -> np.ndarray:
     # indicator matrix: column m-1 selects the symbols of mask m
     sel = ((masks[np.newaxis, :] >> np.arange(ne)[:, np.newaxis]) & 1).astype(float)
     phi = np.zeros(masks.size)
-    for parties, coeff in _objective_coefficients(n, kind):
+    for parties, coeff in _merged_terms(n, kind):
         axes = tuple(j for j in range(n) if j not in parties)
         marg = dist.probs.sum(axis=axes).reshape(-1, ne)  # (x-range, eve)
         agg = marg @ sel
@@ -283,8 +274,7 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str,
     probs = dist.probs
 
     def objective(mat: np.ndarray) -> float:
-        arr = probs @ mat
-        return _cmi_array(arr, n) if kind == "cmi" else _sn_array(arr, n)
+        return _objective(probs @ mat, n, kind)
 
     mat = channel.copy()
     best = objective(mat)
@@ -322,8 +312,7 @@ def _minimize_over_channels(dist: JointDistribution, kind: str,
     if budget.refine:
         mat = _refine(dist, mat, kind, budget)
     witness = ClassicalChannel(mat)
-    processed = apply_channel(dist, witness)
-    value = shannon_cmi(processed) if kind == "cmi" else s_n(processed)
+    value = _objective(apply_channel(dist, witness).probs, dist.parties, kind)
     return value, witness
 
 
@@ -367,35 +356,41 @@ def continuity_envelope(eps: float, log_dim: float, flavor: str) -> float:
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
+def table_to_csv(table: np.ndarray, columns: Sequence[str], fh) -> None:
+    """Write header `columns,p`, then one row `i1,...,ik,p` per entry, row-major.
+
+    Values carry 15 significant digits.
+    """
+    fh.write(",".join(list(columns) + ["p"]) + "\n")
+    for idx in itertools.product(*(range(k) for k in table.shape)):
+        fh.write(",".join(str(v) for v in idx) + f",{table[idx]:.15g}\n")
+
+
+def table_from_csv(fh) -> tuple[list[str], np.ndarray]:
+    """Inverse of `table_to_csv`: the index columns and the table.
+
+    Each axis is as long as its largest index plus one; absent rows are 0.
+    """
+    header = fh.readline().strip().split(",")
+    if len(header) < 2 or header[-1] != "p":
+        raise ValueError("malformed CSV header: expected index columns then p")
+    rows = [line.split(",") for line in map(str.strip, fh) if line]
+    if not rows or any(len(row) != len(header) for row in rows):
+        raise ValueError("CSV rows missing or not as wide as the header")
+    idx = np.array([[int(v) for v in row[:-1]] for row in rows])
+    table = np.zeros(tuple(idx.max(axis=0) + 1))
+    table[tuple(idx.T)] = [float(row[-1]) for row in rows]
+    return header[:-1], table
+
+
 def distribution_to_csv(dist: JointDistribution, fh) -> None:
     """Write rows `a1,...,aN,e,p` with full double precision."""
-    n = dist.parties
-    header = ",".join([f"a{i+1}" for i in range(n)] + ["e", "p"])
-    fh.write(header + "\n")
-    for idx in itertools.product(*(range(k) for k in dist.probs.shape)):
-        fh.write(",".join(str(v) for v in idx) + f",{dist.probs[idx]:.15g}\n")
+    table_to_csv(dist.probs, [f"a{i+1}" for i in range(dist.parties)] + ["e"], fh)
 
 
 def distribution_from_csv(fh) -> JointDistribution:
-    header = fh.readline().strip().split(",")
-    if len(header) < 3 or header[-1] != "p" or header[-2] != "e":
+    """Inverse of `distribution_to_csv`; alphabets are inferred from the rows."""
+    columns, probs = table_from_csv(fh)
+    if len(columns) < 2 or columns[-1] != "e":
         raise ValueError("malformed distribution CSV header")
-    n = len(header) - 2
-    entries = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        entries.append((tuple(int(v) for v in parts[:n + 1]), float(parts[n + 1])))
-    shape = tuple(max(e[0][i] for e in entries) + 1 for i in range(n + 1))
-    probs = np.zeros(shape)
-    for idx, val in entries:
-        probs[idx] = val
-    return JointDistribution(shape[:n], shape[n], probs)
-
-
-def distribution_csv_string(dist: JointDistribution) -> str:
-    buf = io.StringIO()
-    distribution_to_csv(dist, buf)
-    return buf.getvalue()
+    return JointDistribution(probs.shape[:-1], probs.shape[-1], probs)

@@ -8,7 +8,7 @@ import pytest
 from ckabounds.behaviors import (GAME_FIXED_INPUTS, KEY_SETTING, PAULI_X, PAULI_Z,
                                  Behavior, GameSpec, behavior_distance,
                                  behavior_from_csv, behavior_from_measurement,
-                                 behavior_to_csv, critical_noise, csv_string,
+                                 behavior_to_csv, critical_noise,
                                  default_measurements, expected_winning_probability,
                                  game_value, honest_behavior, is_nonsignaling,
                                  parity_chsh_value, parity_game_spec,
@@ -287,16 +287,22 @@ class TestGameSpec:
         assert game_value(uniform_behavior(), spec) == pytest.approx(1.0, abs=1e-12)
 
 
+def csv_text(p):
+    buf = io.StringIO()
+    behavior_to_csv(p, buf)
+    return buf.getvalue()
+
+
 class TestCsv:
     def test_round_trip(self):
         b = honest_behavior(0.05)
-        text = csv_string(b)
+        text = csv_text(b)
         back = behavior_from_csv(io.StringIO(text))
         assert back.input_alphabets == b.input_alphabets
         assert np.abs(back.table - b.table).max() < 1e-12
 
     def test_header_format(self):
-        text = csv_string(honest_behavior(0.0))
+        text = csv_text(honest_behavior(0.0))
         assert text.splitlines()[0] == "x1,x2,x3,a1,a2,a3,p"
 
     def test_significant_digits(self):

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from ckabounds.bounds import (BoundCurve, PartitionBoundInput, Xorshift64Star,
-                              compute_curves, default_grid, dual_bound_curve,
-                              dw_lower_proxy_curve, enumerate_partitions,
-                              intrinsic_bound_curve, partition_bound, relay_chain,
-                              relay_simulate, trivial_bound_curve, write_curves_csv)
+                              compute_curves, enumerate_partitions, partition_bound,
+                              relay_chain, relay_simulate, write_curves_csv)
 from ckabounds.partitions import partitions_as_masks, set_partitions
 import oracles
 
 SHORT_GRID = [0.0, 0.02, 0.05, 0.08, 0.1189]
+MONOTONE_GRID = [0.005 * i for i in range(25)]  # up to 0.12
 
 
 class TestBoundCurveValidation:
@@ -31,85 +30,89 @@ class TestBoundCurveValidation:
             BoundCurve("x", ((0.0, math.inf),))
 
 
-class TestIntrinsicCurve:
-    def test_left_edge_is_one(self):
-        curve = intrinsic_bound_curve([0.0])
-        assert curve.values[0] == pytest.approx(1.0, abs=1e-8)
+@pytest.fixture(scope="module")
+def curve():
+    """`curve(name, grid)`: one curve of a `compute_curves` run shared per grid."""
+    runs = {}
 
-    def test_monotone_nonincreasing(self):
-        grid = [0.005 * i for i in range(25)]  # up to 0.12
-        vals = intrinsic_bound_curve(grid).values
+    def get(name, grid):
+        key = (tuple(grid), name.endswith("_min"))
+        if key not in runs:
+            runs[key] = {c.name: c for c in compute_curves(grid, minimize=key[1])}
+        return runs[key][name]
+
+    return get
+
+
+class TestIntrinsicCurve:
+    def test_left_edge_is_one(self, curve):
+        assert curve("intrinsic_fixed", SHORT_GRID).values[0] == pytest.approx(1.0, abs=1e-8)
+
+    def test_monotone_nonincreasing(self, curve):
+        vals = curve("intrinsic_fixed", MONOTONE_GRID).values
         assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
-    def test_fixed_value_against_entropy_oracle(self):
-        curve = intrinsic_bound_curve([0.05])
+    def test_fixed_value_against_entropy_oracle(self, curve):
         expect = oracles.cmi_of_table(oracles.postprocessed_table(0.05)) / 2.0
-        assert curve.values[0] == pytest.approx(expect, abs=1e-9)
+        assert curve("intrinsic_fixed", SHORT_GRID).values[2] == pytest.approx(expect, abs=1e-9)
 
-    def test_minimized_never_above_fixed(self):
-        fixed = intrinsic_bound_curve(SHORT_GRID, minimize=False).values
-        minimized = intrinsic_bound_curve(SHORT_GRID, minimize=True).values
+    def test_minimized_never_above_fixed(self, curve):
+        fixed = curve("intrinsic_fixed", SHORT_GRID).values
+        minimized = curve("intrinsic_min", SHORT_GRID).values
         for lo, hi in zip(minimized, fixed):
             assert lo <= hi + 1e-9
 
-    def test_rejects_other_party_counts(self):
-        with pytest.raises(ValueError):
-            intrinsic_bound_curve([0.0], n_parties=4)
-
     def test_rejects_grid_outside_range(self):
         with pytest.raises(ValueError):
-            intrinsic_bound_curve([0.5, 1.0])
+            compute_curves([0.5, 1.0])
 
 
 class TestDualCurve:
-    def test_left_edge_is_one(self):
-        curve = dual_bound_curve([0.0])
-        assert curve.values[0] == pytest.approx(1.0, abs=1e-8)
+    def test_left_edge_is_one(self, curve):
+        assert curve("dual_fixed", SHORT_GRID).values[0] == pytest.approx(1.0, abs=1e-8)
 
-    def test_fixed_value_against_entropy_oracle(self):
-        curve = dual_bound_curve([0.05])
+    def test_fixed_value_against_entropy_oracle(self, curve):
         expect = oracles.sn_of_table(oracles.postprocessed_table(0.05))
-        assert curve.values[0] == pytest.approx(expect, abs=1e-9)
+        assert curve("dual_fixed", SHORT_GRID).values[2] == pytest.approx(expect, abs=1e-9)
 
-    def test_comparison_with_intrinsic_reported_not_asserted(self, capsys):
+    def test_comparison_with_intrinsic_reported_not_asserted(self, curve):
         # no ordering is claimed between the two bounds on mixed states;
         # differences are only reported for inspection
-        dual = dual_bound_curve(SHORT_GRID).values
-        intr = intrinsic_bound_curve(SHORT_GRID).values
+        dual = curve("dual_fixed", SHORT_GRID).values
+        intr = curve("intrinsic_fixed", SHORT_GRID).values
         below = [(nu, d, i) for nu, d, i in zip(SHORT_GRID, dual, intr) if d < i - 1e-9]
         print(f"dual-below-intrinsic points: {below if below else 'none'}")
         assert len(dual) == len(intr)
 
 
 class TestTrivialCurve:
-    def test_values(self):
-        curve = trivial_bound_curve([0.0, 0.5, 1.0])
-        assert curve.values == (1.0, 0.5, 0.0)
+    def test_values(self, curve):
+        assert curve("trivial", [0.0, 0.5]).values == (1.0, 0.5)
 
-    def test_dominates_fixed_intrinsic_up_to_critical_noise(self, capsys):
+    def test_dominates_fixed_intrinsic_up_to_critical_noise(self, curve):
         grid = [0.01 * i for i in range(12)]
-        triv = trivial_bound_curve(grid).values
-        intr = intrinsic_bound_curve(grid).values
+        triv = curve("trivial", grid).values
+        intr = curve("intrinsic_fixed", grid).values
         violations = [(nu, t, i) for nu, t, i in zip(grid, triv, intr) if t < i - 1e-9]
         print(f"trivial-below-intrinsic points: {violations if violations else 'none'}")
 
 
 class TestProxyCurve:
-    def test_left_edge_is_one(self):
-        assert dw_lower_proxy_curve([0.0]).values[0] == pytest.approx(1.0, abs=1e-8)
+    def test_left_edge_is_one(self, curve):
+        assert curve("dw_lower_PROXY", SHORT_GRID).values[0] == pytest.approx(1.0, abs=1e-8)
 
-    def test_below_intrinsic_curve(self):
-        proxy = dw_lower_proxy_curve(SHORT_GRID).values
-        intr = intrinsic_bound_curve(SHORT_GRID).values
+    def test_below_intrinsic_curve(self, curve):
+        proxy = curve("dw_lower_PROXY", SHORT_GRID).values
+        intr = curve("intrinsic_fixed", SHORT_GRID).values
         for p, i in zip(proxy, intr):
             assert p <= i + 1e-9
 
-    def test_monotone_nonincreasing(self):
-        vals = dw_lower_proxy_curve(SHORT_GRID).values
+    def test_monotone_nonincreasing(self, curve):
+        vals = curve("dw_lower_PROXY", SHORT_GRID).values
         assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
     def test_name_carries_proxy_label(self):
-        assert "PROXY" in dw_lower_proxy_curve([0.0]).name
+        assert "PROXY" in compute_curves([0.0])[-1].name
 
 
 class TestComputeCurves:

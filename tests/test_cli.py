@@ -1,8 +1,10 @@
+import math
 import re
 
 import numpy as np
 import pytest
 
+from ckabounds import cli
 from ckabounds.cli import main
 from ckabounds.secrecy import distribution_from_csv
 
@@ -15,6 +17,11 @@ def read_rows(path):
         nu, value, name = line.split(",")
         rows.append((float(nu), float(value), name))
     return rows
+
+
+def one_line(err):
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
 
 
 class TestCurvesCommand:
@@ -64,6 +71,47 @@ class TestCurvesCommand:
     def test_unknown_flag_exits_one(self):
         assert main(["curves", "--bogus"]) == 1
 
+    def test_nonpositive_workers_exit_one(self, tmp_path, capsys):
+        for workers in ("0", "-3"):
+            assert main(["curves", "--nu-max", "0.01", "--nu-step", "0.01",
+                         "--workers", workers, "--out", str(tmp_path / "w.csv")]) == 1
+            assert "invalid workers" in one_line(capsys.readouterr().err)
+        assert not (tmp_path / "w.csv").exists()
+
+
+class TestValidators:
+    """Checked without building a grid or starting a process pool."""
+
+    def cfg(self, **overrides):
+        return {**cli._DEFAULTS, **overrides}
+
+    def test_grid_size_of_default_grid(self):
+        assert cli._grid_size(self.cfg()) == 53
+
+    def test_grid_size_counts_before_building(self):
+        with pytest.raises(cli._CliError, match="more than") as exc:
+            cli._grid_size(self.cfg(nu_min=0.0, nu_max=1.0, nu_step=1e-12))
+        assert exc.value.code == 1
+        with pytest.raises(cli._CliError, match="more than"):
+            cli._grid_size(self.cfg(nu_step=5e-324))  # the span overflows to inf
+
+    def test_grid_size_at_the_cap(self):
+        step = 1.0 / cli.MAX_GRID_POINTS
+        assert cli._grid_size(self.cfg(nu_max=1.0 - step, nu_step=step)) == cli.MAX_GRID_POINTS
+        with pytest.raises(cli._CliError):
+            cli._grid_size(self.cfg(nu_max=1.0, nu_step=step))
+
+    def test_grid_size_rejects_nan_step(self):
+        with pytest.raises(cli._CliError, match="invalid grid"):
+            cli._grid_size(self.cfg(nu_step=math.nan))
+
+    def test_workers_bounds(self):
+        assert cli._check_workers(self.cfg(workers=1)) == 1
+        assert cli._check_workers(self.cfg(workers=cli.MAX_WORKERS)) == cli.MAX_WORKERS
+        for bad in (0, -3, cli.MAX_WORKERS + 1):
+            with pytest.raises(cli._CliError, match="invalid workers"):
+                cli._check_workers(self.cfg(workers=bad))
+
 
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path):
@@ -89,6 +137,12 @@ class TestConfigFile:
     def test_missing_config_exits_two(self):
         assert main(["curves", "--config", "/nonexistent.cfg"]) == 2
 
+    def test_bad_value_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nu_min = abc\n")
+        assert main(["curves", "--config", str(cfg)]) == 1
+        assert "'nu_min'" in one_line(capsys.readouterr().err)
+
     def test_unsupported_format_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format = json\n")
@@ -100,7 +154,8 @@ class TestVerifyCommand:
     def test_default_seed_passes(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
+        assert "suite order" in out
         assert "FAIL" not in out
         for count in re.findall(r"instances=(\d+)", out):
             assert int(count) >= 100
@@ -151,6 +206,14 @@ class TestRelayCommand:
         assert "all parties agree: True" in out
         assert "messages = 2" in out
 
+    def test_two_parties_exit_one(self, capsys):
+        assert main(["relay", "--parties", "2"]) == 1
+        assert "three parties" in one_line(capsys.readouterr().err)
+
+    def test_zero_key_length_exits_one(self, capsys):
+        assert main(["relay", "--key-len", "0"]) == 1
+        assert "key_len" in one_line(capsys.readouterr().err)
+
 
 class TestPartitionsCommand:
     def test_three_parties(self, capsys):
@@ -158,3 +221,7 @@ class TestPartitionsCommand:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 4  # three partitions plus the summary line
         assert "3 nontrivial partitions" in out[-1]
+
+    def test_two_parties_exit_one(self, capsys):
+        assert main(["partitions", "--parties", "2"]) == 1
+        assert "three parties" in one_line(capsys.readouterr().err)

@@ -8,7 +8,7 @@ import pytest
 from ckabounds.attacks import build_cc_attack
 from ckabounds.secrecy import (ClassicalChannel, JointDistribution, SearchBudget,
                                apply_channel, continuity_envelope,
-                               distribution_csv_string, distribution_from_csv,
+                               distribution_from_csv, distribution_to_csv,
                                dual_intrinsic, g, intrinsic_information, s_n,
                                shannon_cmi, total_correlation)
 import oracles
@@ -128,13 +128,13 @@ class TestSn:
                     - (oracles.entropy(p) - h_e))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
-    def test_symmetrize_takes_minimum_ordering(self, rng):
+    def test_value_is_independent_of_party_order(self, rng):
         dist = random_joint(rng, (2, 3, 2), 2)
-        manual = min(
-            oracles.sn_of_table(np.transpose(dist.probs, perm + (3,)))
-            for perm in itertools.permutations(range(3)))
-        assert s_n(dist, symmetrize=True) == pytest.approx(manual, abs=1e-11)
-        assert s_n(dist, symmetrize=True) <= s_n(dist) + 1e-12
+        for perm in itertools.permutations(range(3)):
+            probs = np.transpose(dist.probs, perm + (3,))
+            shuffled = JointDistribution(probs.shape[:3], 2, probs)
+            assert s_n(shuffled) == pytest.approx(oracles.sn_of_table(probs), abs=1e-11)
+            assert s_n(shuffled) == pytest.approx(s_n(dist), abs=1e-12)
 
     def test_nonnegative(self, rng):
         for _ in range(10):
@@ -254,14 +254,26 @@ class TestContinuityEnvelope:
             continuity_envelope(0.5, 1.0, "unknown")
 
 
+def csv_text(dist):
+    buf = io.StringIO()
+    distribution_to_csv(dist, buf)
+    return buf.getvalue()
+
+
 class TestCsv:
     def test_round_trip(self, rng):
         dist = random_joint(rng, (2, 3), 4)
-        back = distribution_from_csv(io.StringIO(distribution_csv_string(dist)))
+        back = distribution_from_csv(io.StringIO(csv_text(dist)))
         assert back.party_alphabets == dist.party_alphabets
         assert back.eve_alphabet == dist.eve_alphabet
         assert np.abs(back.probs - dist.probs).max() < 1e-12
 
     def test_header(self, rng):
-        text = distribution_csv_string(random_joint(rng, (2, 2, 2), 9))
+        text = csv_text(random_joint(rng, (2, 2, 2), 9))
         assert text.splitlines()[0] == "a1,a2,a3,e,p"
+
+    def test_rejects_malformed_input(self):
+        with pytest.raises(ValueError, match="wide"):
+            distribution_from_csv(io.StringIO("a1,a2,e,p\n0,0,0,1\n0,1,0\n"))
+        with pytest.raises(ValueError, match="header"):
+            distribution_from_csv(io.StringIO("a1,a2,p\n0,0,1\n"))
