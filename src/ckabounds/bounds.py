@@ -31,6 +31,9 @@ from .secrecy import (SearchBudget, dual_intrinsic, entropy_bits,
 
 VALUE_FLOOR = -1e-9
 _N_PARTIES = 3
+MAX_GROUPING_PARTIES = 10  # Bell(10) = 115,975 groupings
+MAX_RELAY_PARTIES = 1024
+MAX_KEY_LEN = 4096
 
 
 @dataclass(frozen=True)
@@ -156,6 +159,8 @@ def enumerate_partitions(n_parties: int) -> list[tuple[tuple[int, ...], ...]]:
     """All groupings of range(n_parties) into 2 to N-1 blocks."""
     if n_parties < 3:
         raise ValueError("partition enumeration needs at least three parties")
+    if n_parties > MAX_GROUPING_PARTIES:
+        raise ValueError(f"partition enumeration takes at most {MAX_GROUPING_PARTIES} parties")
     out = []
     for blocks in set_partitions(range(n_parties)):
         if 2 <= len(blocks) <= n_parties - 1:
@@ -223,8 +228,10 @@ def relay_simulate(n_parties: int, key_len: int, rng_seed: int) -> RelayTranscri
     """Sample edge keys and the secret, run the relay, return the transcript."""
     if n_parties < 3:
         raise ValueError("the relay needs at least three parties")
-    if key_len < 1:
-        raise ValueError("key_len must be at least 1")
+    if n_parties > MAX_RELAY_PARTIES:
+        raise ValueError(f"the relay takes at most {MAX_RELAY_PARTIES} parties")
+    if not 1 <= key_len <= MAX_KEY_LEN:
+        raise ValueError(f"key_len must lie in 1..{MAX_KEY_LEN}")
     rng = Xorshift64Star(rng_seed)
     edge_keys = tuple(rng.bits(key_len) for _ in range(n_parties - 1))
     r = rng.bits(key_len)

@@ -22,30 +22,16 @@ from .secrecy import (JointDistribution, distribution_to_csv, dual_intrinsic,
                       entropy_bits, intrinsic_information, s_n, shannon_cmi,
                       total_correlation)
 
-_DEFAULTS = {
-    "nu_min": 0.0,
-    "nu_max": 0.13,
-    "nu_step": 0.0025,
-    "minimize": False,
-    "seed": 12345,
-    "out": None,
-    "workers": 1,
-    "parties": 3,
-    "key_len": 8,
-    "format": "csv",
-}
-
-_CONFIG_PARSERS = {
-    "nu_min": float,
-    "nu_max": float,
-    "nu_step": float,
-    "minimize": lambda v: v.strip().lower() in ("1", "true", "yes", "on"),
-    "seed": int,
-    "out": str,
-    "workers": int,
-    "parties": int,
-    "key_len": int,
-    "format": str,
+_CONFIG = {  # key: (default, parser of a config-file value)
+    "nu_min": (0.0, float),
+    "nu_max": (0.13, float),
+    "nu_step": (0.0025, float),
+    "minimize": (False, lambda v: v.strip().lower() in ("1", "true", "yes", "on")),
+    "seed": (12345, int),
+    "out": (None, str),
+    "workers": (1, int),
+    "parties": (3, int),
+    "key_len": (8, int),
 }
 
 
@@ -75,33 +61,28 @@ def _read_config(path: str) -> dict:
                 raise _CliError(f"malformed config line: {raw.strip()!r}", 1)
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in _CONFIG_PARSERS:
+            if key not in _CONFIG:
                 raise _CliError(f"unknown config key {key!r}", 1)
             try:
-                cfg[key] = _CONFIG_PARSERS[key](value)
+                cfg[key] = _CONFIG[key][1](value)
             except ValueError:
                 raise _CliError(f"invalid value for config key {key!r}: {value!r}", 1)
     return cfg
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (default, _) in _CONFIG.items()}
     if getattr(args, "config", None):
         try:
             file_cfg = _read_config(args.config)
         except OSError as exc:
             raise _CliError(f"cannot read config file: {exc}", 2)
         cfg.update(file_cfg)
-    for key in _DEFAULTS:
+    for key in _CONFIG:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
     return cfg
-
-
-def _check_format(cfg: dict) -> None:
-    if cfg["format"] != "csv":
-        raise _CliError(f"unsupported output format {cfg['format']!r} (only csv)", 1)
 
 
 def _grid_size(cfg: dict) -> int:
@@ -275,7 +256,6 @@ def _cmd_verify(cfg: dict, corrupt: bool, stdout) -> int:
 # subcommands
 
 def _cmd_curves(cfg: dict, stdout) -> int:
-    _check_format(cfg)
     workers = _check_workers(cfg)
     grid = _grid_from(cfg)
     curves = bounds.compute_curves(grid, minimize=cfg["minimize"], workers=workers)

@@ -10,13 +10,14 @@ P(a_1..a_N, e):
   I(A_{N-1}:A_N|A_1..A_{N-2} E).
 
 Minimizing either quantity over classical channels E -> F gives the
-corresponding intrinsic-information value.  The search enumerates all
-deterministic channels (set partitions of the Eve alphabet, exact for small
-alphabets) and optionally refines the best one by coordinate descent over
-stochastic channels.  Restricting the output alphabet to |F| <= |E| is a
-standard sufficiency heuristic, not a theorem, so reported values are upper
-bounds on the true infimum; the refinement stage can probe |F| = |E| + k
-via `SearchBudget.extra_outputs`.
+corresponding intrinsic-information value.  The search finds the best
+deterministic channel (set partition of the Eve alphabet) exactly, by a
+dynamic program over subsets of the alphabet in O(3^|E|) steps, and
+optionally refines it by coordinate descent over stochastic channels.
+Restricting the output alphabet to |F| <= |E| is a standard sufficiency
+heuristic, not a theorem, so reported values are upper bounds on the true
+infimum; the refinement stage can probe |F| = |E| + k via
+`SearchBudget.extra_outputs`.
 """
 
 from __future__ import annotations
@@ -29,11 +30,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .partitions import partitions_as_masks
-
 PROB_FLOOR = 1e-15
 TOTAL_TOL = 1e-9
 ROW_TOL = 1e-10
+
+EXHAUSTIVE_LIMIT = 10  # channel search; see SearchBudget
+REFINE_SWEEPS = 200
+REFINE_STEP = 0.5
+REFINE_TOL = 1e-9
 
 
 def entropy_bits(vec: np.ndarray) -> float:
@@ -150,18 +154,23 @@ def _monotone_terms(n_parties: int, kind: str) -> list[list[tuple[tuple[int, ...
 
 @lru_cache(maxsize=None)
 def _plan(n_parties: int, kind: str):
-    """Sum axes of each distinct subset, and the groups as (subset index, c_X)."""
+    """Sum axes per distinct subset, groups of (subset index, c_X), merged nonzero (index, c_X)."""
     index: dict[tuple[int, ...], int] = {}
     groups = tuple(
         tuple((index.setdefault(parties, len(index)), c) for parties, c in group)
         for group in _monotone_terms(n_parties, kind))
     axes = tuple(tuple(j for j in range(n_parties) if j not in parties) for parties in index)
-    return axes, groups
+    coeffs = [0.0] * len(index)
+    for group in groups:
+        for i, c in group:
+            coeffs[i] += c
+    merged = tuple((i, c) for i, c in enumerate(coeffs) if c != 0.0)
+    return axes, groups, merged
 
 
 def _objective(p: np.ndarray, n_parties: int, kind: str) -> float:
     """Monotone `kind` of a raw array with party axes first and Eve's last."""
-    axes, groups = _plan(n_parties, kind)
+    axes, groups, _ = _plan(n_parties, kind)
     h = [entropy_bits(p.sum(axis=a)) for a in axes]
     total = 0.0
     for group in groups:
@@ -202,48 +211,37 @@ def apply_channel(dist: JointDistribution, channel: ClassicalChannel) -> JointDi
 class SearchBudget:
     """Configuration of the channel search.
 
-    exhaustive_limit: largest Eve alphabet for which all deterministic
-        channels (set partitions) are enumerated; beyond it only the
-        refinement stage runs, started from the identity channel.
+    The deterministic stage finds the best set partition of Eve's alphabet
+    exactly (`_best_partition`) if it has at most EXHAUSTIVE_LIMIT symbols,
+    and takes the identity channel otherwise.  Refinement runs at most
+    REFINE_SWEEPS sweeps and halves its step, from REFINE_STEP, after each
+    sweep that gains less than REFINE_TOL bits.
+
     refine: run coordinate descent over stochastic channels from the best
         deterministic point.
     extra_outputs: number of output symbols added beyond the deterministic
         optimum, to probe whether |F| <= |E| was too restrictive.
     """
 
-    exhaustive_limit: int = 10
     refine: bool = True
-    refine_sweeps: int = 200
-    refine_step: float = 0.5
-    refine_tol: float = 1e-9
     extra_outputs: int = 0
 
 
-def _merged_terms(n_parties: int, kind: str) -> list[tuple[tuple[int, ...], float]]:
-    """The monotone with one coefficient per party subset (zeros dropped)."""
-    coeffs: dict[tuple[int, ...], float] = {}
-    for group in _monotone_terms(n_parties, kind):
-        for parties, c in group:
-            coeffs[parties] = coeffs.get(parties, 0.0) + c
-    return [(k, c) for k, c in coeffs.items() if c != 0.0]
-
-
 def _block_values(dist: JointDistribution, kind: str) -> np.ndarray:
-    """Per-subset contribution phi[mask] of each Eve-symbol block to the objective.
+    """Per-subset contribution phi[mask - 1] of each Eve-symbol block to the objective.
 
     Both objectives are sums of entropies of (X, F) marginals, and those
     entropies split additively over the blocks of a deterministic channel,
     so the objective of any partition is the sum of phi over its blocks.
     """
     ne = dist.eve_alphabet
-    n = dist.parties
+    axes, _, merged = _plan(dist.parties, kind)
     masks = np.arange(1, 1 << ne)
     # indicator matrix: column m-1 selects the symbols of mask m
     sel = ((masks[np.newaxis, :] >> np.arange(ne)[:, np.newaxis]) & 1).astype(float)
     phi = np.zeros(masks.size)
-    for parties, coeff in _merged_terms(n, kind):
-        axes = tuple(j for j in range(n) if j not in parties)
-        marg = dist.probs.sum(axis=axes).reshape(-1, ne)  # (x-range, eve)
+    for i, coeff in merged:
+        marg = dist.probs.sum(axis=axes[i]).reshape(-1, ne)  # (x-range, eve)
         agg = marg @ sel
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.where(agg > PROB_FLOOR, np.log2(np.where(agg > 0, agg, 1.0)), 0.0)
@@ -251,24 +249,34 @@ def _block_values(dist: JointDistribution, kind: str) -> np.ndarray:
     return phi
 
 
-def _best_partition(dist: JointDistribution, kind: str) -> tuple[float, list[list[int]]]:
+def _best_partition(dist: JointDistribution, kind: str) -> list[list[int]]:
+    """Blocks, ordered by lowest symbol, of the partition of Eve's alphabet
+    with the least objective: best[S] = min of phi[T] + best[S - T] over the
+    blocks T of S that hold S's lowest symbol, 3^|E| subset pairs in all."""
     ne = dist.eve_alphabet
-    phi = _block_values(dist, kind)
-    best_val = math.inf
-    best_masks: tuple[int, ...] = ()
-    for masks in partitions_as_masks(ne):
-        val = 0.0
-        for m in masks:
-            val += phi[m - 1]
-        if val < best_val:
-            best_val = val
-            best_masks = masks
-    blocks = [[i for i in range(ne) if mask >> i & 1] for mask in best_masks]
-    return best_val, blocks
+    phi = _block_values(dist, kind).tolist()
+    best = [0.0] * (1 << ne)
+    choice = [0] * (1 << ne)
+    for s in range(1, 1 << ne):
+        low = s & -s
+        rest = s ^ low
+        best_val, best_block = math.inf, s
+        t = rest
+        for _ in range(1 << rest.bit_count()):  # every submask t of rest, descending
+            block = t | low
+            val = phi[block - 1] + best[s ^ block]
+            if val < best_val:
+                best_val, best_block = val, block
+            t = (t - 1) & rest
+        best[s], choice[s] = best_val, best_block
+    blocks, s = [], (1 << ne) - 1
+    while s:
+        blocks.append([i for i in range(ne) if choice[s] >> i & 1])
+        s ^= choice[s]
+    return blocks
 
 
-def _refine(dist: JointDistribution, channel: np.ndarray, kind: str,
-            budget: SearchBudget) -> np.ndarray:
+def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarray:
     """Coordinate descent on channel rows; step halves when a sweep stalls."""
     n = dist.parties
     probs = dist.probs
@@ -278,8 +286,8 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str,
 
     mat = channel.copy()
     best = objective(mat)
-    step = budget.refine_step
-    for _ in range(budget.refine_sweeps):
+    step = REFINE_STEP
+    for _ in range(REFINE_SWEEPS):
         gained = 0.0
         for e in range(mat.shape[0]):
             for f in range(mat.shape[1]):
@@ -292,7 +300,7 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str,
                     best = val
                 else:
                     mat[e] = saved
-        if gained < budget.refine_tol:
+        if gained < REFINE_TOL:
             step *= 0.5
             if step < 1e-9:
                 break
@@ -303,14 +311,14 @@ def _minimize_over_channels(dist: JointDistribution, kind: str,
                             budget: SearchBudget | None) -> tuple[float, ClassicalChannel]:
     budget = budget or SearchBudget()
     ne = dist.eve_alphabet
-    if ne <= budget.exhaustive_limit:
-        _, blocks = _best_partition(dist, kind)
+    if ne <= EXHAUSTIVE_LIMIT:
+        blocks = _best_partition(dist, kind)
     else:
         blocks = [[e] for e in range(ne)]  # alphabet too large: identity start
     out = len(blocks) + max(0, budget.extra_outputs)
     mat = ClassicalChannel.from_partition(blocks, ne, out).matrix.copy()
     if budget.refine:
-        mat = _refine(dist, mat, kind, budget)
+        mat = _refine(dist, mat, kind)
     witness = ClassicalChannel(mat)
     value = _objective(apply_channel(dist, witness).probs, dist.parties, kind)
     return value, witness
@@ -370,6 +378,7 @@ def table_from_csv(fh) -> tuple[list[str], np.ndarray]:
     """Inverse of `table_to_csv`: the index columns and the table.
 
     Each axis is as long as its largest index plus one; absent rows are 0.
+    Negative indices and repeated index tuples are rejected.
     """
     header = fh.readline().strip().split(",")
     if len(header) < 2 or header[-1] != "p":
@@ -378,6 +387,8 @@ def table_from_csv(fh) -> tuple[list[str], np.ndarray]:
     if not rows or any(len(row) != len(header) for row in rows):
         raise ValueError("CSV rows missing or not as wide as the header")
     idx = np.array([[int(v) for v in row[:-1]] for row in rows])
+    if idx.min() < 0 or len(np.unique(idx, axis=0)) != len(idx):
+        raise ValueError("CSV rows hold a negative or a repeated index tuple")
     table = np.zeros(tuple(idx.max(axis=0) + 1))
     table[tuple(idx.T)] = [float(row[-1]) for row in rows]
     return header[:-1], table

@@ -305,6 +305,17 @@ class TestCsv:
         text = csv_text(honest_behavior(0.0))
         assert text.splitlines()[0] == "x1,x2,x3,a1,a2,a3,p"
 
+    def test_rejects_negative_index(self):
+        lines = csv_text(honest_behavior(0.05)).splitlines()
+        lines[-1] = "-" + lines[-1]  # x1 = -1 would wrap around to x1 = 1
+        with pytest.raises(ValueError, match="negative or a repeated"):
+            behavior_from_csv(io.StringIO("\n".join(lines)))
+
+    def test_rejects_duplicate_row(self):
+        text = csv_text(honest_behavior(0.05))
+        with pytest.raises(ValueError, match="negative or a repeated"):
+            behavior_from_csv(io.StringIO(text + text.splitlines()[1] + "\n"))
+
     def test_significant_digits(self):
         buf = io.StringIO()
         behavior_to_csv(honest_behavior(0.0), buf)

@@ -6,9 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ckabounds.bounds import (BoundCurve, PartitionBoundInput, Xorshift64Star,
-                              compute_curves, enumerate_partitions, partition_bound,
-                              relay_chain, relay_simulate, write_curves_csv)
+from ckabounds.bounds import (MAX_KEY_LEN, MAX_RELAY_PARTIES, BoundCurve,
+                              PartitionBoundInput, Xorshift64Star, compute_curves,
+                              enumerate_partitions, partition_bound, relay_chain,
+                              relay_simulate, write_curves_csv)
 from ckabounds.partitions import partitions_as_masks, set_partitions
 import oracles
 
@@ -201,6 +202,10 @@ class TestEnumeratePartitions:
         with pytest.raises(ValueError):
             enumerate_partitions(2)
 
+    def test_large_n_rejected_before_enumerating(self):
+        with pytest.raises(ValueError, match="at most 10"):
+            enumerate_partitions(10**9)
+
     def test_bell_numbers(self):
         for n, bell in ((1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)):
             assert sum(1 for _ in set_partitions(range(n))) == bell
@@ -266,6 +271,14 @@ class TestRelay:
             relay_simulate(2, 8, 1)
         with pytest.raises(ValueError):
             relay_simulate(3, 0, 1)
+
+    def test_rejects_oversized_arguments_before_sampling(self):
+        with pytest.raises(ValueError, match="at most 1024 parties"):
+            relay_simulate(10**9, 8, 1)
+        with pytest.raises(ValueError, match="key_len"):
+            relay_simulate(3, 10**9, 1)
+        assert len(relay_simulate(MAX_RELAY_PARTIES, 1, 1).final_keys) == MAX_RELAY_PARTIES
+        assert relay_simulate(3, MAX_KEY_LEN, 1).r < 1 << MAX_KEY_LEN
 
     def test_generator_determinism_and_range(self):
         gen = Xorshift64Star(2024)

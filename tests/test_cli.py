@@ -83,7 +83,7 @@ class TestValidators:
     """Checked without building a grid or starting a process pool."""
 
     def cfg(self, **overrides):
-        return {**cli._DEFAULTS, **overrides}
+        return {**{key: default for key, (default, _) in cli._CONFIG.items()}, **overrides}
 
     def test_grid_size_of_default_grid(self):
         assert cli._grid_size(self.cfg()) == 53
@@ -143,11 +143,11 @@ class TestConfigFile:
         assert main(["curves", "--config", str(cfg)]) == 1
         assert "'nu_min'" in one_line(capsys.readouterr().err)
 
-    def test_unsupported_format_exits_one(self, tmp_path, capsys):
+    def test_format_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("format = json\n")
+        cfg.write_text("format = csv\n")
         assert main(["curves", "--config", str(cfg)]) == 1
-        assert "format" in capsys.readouterr().err
+        assert "unknown config key 'format'" in one_line(capsys.readouterr().err)
 
 
 class TestVerifyCommand:
@@ -214,6 +214,12 @@ class TestRelayCommand:
         assert main(["relay", "--key-len", "0"]) == 1
         assert "key_len" in one_line(capsys.readouterr().err)
 
+    def test_oversized_arguments_exit_one(self, capsys):
+        assert main(["relay", "--parties", "1025"]) == 1
+        assert "at most 1024 parties" in one_line(capsys.readouterr().err)
+        assert main(["relay", "--key-len", "4097"]) == 1
+        assert "key_len" in one_line(capsys.readouterr().err)
+
 
 class TestPartitionsCommand:
     def test_three_parties(self, capsys):
@@ -225,3 +231,7 @@ class TestPartitionsCommand:
     def test_two_parties_exit_one(self, capsys):
         assert main(["partitions", "--parties", "2"]) == 1
         assert "three parties" in one_line(capsys.readouterr().err)
+
+    def test_eleven_parties_exit_one(self, capsys):
+        assert main(["partitions", "--parties", "11"]) == 1
+        assert "at most 10 parties" in one_line(capsys.readouterr().err)

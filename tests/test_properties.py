@@ -1,0 +1,55 @@
+"""Property tests (Hypothesis) for the channel search, S_N and the CSV readers.
+
+Examples are derandomized and few, so runs are repeatable and quick.
+"""
+
+import io
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from ckabounds.attacks import build_cc_attack, eve_postprocess
+from ckabounds.secrecy import (JointDistribution, distribution_from_csv,
+                               distribution_to_csv, dual_intrinsic,
+                               intrinsic_information, s_n, shannon_cmi)
+
+FEW = settings(derandomize=True, deadline=None, max_examples=8, database=None)
+MANY = settings(FEW, max_examples=60)
+
+
+@st.composite
+def joint_distributions(draw):
+    """Two or three parties with alphabets 1..3 and an Eve alphabet 1..4."""
+    parties = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    shape = tuple(parties) + (draw(st.integers(1, 4)),)
+    raw = draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+    assume(raw.sum() > 1e-6)
+    return JointDistribution(shape[:-1], shape[-1], raw / raw.sum())
+
+
+@FEW
+@given(nu=st.floats(0.0, 0.95))
+def test_minimized_never_exceeds_fixed_postprocessing(nu):
+    # the fixed map is deterministic, so the exact partition stage already beats it
+    attack = build_cc_attack(nu)
+    fixed = eve_postprocess(attack)
+    assert intrinsic_information(attack.joint)[0] <= shannon_cmi(fixed) + 1e-12
+    assert dual_intrinsic(attack.joint)[0] <= s_n(fixed) + 1e-12
+
+
+@MANY
+@given(dist=joint_distributions())
+def test_s_n_is_nonnegative(dist):
+    assert s_n(dist) >= -1e-12
+
+
+@MANY
+@given(dist=joint_distributions())
+def test_distribution_survives_csv_round_trip(dist):
+    buf = io.StringIO()
+    distribution_to_csv(dist, buf)
+    back = distribution_from_csv(io.StringIO(buf.getvalue()))
+    assert back.party_alphabets == dist.party_alphabets
+    assert back.eve_alphabet == dist.eve_alphabet
+    assert np.abs(back.probs - dist.probs).max() < 1e-14

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from ckabounds.attacks import build_cc_attack
+from ckabounds.partitions import partitions_as_masks
 from ckabounds.secrecy import (ClassicalChannel, JointDistribution, SearchBudget,
-                               apply_channel, continuity_envelope,
-                               distribution_from_csv, distribution_to_csv,
-                               dual_intrinsic, g, intrinsic_information, s_n,
-                               shannon_cmi, total_correlation)
+                               _best_partition, _block_values, apply_channel,
+                               continuity_envelope, distribution_from_csv,
+                               distribution_to_csv, dual_intrinsic, g,
+                               intrinsic_information, s_n, shannon_cmi,
+                               total_correlation)
 import oracles
 
 
@@ -165,6 +167,43 @@ class TestApplyChannel:
             apply_channel(random_joint(rng, (2, 2), 3), ClassicalChannel.identity(4))
 
 
+OBJECTIVES = {"cmi": shannon_cmi, "sn": s_n}
+
+
+def mask_blocks(masks, ne):
+    return [[e for e in range(ne) if m >> e & 1] for m in masks]
+
+
+class TestBestPartition:
+    """The subset DP of the deterministic search against every partition."""
+
+    @pytest.mark.parametrize("kind", ["cmi", "sn"])
+    def test_matches_enumeration_on_random_tables(self, rng, kind):
+        objective = OBJECTIVES[kind]
+        for ne in range(1, 8):
+            dist = random_joint(rng, (2, 3, 2), ne)
+            blocks = _best_partition(dist, kind)
+            assert sorted(e for b in blocks for e in b) == list(range(ne))
+            assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+            found = objective(apply_channel(dist, ClassicalChannel.from_partition(blocks, ne)))
+            brute = min(objective(apply_channel(
+                dist, ClassicalChannel.from_partition(mask_blocks(masks, ne), ne)))
+                for masks in partitions_as_masks(ne))
+            assert found == pytest.approx(brute, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["cmi", "sn"])
+    @pytest.mark.parametrize("nu", [0.05, 0.525, 0.7])  # 0.525: two partitions tie for cmi
+    def test_matches_enumeration_on_the_attack(self, kind, nu):
+        dist = build_cc_attack(nu).joint
+        phi = _block_values(dist, kind)
+        blocks = _best_partition(dist, kind)
+        value = sum(phi[sum(1 << e for e in b) - 1] for b in blocks)
+        brute = min(sum(phi[m - 1] for m in masks) for masks in partitions_as_masks(9))
+        assert value == pytest.approx(brute, abs=1e-12)
+        channel = ClassicalChannel.from_partition(blocks, 9)
+        assert OBJECTIVES[kind](apply_channel(dist, channel)) == pytest.approx(value, abs=1e-12)
+
+
 class TestIntrinsicInformation:
     def test_correlated_pair_with_independent_eve(self):
         probs = np.zeros((2, 2, 2))
@@ -277,3 +316,13 @@ class TestCsv:
             distribution_from_csv(io.StringIO("a1,a2,e,p\n0,0,0,1\n0,1,0\n"))
         with pytest.raises(ValueError, match="header"):
             distribution_from_csv(io.StringIO("a1,a2,p\n0,0,1\n"))
+
+    def test_rejects_negative_index(self):
+        # -1 would wrap around to index 1 and load as [0.25, 0.75]
+        with pytest.raises(ValueError, match="negative or a repeated"):
+            distribution_from_csv(io.StringIO("a1,a2,e,p\n0,0,0,0.25\n1,0,0,0.5\n-1,0,0,0.75\n"))
+
+    def test_rejects_duplicate_row(self):
+        # the second 0,0,0 row would silently replace the first
+        with pytest.raises(ValueError, match="negative or a repeated"):
+            distribution_from_csv(io.StringIO("a1,a2,e,p\n0,0,0,0.5\n0,0,0,1\n"))
