@@ -26,8 +26,8 @@ from typing import Iterable, Sequence
 
 from .attacks import CcAttack, build_cc_attack, eve_postprocess
 from .partitions import set_partitions
-from .secrecy import (SearchBudget, dual_intrinsic, entropy_bits,
-                      intrinsic_information, s_n, shannon_cmi)
+from .secrecy import (dual_intrinsic, entropy_bits, intrinsic_information, s_n,
+                      shannon_cmi)
 
 VALUE_FLOOR = -1e-9
 _N_PARTIES = 3
@@ -83,39 +83,38 @@ def _proxy_value(attack: CcAttack) -> float:
     return max(0.0, h_a_given_e - best_bob)
 
 
-def _intrinsic_value(attack: CcAttack, minimize: bool, budget: SearchBudget | None) -> float:
+def _intrinsic_value(attack: CcAttack, minimize: bool) -> float:
     if minimize:
-        value, _ = intrinsic_information(attack.joint, budget)
+        value, _ = intrinsic_information(attack.joint)
     else:
         value = shannon_cmi(eve_postprocess(attack))
     return value / (_N_PARTIES - 1)
 
 
-def _dual_value(attack: CcAttack, minimize: bool, budget: SearchBudget | None) -> float:
+def _dual_value(attack: CcAttack, minimize: bool) -> float:
     if minimize:
-        value, _ = dual_intrinsic(attack.joint, budget)
+        value, _ = dual_intrinsic(attack.joint)
     else:
         value = s_n(eve_postprocess(attack))
     return value
 
 
 def _point_worker(args) -> dict[str, float]:
-    nu, minimize, budget = args
+    nu, minimize = args
     attack = build_cc_attack(nu)
     return {
-        "intrinsic": _intrinsic_value(attack, minimize, budget),
-        "dual": _dual_value(attack, minimize, budget),
+        "intrinsic": _intrinsic_value(attack, minimize),
+        "dual": _dual_value(attack, minimize),
         "trivial": 1.0 - nu,
         "proxy": _proxy_value(attack),
     }
 
 
 def compute_curves(grid: Sequence[float], minimize: bool = False,
-                   budget: SearchBudget | None = None,
                    workers: int = 1) -> list[BoundCurve]:
     """All four curves over the grid; output independent of the worker count."""
     grid = _check_grid(grid)
-    jobs = [(nu, minimize, budget) for nu in grid]
+    jobs = [(nu, minimize) for nu in grid]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_point_worker, jobs))

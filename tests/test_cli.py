@@ -1,5 +1,8 @@
+import argparse
+import io
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +108,15 @@ class TestValidators:
         with pytest.raises(cli._CliError, match="invalid grid"):
             cli._grid_size(self.cfg(nu_step=math.nan))
 
+    def test_grid_from_rejects_points_that_round_together(self):
+        with pytest.raises(cli._CliError, match="repeats points") as exc:
+            cli._grid_from(self.cfg(nu_min=0.1, nu_max=0.1000000000005, nu_step=1e-13))
+        assert exc.value.code == 1
+
+    def test_grid_from_default_grid(self):
+        grid = cli._grid_from(self.cfg())
+        assert len(grid) == 53 and grid[0] == 0.0 and grid[-1] == 0.13
+
     def test_workers_bounds(self):
         assert cli._check_workers(self.cfg(workers=1)) == 1
         assert cli._check_workers(self.cfg(workers=cli.MAX_WORKERS)) == cli.MAX_WORKERS
@@ -143,11 +155,54 @@ class TestConfigFile:
         assert main(["curves", "--config", str(cfg)]) == 1
         assert "'nu_min'" in one_line(capsys.readouterr().err)
 
+    def test_boolean_words(self):
+        for word in ("1", "true", "YES", "On"):
+            assert cli._boolean(word) is True
+        for word in ("0", "False", "no", "OFF"):
+            assert cli._boolean(word) is False
+
+    def test_misspelled_boolean_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("minimize = ture\n")
+        assert main(["curves", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 1
+        assert "invalid value for config key 'minimize'" in one_line(capsys.readouterr().err)
+        assert not (tmp_path / "c.csv").exists()
+
     def test_format_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format = csv\n")
         assert main(["curves", "--config", str(cfg)]) == 1
         assert "unknown config key 'format'" in one_line(capsys.readouterr().err)
+
+
+def accepted_flags():
+    """Public flags of each subcommand's parser (not -h, not hidden hooks)."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for a in p._actions if a.help != argparse.SUPPRESS
+                   for opt in a.option_strings if opt not in ("-h", "--help")}
+            for name, p in sub.choices.items()}
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize("argv", [["game", "--minimize"], ["verify", "--workers", "2"],
+                                      ["partitions", "--seed", "1"]])
+    def test_flag_of_another_command_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in one_line(capsys.readouterr().err)
+
+    def test_readme_synopsis_matches_parsers(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        synopsis = readme.split("## Command line", 1)[1].split("```")[1]
+        documented = {}
+        for line in synopsis.strip().splitlines():
+            if line.startswith("ckabounds "):
+                name = line.split()[1]
+                documented[name] = set()
+            documented[name] |= set(re.findall(r"--[a-z-]+", line))
+        expected = {name: flags | ({"--config"} if flags else set())
+                    for name, flags in documented.items()}
+        assert accepted_flags() == expected
 
 
 class TestVerifyCommand:
@@ -167,6 +222,24 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert re.search(r"FAIL \(instance seed \d+\)", out)
+
+    def test_nan_error_fails(self, monkeypatch):
+        def suite(seed):
+            yield from ((seed, 0.0), (seed + 1, math.nan), (seed + 2, 1.0))
+        monkeypatch.setattr(cli, "_SUITES", (("nan", suite, 1e-9),))
+        out = io.StringIO()
+        assert cli._cmd_verify({"seed": 7, "corrupt": False}, out) == 1
+        assert "max_error=nan" in out.getvalue() and "FAIL (instance seed 8)" in out.getvalue()
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        assert main(["verify", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "invalid seed" in one_line(captured.err)
+        assert captured.out == ""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -5\n")
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert "invalid seed" in one_line(capsys.readouterr().err)
 
 
 class TestGameCommand:
@@ -205,6 +278,10 @@ class TestRelayCommand:
         out = capsys.readouterr().out
         assert "all parties agree: True" in out
         assert "messages = 2" in out
+
+    def test_negative_seed_is_masked(self, capsys):
+        assert main(["relay", "--seed", "-1"]) == 0
+        assert "all parties agree: True" in capsys.readouterr().out
 
     def test_two_parties_exit_one(self, capsys):
         assert main(["relay", "--parties", "2"]) == 1
