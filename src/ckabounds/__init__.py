@@ -12,7 +12,7 @@ from .behaviors import (Behavior, GameSpec, behavior_distance,
 from .secrecy import (ClassicalChannel, JointDistribution, SearchBudget,
                       apply_channel, continuity_envelope, dual_intrinsic,
                       intrinsic_information, s_n, shannon_cmi, total_correlation)
-from .attacks import CcAttack, build_cc_attack, eve_postprocess, local_behavior_from_chi
+from .attacks import CcAttack, build_cc_attack, eve_postprocess
 from .bounds import (BoundCurve, PartitionBoundInput, RelayTranscript,
                      compute_curves, default_grid, enumerate_partitions,
                      partition_bound, relay_simulate, write_curves_csv)

@@ -7,10 +7,14 @@ GHZ part she cannot read and a biseparable part she knows completely:
                  + (1-(1-nu)^3) P_L(a,b1,b2) [e = (a,b1,b2)]
 
 Everything refers to the key-generating setting, where all parties measure
-sigma_z.  The Eve alphabet has 9 symbols: index 0 is the ignorance symbol
-'?', index 1 + 4a + 2b1 + b2 records the triple (a,b1,b2).  Her
-post-processing keeps only triples that mimic an honest key round, mapping
-(a,a,a) to a and everything else to '?' (output alphabet 0, 1, '?'=2).
+sigma_z.  Its outcome table is the computational-basis diagonal of the
+state, since the sigma_z projectors are the diagonal 0/1 matrices, so
+`_key_slice` reads it directly.  The weight and chi_nu of the split come
+from one `states.noisy_ghz3` decomposition.  The Eve alphabet has 9
+symbols: index 0 is the ignorance symbol '?', index 1 + 4a + 2b1 + b2
+records the triple (a,b1,b2).  Her post-processing keeps only triples that
+mimic an honest key round: the channel `_MIMICRY` maps (a,a,a) to a and
+every other symbol to '?' (output alphabet 0, 1, '?'=2).
 
 This decomposition need not be the strongest available to the adversary;
 `build_cc_attack` therefore accepts an alternative (weight, table) pair so
@@ -24,16 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import behaviors, states
+from . import states
 from .qmat import DensityMatrix
-from .secrecy import JointDistribution
+from .secrecy import ClassicalChannel, JointDistribution, apply_channel
 
 MARGINAL_TOL = 1e-10
 
 EVE_IGNORANT = 0
 EVE_ALPHABET = 9
 POST_IGNORANT = 2
-POST_ALPHABET = 3
 
 
 def eve_symbol(a: int, b1: int, b2: int) -> int:
@@ -41,20 +44,16 @@ def eve_symbol(a: int, b1: int, b2: int) -> int:
     return 1 + 4 * a + 2 * b1 + b2
 
 
-def _key_setting_povms() -> tuple:
-    z = behaviors.povm_from_observable(behaviors.PAULI_Z)
-    return ((z,), (z,), (z,))
+#: Eve's symbol for each output triple, in the row-major order of a (2, 2, 2) table
+_RECORDED = [eve_symbol(*t) for t in itertools.product(range(2), repeat=3)]
+#: honest mimicry: (0,0,0) -> 0, (1,1,1) -> 1, '?' and every other triple -> '?'
+_MIMICRY = ClassicalChannel.from_partition(
+    [[_RECORDED[0]], [_RECORDED[7]], [EVE_IGNORANT] + _RECORDED[1:7]], EVE_ALPHABET)
 
 
 def _key_slice(state: DensityMatrix) -> np.ndarray:
-    """All-sigma_z Born probabilities of a three-qubit state, shape (2, 2, 2)."""
-    b = behaviors.behavior_from_measurement(state, _key_setting_povms())
-    return b.conditional((0, 0, 0))
-
-
-def local_behavior_from_chi(nu: float) -> np.ndarray:
-    """Key-setting outcome table of the biseparable remainder chi_nu."""
-    return _key_slice(states.noisy_ghz3(nu).chi)
+    """All-sigma_z outcome probabilities of a three-qubit state, shape (2, 2, 2)."""
+    return state.matrix.diagonal().real.reshape(2, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -99,8 +98,9 @@ def build_cc_attack(nu: float,
         raise ValueError("override the local weight and the local table together")
     p_ghz = _key_slice(states.ghz(3, 2))
     if local_weight is None:
-        local_weight = 1.0 - (1.0 - nu) ** 3
-        p_local = local_behavior_from_chi(nu)
+        dec = states.noisy_ghz3(nu)
+        local_weight = dec.biseparable_weight
+        p_local = _key_slice(dec.chi)
     else:
         local_weight = float(local_weight)
         if not 0.0 <= local_weight <= 1.0:
@@ -109,11 +109,10 @@ def build_cc_attack(nu: float,
         if p_local.shape != (2, 2, 2):
             raise ValueError("local table must have shape (2, 2, 2)")
 
-    probs = np.zeros((2, 2, 2, EVE_ALPHABET))
-    for a, b1, b2 in itertools.product(range(2), repeat=3):
-        probs[a, b1, b2, EVE_IGNORANT] = (1.0 - local_weight) * p_ghz[a, b1, b2]
-        probs[a, b1, b2, eve_symbol(a, b1, b2)] = local_weight * p_local[a, b1, b2]
-    joint = JointDistribution((2, 2, 2), EVE_ALPHABET, probs)
+    probs = np.zeros((8, EVE_ALPHABET))
+    probs[:, EVE_IGNORANT] = (1.0 - local_weight) * p_ghz.ravel()
+    probs[range(8), _RECORDED] = local_weight * p_local.ravel()
+    joint = JointDistribution((2, 2, 2), EVE_ALPHABET, probs.reshape(2, 2, 2, EVE_ALPHABET))
     return CcAttack(nu=nu, local_weight=local_weight, p_ghz=p_ghz,
                     p_local=p_local, joint=joint)
 
@@ -125,13 +124,4 @@ def eve_postprocess(attack: CcAttack) -> JointDistribution:
     outputs agree and to '?' otherwise.  The party marginal is untouched
     because the channel acts on Eve's symbol alone.
     """
-    src = attack.joint.probs
-    out = np.zeros((2, 2, 2, POST_ALPHABET))
-    out[..., POST_IGNORANT] += src[..., EVE_IGNORANT]
-    for a, b1, b2 in itertools.product(range(2), repeat=3):
-        here = src[a, b1, b2, eve_symbol(a, b1, b2)]
-        if a == b1 == b2:
-            out[a, b1, b2, a] += here
-        else:
-            out[a, b1, b2, POST_IGNORANT] += here
-    return JointDistribution((2, 2, 2), POST_ALPHABET, out)
+    return apply_channel(attack.joint, _MIMICRY)

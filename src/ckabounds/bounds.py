@@ -83,31 +83,17 @@ def _proxy_value(attack: CcAttack) -> float:
     return max(0.0, h_a_given_e - best_bob)
 
 
-def _intrinsic_value(attack: CcAttack, minimize: bool) -> float:
-    if minimize:
-        value, _ = intrinsic_information(attack.joint)
-    else:
-        value = shannon_cmi(eve_postprocess(attack))
-    return value / (_N_PARTIES - 1)
-
-
-def _dual_value(attack: CcAttack, minimize: bool) -> float:
-    if minimize:
-        value, _ = dual_intrinsic(attack.joint)
-    else:
-        value = s_n(eve_postprocess(attack))
-    return value
-
-
-def _point_worker(args) -> dict[str, float]:
+def _point_worker(args) -> tuple[float, float, float, float]:
+    """The (intrinsic, dual, trivial, proxy) values at one noise level."""
     nu, minimize = args
     attack = build_cc_attack(nu)
-    return {
-        "intrinsic": _intrinsic_value(attack, minimize),
-        "dual": _dual_value(attack, minimize),
-        "trivial": 1.0 - nu,
-        "proxy": _proxy_value(attack),
-    }
+    if minimize:
+        intrinsic, _ = intrinsic_information(attack.joint)
+        dual, _ = dual_intrinsic(attack.joint)
+    else:
+        post = eve_postprocess(attack)
+        intrinsic, dual = shannon_cmi(post), s_n(post)
+    return intrinsic / (_N_PARTIES - 1), dual, 1.0 - nu, _proxy_value(attack)
 
 
 def compute_curves(grid: Sequence[float], minimize: bool = False,
@@ -121,12 +107,8 @@ def compute_curves(grid: Sequence[float], minimize: bool = False,
     else:
         rows = [_point_worker(j) for j in jobs]
     suffix = "min" if minimize else "fixed"
-    return [
-        BoundCurve(f"intrinsic_{suffix}", tuple((nu, r["intrinsic"]) for nu, r in zip(grid, rows))),
-        BoundCurve(f"dual_{suffix}", tuple((nu, r["dual"]) for nu, r in zip(grid, rows))),
-        BoundCurve("trivial", tuple((nu, r["trivial"]) for nu, r in zip(grid, rows))),
-        BoundCurve("dw_lower_PROXY", tuple((nu, r["proxy"]) for nu, r in zip(grid, rows))),
-    ]
+    names = (f"intrinsic_{suffix}", f"dual_{suffix}", "trivial", "dw_lower_PROXY")
+    return [BoundCurve(name, tuple(zip(grid, column))) for name, column in zip(names, zip(*rows))]
 
 
 @dataclass(frozen=True)

@@ -373,6 +373,8 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except SystemExit as exc:  # -h/--help: argparse has printed the usage
+        return exc.code
 
 
 if __name__ == "__main__":

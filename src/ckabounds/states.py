@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DensityMatrix, maximally_mixed, partial_trace, permute_systems, tensor
+from .qmat import DensityMatrix, maximally_mixed, tensor
 
 RECONSTRUCTION_TOL = 1e-10
 
@@ -63,22 +63,10 @@ def depolarize(rho: DensityMatrix, site: int, nu: float) -> DensityMatrix:
         raise ValueError(f"site {site} has dimension {rho.dims[site]}, expected a qubit")
     if nu == 0.0:
         return rho
-    if rho.n_factors == 1:
-        mixed = maximally_mixed((2,))
-    else:
-        rest = [i for i in range(rho.n_factors) if i != site]
-        mixed = tensor(maximally_mixed((2,)), partial_trace(rho, rest))
-        # re-insert the fresh I/2 factor at position `site`
-        order = []
-        nxt = 1
-        for k in range(rho.n_factors):
-            if k == site:
-                order.append(0)
-            else:
-                order.append(nxt)
-                nxt += 1
-        mixed = permute_systems(mixed, order)
-    return DensityMatrix(rho.dims, (1.0 - nu) * rho.matrix + nu * mixed.matrix)
+    n = rho.n_factors
+    rest = np.trace(rho.matrix.reshape(rho.dims * 2), axis1=site, axis2=n + site)
+    mixed = np.moveaxis(np.multiply.outer(np.eye(2) / 2, rest), (0, 1), (site, n + site))
+    return DensityMatrix(rho.dims, (1.0 - nu) * rho.matrix + nu * mixed.reshape(rho.matrix.shape))
 
 
 def _kappa_with_mixed(pair: tuple[int, int]) -> DensityMatrix:
@@ -103,8 +91,9 @@ class GhzDecomposition:
     `state` is the channel output, built by applying the depolarizing channel
     to each qubit in turn.  `chi` is the normalized biseparable remainder and
     `kappa_terms` lists its ingredients as (label, absolute weight, state).
-    Construction fails if ghz_weight * GHZ + biseparable_weight * chi does not
-    reproduce `state` entrywise to 1e-10.
+    Construction fails unless ghz_weight * GHZ + biseparable_weight * chi
+    reproduces `state` and the kappa terms sum to biseparable_weight * chi,
+    both entrywise to 1e-10, so the biseparable certificate is tied to `chi`.
     """
 
     nu: float
@@ -125,6 +114,9 @@ class GhzDecomposition:
         err = np.abs(recon - self.state.matrix).max()
         if err > RECONSTRUCTION_TOL:
             raise ValueError(f"decomposition does not reconstruct the state (err {err:.2e})")
+        terms = sum(w * s.matrix for _, w, s in self.kappa_terms)
+        if np.abs(terms - self.biseparable_weight * self.chi.matrix).max() > RECONSTRUCTION_TOL:
+            raise ValueError("kappa terms do not sum to biseparable_weight * chi")
 
 
 def noisy_ghz3(nu: float) -> GhzDecomposition:

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from ckabounds.attacks import (EVE_IGNORANT, POST_IGNORANT, build_cc_attack,
-                               eve_postprocess, eve_symbol, local_behavior_from_chi)
-from ckabounds.behaviors import KEY_SETTING, behavior_from_measurement, default_measurements
+from ckabounds.attacks import (EVE_IGNORANT, POST_IGNORANT, _key_slice, build_cc_attack,
+                               eve_postprocess, eve_symbol)
+from ckabounds.behaviors import (KEY_SETTING, PAULI_Z, behavior_from_measurement,
+                                 default_measurements, povm_from_observable)
 from ckabounds.secrecy import intrinsic_information, shannon_cmi, s_n
-from ckabounds.states import noisy_ghz3
+from ckabounds.states import ghz, noisy_ghz3
 import oracles
 
 
@@ -104,15 +105,21 @@ class TestEvePostprocess:
             oracles.sn_of_table(oracles.postprocessed_table(nu)), abs=1e-10)
 
 
+def _local_table(nu: float) -> np.ndarray:
+    return build_cc_attack(nu).p_local
+
+
 class TestLocalBehaviorFromChi:
+    """`p_local`: the key-setting table of the biseparable remainder chi_nu."""
+
     def test_symmetric_under_bob_swap(self):
         for nu in (0.1, 0.4, 0.8):
-            t = local_behavior_from_chi(nu)
+            t = _local_table(nu)
             assert np.abs(t - t.transpose(0, 2, 1)).max() < 1e-12
 
     def test_all_outcomes_positive_inside_range(self):
         for nu in (0.01, 0.5, 0.99):
-            assert local_behavior_from_chi(nu).min() > 0.0
+            assert _local_table(nu).min() > 0.0
 
     def test_mixing_identity(self):
         povms = default_measurements()
@@ -121,15 +128,46 @@ class TestLocalBehaviorFromChi:
             device = behavior_from_measurement(dec.state, povms).conditional(KEY_SETTING)
             p_ghz = np.zeros((2, 2, 2))
             p_ghz[0, 0, 0] = p_ghz[1, 1, 1] = 0.5
-            mix = dec.ghz_weight * p_ghz + dec.biseparable_weight * local_behavior_from_chi(nu)
+            mix = dec.ghz_weight * p_ghz + dec.biseparable_weight * _local_table(nu)
             assert np.abs(mix - device).max() < 1e-10
 
     def test_matches_closed_form(self):
         for nu in (0.05, 0.25, 0.7):
-            assert np.abs(local_behavior_from_chi(nu) - oracles.local_table(nu)).max() < 1e-12
+            assert np.abs(_local_table(nu) - oracles.local_table(nu)).max() < 1e-12
 
     def test_eve_symbol_encoding(self):
         codes = {eve_symbol(a, b1, b2)
                  for a, b1, b2 in itertools.product(range(2), repeat=3)}
         assert codes == set(range(1, 9))
         assert EVE_IGNORANT == 0
+
+
+def _benchmark_grids():
+    """Both benchmark grids: 0 to 0.13 step 0.0025, and 0.3 to 0.9 step 0.025."""
+    return ([round(0.0025 * i, 12) for i in range(53)]
+            + [round(0.3 + 0.025 * i, 12) for i in range(25)])
+
+
+class TestKeySlice:
+    """The diagonal read equals the all-sigma_z Born rule bit for bit."""
+
+    @staticmethod
+    def born_rule(rho):
+        z = povm_from_observable(PAULI_Z)
+        return behavior_from_measurement(rho, ((z,), (z,), (z,))).conditional((0, 0, 0))
+
+    def test_ghz(self):
+        rho = ghz(3, 2)
+        assert np.array_equal(_key_slice(rho), self.born_rule(rho))
+
+    def test_noisy_state_and_chi_over_benchmark_grids(self):
+        for nu in _benchmark_grids():
+            dec = noisy_ghz3(nu)
+            for rho in (dec.state, dec.chi):
+                assert np.array_equal(_key_slice(rho), self.born_rule(rho)), nu
+
+    @pytest.mark.parametrize("nu", [0.0, 0.05, 0.525, 0.9])
+    def test_postprocessed_table_against_oracle(self, nu):
+        post = eve_postprocess(build_cc_attack(nu))
+        assert post.probs.shape == (2, 2, 2, 3)
+        assert np.abs(post.probs - oracles.postprocessed_table(nu)).max() <= 1e-15

@@ -205,6 +205,14 @@ class TestCommandFlags:
         assert accepted_flags() == expected
 
 
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["-h"], ["curves", "-h"]])
+    def test_help_returns_zero(self, argv, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: ckabounds")
+
+
 class TestVerifyCommand:
     def test_default_seed_passes(self, capsys):
         assert main(["verify"]) == 0

@@ -99,6 +99,27 @@ class TestDepolarize:
         expect = 0.7 * rho.matrix + 0.3 * rebuilt.reshape(8, 8)
         assert np.abs(out.matrix - expect).max() < 1e-12
 
+    @pytest.mark.parametrize("dims,site", [((3, 2, 3), 1), ((2, 3), 0), ((3, 2), 1)])
+    def test_mixed_dimensions_against_index_loop(self, rng, dims, site):
+        rho = random_density(rng, dims)
+        out = depolarize(rho, site, 0.4)
+        t = rho.matrix.reshape(dims * 2)
+        mixed = np.zeros(dims * 2, dtype=complex)
+        for ket in itertools.product(*(range(d) for d in dims)):
+            for bra in itertools.product(*(range(d) for d in dims)):
+                if ket[site] != bra[site]:
+                    continue
+                total = 0j
+                for b in range(2):
+                    k, r = list(ket), list(bra)
+                    k[site] = r[site] = b
+                    total += t[tuple(k) + tuple(r)]
+                mixed[ket + bra] = 0.5 * total
+        d = rho.dim
+        expect = 0.6 * rho.matrix + 0.4 * mixed.reshape(d, d)
+        assert out.dims == dims
+        assert np.abs(out.matrix - expect).max() < 1e-12
+
 
 class TestNoisyGhz3:
     def test_zero_noise_weights(self):
@@ -156,3 +177,16 @@ class TestNoisyGhz3:
                              biseparable_weight=dec.biseparable_weight,
                              chi=maximally_mixed((2, 2, 2)),
                              kappa_terms=dec.kappa_terms, state=dec.state)
+
+    def test_kappa_terms_must_sum_to_chi(self):
+        # the weights still add up, but the certificate no longer describes chi
+        dec = noisy_ghz3(0.3)
+        zero = np.zeros((8, 8), dtype=complex)
+        zero[0, 0] = 1.0
+        label, weight, _ = dec.kappa_terms[3]
+        assert label == "mixed"
+        terms = dec.kappa_terms[:3] + ((label, weight, DensityMatrix((2, 2, 2), zero)),)
+        with pytest.raises(ValueError, match="biseparable_weight \\* chi"):
+            GhzDecomposition(nu=0.3, ghz_weight=dec.ghz_weight,
+                             biseparable_weight=dec.biseparable_weight,
+                             chi=dec.chi, kappa_terms=terms, state=dec.state)
