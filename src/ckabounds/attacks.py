@@ -96,7 +96,7 @@ def build_cc_attack(nu: float,
         raise ValueError(f"attack construction needs 0 <= nu < 1, got {nu}")
     if (local_weight is None) != (local_table is None):
         raise ValueError("override the local weight and the local table together")
-    p_ghz = _key_slice(states.ghz(3, 2))
+    p_ghz = _key_slice(states.ghz3())
     if local_weight is None:
         dec = states.noisy_ghz3(nu)
         local_weight = dec.biseparable_weight

@@ -10,6 +10,7 @@ setting is `KEY_SETTING`, where every party measures sigma_z.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import states
-from .qmat import DensityMatrix, Povm, eig_hermitian
+from .qmat import HERMITICITY_TOL, DensityMatrix, Povm
 from .secrecy import table_from_csv, table_to_csv
 
 CLAMP_WINDOW = 1e-12
@@ -55,6 +56,8 @@ class Behavior:
         t = np.array(self.table, dtype=float)
         if t.shape != ins + outs:
             raise ValueError(f"table shape {t.shape} does not match alphabets {ins + outs}")
+        if not np.isfinite(t).all():
+            raise ValueError("behavior table has a non-finite entry")
         if t.min() < -CLAMP_WINDOW or t.max() > 1.0 + CLAMP_WINDOW:
             raise ValueError("probabilities outside the clamping window [-1e-12, 1+1e-12]")
         t = np.clip(t, 0.0, 1.0)
@@ -132,41 +135,44 @@ def parity_game_spec(n_parties: int, fixed_inputs: Sequence[int]) -> GameSpec:
 
 
 def povm_from_observable(obs: np.ndarray) -> Povm:
-    """Two-outcome projective POVM of a +-1 observable; outcome 0 is the +1 eigenspace."""
-    vals, vecs = eig_hermitian(obs)
-    d = obs.shape[0]
-    plus = np.zeros((d, d), dtype=complex)
-    minus = np.zeros((d, d), dtype=complex)
-    for v, col in zip(vals, vecs.T):
-        proj = np.outer(col, col.conj())
-        if v > 0:
-            plus += proj
-        else:
-            minus += proj
-    return Povm(d, (plus, minus))
+    """Two-outcome projective POVM ((I+O)/2, (I-O)/2) of a +-1 observable O.
+
+    Outcome 0 is the +1 eigenspace.  O must be Hermitian (checked by `Povm`)
+    and square to the identity within 1e-10.
+    """
+    obs = np.asarray(obs, dtype=complex)
+    if obs.ndim != 2 or obs.shape[0] != obs.shape[1]:
+        raise ValueError(f"observable must be a square matrix, got shape {obs.shape}")
+    eye = np.eye(obs.shape[0])
+    if np.abs(obs @ obs - eye).max() > HERMITICITY_TOL:
+        raise ValueError("observable does not square to the identity within 1e-10")
+    return Povm(obs.shape[0], ((eye + obs) / 2, (eye - obs) / 2))
 
 
+@functools.cache
 def default_measurements() -> tuple[tuple[Povm, ...], ...]:
     """Per-party, per-input POVMs of the honest three-party device.
 
     Alice: x=0 -> Z, x=1 -> X.  Bob1: y=0 -> (Z+X)/sqrt2, y=1 -> (Z-X)/sqrt2,
     y=2 -> Z.  Bob2: y=0 -> Z, y=1 -> X.  The Z settings at `KEY_SETTING`
     generate the key; the remaining settings are the CHSH-optimal angles for
-    the branch states left after Bob2's X measurement.
+    the branch states left after Bob2's X measurement.  The POVMs are built
+    on the first call and shared by every later one.
     """
-    alice = (povm_from_observable(PAULI_Z), povm_from_observable(PAULI_X))
-    bob1 = (
-        povm_from_observable((PAULI_Z + PAULI_X) / _SQRT2),
-        povm_from_observable((PAULI_Z - PAULI_X) / _SQRT2),
-        povm_from_observable(PAULI_Z),
-    )
-    bob2 = (povm_from_observable(PAULI_Z), povm_from_observable(PAULI_X))
-    return (alice, bob1, bob2)
+    return tuple(tuple(povm_from_observable(o) for o in party) for party in (
+        (PAULI_Z, PAULI_X),
+        ((PAULI_Z + PAULI_X) / _SQRT2, (PAULI_Z - PAULI_X) / _SQRT2, PAULI_Z),
+        (PAULI_Z, PAULI_X),
+    ))
 
 
 def behavior_from_measurement(rho: DensityMatrix,
                               povms: Sequence[Sequence[Povm]]) -> Behavior:
-    """Born-rule behavior of measuring each tensor factor with its own POVM set."""
+    """Born-rule behavior of measuring each tensor factor with its own POVM set.
+
+    p(a|x) = Tr[(E^1_{a_1|x_1} (x) ... (x) E^N_{a_N|x_N}) rho], computed by
+    contracting the reshaped state with each party's stack of effects in turn.
+    """
     if len(povms) != rho.n_factors:
         raise ValueError(f"got POVMs for {len(povms)} parties, state has {rho.n_factors} factors")
     for i, party in enumerate(povms):
@@ -179,16 +185,15 @@ def behavior_from_measurement(rho: DensityMatrix,
             if p.dim != rho.dims[i]:
                 raise ValueError(
                     f"party {i} POVM dimension {p.dim} does not match factor dim {rho.dims[i]}")
-    ins = tuple(len(party) for party in povms)
-    outs = tuple(party[0].n_outcomes for party in povms)
-    table = np.zeros(ins + outs)
-    for xs in itertools.product(*(range(k) for k in ins)):
-        for outs_idx in itertools.product(*(range(k) for k in outs)):
-            effect = np.array([[1.0 + 0j]])
-            for party, x, a in zip(povms, xs, outs_idx):
-                effect = np.kron(effect, party[x].effects[a])
-            table[xs + outs_idx] = np.trace(effect @ rho.matrix).real
-    return Behavior(ins, outs, table)
+    n = rho.n_factors
+    # axes (row_1, col_1, ..., row_N, col_N).  Tr(E rho) = sum_jk E[j, k] rho[k, j],
+    # so each step sums the leading (row, col) pair against the (col, row) axes
+    # of the party's stack E[x, a, :, :] and appends (x, a) at the end.
+    t = rho.matrix.reshape(rho.dims * 2).transpose([k for i in range(n) for k in (i, n + i)])
+    for party in povms:
+        t = np.tensordot(t, np.array([p.effects for p in party]), axes=([0, 1], [3, 2]))
+    table = t.real.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    return Behavior(table.shape[:n], table.shape[n:], table)
 
 
 def honest_behavior(nu: float = 0.0) -> Behavior:

@@ -1,4 +1,4 @@
-"""Bound curves versus noise, partition composition, and the XOR key relay.
+"""Bound curves versus noise, party groupings, and the XOR key relay.
 
 Four named curves are assembled against the depolarizing noise level nu of
 the three-party honest device:
@@ -109,31 +109,6 @@ def compute_curves(grid: Sequence[float], minimize: bool = False,
     suffix = "min" if minimize else "fixed"
     names = (f"intrinsic_{suffix}", f"dual_{suffix}", "trivial", "dw_lower_PROXY")
     return [BoundCurve(name, tuple(zip(grid, column))) for name, column in zip(names, zip(*rows))]
-
-
-@dataclass(frozen=True)
-class PartitionBoundInput:
-    """A nontrivial grouping of the parties with the bound valid across it."""
-
-    partition: tuple[tuple[int, ...], ...]
-    value: float
-
-    def __post_init__(self):
-        blocks = tuple(tuple(sorted(int(i) for i in b)) for b in self.partition)
-        members = sorted(i for b in blocks for i in b)
-        n = len(members)
-        if members != list(range(n)):
-            raise ValueError("blocks must partition the party set 0..N-1")
-        if not 2 <= len(blocks) <= n - 1:
-            raise ValueError("partition must have between 2 and N-1 blocks")
-        object.__setattr__(self, "partition", blocks)
-
-
-def partition_bound(values: Sequence[PartitionBoundInput]) -> float:
-    """Minimum of the supplied per-cut bound values."""
-    if not values:
-        raise ValueError("need at least one partition bound")
-    return min(v.value for v in values)
 
 
 def enumerate_partitions(n_parties: int) -> list[tuple[tuple[int, ...], ...]]:

@@ -6,8 +6,9 @@ Conventions used throughout the package:
 * subsystems of a composite state are indexed from 0 in tensor order;
 * total dimensions stay small (<= ~64), so dense eigendecompositions are
   always affordable and no sparse machinery is provided;
-* validity (hermiticity, trace, positivity) is checked once, when a
-  `DensityMatrix` or `Povm` is constructed, not on every operation.
+* validity (finite entries, hermiticity, trace, positivity) is checked
+  once, when a `DensityMatrix` or `Povm` is constructed, not on every
+  operation.
 
 Adversarial systems are modelled as finite-dimensional throughout.  This is
 a computational restriction, not a claim of tightness: the quantities
@@ -63,6 +64,8 @@ class DensityMatrix:
         d = math.prod(dims)
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has a non-finite entry")
         if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian within 1e-10")
         tr = m.trace().real
@@ -97,6 +100,8 @@ class Povm:
         for e in effects:
             if e.shape != (self.dim, self.dim):
                 raise ValueError(f"effect shape {e.shape} does not match dim {self.dim}")
+            if not np.isfinite(e).all():
+                raise ValueError("POVM effect has a non-finite entry")
             if np.abs(e - e.conj().T).max() > HERMITICITY_TOL:
                 raise ValueError("POVM effect is not Hermitian within 1e-10")
             if np.linalg.eigvalsh(e).min() < -HERMITICITY_TOL:
@@ -143,19 +148,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     reduced = np.einsum("".join(row) + "".join(col) + "->" + out, t)
     d = math.prod(rho.dims[i] for i in keep)
     return DensityMatrix(tuple(rho.dims[i] for i in keep), reduced.reshape(d, d))
-
-
-def permute_systems(rho: DensityMatrix, order: Sequence[int]) -> DensityMatrix:
-    """Reorder tensor factors so that new factor k is old factor `order[k]`."""
-    order = [int(i) for i in order]
-    if sorted(order) != list(range(rho.n_factors)):
-        raise ValueError(f"order {order} is not a permutation of the factors")
-    n = rho.n_factors
-    t = rho.matrix.reshape(rho.dims + rho.dims)
-    t = t.transpose(order + [n + i for i in order])
-    dims = tuple(rho.dims[i] for i in order)
-    d = math.prod(dims)
-    return DensityMatrix(dims, t.reshape(d, d))
 
 
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

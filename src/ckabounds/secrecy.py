@@ -13,11 +13,11 @@ Minimizing either quantity over classical channels E -> F gives the
 corresponding intrinsic-information value.  The search finds the best
 deterministic channel (set partition of the Eve alphabet) exactly, by a
 dynamic program over subsets of the alphabet in O(3^|E|) steps, and
-optionally refines it by coordinate descent over stochastic channels.
-Restricting the output alphabet to |F| <= |E| is a standard sufficiency
+optionally refines it by coordinate descent over stochastic channels with
+as many outputs as the deterministic optimum has blocks.  Restricting the
+output alphabet this way (so |F| <= |E|) is a standard sufficiency
 heuristic, not a theorem, so reported values are upper bounds on the true
-infimum; the refinement stage can probe |F| = |E| + k via
-`SearchBudget.extra_outputs`.
+infimum.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ class JointDistribution:
         p = np.array(self.probs, dtype=float)
         if p.shape != alphabets + (ne,):
             raise ValueError(f"probs shape {p.shape} does not match alphabets")
+        if not np.isfinite(p).all():
+            raise ValueError("non-finite probability entry")
         if p.min() < -1e-12:
             raise ValueError("negative probability entry")
         p = np.clip(p, 0.0, None)
@@ -93,6 +95,8 @@ class ClassicalChannel:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise ValueError("channel matrix must be 2-dimensional and nonempty")
+        if not np.isfinite(m).all():
+            raise ValueError("channel has a non-finite entry")
         if m.min() < -1e-12 or m.max() > 1.0 + 1e-12:
             raise ValueError("channel entries must lie in [0, 1]")
         m = np.clip(m, 0.0, 1.0)
@@ -114,11 +118,9 @@ class ClassicalChannel:
         return ClassicalChannel(np.eye(n))
 
     @staticmethod
-    def from_partition(blocks: Sequence[Sequence[int]], in_alphabet: int,
-                       out_alphabet: int | None = None) -> "ClassicalChannel":
+    def from_partition(blocks: Sequence[Sequence[int]], in_alphabet: int) -> "ClassicalChannel":
         """Deterministic channel mapping every symbol of block j to output j."""
-        k = len(blocks)
-        m = np.zeros((in_alphabet, out_alphabet or k))
+        m = np.zeros((in_alphabet, len(blocks)))
         seen = set()
         for j, block in enumerate(blocks):
             for e in block:
@@ -218,13 +220,10 @@ class SearchBudget:
     sweep that gains less than REFINE_TOL bits.
 
     refine: run coordinate descent over stochastic channels from the best
-        deterministic point.
-    extra_outputs: number of output symbols added beyond the deterministic
-        optimum, to probe whether |F| <= |E| was too restrictive.
+        deterministic point, with one output symbol per block.
     """
 
     refine: bool = True
-    extra_outputs: int = 0
 
 
 def _block_values(dist: JointDistribution, kind: str) -> np.ndarray:
@@ -315,8 +314,7 @@ def _minimize_over_channels(dist: JointDistribution, kind: str,
         blocks = _best_partition(dist, kind)
     else:
         blocks = [[e] for e in range(ne)]  # alphabet too large: identity start
-    out = len(blocks) + max(0, budget.extra_outputs)
-    mat = ClassicalChannel.from_partition(blocks, ne, out).matrix.copy()
+    mat = ClassicalChannel.from_partition(blocks, ne).matrix.copy()
     if budget.refine:
         mat = _refine(dist, mat, kind)
     witness = ClassicalChannel(mat)

@@ -1,4 +1,4 @@
-"""Concrete states: GHZ, ideal conference key states, noisy GHZ decompositions.
+"""Concrete states: GHZ and the noisy three-qubit GHZ decomposition.
 
 The noise model is the single-qubit depolarizing channel
 ``D_nu(rho) = (1 - nu) rho + nu I/2`` applied locally.  For the three-qubit
@@ -9,16 +9,19 @@ classically correlated pair states
     kappa_XY = (|00><00| + |11><11|) / 2
 
 (each tensored with I/2 on the remaining qubit) plus a fully mixed term.
+Only the weights and the depolarized state depend on nu: GHZ, the three
+kappa states and I/8 are built and validated once, on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DensityMatrix, maximally_mixed, tensor
+from .qmat import DensityMatrix, maximally_mixed
 
 RECONSTRUCTION_TOL = 1e-10
 
@@ -41,16 +44,12 @@ def ghz(n_parties: int, local_dim: int = 2) -> DensityMatrix:
     return DensityMatrix((d,) * n, np.outer(psi, psi.conj()))
 
 
-def ideal_key_state(n_parties: int, key_dim: int, eve_state: DensityMatrix) -> DensityMatrix:
-    """(1/K) sum_k |k..k><k..k| over N registers, tensored with the adversary state."""
-    if key_dim < 2:
-        raise ValueError("key_dim must be at least 2")
-    k, n = key_dim, n_parties
-    key = np.zeros((k ** n, k ** n), dtype=complex)
-    stride = (k ** n - 1) // (k - 1)
-    for i in range(k):
-        key[i * stride, i * stride] = 1.0 / k
-    return tensor(DensityMatrix((k,) * n, key), eve_state)
+def _depolarized(mat: np.ndarray, dims: tuple[int, ...], site: int, nu: float) -> np.ndarray:
+    """(1-nu) mat + nu (I/2 (x) tr_site mat), on the reshaped tensor."""
+    n = len(dims)
+    rest = np.trace(mat.reshape(dims * 2), axis1=site, axis2=n + site)
+    mixed = np.moveaxis(np.multiply.outer(np.eye(2) / 2, rest), (0, 1), (site, n + site))
+    return (1.0 - nu) * mat + nu * mixed.reshape(mat.shape)
 
 
 def depolarize(rho: DensityMatrix, site: int, nu: float) -> DensityMatrix:
@@ -63,25 +62,31 @@ def depolarize(rho: DensityMatrix, site: int, nu: float) -> DensityMatrix:
         raise ValueError(f"site {site} has dimension {rho.dims[site]}, expected a qubit")
     if nu == 0.0:
         return rho
-    n = rho.n_factors
-    rest = np.trace(rho.matrix.reshape(rho.dims * 2), axis1=site, axis2=n + site)
-    mixed = np.moveaxis(np.multiply.outer(np.eye(2) / 2, rest), (0, 1), (site, n + site))
-    return DensityMatrix(rho.dims, (1.0 - nu) * rho.matrix + nu * mixed.reshape(rho.matrix.shape))
+    return DensityMatrix(rho.dims, _depolarized(rho.matrix, rho.dims, site, nu))
 
 
 def _kappa_with_mixed(pair: tuple[int, int]) -> DensityMatrix:
     """kappa on the two given qubits of a 3-qubit system, I/2 on the remaining one."""
+    bits = np.indices((2, 2, 2)).reshape(3, 8)  # bits[k, idx]: qubit k of basis state idx
     i, j = pair
-    (rest,) = [k for k in range(3) if k not in pair]
-    mat = np.zeros((8, 8), dtype=complex)
-    for bit in range(2):
-        for b in range(2):
-            ket = [0, 0, 0]
-            ket[i] = ket[j] = bit
-            ket[rest] = b
-            idx = ket[0] * 4 + ket[1] * 2 + ket[2]
-            mat[idx, idx] = 0.25
-    return DensityMatrix((2, 2, 2), mat)
+    return DensityMatrix((2, 2, 2), np.diag(0.25 * (bits[i] == bits[j])).astype(complex))
+
+
+# The nu-independent states are cached on first use rather than built at
+# import: validating a state runs LAPACK, and loading it adds about 1.7 MB to
+# the peak RSS of a process that never builds a state (the parent of a
+# `compute_curves` process pool).
+@functools.cache
+def ghz3() -> DensityMatrix:
+    """The three-qubit GHZ state `ghz(3, 2)`, built once."""
+    return ghz(3, 2)
+
+
+@functools.cache
+def _biseparable_parts() -> tuple[DensityMatrix, ...]:
+    """kappa_AB1, kappa_AB2, kappa_B1B2 (each with I/2 on the third qubit) and I/8."""
+    kappas = tuple(_kappa_with_mixed(pair) for pair in ((0, 1), (0, 2), (1, 2)))
+    return kappas + (maximally_mixed((2, 2, 2)),)
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,7 @@ class GhzDecomposition:
         term_total = sum(w for _, w, _ in self.kappa_terms)
         if abs(term_total - self.biseparable_weight) > 1e-12:
             raise ValueError("kappa term weights do not sum to the biseparable weight")
-        recon = (self.ghz_weight * ghz(3, 2).matrix
+        recon = (self.ghz_weight * ghz3().matrix
                  + self.biseparable_weight * self.chi.matrix)
         err = np.abs(recon - self.state.matrix).max()
         if err > RECONSTRUCTION_TOL:
@@ -122,20 +127,17 @@ class GhzDecomposition:
 def noisy_ghz3(nu: float) -> GhzDecomposition:
     """Apply the depolarizing channel to all three qubits of GHZ and decompose."""
     nu = _check_nu(nu)
-    state = ghz(3, 2)
+    state = ghz3().matrix
     for site in range(3):
-        state = depolarize(state, site, nu)
+        state = _depolarized(state, (2, 2, 2), site, nu)
 
     ghz_w = (1.0 - nu) ** 3
     bis_w = 1.0 - ghz_w
     pair_w = (1.0 - nu) ** 2 * nu
     mix_w = (3.0 - 2.0 * nu) * nu ** 2
-    kappa_terms = (
-        ("AB1", pair_w, _kappa_with_mixed((0, 1))),
-        ("AB2", pair_w, _kappa_with_mixed((0, 2))),
-        ("B1B2", pair_w, _kappa_with_mixed((1, 2))),
-        ("mixed", mix_w, maximally_mixed((2, 2, 2))),
-    )
+    ab1, ab2, b1b2, mixed = _biseparable_parts()
+    kappa_terms = (("AB1", pair_w, ab1), ("AB2", pair_w, ab2), ("B1B2", pair_w, b1b2),
+                   ("mixed", mix_w, mixed))
     if bis_w > 1e-15:
         chi_mat = sum(w * s.matrix for _, w, s in kappa_terms) / bis_w
     else:
@@ -147,5 +149,5 @@ def noisy_ghz3(nu: float) -> GhzDecomposition:
         biseparable_weight=bis_w,
         chi=DensityMatrix((2, 2, 2), chi_mat),
         kappa_terms=kappa_terms,
-        state=state,
+        state=DensityMatrix((2, 2, 2), state),
     )

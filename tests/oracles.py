@@ -118,6 +118,23 @@ def postprocessed_table(nu: float) -> np.ndarray:
     return out
 
 
+def born_table(rho: np.ndarray, effects) -> np.ndarray:
+    """p(a|x) = Tr[(E_1 (x) ... (x) E_N) rho], one Kronecker product per entry.
+
+    `effects[i][x][a]` is party i's effect for input x and outcome a.
+    """
+    ins = tuple(len(party) for party in effects)
+    outs = tuple(len(party[0]) for party in effects)
+    table = np.zeros(ins + outs)
+    for xs in itertools.product(*(range(k) for k in ins)):
+        for outcome in itertools.product(*(range(k) for k in outs)):
+            op = np.array([[1.0 + 0j]])
+            for party, x, a in zip(effects, xs, outcome):
+                op = np.kron(op, party[x][a])
+            table[xs + outcome] = np.trace(op @ rho).real
+    return table
+
+
 def measured_game_value(nu: float) -> float:
     """Closed form of the default-measurement game value on the noisy state."""
     u = 1.0 - nu

@@ -14,7 +14,7 @@ from ckabounds.behaviors import (GAME_FIXED_INPUTS, KEY_SETTING, PAULI_X, PAULI_
                                  parity_chsh_value, parity_game_spec,
                                  povm_from_observable, qber)
 from ckabounds.states import ghz, noisy_ghz3
-from ckabounds.qmat import maximally_mixed
+from ckabounds.qmat import Povm, maximally_mixed
 from conftest import random_density
 import oracles
 
@@ -58,13 +58,90 @@ class TestBehaviorValidation:
         with pytest.raises(ValueError, match="window"):
             Behavior((1,), (2,), table)
 
+    def test_rejects_non_finite_entry(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Behavior((1,), (2,), np.array([[np.nan, 1.0]]))
+
     def test_clamps_tiny_negatives(self):
         table = np.array([[1.0 + 5e-13, -5e-13]])
         b = Behavior((1,), (2,), table)
         assert b.table.min() >= 0.0
 
 
+def random_observable(rng, d):
+    """U diag(+-1) U^dagger for a random unitary U and random signs."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return (q * rng.choice([-1.0, 1.0], size=d)) @ q.conj().T
+
+
+def effects(povms):
+    return [[p.effects for p in party] for party in povms]
+
+
+class TestPovmFromObservable:
+    def test_matches_eigenprojectors(self, rng):
+        for d in (2, 3, 4):
+            obs = random_observable(rng, d)
+            vals, vecs = np.linalg.eigh(obs)
+            plus = vecs[:, vals > 0] @ vecs[:, vals > 0].conj().T
+            povm = povm_from_observable(obs)
+            assert np.abs(povm.effects[0] - plus).max() < 1e-12
+            assert np.abs(povm.effects[1] - (np.eye(d) - plus)).max() < 1e-12
+
+    def test_rejects_non_involution(self):
+        with pytest.raises(ValueError, match="square to the identity"):
+            povm_from_observable(np.diag([1.0, 0.5]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            povm_from_observable(np.ones((2, 3)))
+
+    def test_rejects_non_hermitian_involution(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            povm_from_observable(np.array([[1.0, 1.0], [0.0, -1.0]]))
+
+    def test_default_measurements_built_once(self):
+        assert default_measurements() is default_measurements()
+
+
 class TestBehaviorFromMeasurement:
+    def test_honest_device_against_kron_loop(self):
+        povms = default_measurements()
+        for nu in np.linspace(0.0, 1.0, 21):
+            rho = noisy_ghz3(float(nu)).state
+            table = behavior_from_measurement(rho, povms).table
+            assert np.abs(table - oracles.born_table(rho.matrix, effects(povms))).max() < 1e-14
+
+    def test_random_states_against_kron_loop(self, rng):
+        for _ in range(10):
+            rho = random_density(rng, (2, 2, 2))
+            povms = [[povm_from_observable(random_observable(rng, 2)) for _ in range(k)]
+                     for k in rng.integers(1, 4, size=3)]
+            table = behavior_from_measurement(rho, povms).table
+            assert table.shape == tuple(len(p) for p in povms) + (2, 2, 2)
+            assert np.abs(table - oracles.born_table(rho.matrix, effects(povms))).max() < 1e-14
+
+    def test_qutrit_qubit_state_against_kron_loop(self, rng):
+        # a (3, 2) state; both qutrit inputs have three outcomes
+        rho = random_density(rng, (3, 2))
+        plus, minus = povm_from_observable(random_observable(rng, 3)).effects
+        qutrit = (Povm(3, tuple(np.diag(row) for row in np.eye(3))),
+                  Povm(3, (plus, minus, np.zeros((3, 3)))))
+        qubit = (povm_from_observable(PAULI_Z), povm_from_observable(PAULI_X))
+        table = behavior_from_measurement(rho, (qutrit, qubit)).table
+        assert table.shape == (2, 2, 3, 2)
+        expect = oracles.born_table(rho.matrix, effects((qutrit, qubit)))
+        assert np.abs(table - expect).max() < 1e-14
+
+    def test_two_party_chsh_box_against_kron_loop(self):
+        povms = ((povm_from_observable(PAULI_Z), povm_from_observable(PAULI_X)),
+                 (povm_from_observable((PAULI_Z + PAULI_X) / math.sqrt(2)),
+                  povm_from_observable((PAULI_Z - PAULI_X) / math.sqrt(2))))
+        rho = ghz(2, 2)
+        table = behavior_from_measurement(rho, povms).table
+        assert np.abs(table - oracles.born_table(rho.matrix, effects(povms))).max() < 1e-14
+
+
     def test_ghz_all_z_correlations(self):
         z = povm_from_observable(PAULI_Z)
         b = behavior_from_measurement(ghz(3, 2), ((z,), (z,), (z,)))

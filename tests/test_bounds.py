@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from ckabounds.bounds import (MAX_KEY_LEN, MAX_RELAY_PARTIES, BoundCurve,
-                              PartitionBoundInput, Xorshift64Star, compute_curves,
-                              enumerate_partitions, partition_bound, relay_chain,
-                              relay_simulate, write_curves_csv)
+                              Xorshift64Star, compute_curves, enumerate_partitions,
+                              relay_chain, relay_simulate, write_curves_csv)
 from ckabounds.partitions import partitions_as_masks, set_partitions
 import oracles
 
@@ -138,43 +137,6 @@ class TestComputeCurves:
         assert lines[0] == "nu,value,name"
         assert len(lines) == 1 + 4 * 2
         assert lines[1].split(",")[2] == "intrinsic_fixed"
-
-
-class TestPartitionBound:
-    def test_single_value(self):
-        inp = PartitionBoundInput((((0,), (1, 2))), 0.7)
-        assert partition_bound([inp]) == pytest.approx(0.7)
-
-    def test_minimum_of_three(self):
-        parts = enumerate_partitions(3)
-        inputs = [PartitionBoundInput(p, v) for p, v in zip(parts, (0.7, 0.3, 0.9))]
-        assert partition_bound(inputs) == pytest.approx(0.3)
-
-    def test_path_state_cut_bounds(self):
-        # chain A - B - C with per-edge rates v1, v2: the cut isolating A is
-        # crossed only by the first edge, the cut isolating C only by the
-        # second, the middle cut by both; the bound is min(v1, v2)
-        v1, v2 = 0.42, 0.77
-        per_cut = {
-            frozenset({frozenset({0}), frozenset({1, 2})}): v1,
-            frozenset({frozenset({2}), frozenset({0, 1})}): v2,
-            frozenset({frozenset({1}), frozenset({0, 2})}): v1 + v2,
-        }
-        inputs = [PartitionBoundInput(p, per_cut[frozenset(frozenset(b) for b in p)])
-                  for p in enumerate_partitions(3)]
-        assert partition_bound(inputs) == pytest.approx(min(v1, v2))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            partition_bound([])
-
-    def test_trivial_partitions_rejected(self):
-        with pytest.raises(ValueError):
-            PartitionBoundInput(((0, 1, 2),), 0.5)  # single block
-        with pytest.raises(ValueError):
-            PartitionBoundInput(((0,), (1,), (2,)), 0.5)  # all singletons
-        with pytest.raises(ValueError):
-            PartitionBoundInput(((0,), (0, 1)), 0.5)  # overlap
 
 
 class TestEnumeratePartitions:

@@ -1,0 +1,40 @@
+"""Byte gate for the command outputs that `bench/golden.json` does not cover.
+
+The `curves` CSVs are pinned by the benchmark's golden digests; these pin the
+stdout of `verify` at the default seed, of `game`, and of
+`attack --nu-min 0.05 --out attack.csv` together with the CSV it writes.
+A digest that moves means a printed digit moved: explain it before
+re-recording.
+"""
+
+import hashlib
+
+from ckabounds.cli import main
+
+
+def sha256(data: str) -> str:
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def stdout_of(args, capsys) -> str:
+    capsys.readouterr()
+    assert main(args) == 0
+    return capsys.readouterr().out
+
+
+def test_verify_stdout(capsys):
+    out = stdout_of(["verify"], capsys)
+    assert sha256(out) == "29b8ce8ef18650def5558349e2e5ce22f7f8a447000ffff1192e6460ef9a612c"
+
+
+def test_game_stdout(capsys):
+    out = stdout_of(["game"], capsys)
+    assert sha256(out) == "a44e3c1a097b2952d7451a444b7edce17b7ae2d17986a12ea8b8350b9dee781e"
+
+
+def test_attack_stdout_and_csv(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the stdout names the CSV path
+    out = stdout_of(["attack", "--nu-min", "0.05", "--out", "attack.csv"], capsys)
+    assert sha256(out) == "ab2665c4cb4c5a7fb10c8f9161ddb201cf112504b3b6fcb519cf46151174f8eb"
+    csv = (tmp_path / "attack.csv").read_text()
+    assert sha256(csv) == "145b2fcb09e01aac70891a146e280a56d442fa6b7772e9bbebbe6d34008cfcf9"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ckabounds.qmat import (DensityMatrix, Povm, eig_hermitian, maximally_mixed,
-                            partial_trace, permute_systems, purify, quantum_cmi,
+                            partial_trace, purify, quantum_cmi,
                             relative_entropy, tensor, von_neumann_entropy)
 from ckabounds.states import ghz
 from conftest import random_density, random_pure
@@ -29,6 +29,14 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="shape"):
             DensityMatrix((2, 2), np.eye(2, dtype=complex) / 2)
 
+    def test_rejects_non_finite_entry(self):
+        # NaN fails every comparison, so the other checks alone let it through
+        for bad in (np.nan, np.inf):
+            m = np.diag([0.5, 0.5]).astype(complex)
+            m[0, 1] = m[1, 0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                DensityMatrix((2,), m)
+
     def test_matrix_is_immutable(self, rng):
         rho = random_density(rng, (2, 2))
         with pytest.raises(ValueError):
@@ -43,6 +51,10 @@ class TestPovmValidation:
     def test_rejects_incomplete(self):
         with pytest.raises(ValueError, match="identity"):
             Povm(2, (np.diag([1.0, 0.0]),))
+
+    def test_rejects_non_finite_entry(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Povm(2, (np.diag([1.0, np.nan]), np.diag([0.0, 1.0])))
 
     def test_rejects_negative_effect(self):
         with pytest.raises(ValueError, match="positive"):
@@ -272,11 +284,3 @@ class TestPurify:
             out = purify(rho)
             back = partial_trace(out, list(range(len(dims))))
             assert np.abs(back.matrix - rho.matrix).max() < 1e-8
-
-
-class TestPermuteSystems:
-    def test_swap_matches_tensor_swap(self, rng):
-        a, b = random_density(rng, (2,)), random_density(rng, (3,))
-        swapped = permute_systems(tensor(a, b), [1, 0])
-        assert swapped.dims == (3, 2)
-        assert np.abs(swapped.matrix - tensor(b, a).matrix).max() < 1e-12

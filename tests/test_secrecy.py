@@ -42,6 +42,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="sum"):
             JointDistribution((2, 2), 2, np.full((2, 2, 2), 0.2))
 
+    def test_rejects_non_finite_entry(self):
+        probs = np.full((2, 2, 2), 0.125)
+        probs[0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            JointDistribution((2, 2), 2, probs)
+
+    def test_channel_rejects_non_finite_entry(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            ClassicalChannel(np.array([[np.nan, 1.0], [0.5, 0.5]]))
+
     def test_channel_row_sums(self):
         with pytest.raises(ValueError, match="rows"):
             ClassicalChannel(np.array([[0.5, 0.4], [0.5, 0.5]]))
@@ -231,19 +241,19 @@ class TestIntrinsicInformation:
         attained = shannon_cmi(apply_channel(dist, witness))
         assert abs(attained - value) < 1e-10
 
+    def test_without_refinement_is_the_best_partition(self):
+        dist = build_cc_attack(0.05).joint
+        brute = oracles.brute_channel_minimum(dist.probs, oracles.cmi_of_table)
+        value, witness = intrinsic_information(dist, SearchBudget(refine=False))
+        assert abs(value - brute) < 1e-12
+        assert set(np.unique(witness.matrix)) <= {0.0, 1.0}
+        assert witness.out_alphabet == len(_best_partition(dist, "cmi"))
+
     def test_never_exceeds_unprocessed_cmi(self, rng):
         for _ in range(5):
             dist = random_joint(rng, (2, 2), 4)
             value, _ = intrinsic_information(dist)
             assert value <= shannon_cmi(dist) + 1e-12
-
-    def test_enlarged_output_alphabet_sanity(self):
-        dist = build_cc_attack(0.05).joint
-        brute = oracles.brute_channel_minimum(dist.probs, oracles.cmi_of_table)
-        value, witness = intrinsic_information(
-            dist, SearchBudget(extra_outputs=1))
-        assert value >= brute - 1e-9
-        assert witness.out_alphabet >= 4
 
 
 class TestDualIntrinsic:
@@ -316,6 +326,11 @@ class TestCsv:
             distribution_from_csv(io.StringIO("a1,a2,e,p\n0,0,0,1\n0,1,0\n"))
         with pytest.raises(ValueError, match="header"):
             distribution_from_csv(io.StringIO("a1,a2,p\n0,0,1\n"))
+
+    def test_rejects_nan_probability(self):
+        # NaN passed the sign and sum checks, and shannon_cmi read -0.5 bits
+        with pytest.raises(ValueError, match="non-finite"):
+            distribution_from_csv(io.StringIO("a1,a2,e,p\n0,0,0,nan\n1,1,0,1\n"))
 
     def test_rejects_negative_index(self):
         # -1 would wrap around to index 1 and load as [0.25, 0.75]

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from ckabounds import states
 from ckabounds.qmat import (DensityMatrix, maximally_mixed, partial_trace,
-                            permute_systems, quantum_cmi, tensor)
-from ckabounds.states import (GhzDecomposition, depolarize, ghz, ideal_key_state,
-                              noisy_ghz3)
+                            quantum_cmi, tensor)
+from ckabounds.states import GhzDecomposition, depolarize, ghz, noisy_ghz3
 from conftest import random_density, random_pure
 import oracles
 
@@ -42,26 +42,29 @@ class TestGhz:
             ghz(2, 1)
 
 
+def ideal_key_state(n_parties: int, eve_state: DensityMatrix) -> DensityMatrix:
+    """(|0..0><0..0| + |1..1><1..1|)/2 on N qubits, tensored with the adversary state."""
+    key = np.zeros((2 ** n_parties, 2 ** n_parties), dtype=complex)
+    key[0, 0] = key[-1, -1] = 0.5
+    return tensor(DensityMatrix((2,) * n_parties, key), eve_state)
+
+
 class TestIdealKeyState:
     def test_cmi_is_two_for_three_parties(self, rng):
-        tau = ideal_key_state(3, 2, random_pure(rng, (2,)))
+        tau = ideal_key_state(3, random_pure(rng, (2,)))
         val = quantum_cmi(tau, [[0], [1], [2]], (3,))
         assert val == pytest.approx(2.0, abs=1e-9)
 
     def test_telescoping_value_is_one(self, rng):
         # I(A1:A2A3|E) + I(A2:A3|A1E) = log2(K) + 0
-        tau = ideal_key_state(3, 2, random_pure(rng, (2,)))
+        tau = ideal_key_state(3, random_pure(rng, (2,)))
         first = quantum_cmi(tau, [[0], [1, 2]], (3,))
         second = quantum_cmi(tau, [[1], [2]], (0, 3))
         assert first + second == pytest.approx(1.0, abs=1e-9)
 
     def test_two_party_marginal(self, rng):
-        tau = ideal_key_state(2, 2, random_density(rng, (2,)))
+        tau = ideal_key_state(2, random_density(rng, (2,)))
         assert np.abs(partial_trace(tau, [0]).matrix - np.eye(2) / 2).max() < 1e-10
-
-    def test_rejects_small_key(self, rng):
-        with pytest.raises(ValueError):
-            ideal_key_state(3, 1, random_density(rng, (2,)))
 
 
 class TestDepolarize:
@@ -156,8 +159,26 @@ class TestNoisyGhz3:
     def test_chi_symmetric_under_bob_swap(self):
         for nu in (0.05, 0.3, 0.8):
             chi = noisy_ghz3(nu).chi
-            swapped = permute_systems(chi, [0, 2, 1])
-            assert np.abs(swapped.matrix - chi.matrix).max() < 1e-10
+            swapped = chi.matrix.reshape((2,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
+            assert np.abs(swapped - chi.matrix).max() < 1e-10
+
+    def test_fixed_states_are_built_once(self):
+        parts = [[s for _, _, s in noisy_ghz3(nu).kappa_terms] for nu in (0.0, 0.05, 0.6)]
+        assert all(a is b for a, b in zip(parts[0], parts[1]))
+        assert all(a is b for a, b in zip(parts[0], parts[2]))
+        assert states.ghz3() is states.ghz3()
+
+    def test_fixed_states_against_index_loop(self):
+        assert np.array_equal(states.ghz3().matrix, ghz(3, 2).matrix)
+        *kappas, mixed = [s for _, _, s in noisy_ghz3(0.2).kappa_terms]
+        assert np.array_equal(mixed.matrix, np.eye(8) / 8)
+        for (i, j), kappa in zip(((0, 1), (0, 2), (1, 2)), kappas):
+            expect = np.zeros((8, 8))
+            for bits in itertools.product(range(2), repeat=3):
+                if bits[i] == bits[j]:
+                    idx = 4 * bits[0] + 2 * bits[1] + bits[2]
+                    expect[idx, idx] = 0.25
+            assert np.array_equal(kappa.matrix, expect)
 
     def test_single_site_decomposition(self):
         # depolarizing only the first qubit leaves a fully separable remainder
