@@ -18,7 +18,9 @@ every other symbol to '?' (output alphabet 0, 1, '?'=2).
 
 This decomposition need not be the strongest available to the adversary;
 `build_cc_attack` therefore accepts an alternative (weight, table) pair so
-stronger biseparable splits can be plugged in.
+stronger biseparable splits can be plugged in.  Either way the attack
+carries the one decomposition it was built from, and is checked against
+that device: `noisy_ghz3` runs once per attack.
 """
 
 from __future__ import annotations
@@ -61,9 +63,10 @@ class CcAttack:
     """Convex-combination attack at the key-generating setting.
 
     `joint` is the distribution over (a, b1, b2, e) with the 9-symbol Eve
-    alphabet.  Construction verifies that dropping Eve reproduces the
-    device's key-setting behavior and that P(e = '?') equals 1 minus the
-    local weight, both to 1e-10.
+    alphabet; `decomposition` is the device it attacks, the noisy GHZ state
+    at the same `nu`.  Construction verifies that dropping Eve reproduces
+    the decomposition state's key-setting behavior and that P(e = '?')
+    equals 1 minus the local weight, both to 1e-10.
     """
 
     nu: float
@@ -71,9 +74,13 @@ class CcAttack:
     p_ghz: np.ndarray
     p_local: np.ndarray
     joint: JointDistribution
+    decomposition: states.GhzDecomposition
 
     def __post_init__(self):
-        device = _key_slice(states.noisy_ghz3(self.nu).state)
+        if self.decomposition.nu != self.nu:
+            raise ValueError(f"decomposition is for nu={self.decomposition.nu}, "
+                             f"the attack for nu={self.nu}")
+        device = _key_slice(self.decomposition.state)
         marginal = self.joint.probs.sum(axis=-1)
         if np.abs(marginal - device).max() > MARGINAL_TOL:
             raise ValueError("attack joint does not reproduce the device's key-setting behavior")
@@ -97,8 +104,8 @@ def build_cc_attack(nu: float,
     if (local_weight is None) != (local_table is None):
         raise ValueError("override the local weight and the local table together")
     p_ghz = _key_slice(states.ghz3())
+    dec = states.noisy_ghz3(nu)
     if local_weight is None:
-        dec = states.noisy_ghz3(nu)
         local_weight = dec.biseparable_weight
         p_local = _key_slice(dec.chi)
     else:
@@ -114,7 +121,7 @@ def build_cc_attack(nu: float,
     probs[range(8), _RECORDED] = local_weight * p_local.ravel()
     joint = JointDistribution((2, 2, 2), EVE_ALPHABET, probs.reshape(2, 2, 2, EVE_ALPHABET))
     return CcAttack(nu=nu, local_weight=local_weight, p_ghz=p_ghz,
-                    p_local=p_local, joint=joint)
+                    p_local=p_local, joint=joint, decomposition=dec)
 
 
 def eve_postprocess(attack: CcAttack) -> JointDistribution:

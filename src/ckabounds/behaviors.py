@@ -1,11 +1,13 @@
-"""Conditional-probability behaviors, game evaluation, and error rates.
+"""Conditional-probability behaviors, the parity-game value, and error rates.
 
 A `Behavior` stores the full table p(a_1..a_N | x_1..x_N) of a multi-party
 box.  The first party is Alice, the second the distinguished Bob of the
 parity game, the remaining parties are the extra Bobs whose game inputs are
 fixed.  The honest device measures a (possibly depolarized) GHZ state with
 the observables returned by `default_measurements`; the key-generating
-setting is `KEY_SETTING`, where every party measures sigma_z.
+setting is `KEY_SETTING`, where every party measures sigma_z.  The parity
+game is the only game played, so `parity_chsh_value` evaluates its win
+condition directly on the table.
 """
 
 from __future__ import annotations
@@ -14,16 +16,16 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import states
 from .qmat import HERMITICITY_TOL, DensityMatrix, Povm
-from .secrecy import table_from_csv, table_to_csv
 
 CLAMP_WINDOW = 1e-12
 NORMALIZATION_TOL = 1e-9
+CRITICAL_NOISE_TOL = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -82,56 +84,6 @@ class Behavior:
             if not 0 <= x < size:
                 raise ValueError(f"input {x} out of range for alphabet size {size}")
         return self.table[inputs]
-
-
-@dataclass(frozen=True)
-class GameSpec:
-    """A nonlocal game: a joint-input distribution and a win predicate.
-
-    `input_distribution` maps full joint-input tuples to their probability
-    (must sum to 1 within 1e-12); `predicate` decides a win from the joint
-    inputs and outputs.
-    """
-
-    input_distribution: dict
-    predicate: Callable[[tuple[int, ...], tuple[int, ...]], bool]
-
-    def __post_init__(self):
-        dist = {tuple(int(x) for x in k): float(v)
-                for k, v in self.input_distribution.items()}
-        if not dist or any(v < 0.0 for v in dist.values()):
-            raise ValueError("input distribution must be nonempty and nonnegative")
-        if abs(sum(dist.values()) - 1.0) > 1e-12:
-            raise ValueError("input distribution must sum to 1 within 1e-12")
-        object.__setattr__(self, "input_distribution", dist)
-
-
-def game_value(p: Behavior, spec: GameSpec) -> float:
-    """Winning probability of `spec` played on the behavior."""
-    total = 0.0
-    for inputs, weight in spec.input_distribution.items():
-        cond = p.conditional(inputs)
-        for outcome in itertools.product(*(range(k) for k in p.output_alphabets)):
-            if spec.predicate(inputs, outcome):
-                total += weight * cond[outcome]
-    return total
-
-
-def parity_game_spec(n_parties: int, fixed_inputs: Sequence[int]) -> GameSpec:
-    """Uniform x, y in {0,1}^2 for Alice and the first Bob, others fixed;
-    win iff a + b_1 = x (y + bbar) mod 2, bbar the extra Bobs' parity."""
-    fixed = tuple(int(f) for f in fixed_inputs)
-    if len(fixed) != n_parties - 2:
-        raise ValueError(f"expected {n_parties - 2} fixed inputs, got {len(fixed)}")
-    dist = {(x, y) + fixed: 0.25 for x in range(2) for y in range(2)}
-
-    def wins(inputs: tuple[int, ...], outputs: tuple[int, ...]) -> bool:
-        bbar = 0
-        for b in outputs[2:]:
-            bbar ^= b
-        return (outputs[0] + outputs[1]) % 2 == (inputs[0] * (inputs[1] + bbar)) % 2
-
-    return GameSpec(dist, wins)
 
 
 def povm_from_observable(obs: np.ndarray) -> Povm:
@@ -239,7 +191,18 @@ def parity_chsh_value(p: Behavior, fixed_inputs: Sequence[int] = GAME_FIXED_INPU
     for f, size in zip(fixed, p.input_alphabets[2:]):
         if not 0 <= f < size:
             raise ValueError(f"fixed input {f} out of range")
-    return game_value(p, parity_game_spec(n, fixed))
+    if len(fixed) != n - 2:
+        raise ValueError(f"expected {n - 2} fixed inputs, got {len(fixed)}")
+    # Summed entry by entry, inputs then outcomes row-major, so the value is
+    # reproducible to the last bit (the `game` command prints its residual).
+    total = 0.0
+    for x, y in itertools.product(range(2), repeat=2):
+        cond = p.table[(x, y) + fixed]
+        for outcome in itertools.product(range(2), repeat=n):
+            bbar = sum(outcome[2:]) % 2
+            if (outcome[0] + outcome[1]) % 2 == x * (y + bbar) % 2:
+                total += 0.25 * cond[outcome]
+    return total
 
 
 def expected_winning_probability(nu: float, n_parties: int) -> float:
@@ -259,14 +222,15 @@ def expected_winning_probability(nu: float, n_parties: int) -> float:
     return 0.5 + u ** n_parties / (2 * _SQRT2) + u ** 2 * (1 - u ** (n_parties - 2)) / (8 * _SQRT2)
 
 
-def critical_noise(n_parties: int, tol: float = 1e-9) -> float:
-    """Noise level where the reference curve crosses the classical bound 3/4."""
+def critical_noise(n_parties: int) -> float:
+    """Noise level where the reference curve crosses the classical bound 3/4,
+    bisected to an interval of width `CRITICAL_NOISE_TOL`."""
     lo, hi = 0.0, 1.0
     f_lo = expected_winning_probability(lo, n_parties) - 0.75
     f_hi = expected_winning_probability(hi, n_parties) - 0.75
     if f_lo <= 0.0 or f_hi >= 0.0:
         raise ValueError("no sign change of p_exp - 3/4 on (0, 1)")
-    while hi - lo > tol:
+    while hi - lo > CRITICAL_NOISE_TOL:
         mid = 0.5 * (lo + hi)
         if expected_winning_probability(mid, n_parties) - 0.75 > 0.0:
             lo = mid
@@ -288,17 +252,3 @@ def qber(p: Behavior, key_inputs: Sequence[int] = KEY_SETTING) -> float:
         worst = max(worst, err)
     return worst
 
-
-def behavior_to_csv(p: Behavior, fh) -> None:
-    """Write rows `x1,...,xN,a1,...,aN,p` with full double precision."""
-    n = p.parties
-    table_to_csv(p.table, [f"x{i+1}" for i in range(n)] + [f"a{i+1}" for i in range(n)], fh)
-
-
-def behavior_from_csv(fh) -> Behavior:
-    """Inverse of `behavior_to_csv`; alphabets are inferred from the rows."""
-    columns, table = table_from_csv(fh)
-    if len(columns) % 2:
-        raise ValueError("malformed behavior CSV header")
-    n = len(columns) // 2
-    return Behavior(table.shape[:n], table.shape[n:], table)

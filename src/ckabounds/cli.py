@@ -60,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config(path: str) -> dict:
     cfg = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -86,6 +86,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             cfg.update(_read_config(args.config))
         except OSError as exc:
             raise _CliError(f"cannot read config file: {exc}", 2)
+        except UnicodeDecodeError as exc:
+            raise _CliError(f"malformed config file, not UTF-8 text: {exc}", 1)
     cfg.update((key, value) for key, value in vars(args).items() if value is not None)
     return cfg
 

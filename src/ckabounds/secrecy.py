@@ -39,6 +39,8 @@ REFINE_SWEEPS = 200
 REFINE_STEP = 0.5
 REFINE_TOL = 1e-9
 
+CSV_MAX_ENTRIES = 1 << 20  # distribution CSV tables; 8 MiB of float64
+
 
 def entropy_bits(vec: np.ndarray) -> float:
     """Shannon entropy in bits; probabilities below 1e-15 are treated as 0."""
@@ -362,44 +364,35 @@ def continuity_envelope(eps: float, log_dim: float, flavor: str) -> float:
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def table_to_csv(table: np.ndarray, columns: Sequence[str], fh) -> None:
-    """Write header `columns,p`, then one row `i1,...,ik,p` per entry, row-major.
-
-    Values carry 15 significant digits.
-    """
-    fh.write(",".join(list(columns) + ["p"]) + "\n")
-    for idx in itertools.product(*(range(k) for k in table.shape)):
-        fh.write(",".join(str(v) for v in idx) + f",{table[idx]:.15g}\n")
-
-
-def table_from_csv(fh) -> tuple[list[str], np.ndarray]:
-    """Inverse of `table_to_csv`: the index columns and the table.
-
-    Each axis is as long as its largest index plus one; absent rows are 0.
-    Negative indices and repeated index tuples are rejected.
-    """
-    header = fh.readline().strip().split(",")
-    if len(header) < 2 or header[-1] != "p":
-        raise ValueError("malformed CSV header: expected index columns then p")
-    rows = [line.split(",") for line in map(str.strip, fh) if line]
-    if not rows or any(len(row) != len(header) for row in rows):
-        raise ValueError("CSV rows missing or not as wide as the header")
-    idx = np.array([[int(v) for v in row[:-1]] for row in rows])
-    if idx.min() < 0 or len(np.unique(idx, axis=0)) != len(idx):
-        raise ValueError("CSV rows hold a negative or a repeated index tuple")
-    table = np.zeros(tuple(idx.max(axis=0) + 1))
-    table[tuple(idx.T)] = [float(row[-1]) for row in rows]
-    return header[:-1], table
-
-
 def distribution_to_csv(dist: JointDistribution, fh) -> None:
-    """Write rows `a1,...,aN,e,p` with full double precision."""
-    table_to_csv(dist.probs, [f"a{i+1}" for i in range(dist.parties)] + ["e"], fh)
+    """Write header `a1,...,aN,e,p`, then one row `a1,...,aN,e,p` per entry.
+
+    Rows run row-major over the table; values carry 15 significant digits.
+    """
+    fh.write(",".join([f"a{i+1}" for i in range(dist.parties)] + ["e", "p"]) + "\n")
+    for idx in itertools.product(*(range(k) for k in dist.probs.shape)):
+        fh.write(",".join(str(v) for v in idx) + f",{dist.probs[idx]:.15g}\n")
 
 
 def distribution_from_csv(fh) -> JointDistribution:
-    """Inverse of `distribution_to_csv`; alphabets are inferred from the rows."""
-    columns, probs = table_from_csv(fh)
-    if len(columns) < 2 or columns[-1] != "e":
-        raise ValueError("malformed distribution CSV header")
-    return JointDistribution(probs.shape[:-1], probs.shape[-1], probs)
+    """Inverse of `distribution_to_csv`; alphabets are inferred from the rows.
+
+    Each axis is as long as its largest index plus one; absent rows are 0.
+    Negative indices, repeated index tuples and tables of more than
+    `CSV_MAX_ENTRIES` entries are rejected before the table is allocated.
+    """
+    header = fh.readline().strip().split(",")
+    if len(header) < 3 or header[-2:] != ["e", "p"]:
+        raise ValueError("malformed distribution CSV header: expected a1,...,aN,e,p")
+    rows = [line.split(",") for line in map(str.strip, fh) if line]
+    if not rows or any(len(row) != len(header) for row in rows):
+        raise ValueError("CSV rows missing or not as wide as the header")
+    idx = [tuple(int(v) for v in row[:-1]) for row in rows]
+    if min(map(min, idx)) < 0 or len(set(idx)) != len(idx):
+        raise ValueError("CSV rows hold a negative or a repeated index tuple")
+    shape = tuple(max(column) + 1 for column in zip(*idx))
+    if math.prod(shape) > CSV_MAX_ENTRIES:
+        raise ValueError(f"CSV table would have more than {CSV_MAX_ENTRIES} entries")
+    probs = np.zeros(shape)
+    probs[tuple(zip(*idx))] = [float(row[-1]) for row in rows]
+    return JointDistribution(shape[:-1], shape[-1], probs)

@@ -135,6 +135,22 @@ def born_table(rho: np.ndarray, effects) -> np.ndarray:
     return table
 
 
+def game_value(behavior, input_distribution, predicate) -> float:
+    """Winning probability of a nonlocal game, one table entry at a time.
+
+    `input_distribution` maps joint-input tuples to their probability and is
+    summed in its own order, then the outcomes row-major; `predicate(inputs,
+    outputs)` decides a win.
+    """
+    total = 0.0
+    for inputs, weight in input_distribution.items():
+        cond = behavior.table[tuple(inputs)]
+        for outcome in itertools.product(*(range(k) for k in behavior.output_alphabets)):
+            if predicate(inputs, outcome):
+                total += weight * cond[outcome]
+    return total
+
+
 def measured_game_value(nu: float) -> float:
     """Closed form of the default-measurement game value on the noisy state."""
     u = 1.0 - nu

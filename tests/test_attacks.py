@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from ckabounds.attacks import (EVE_IGNORANT, POST_IGNORANT, _key_slice, build_cc
                                eve_postprocess, eve_symbol)
 from ckabounds.behaviors import (KEY_SETTING, PAULI_Z, behavior_from_measurement,
                                  default_measurements, povm_from_observable)
+from ckabounds import states
 from ckabounds.secrecy import intrinsic_information, shannon_cmi, s_n
 from ckabounds.states import ghz, noisy_ghz3
 import oracles
@@ -57,6 +59,25 @@ class TestBuildCcAttack:
     def test_override_with_wrong_weight_rejected(self):
         with pytest.raises(ValueError, match="reproduce"):
             build_cc_attack(0.2, local_weight=0.9, local_table=oracles.local_table(0.2))
+
+    def test_builds_the_device_once(self, monkeypatch):
+        # CcAttack checks against the decomposition build_cc_attack made, not a rebuilt one
+        calls = []
+
+        def counting(nu):
+            calls.append(nu)
+            return noisy_ghz3(nu)
+
+        monkeypatch.setattr(states, "noisy_ghz3", counting)
+        default = build_cc_attack(0.2)
+        assert calls == [0.2]
+        build_cc_attack(0.2, local_weight=default.local_weight, local_table=default.p_local)
+        assert calls == [0.2, 0.2]
+
+    def test_decomposition_at_another_nu_rejected(self):
+        attack = build_cc_attack(0.2)
+        with pytest.raises(ValueError, match="nu=0.3"):
+            dataclasses.replace(attack, decomposition=noisy_ghz3(0.3))
 
 
 class TestEvePostprocess:

@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 
@@ -6,12 +5,10 @@ import numpy as np
 import pytest
 
 from ckabounds.behaviors import (GAME_FIXED_INPUTS, KEY_SETTING, PAULI_X, PAULI_Z,
-                                 Behavior, GameSpec, behavior_distance,
-                                 behavior_from_csv, behavior_from_measurement,
-                                 behavior_to_csv, critical_noise,
-                                 default_measurements, expected_winning_probability,
-                                 game_value, honest_behavior, is_nonsignaling,
-                                 parity_chsh_value, parity_game_spec,
+                                 Behavior, behavior_distance, behavior_from_measurement,
+                                 critical_noise, default_measurements,
+                                 expected_winning_probability, honest_behavior,
+                                 is_nonsignaling, parity_chsh_value,
                                  povm_from_observable, qber)
 from ckabounds.states import ghz, noisy_ghz3
 from ckabounds.qmat import Povm, maximally_mixed
@@ -339,63 +336,57 @@ class TestGameNoiseCurve:
         assert KEY_SETTING == (0, 2, 0)
 
 
+def parity_game(fixed_inputs):
+    """The parity game written out for the oracle: uniform (x, y), fixed extra Bobs."""
+    inputs = {(x, y) + tuple(fixed_inputs): 0.25 for x in range(2) for y in range(2)}
+
+    def wins(xs, outs):
+        bbar = 0
+        for b in outs[2:]:
+            bbar ^= b
+        return (outs[0] + outs[1]) % 2 == (xs[0] * (xs[1] + bbar)) % 2
+
+    return inputs, wins
+
+
 class TestGameSpec:
-    def test_input_distribution_must_normalize(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            GameSpec({(0, 0): 0.5, (1, 1): 0.4}, lambda x, a: True)
+    """The parity game as specified: its inputs, its win condition, the oracle loop."""
 
     def test_parity_spec_inputs_are_uniform(self):
-        spec = parity_game_spec(3, (1,))
-        assert set(spec.input_distribution.values()) == {0.25}
-        assert all(inp[2] == 1 for inp in spec.input_distribution)
+        # each (x, y) carries weight 1/4 and only the fixed extra-Bob input is read:
+        # a box that wins exactly at one (x, y), and only when Bob2 gets input 1
+        for x, y in itertools.product(range(2), repeat=2):
+            table = np.zeros((2, 2, 2, 2, 2, 2))
+            for xs in itertools.product(range(2), repeat=3):
+                win = xs[:2] == (x, y) and xs[2] == 1
+                a = xs[0] * xs[1] % 2 if win else 1 - xs[0] * xs[1] % 2
+                table[xs + (a, 0, 0)] = 1.0
+            box = Behavior((2, 2, 2), (2, 2, 2), table)
+            assert parity_chsh_value(box, fixed_inputs=(1,)) == 0.25
+            assert parity_chsh_value(box, fixed_inputs=(0,)) == 0.0
 
     def test_generic_game_on_two_party_chsh(self):
-        # plain CHSH (win iff a + b = xy) on the optimally measured Bell pair
+        # with no extra Bobs the parity game is plain CHSH (win iff a + b = xy)
         alice = (povm_from_observable(PAULI_Z), povm_from_observable(PAULI_X))
         bob = (povm_from_observable((PAULI_Z + PAULI_X) / math.sqrt(2)),
                povm_from_observable((PAULI_Z - PAULI_X) / math.sqrt(2)))
         b = behavior_from_measurement(ghz(2, 2), (alice, bob))
-        spec = GameSpec({(x, y): 0.25 for x in range(2) for y in range(2)},
-                        lambda xs, outs: (outs[0] + outs[1]) % 2 == xs[0] * xs[1])
-        assert game_value(b, spec) == pytest.approx(TSIRELSON, abs=1e-10)
+        assert parity_chsh_value(b, fixed_inputs=()) == pytest.approx(TSIRELSON, abs=1e-10)
 
-    def test_always_win_predicate(self):
-        spec = GameSpec({(0, 0, 0): 1.0}, lambda xs, outs: True)
-        assert game_value(uniform_behavior(), spec) == pytest.approx(1.0, abs=1e-12)
+    def test_wrong_number_of_fixed_inputs_rejected(self):
+        for fixed in ((), (1, 1)):
+            with pytest.raises(ValueError, match="expected 1 fixed inputs"):
+                parity_chsh_value(honest_behavior(0.0), fixed_inputs=fixed)
 
+    def test_honest_behavior_equals_oracle_bit_for_bit(self):
+        game = parity_game(GAME_FIXED_INPUTS)
+        for nu in np.linspace(0.0, 1.0, 21):
+            b = honest_behavior(float(nu))
+            assert parity_chsh_value(b) == oracles.game_value(b, *game)
 
-def csv_text(p):
-    buf = io.StringIO()
-    behavior_to_csv(p, buf)
-    return buf.getvalue()
-
-
-class TestCsv:
-    def test_round_trip(self):
-        b = honest_behavior(0.05)
-        text = csv_text(b)
-        back = behavior_from_csv(io.StringIO(text))
-        assert back.input_alphabets == b.input_alphabets
-        assert np.abs(back.table - b.table).max() < 1e-12
-
-    def test_header_format(self):
-        text = csv_text(honest_behavior(0.0))
-        assert text.splitlines()[0] == "x1,x2,x3,a1,a2,a3,p"
-
-    def test_rejects_negative_index(self):
-        lines = csv_text(honest_behavior(0.05)).splitlines()
-        lines[-1] = "-" + lines[-1]  # x1 = -1 would wrap around to x1 = 1
-        with pytest.raises(ValueError, match="negative or a repeated"):
-            behavior_from_csv(io.StringIO("\n".join(lines)))
-
-    def test_rejects_duplicate_row(self):
-        text = csv_text(honest_behavior(0.05))
-        with pytest.raises(ValueError, match="negative or a repeated"):
-            behavior_from_csv(io.StringIO(text + text.splitlines()[1] + "\n"))
-
-    def test_significant_digits(self):
-        buf = io.StringIO()
-        behavior_to_csv(honest_behavior(0.0), buf)
-        row = buf.getvalue().splitlines()[1]
-        value = row.split(",")[-1]
-        assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 12 or float(value) == 0.0
+    def test_deterministic_boxes_equal_oracle_bit_for_bit(self):
+        boxes = list(all_deterministic_game_behaviors())
+        assert len(boxes) == 32
+        game = parity_game((0,))
+        for b in boxes:
+            assert parity_chsh_value(b, fixed_inputs=(0,)) == oracles.game_value(b, *game)

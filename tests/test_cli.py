@@ -168,6 +168,13 @@ class TestConfigFile:
         assert "invalid value for config key 'minimize'" in one_line(capsys.readouterr().err)
         assert not (tmp_path / "c.csv").exists()
 
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        # a UnicodeDecodeError used to escape _read_config as a traceback
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        assert main(["attack", "--config", str(cfg)]) == 1
+        assert "not UTF-8" in one_line(capsys.readouterr().err)
+
     def test_format_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format = csv\n")

@@ -341,3 +341,8 @@ class TestCsv:
         # the second 0,0,0 row would silently replace the first
         with pytest.raises(ValueError, match="negative or a repeated"):
             distribution_from_csv(io.StringIO("a1,a2,e,p\n0,0,0,0.5\n0,0,0,1\n"))
+
+    def test_rejects_oversized_table(self):
+        # the table is sized by the largest index: 10**12 asked numpy for 7.28 TiB
+        with pytest.raises(ValueError, match="more than"):
+            distribution_from_csv(io.StringIO("a1,a2,e,p\n0,0,0,0.5\n1,1,1000000000000,0.5\n"))
