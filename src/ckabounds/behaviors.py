@@ -184,6 +184,8 @@ def parity_chsh_value(p: Behavior, fixed_inputs: Sequence[int] = GAME_FIXED_INPU
     """
     n = p.parties
     fixed = tuple(int(f) for f in fixed_inputs)
+    if n < 2:
+        raise ValueError(f"parity game needs at least two parties, got {n}")
     if p.input_alphabets[0] < 2 or p.input_alphabets[1] < 2:
         raise ValueError("Alice and the first Bob need at least two inputs")
     if any(o != 2 for o in p.output_alphabets):

@@ -34,6 +34,8 @@ _N_PARTIES = 3
 MAX_GROUPING_PARTIES = 10  # Bell(10) = 115,975 groupings
 MAX_RELAY_PARTIES = 1024
 MAX_KEY_LEN = 4096
+MAX_GRID_POINTS = 100_000
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -57,9 +59,23 @@ class BoundCurve:
         return tuple(v for _, v in self.samples)
 
 
+def noise_grid(lo: float, hi: float, step: float) -> list[float]:
+    """Noise levels lo, lo + step, ... up to hi, rounded to 12 decimals.
+
+    More than MAX_GRID_POINTS points are rejected before any is built.
+    """
+    if not (0.0 <= lo < hi <= 1.0 and step > 0.0):
+        raise ValueError(f"invalid grid: need 0 <= nu_min < nu_max <= 1 and nu_step > 0 "
+                         f"(got {lo}, {hi}, {step})")
+    span = (hi - lo) / step + 1e-9
+    if span >= MAX_GRID_POINTS:
+        raise ValueError(f"invalid grid: more than {MAX_GRID_POINTS} points")
+    return [round(lo + i * step, 12) for i in range(int(math.floor(span)) + 1)]
+
+
 def default_grid() -> list[float]:
     """Noise grid 0 to 0.13 in steps of 0.0025 (covers the critical level)."""
-    return [round(0.0025 * i, 10) for i in range(53)]
+    return noise_grid(0.0, 0.13, 0.0025)
 
 
 def _check_grid(grid: Sequence[float]) -> list[float]:
@@ -67,7 +83,11 @@ def _check_grid(grid: Sequence[float]) -> list[float]:
     if not grid:
         raise ValueError("empty noise grid")
     if any(not 0.0 <= nu < 1.0 for nu in grid):
-        raise ValueError("noise grid must lie in [0, 1)")
+        raise ValueError("invalid grid: curve evaluation requires 0 <= nu < 1")
+    for a, b in zip(grid, grid[1:]):
+        if b <= a:
+            raise ValueError(f"invalid grid: points must be strictly increasing, "
+                             f"got {b!r} after {a!r}")
     return grid
 
 
@@ -98,11 +118,18 @@ def _point_worker(args) -> tuple[float, float, float, float]:
 
 def compute_curves(grid: Sequence[float], minimize: bool = False,
                    workers: int = 1) -> list[BoundCurve]:
-    """All four curves over the grid; output independent of the worker count."""
+    """All four curves over the grid; output independent of the worker count.
+
+    At most `workers` (1..MAX_WORKERS) processes run, and no more than the
+    grid has points; with one, the points are computed in this process.
+    """
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"invalid workers: need 1 <= workers <= {MAX_WORKERS}, got {workers}")
     grid = _check_grid(grid)
     jobs = [(nu, minimize) for nu in grid]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    processes = min(workers, len(grid))
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             rows = list(pool.map(_point_worker, jobs))
     else:
         rows = [_point_worker(j) for j in jobs]

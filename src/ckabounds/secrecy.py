@@ -11,13 +11,13 @@ P(a_1..a_N, e):
 
 Minimizing either quantity over classical channels E -> F gives the
 corresponding intrinsic-information value.  The search finds the best
-deterministic channel (set partition of the Eve alphabet) exactly, by a
-dynamic program over subsets of the alphabet in O(3^|E|) steps, and
-optionally refines it by coordinate descent over stochastic channels with
-as many outputs as the deterministic optimum has blocks.  Restricting the
-output alphabet this way (so |F| <= |E|) is a standard sufficiency
-heuristic, not a theorem, so reported values are upper bounds on the true
-infimum.
+deterministic channel (set partition of the Eve alphabet, of at most
+EXHAUSTIVE_LIMIT symbols) exactly, by a dynamic program over subsets of
+the alphabet in O(3^|E|) steps, and optionally refines it by coordinate
+descent over stochastic channels with as many outputs as the deterministic
+optimum has blocks.  Restricting the output alphabet this way (so
+|F| <= |E|) is a standard sufficiency heuristic, not a theorem, so
+reported values are upper bounds on the true infimum.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ PROB_FLOOR = 1e-15
 TOTAL_TOL = 1e-9
 ROW_TOL = 1e-10
 
-EXHAUSTIVE_LIMIT = 10  # channel search; see SearchBudget
+EXHAUSTIVE_LIMIT = 10  # Eve symbols the channel search takes
 REFINE_SWEEPS = 200
 REFINE_STEP = 0.5
 REFINE_TOL = 1e-9
@@ -215,11 +215,10 @@ def apply_channel(dist: JointDistribution, channel: ClassicalChannel) -> JointDi
 class SearchBudget:
     """Configuration of the channel search.
 
-    The deterministic stage finds the best set partition of Eve's alphabet
-    exactly (`_best_partition`) if it has at most EXHAUSTIVE_LIMIT symbols,
-    and takes the identity channel otherwise.  Refinement runs at most
-    REFINE_SWEEPS sweeps and halves its step, from REFINE_STEP, after each
-    sweep that gains less than REFINE_TOL bits.
+    The deterministic stage finds the best set partition of Eve's alphabet,
+    of at most EXHAUSTIVE_LIMIT symbols, exactly (`_best_partition`).
+    Refinement runs at most REFINE_SWEEPS sweeps and halves its step, from
+    REFINE_STEP, after each sweep that gains less than REFINE_TOL bits.
 
     refine: run coordinate descent over stochastic channels from the best
         deterministic point, with one output symbol per block.
@@ -312,11 +311,9 @@ def _minimize_over_channels(dist: JointDistribution, kind: str,
                             budget: SearchBudget | None) -> tuple[float, ClassicalChannel]:
     budget = budget or SearchBudget()
     ne = dist.eve_alphabet
-    if ne <= EXHAUSTIVE_LIMIT:
-        blocks = _best_partition(dist, kind)
-    else:
-        blocks = [[e] for e in range(ne)]  # alphabet too large: identity start
-    mat = ClassicalChannel.from_partition(blocks, ne).matrix.copy()
+    if ne > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"channel search takes at most {EXHAUSTIVE_LIMIT} Eve symbols, got {ne}")
+    mat = ClassicalChannel.from_partition(_best_partition(dist, kind), ne).matrix.copy()
     if budget.refine:
         mat = _refine(dist, mat, kind)
     witness = ClassicalChannel(mat)

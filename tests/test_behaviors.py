@@ -265,6 +265,10 @@ class TestParityGame:
         with pytest.raises(ValueError, match="binary"):
             parity_chsh_value(Behavior((2, 2), (3, 3), table), fixed_inputs=())
 
+    def test_one_party_rejected(self):
+        with pytest.raises(ValueError, match="at least two parties"):
+            parity_chsh_value(Behavior((2,), (2,), np.full((2, 2), 0.5)), fixed_inputs=())
+
 
 class TestExpectedWinningProbability:
     def test_zero_noise(self):

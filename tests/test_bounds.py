@@ -6,14 +6,46 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ckabounds.bounds import (MAX_KEY_LEN, MAX_RELAY_PARTIES, BoundCurve,
-                              Xorshift64Star, compute_curves, enumerate_partitions,
-                              relay_chain, relay_simulate, write_curves_csv)
+from ckabounds import bounds
+from ckabounds.bounds import (MAX_GRID_POINTS, MAX_KEY_LEN, MAX_RELAY_PARTIES, MAX_WORKERS,
+                              BoundCurve, Xorshift64Star, compute_curves, default_grid,
+                              enumerate_partitions, noise_grid, relay_chain, relay_simulate,
+                              write_curves_csv)
 from ckabounds.partitions import partitions_as_masks, set_partitions
 import oracles
 
 SHORT_GRID = [0.0, 0.02, 0.05, 0.08, 0.1189]
 MONOTONE_GRID = [0.005 * i for i in range(25)]  # up to 0.12
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of each process pool started; the pool maps in this process."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(bounds, "ProcessPoolExecutor", Pool)
+    return sizes
+
+
+@pytest.fixture
+def no_points(monkeypatch):
+    def worker(job):
+        raise AssertionError(f"computed the point {job}")
+
+    monkeypatch.setattr(bounds, "_point_worker", worker)
 
 
 class TestBoundCurveValidation:
@@ -130,6 +162,14 @@ class TestComputeCurves:
             assert a.name == b.name
             assert a.samples == b.samples
 
+    def test_one_point_starts_no_pool(self, pools):
+        assert compute_curves([0.1], workers=4)[0].samples[0][0] == 0.1
+        assert pools == []
+
+    def test_pool_is_no_larger_than_the_grid(self, pools):
+        assert compute_curves([0.0, 0.05], workers=MAX_WORKERS)[2].values == (1.0, 0.95)
+        assert pools == [2]
+
     def test_csv_format(self):
         buf = io.StringIO()
         write_curves_csv(compute_curves([0.0, 0.05]), buf)
@@ -137,6 +177,46 @@ class TestComputeCurves:
         assert lines[0] == "nu,value,name"
         assert len(lines) == 1 + 4 * 2
         assert lines[1].split(",")[2] == "intrinsic_fixed"
+
+
+class TestValidators:
+    """Checked without building a grid, computing a point or starting a process pool."""
+
+    def test_noise_grid_of_default_size(self):
+        assert len(noise_grid(0.0, 0.13, 0.0025)) == 53
+
+    def test_noise_grid_counts_before_building(self):
+        with pytest.raises(ValueError, match="more than"):
+            noise_grid(0.0, 1.0, 1e-12)
+        with pytest.raises(ValueError, match="more than"):
+            noise_grid(0.0, 0.13, 5e-324)  # the span overflows to inf
+
+    def test_noise_grid_at_the_cap(self):
+        step = 1.0 / MAX_GRID_POINTS
+        assert len(noise_grid(0.0, 1.0 - step, step)) == MAX_GRID_POINTS
+        with pytest.raises(ValueError):
+            noise_grid(0.0, 1.0, step)
+
+    def test_noise_grid_rejects_nan_step(self):
+        with pytest.raises(ValueError, match="invalid grid"):
+            noise_grid(0.0, 0.13, math.nan)
+
+    def test_points_that_round_together_rejected_before_computing(self, pools, no_points):
+        grid = noise_grid(0.1, 0.1000000000005, 1e-13)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            compute_curves(grid, workers=2)
+        assert pools == []
+
+    def test_default_grid_is_a_noise_grid(self):
+        grid = default_grid()
+        assert grid == noise_grid(0.0, 0.13, 0.0025)
+        assert len(grid) == 53 and grid[0] == 0.0 and grid[-1] == 0.13
+
+    def test_workers_bounds(self, pools, no_points):
+        for bad in (0, -3, MAX_WORKERS + 1):
+            with pytest.raises(ValueError, match="invalid workers"):
+                compute_curves([0.1], workers=bad)
+        assert pools == []
 
 
 class TestEnumeratePartitions:

@@ -82,49 +82,6 @@ class TestCurvesCommand:
         assert not (tmp_path / "w.csv").exists()
 
 
-class TestValidators:
-    """Checked without building a grid or starting a process pool."""
-
-    def cfg(self, **overrides):
-        return {**{key: default for key, (default, _) in cli._CONFIG.items()}, **overrides}
-
-    def test_grid_size_of_default_grid(self):
-        assert cli._grid_size(self.cfg()) == 53
-
-    def test_grid_size_counts_before_building(self):
-        with pytest.raises(cli._CliError, match="more than") as exc:
-            cli._grid_size(self.cfg(nu_min=0.0, nu_max=1.0, nu_step=1e-12))
-        assert exc.value.code == 1
-        with pytest.raises(cli._CliError, match="more than"):
-            cli._grid_size(self.cfg(nu_step=5e-324))  # the span overflows to inf
-
-    def test_grid_size_at_the_cap(self):
-        step = 1.0 / cli.MAX_GRID_POINTS
-        assert cli._grid_size(self.cfg(nu_max=1.0 - step, nu_step=step)) == cli.MAX_GRID_POINTS
-        with pytest.raises(cli._CliError):
-            cli._grid_size(self.cfg(nu_max=1.0, nu_step=step))
-
-    def test_grid_size_rejects_nan_step(self):
-        with pytest.raises(cli._CliError, match="invalid grid"):
-            cli._grid_size(self.cfg(nu_step=math.nan))
-
-    def test_grid_from_rejects_points_that_round_together(self):
-        with pytest.raises(cli._CliError, match="repeats points") as exc:
-            cli._grid_from(self.cfg(nu_min=0.1, nu_max=0.1000000000005, nu_step=1e-13))
-        assert exc.value.code == 1
-
-    def test_grid_from_default_grid(self):
-        grid = cli._grid_from(self.cfg())
-        assert len(grid) == 53 and grid[0] == 0.0 and grid[-1] == 0.13
-
-    def test_workers_bounds(self):
-        assert cli._check_workers(self.cfg(workers=1)) == 1
-        assert cli._check_workers(self.cfg(workers=cli.MAX_WORKERS)) == cli.MAX_WORKERS
-        for bad in (0, -3, cli.MAX_WORKERS + 1):
-            with pytest.raises(cli._CliError, match="invalid workers"):
-                cli._check_workers(self.cfg(workers=bad))
-
-
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -183,10 +140,10 @@ class TestConfigFile:
 
 
 def accepted_flags():
-    """Public flags of each subcommand's parser (not -h, not hidden hooks)."""
+    """Flags of each subcommand's parser, not -h."""
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    return {name: {opt for a in p._actions if a.help != argparse.SUPPRESS
+    return {name: {opt for a in p._actions
                    for opt in a.option_strings if opt not in ("-h", "--help")}
             for name, p in sub.choices.items()}
 
@@ -232,18 +189,20 @@ class TestVerifyCommand:
         for err in re.findall(r"max_error=(\S+)", out):
             assert float(err) < 1e-9
 
-    def test_corrupt_hook_fails(self, capsys):
-        assert main(["verify", "--corrupt"]) == 1
+    def test_corrupt_hook_fails(self, monkeypatch, capsys):
+        def suite(seed):
+            yield from ((seed, 0.0), (seed + 1, 1e-6), (seed + 2, 0.0))
+        monkeypatch.setattr(cli, "_SUITES", (("corrupt", suite, 1e-9),))
+        assert main(["verify"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL" in out
-        assert re.search(r"FAIL \(instance seed \d+\)", out)
+        assert "FAIL (instance seed 12346)" in out
 
     def test_nan_error_fails(self, monkeypatch):
         def suite(seed):
             yield from ((seed, 0.0), (seed + 1, math.nan), (seed + 2, 1.0))
         monkeypatch.setattr(cli, "_SUITES", (("nan", suite, 1e-9),))
         out = io.StringIO()
-        assert cli._cmd_verify({"seed": 7, "corrupt": False}, out) == 1
+        assert cli._cmd_verify({"seed": 7}, out) == 1
         assert "max_error=nan" in out.getvalue() and "FAIL (instance seed 8)" in out.getvalue()
 
     def test_negative_seed_exits_one(self, tmp_path, capsys):

@@ -249,6 +249,12 @@ class TestIntrinsicInformation:
         assert set(np.unique(witness.matrix)) <= {0.0, 1.0}
         assert witness.out_alphabet == len(_best_partition(dist, "cmi"))
 
+    @pytest.mark.parametrize("search", [intrinsic_information, dual_intrinsic])
+    def test_rejects_eve_alphabet_over_the_limit(self, search):
+        dist = JointDistribution((2, 2), 11, np.full((2, 2, 11), 1.0 / 44.0))  # a product
+        with pytest.raises(ValueError, match="at most 10 Eve symbols, got 11"):
+            search(dist)
+
     def test_never_exceeds_unprocessed_cmi(self, rng):
         for _ in range(5):
             dist = random_joint(rng, (2, 2), 4)
