@@ -60,9 +60,10 @@ class BoundCurve:
 
 
 def noise_grid(lo: float, hi: float, step: float) -> list[float]:
-    """Noise levels lo, lo + step, ... up to hi, rounded to 12 decimals.
+    """Noise levels lo, lo + step, ... up to hi and below 1, rounded to 12 decimals.
 
-    More than MAX_GRID_POINTS points are rejected before any is built.
+    nu = 1 is never a point: no curve is defined there.  More than
+    MAX_GRID_POINTS points are rejected before any is built.
     """
     if not (0.0 <= lo < hi <= 1.0 and step > 0.0):
         raise ValueError(f"invalid grid: need 0 <= nu_min < nu_max <= 1 and nu_step > 0 "
@@ -70,7 +71,8 @@ def noise_grid(lo: float, hi: float, step: float) -> list[float]:
     span = (hi - lo) / step + 1e-9
     if span >= MAX_GRID_POINTS:
         raise ValueError(f"invalid grid: more than {MAX_GRID_POINTS} points")
-    return [round(lo + i * step, 12) for i in range(int(math.floor(span)) + 1)]
+    points = (round(lo + i * step, 12) for i in range(int(math.floor(span)) + 1))
+    return [nu for nu in points if nu < 1.0]
 
 
 def default_grid() -> list[float]:

@@ -13,9 +13,13 @@ Minimizing either quantity over classical channels E -> F gives the
 corresponding intrinsic-information value.  The search finds the best
 deterministic channel (set partition of the Eve alphabet, of at most
 EXHAUSTIVE_LIMIT symbols) exactly, by a dynamic program over subsets of
-the alphabet in O(3^|E|) steps, and optionally refines it by coordinate
-descent over stochastic channels with as many outputs as the deterministic
-optimum has blocks.  Restricting the output alphabet this way (so
+the alphabet in O(3^|E|) steps, solved one popcount layer at a time, and
+optionally refines it by coordinate descent over stochastic channels with
+as many outputs as the deterministic optimum has blocks.  Each sweep of
+the descent scores the moves still ahead as one batch (`_objectives`),
+skips the moves that leave their row unchanged, and takes the first move
+that gains, so it ends at the same matrix, bit for bit, as trying the
+moves one at a time.  Restricting the output alphabet this way (so
 |F| <= |E|) is a standard sufficiency heuristic, not a theorem, so
 reported values are upper bounds on the true infimum.
 """
@@ -185,6 +189,45 @@ def _objective(p: np.ndarray, n_parties: int, kind: str) -> float:
     return total
 
 
+def _row_entropies(marginals: Sequence[np.ndarray]) -> np.ndarray:
+    """Entropy in bits of row k of each (K, m) marginal i, as h[i, k].
+
+    Each row gives the bits `entropy_bits` gives for it alone: the entries
+    above PROB_FLOOR are kept, and the rows that keep the same number of
+    entries are summed as one (rows, count) array along axis 1, which adds
+    every row in the order a 1-D sum does.
+    """
+    keep = [m > PROB_FLOOR for m in marginals]
+    kept = np.concatenate([m[k] for m, k in zip(marginals, keep)])
+    terms = kept * np.log2(kept)
+    counts = np.concatenate([k.sum(axis=1) for k in keep])
+    starts = np.cumsum(counts) - counts
+    h = np.zeros(counts.size)
+    for c in np.flatnonzero(np.bincount(counts)[1:]) + 1:
+        sel = counts == c
+        h[sel] = -terms[starts[sel, np.newaxis] + np.arange(c)].sum(axis=1)
+    return h.reshape(len(marginals), -1)
+
+
+def _objectives(stack: np.ndarray, n_parties: int, kind: str) -> np.ndarray:
+    """`_objective` of every table stack[k], bit for bit, in one batch.
+
+    The axis sums, logarithms and group totals are those of `_objective`,
+    done for the whole stack at once; `_row_entropies` adds each row in the
+    order `entropy_bits` does.
+    """
+    axes, groups, _ = _plan(n_parties, kind)
+    k = stack.shape[0]
+    h = _row_entropies([stack.sum(axis=tuple(j + 1 for j in a)).reshape(k, -1) for a in axes])
+    total = np.zeros(k)
+    for group in groups:
+        part = np.zeros(k)
+        for i, c in group:
+            part += c * h[i]
+        total += part
+    return total
+
+
 def shannon_cmi(dist: JointDistribution) -> float:
     """Multipartite conditional mutual information I(A_1:...:A_N|E) in bits."""
     return _objective(dist.probs, dist.parties, "cmi")
@@ -249,57 +292,94 @@ def _block_values(dist: JointDistribution, kind: str) -> np.ndarray:
     return phi
 
 
-def _best_partition(dist: JointDistribution, kind: str) -> list[list[int]]:
-    """Blocks, ordered by lowest symbol, of the partition of Eve's alphabet
-    with the least objective: best[S] = min of phi[T] + best[S - T] over the
-    blocks T of S that hold S's lowest symbol, 3^|E| subset pairs in all."""
-    ne = dist.eve_alphabet
-    phi = _block_values(dist, kind).tolist()
-    best = [0.0] * (1 << ne)
-    choice = [0] * (1 << ne)
+@lru_cache(maxsize=None)
+def _partition_layers(ne: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per popcount p = 1..ne: the subsets S of {0..ne-1} with p symbols, and
+    for each the 2^(p-1) blocks T of S that hold S's lowest symbol, in
+    descending order of the submask T - low(S)."""
+    layers = [([], []) for _ in range(ne)]
     for s in range(1, 1 << ne):
         low = s & -s
         rest = s ^ low
-        best_val, best_block = math.inf, s
-        t = rest
-        for _ in range(1 << rest.bit_count()):  # every submask t of rest, descending
-            block = t | low
-            val = phi[block - 1] + best[s ^ block]
-            if val < best_val:
-                best_val, best_block = val, block
+        blocks, t = [], rest
+        for _ in range(1 << rest.bit_count()):
+            blocks.append(t | low)
             t = (t - 1) & rest
-        best[s], choice[s] = best_val, best_block
+        subsets, table = layers[s.bit_count() - 1]
+        subsets.append(s)
+        table.append(blocks)
+    out = tuple((np.array(subsets), np.array(table)) for subsets, table in layers)
+    for arrays in out:
+        for a in arrays:
+            a.flags.writeable = False  # shared by every caller through the cache
+    return out
+
+
+def _best_partition(dist: JointDistribution, kind: str) -> list[list[int]]:
+    """Blocks, ordered by lowest symbol, of the partition of Eve's alphabet
+    with the least objective: best[S] = min of phi[T] + best[S - T] over the
+    blocks T of S that hold S's lowest symbol, 3^|E| subset pairs in all.
+
+    The subsets are solved a popcount layer at a time, since S - T has fewer
+    symbols than S; each S keeps the first of its minimal blocks.
+    """
+    ne = dist.eve_alphabet
+    phi = _block_values(dist, kind)
+    best = np.zeros(1 << ne)
+    choice = np.zeros(1 << ne, dtype=int)
+    for subsets, blocks in _partition_layers(ne):
+        vals = phi[blocks - 1] + best[subsets[:, np.newaxis] ^ blocks]
+        first = vals.argmin(axis=1)
+        best[subsets] = vals[np.arange(subsets.size), first]
+        choice[subsets] = blocks[np.arange(subsets.size), first]
     blocks, s = [], (1 << ne) - 1
     while s:
         blocks.append([i for i in range(ne) if choice[s] >> i & 1])
-        s ^= choice[s]
+        s ^= int(choice[s])
     return blocks
 
 
 def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarray:
-    """Coordinate descent on channel rows; step halves when a sweep stalls."""
+    """Coordinate descent on channel rows; step halves when a sweep stalls.
+
+    A sweep tries the moves (e, f) in row-major order: row e becomes
+    (1 - step) * row + step at column f, and the move is kept if it lowers
+    the objective by more than 1e-15.  The moves still ahead are built from
+    the current channel and scored as one batch by `_objectives`; the first
+    that passes is taken, and the moves after it are scored again from the
+    new channel.  A move that leaves its row equal would re-score the
+    current channel, which can never pass, so it is skipped.  The result is
+    bit for bit that of scoring the moves one at a time.
+    """
     n = dist.parties
-    probs = dist.probs
-
-    def objective(mat: np.ndarray) -> float:
-        return _objective(probs @ mat, n, kind)
-
+    ne, nf = channel.shape
+    lift = (1,) * (n - 1) + (ne, nf)  # matmul pairs each trial with every (a_N, e) slice of probs
     mat = channel.copy()
-    best = objective(mat)
+    best = _objective(dist.probs @ mat, n, kind)
     step = REFINE_STEP
+    cols = np.arange(nf)
     for _ in range(REFINE_SWEEPS):
         gained = 0.0
-        for e in range(mat.shape[0]):
-            for f in range(mat.shape[1]):
-                saved = mat[e].copy()
-                mat[e] = (1.0 - step) * saved
-                mat[e, f] += step
-                val = objective(mat)
-                if val < best - 1e-15:
-                    gained += best - val
-                    best = val
-                else:
-                    mat[e] = saved
+        start = 0
+        while True:
+            rows = np.repeat((1.0 - step) * mat[:, np.newaxis, :], nf, axis=1)
+            rows[:, cols, cols] += step
+            rows = rows.reshape(-1, nf)  # row e * nf + f is row e after move (e, f)
+            changed = (rows != np.repeat(mat, nf, axis=0)).any(axis=1)
+            moves = start + np.flatnonzero(changed[start:])
+            if not moves.size:
+                break
+            trials = np.repeat(mat[np.newaxis], moves.size, axis=0)
+            trials[np.arange(moves.size), moves // nf] = rows[moves]
+            vals = _objectives(dist.probs @ trials.reshape((-1,) + lift), n, kind)
+            passed = np.flatnonzero(vals < best - 1e-15)
+            if not passed.size:
+                break
+            move, val = moves[passed[0]], float(vals[passed[0]])
+            gained += best - val
+            best = val
+            mat[move // nf] = rows[move]
+            start = move + 1
         if gained < REFINE_TOL:
             step *= 0.5
             if step < 1e-9:

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from scratch (plain loops, its own
 entropy code, a different partition enumerator) so that agreement with the
-package is meaningful.
+package is meaningful.  The channel-search references (`refine_loop`,
+`best_partition_loop`) are the exceptions: they run the package's own
+`_objective` and `_block_values` one move or one subset at a time, so that
+its batched search can be checked against them bit for bit.
 """
 
 import itertools
@@ -176,3 +179,68 @@ def triple_depolarized_ghz(nu: float) -> np.ndarray:
                 full[tuple(ket + bra)] += 0.5 * traced[r0, r1, c0, c1]
         rho = (1.0 - nu) * rho + nu * full.reshape(8, 8)
     return rho
+
+
+def refine_loop(dist, channel: np.ndarray, kind: str) -> np.ndarray:
+    """Coordinate descent on channel rows, scoring one trial move at a time."""
+    from ckabounds.secrecy import REFINE_STEP, REFINE_SWEEPS, REFINE_TOL, _objective
+
+    n = dist.parties
+    probs = dist.probs
+
+    def objective(mat: np.ndarray) -> float:
+        return _objective(probs @ mat, n, kind)
+
+    mat = channel.copy()
+    best = objective(mat)
+    step = REFINE_STEP
+    for _ in range(REFINE_SWEEPS):
+        gained = 0.0
+        for e in range(mat.shape[0]):
+            for f in range(mat.shape[1]):
+                saved = mat[e].copy()
+                mat[e] = (1.0 - step) * saved
+                mat[e, f] += step
+                val = objective(mat)
+                if val < best - 1e-15:
+                    gained += best - val
+                    best = val
+                else:
+                    mat[e] = saved
+        if gained < REFINE_TOL:
+            step *= 0.5
+            if step < 1e-9:
+                break
+    return mat
+
+
+def best_partition_loop(dist, kind: str) -> list[list[int]]:
+    """The set-partition DP over `_block_values`, one (subset, block) pair at a time.
+
+    best[S] = min of phi[T] + best[S - T] over the blocks T of S holding S's
+    lowest symbol, tried in descending submask order; the first strict
+    minimum wins.
+    """
+    from ckabounds.secrecy import _block_values
+
+    ne = dist.eve_alphabet
+    phi = _block_values(dist, kind).tolist()
+    best = [0.0] * (1 << ne)
+    choice = [0] * (1 << ne)
+    for s in range(1, 1 << ne):
+        low = s & -s
+        rest = s ^ low
+        best_val, best_block = math.inf, s
+        t = rest
+        for _ in range(1 << rest.bit_count()):
+            block = t | low
+            val = phi[block - 1] + best[s ^ block]
+            if val < best_val:
+                best_val, best_block = val, block
+            t = (t - 1) & rest
+        best[s], choice[s] = best_val, best_block
+    blocks, s = [], (1 << ne) - 1
+    while s:
+        blocks.append([i for i in range(ne) if choice[s] >> i & 1])
+        s ^= choice[s]
+    return blocks

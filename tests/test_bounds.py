@@ -197,6 +197,10 @@ class TestValidators:
         with pytest.raises(ValueError):
             noise_grid(0.0, 1.0, step)
 
+    def test_noise_grid_stops_before_one(self):
+        assert noise_grid(0.0, 1.0, 0.5) == [0.0, 0.5]
+        assert noise_grid(0.9, 1.0, 0.05) == [0.9, 0.95]
+
     def test_noise_grid_rejects_nan_step(self):
         with pytest.raises(ValueError, match="invalid grid"):
             noise_grid(0.0, 0.13, math.nan)

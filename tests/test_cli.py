@@ -61,6 +61,12 @@ class TestCurvesCommand:
         names = {name for _, _, name in read_rows(out)}
         assert "intrinsic_min" in names and "dual_min" in names
 
+    def test_grid_up_to_one_stops_before_it(self, tmp_path):
+        out = tmp_path / "one.csv"
+        assert main(["curves", "--nu-min", "0", "--nu-max", "1", "--nu-step", "0.5",
+                     "--out", str(out)]) == 0
+        assert sorted({nu for nu, _, _ in read_rows(out)}) == [0.0, 0.5]
+
     def test_invalid_grid_exits_one(self, tmp_path, capsys):
         code = main(["curves", "--nu-min", "0.5", "--nu-max", "0.1",
                      "--out", str(tmp_path / "x.csv")])

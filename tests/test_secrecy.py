@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from ckabounds.attacks import build_cc_attack
+from ckabounds.bounds import default_grid
 from ckabounds.partitions import partitions_as_masks
 from ckabounds.secrecy import (ClassicalChannel, JointDistribution, SearchBudget,
-                               _best_partition, _block_values, apply_channel,
+                               _best_partition, _block_values, _objective, _objectives,
+                               _refine, apply_channel,
                                continuity_envelope, distribution_from_csv,
                                distribution_to_csv, dual_intrinsic, g,
                                intrinsic_information, s_n, shannon_cmi,
@@ -212,6 +214,85 @@ class TestBestPartition:
         assert value == pytest.approx(brute, abs=1e-12)
         channel = ClassicalChannel.from_partition(blocks, 9)
         assert OBJECTIVES[kind](apply_channel(dist, channel)) == pytest.approx(value, abs=1e-12)
+
+
+def sparse_joint(rng, alphabets, eve):
+    """A random joint with about 40% zero entries, so rows keep uneven entry counts."""
+    raw = rng.random(tuple(alphabets) + (eve,)) ** 3
+    raw[rng.random(raw.shape) < 0.4] = 0.0
+    raw.flat[0] += 1e-3
+    return JointDistribution(tuple(alphabets), eve, raw / raw.sum())
+
+
+def random_shape(rng):
+    n = int(rng.integers(2, 5))
+    return tuple(int(a) for a in rng.integers(1, 4, size=n)), int(rng.integers(1, 7))
+
+
+def dp_start(dist, kind):
+    return ClassicalChannel.from_partition(_best_partition(dist, kind), dist.eve_alphabet).matrix.copy()
+
+
+# About 12 points from each benchmark grid: curves_min's default grid, and
+# curves_min_high_noise's 0.3..0.9 grid (step 0.025), where refinement takes
+# moves at 0.525 and 0.55 (both objectives) and 0.6 and 0.625 (cmi).
+BENCH_POINTS = default_grid()[::5] + [0.3, 0.35, 0.425, 0.525, 0.55, 0.6, 0.625,
+                                      0.65, 0.7, 0.8, 0.85, 0.9]
+
+
+class TestBatchedSearch:
+    """The batched scorer, refinement and DP against the one-at-a-time loops, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["cmi", "sn"])
+    def test_objectives_rows_match_single_tables(self, rng, kind):
+        for _ in range(20):
+            alphabets, ne = random_shape(rng)
+            dist = sparse_joint(rng, alphabets, ne)
+            mats = rng.random((6, ne, ne))
+            mats[rng.random(mats.shape) < 0.3] = 0.0
+            stack = np.stack([dist.probs] + [dist.probs @ m for m in mats])
+            vals = _objectives(stack, len(alphabets), kind)
+            for k in range(stack.shape[0]):
+                assert vals[k] == _objective(stack[k], len(alphabets), kind)
+
+    @pytest.mark.parametrize("nu", BENCH_POINTS)
+    def test_refine_matches_loop_on_bench_grids(self, nu):
+        dist = build_cc_attack(nu).joint
+        for kind in ("cmi", "sn"):
+            start = dp_start(dist, kind)
+            got = _refine(dist, start, kind)
+            assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
+
+    def test_refine_takes_moves_at_high_noise(self):
+        dist = build_cc_attack(0.55).joint
+        start = dp_start(dist, "sn")
+        assert not np.array_equal(_refine(dist, start, "sn"), start)
+
+    @pytest.mark.parametrize("kind", ["cmi", "sn"])
+    def test_refine_matches_loop_on_sparse_tables(self, rng, kind):
+        for i in range(8):
+            alphabets, ne = random_shape(rng)
+            dist = sparse_joint(rng, alphabets, ne)
+            start = dp_start(dist, kind)
+            if i % 2:  # a stochastic start: rows with no skipped move
+                start = rng.random((ne, int(rng.integers(1, 4))))
+                start /= start.sum(axis=1, keepdims=True)
+            got = _refine(dist, start, kind)
+            assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
+
+    @pytest.mark.parametrize("kind", ["cmi", "sn"])
+    def test_best_partition_matches_loop(self, rng, kind):
+        for nu in BENCH_POINTS:
+            dist = build_cc_attack(nu).joint
+            assert _best_partition(dist, kind) == oracles.best_partition_loop(dist, kind)
+        for i in range(30):
+            alphabets, _ = random_shape(rng)
+            dist = sparse_joint(rng, alphabets, int(rng.integers(1, 9)))
+            if i % 3 == 0:  # coarse entries make ties between partitions
+                probs = np.round(dist.probs * 4) + 0.0
+                probs.flat[0] += 1.0
+                dist = JointDistribution(dist.party_alphabets, dist.eve_alphabet, probs / probs.sum())
+            assert _best_partition(dist, kind) == oracles.best_partition_loop(dist, kind)
 
 
 class TestIntrinsicInformation:
