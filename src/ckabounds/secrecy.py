@@ -176,10 +176,8 @@ def _plan(n_parties: int, kind: str):
     return axes, groups, merged
 
 
-def _objective(p: np.ndarray, n_parties: int, kind: str) -> float:
-    """Monotone `kind` of a raw array with party axes first and Eve's last."""
-    axes, groups, _ = _plan(n_parties, kind)
-    h = [entropy_bits(p.sum(axis=a)) for a in axes]
+def _combine(h, groups):
+    """sum_X c_X * h[X], group by group in `_plan` order; h[X] are floats or arrays."""
     total = 0.0
     for group in groups:
         part = 0.0
@@ -187,6 +185,12 @@ def _objective(p: np.ndarray, n_parties: int, kind: str) -> float:
             part += c * h[i]
         total += part
     return total
+
+
+def _objective(p: np.ndarray, n_parties: int, kind: str) -> float:
+    """Monotone `kind` of a raw array with party axes first and Eve's last."""
+    axes, groups, _ = _plan(n_parties, kind)
+    return _combine([entropy_bits(p.sum(axis=a)) for a in axes], groups)
 
 
 def _row_entropies(marginals: Sequence[np.ndarray]) -> np.ndarray:
@@ -212,20 +216,14 @@ def _row_entropies(marginals: Sequence[np.ndarray]) -> np.ndarray:
 def _objectives(stack: np.ndarray, n_parties: int, kind: str) -> np.ndarray:
     """`_objective` of every table stack[k], bit for bit, in one batch.
 
-    The axis sums, logarithms and group totals are those of `_objective`,
-    done for the whole stack at once; `_row_entropies` adds each row in the
-    order `entropy_bits` does.
+    The axis sums, logarithms and `_combine` are those of `_objective`, done
+    for the whole stack at once; `_row_entropies` adds each row in the order
+    `entropy_bits` does.
     """
     axes, groups, _ = _plan(n_parties, kind)
     k = stack.shape[0]
-    h = _row_entropies([stack.sum(axis=tuple(j + 1 for j in a)).reshape(k, -1) for a in axes])
-    total = np.zeros(k)
-    for group in groups:
-        part = np.zeros(k)
-        for i, c in group:
-            part += c * h[i]
-        total += part
-    return total
+    return _combine(_row_entropies(
+        [stack.sum(axis=tuple(j + 1 for j in a)).reshape(k, -1) for a in axes]), groups)
 
 
 def shannon_cmi(dist: JointDistribution) -> float:
