@@ -18,9 +18,12 @@ optionally refines it by coordinate descent over stochastic channels with
 as many outputs as the deterministic optimum has blocks.  Each sweep of
 the descent scores the moves still ahead as one batch (`_objectives`),
 skips the moves that leave their row unchanged, and takes the first move
-that gains, so it ends at the same matrix, bit for bit, as trying the
-moves one at a time.  Restricting the output alphabet this way (so
-|F| <= |E|) is a standard sufficiency heuristic, not a theorem, so
+that gains.  Until a move is taken the channel is still the partition, so
+once sweep 0 stalls every later sweep, at step/2, step/4, ..., is known
+and the whole halving ladder is scored as one batch.  Each trial is scored
+as it would be alone, so the descent ends at the same matrix, bit for bit,
+as trying the moves one at a time.  Restricting the output alphabet this
+way (so |F| <= |E|) is a standard sufficiency heuristic, not a theorem, so
 reported values are upper bounds on the true infimum.
 """
 
@@ -346,38 +349,69 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarr
     the current channel and scored as one batch by `_objectives`; the first
     that passes is taken, and the moves after it are scored again from the
     new channel.  A move that leaves its row equal would re-score the
-    current channel, which can never pass, so it is skipped.  The result is
-    bit for bit that of scoring the moves one at a time.
+    current channel, which can never pass, so it is skipped.
+
+    If sweep 0 takes no move, the channel cannot change until one passes,
+    so every sweep still allowed runs on the same matrix at step/2, step/4,
+    ... down to 1e-9: that halving ladder is scored as one batch, in
+    (sweep, e, f) order, and the loop resumes after its first passing move,
+    or stops if none passes.  Each trial is one row of `_objectives`, scored
+    as it would be alone, so the result is bit for bit that of scoring the
+    moves one at a time.
     """
     n = dist.parties
     ne, nf = channel.shape
     lift = (1,) * (n - 1) + (ne, nf)  # matmul pairs each trial with every (a_N, e) slice of probs
+    cols = np.arange(nf)
     mat = channel.copy()
     best = _objective(dist.probs @ mat, n, kind)
+
+    def first_pass(steps: np.ndarray, start: int):
+        """(k, move, row, value) of the first move from the current `mat` that
+        beats `best`, in order of step k and then move = e * nf + f, the moves
+        at steps[0] tried from `start` on; or None."""
+        rows = np.repeat((1.0 - steps)[:, np.newaxis, np.newaxis, np.newaxis]
+                         * mat[:, np.newaxis, :], nf, axis=2)
+        rows[:, :, cols, cols] += steps[:, np.newaxis, np.newaxis]
+        rows = rows.reshape(steps.size, -1, nf)  # row e * nf + f is row e after move (e, f)
+        changed = (rows != np.repeat(mat, nf, axis=0)).any(axis=2)
+        changed[0, :start] = False
+        ks, moves = np.nonzero(changed)
+        if not moves.size:
+            return None
+        trials = np.repeat(mat[np.newaxis], moves.size, axis=0)
+        trials[np.arange(moves.size), moves // nf] = rows[ks, moves]
+        vals = _objectives(dist.probs @ trials.reshape((-1,) + lift), n, kind)
+        passed = np.flatnonzero(vals < best - 1e-15)
+        if not passed.size:
+            return None
+        i = passed[0]
+        return ks[i], moves[i], rows[ks[i], moves[i]], float(vals[i])
+
     step = REFINE_STEP
-    cols = np.arange(nf)
-    for _ in range(REFINE_SWEEPS):
+    sweep = 0
+    moved = False
+    while sweep < REFINE_SWEEPS:
+        ladder = sweep == 1 and not moved  # the sweeps ahead of an untouched start
+        steps = np.array([step])
+        if ladder:
+            steps = np.ldexp(step, -np.arange(REFINE_SWEEPS - 1))
+            steps = steps[steps >= 1e-9]
         gained = 0.0
         start = 0
-        while True:
-            rows = np.repeat((1.0 - step) * mat[:, np.newaxis, :], nf, axis=1)
-            rows[:, cols, cols] += step
-            rows = rows.reshape(-1, nf)  # row e * nf + f is row e after move (e, f)
-            changed = (rows != np.repeat(mat, nf, axis=0)).any(axis=1)
-            moves = start + np.flatnonzero(changed[start:])
-            if not moves.size:
-                break
-            trials = np.repeat(mat[np.newaxis], moves.size, axis=0)
-            trials[np.arange(moves.size), moves // nf] = rows[moves]
-            vals = _objectives(dist.probs @ trials.reshape((-1,) + lift), n, kind)
-            passed = np.flatnonzero(vals < best - 1e-15)
-            if not passed.size:
-                break
-            move, val = moves[passed[0]], float(vals[passed[0]])
+        while (found := first_pass(steps, start)) is not None:
+            k, move, row, val = found
+            sweep += int(k)
+            step = float(steps[k])
+            steps = np.array([step])
             gained += best - val
             best = val
-            mat[move // nf] = rows[move]
+            mat[move // nf] = row
             start = move + 1
+            moved = True
+        if ladder and not moved:
+            break
+        sweep += 1
         if gained < REFINE_TOL:
             step *= 0.5
             if step < 1e-9:

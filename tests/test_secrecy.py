@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ckabounds import secrecy
 from ckabounds.attacks import build_cc_attack
 from ckabounds.bounds import default_grid
 from ckabounds.partitions import partitions_as_masks
@@ -233,11 +234,40 @@ def dp_start(dist, kind):
     return ClassicalChannel.from_partition(_best_partition(dist, kind), dist.eve_alphabet).matrix.copy()
 
 
-# About 12 points from each benchmark grid: curves_min's default grid, and
+# About 14 points from each benchmark grid: curves_min's default grid, and
 # curves_min_high_noise's 0.3..0.9 grid (step 0.025), where refinement takes
-# moves at 0.525 and 0.55 (both objectives) and 0.6 and 0.625 (cmi).
-BENCH_POINTS = default_grid()[::5] + [0.3, 0.35, 0.425, 0.525, 0.55, 0.6, 0.625,
-                                      0.65, 0.7, 0.8, 0.85, 0.9]
+# moves in 14 of the 50 searches: at 0.45 to 0.575 (both objectives) and at
+# 0.6 and 0.625 (cmi).
+BENCH_POINTS = default_grid()[::5] + [0.3, 0.35, 0.425, 0.45, 0.475, 0.525, 0.55, 0.6,
+                                      0.625, 0.65, 0.7, 0.8, 0.85, 0.9]
+
+
+def loop_and_first_move(dist, start, kind, monkeypatch):
+    """The oracle loop's result, and the sweep of the first move it takes or
+    None: the least k such that the loop capped at k + 1 sweeps moves."""
+    want = oracles.refine_loop(dist, start, kind)
+    if np.array_equal(want, start):
+        return want, None
+    k = 0
+    while True:
+        monkeypatch.setattr(secrecy, "REFINE_SWEEPS", k + 1)
+        if not np.array_equal(oracles.refine_loop(dist, start, kind), start):
+            monkeypatch.undo()
+            return want, k
+        k += 1
+
+
+def count_objectives(monkeypatch):
+    """Wrap `secrecy._objectives`; the returned list gets the rows of each call."""
+    rows = []
+    batch = secrecy._objectives
+
+    def counted(stack, n_parties, kind):
+        rows.append(stack.shape[0])
+        return batch(stack, n_parties, kind)
+
+    monkeypatch.setattr(secrecy, "_objectives", counted)
+    return rows
 
 
 class TestBatchedSearch:
@@ -279,6 +309,59 @@ class TestBatchedSearch:
                 start /= start.sum(axis=1, keepdims=True)
             got = _refine(dist, start, kind)
             assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
+
+    @pytest.mark.parametrize("nu, kind, sweep", [(0.45, "cmi", 3), (0.45, "sn", 3),
+                                                 (0.475, "cmi", 1), (0.475, "sn", 1),
+                                                 (0.525, "cmi", 1)])
+    def test_ladder_pass_resumes_the_loop(self, monkeypatch, nu, kind, sweep):
+        dist = build_cc_attack(nu).joint
+        start = dp_start(dist, kind)
+        want, first = loop_and_first_move(dist, start, kind, monkeypatch)
+        assert first == sweep
+        assert _refine(dist, start, kind).tobytes() == want.tobytes()
+
+    def test_ladder_matches_loop_on_sparse_tables(self, rng, monkeypatch):
+        firsts = []
+        for i in range(8):
+            kind = ("cmi", "sn")[i % 2]
+            alphabets, ne = random_shape(rng)
+            dist = sparse_joint(rng, alphabets, ne)
+            start = dp_start(dist, kind)
+            want, first = loop_and_first_move(dist, start, kind, monkeypatch)
+            assert _refine(dist, start, kind).tobytes() == want.tobytes()
+            firsts.append(first)
+        assert any(k is not None and k >= 2 for k in firsts)
+
+    @pytest.mark.parametrize("sweeps", [1, 2, 3])
+    def test_refine_matches_loop_under_a_sweep_cap(self, rng, monkeypatch, sweeps):
+        monkeypatch.setattr(secrecy, "REFINE_SWEEPS", sweeps)  # the oracle reads it at call time
+        tables = [build_cc_attack(nu).joint for nu in (0.45, 0.475, 0.525, 0.55)]
+        for _ in range(8):
+            alphabets, ne = random_shape(rng)
+            tables.append(sparse_joint(rng, alphabets, ne))
+        for dist in tables:
+            for kind in ("cmi", "sn"):
+                start = dp_start(dist, kind)
+                got = _refine(dist, start, kind)
+                assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
+
+    @pytest.mark.parametrize("kind", ["cmi", "sn"])
+    def test_untouched_start_scores_its_ladder_in_one_batch(self, monkeypatch, kind):
+        rows = count_objectives(monkeypatch)
+        dist = build_cc_attack(0.05).joint
+        start = dp_start(dist, kind)
+        assert np.array_equal(_refine(dist, start, kind), start)
+        assert rows == [18, 504]  # sweep 0, then sweeps 1..28 at 18 moves each
+        rows.clear()
+        dist = build_cc_attack(0.0).joint
+        start = dp_start(dist, kind)
+        assert start.shape[1] == 1
+        assert np.array_equal(_refine(dist, start, kind), start)
+        assert rows == []
+        dist = build_cc_attack(0.55).joint
+        start = dp_start(dist, kind)
+        got = _refine(dist, start, kind)
+        assert rows and got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
 
     @pytest.mark.parametrize("kind", ["cmi", "sn"])
     def test_best_partition_matches_loop(self, rng, kind):
