@@ -15,16 +15,18 @@ deterministic channel (set partition of the Eve alphabet, of at most
 EXHAUSTIVE_LIMIT symbols) exactly, by a dynamic program over subsets of
 the alphabet in O(3^|E|) steps, solved one popcount layer at a time, and
 optionally refines it by coordinate descent over stochastic channels with
-as many outputs as the deterministic optimum has blocks.  Each sweep of
-the descent scores the moves still ahead as one batch (`_objectives`),
-skips the moves that leave their row unchanged, and takes the first move
-that gains.  Until a move is taken the channel is still the partition, so
-once sweep 0 stalls every later sweep, at step/2, step/4, ..., is known
-and the whole halving ladder is scored as one batch.  Each trial is scored
-as it would be alone, so the descent ends at the same matrix, bit for bit,
-as trying the moves one at a time.  Restricting the output alphabet this
-way (so |F| <= |E|) is a standard sufficiency heuristic, not a theorem, so
-reported values are upper bounds on the true infimum.
+as many outputs as the deterministic optimum has blocks.  The descent
+scores its trial moves in batches (`_objectives`), all from the current
+channel, skips the moves that leave their row unchanged, and takes the
+first move that gains.  A batch holds the moves still ahead in this sweep
+and those of the next sweep, whose step is already known; after a batch
+with no gain the channel cannot change until a move passes, so every later
+sweep, at step/2, step/4, ..., is known and that halving ladder is the next
+batch.  Each trial is scored as it would be alone, so the descent ends at
+the same matrix, bit for bit, as trying the moves one at a time.
+Restricting the output alphabet this way (so |F| <= |E|) is a standard
+sufficiency heuristic, not a theorem, so reported values are upper bounds
+on the true infimum.
 """
 
 from __future__ import annotations
@@ -345,19 +347,21 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarr
 
     A sweep tries the moves (e, f) in row-major order: row e becomes
     (1 - step) * row + step at column f, and the move is kept if it lowers
-    the objective by more than 1e-15.  The moves still ahead are built from
-    the current channel and scored as one batch by `_objectives`; the first
-    that passes is taken, and the moves after it are scored again from the
-    new channel.  A move that leaves its row equal would re-score the
-    current channel, which can never pass, so it is skipped.
+    the objective by more than 1e-15.  A move that leaves its row equal
+    would re-score the current channel, which can never pass, so it is
+    skipped.
 
-    If sweep 0 takes no move, the channel cannot change until one passes,
-    so every sweep still allowed runs on the same matrix at step/2, step/4,
-    ... down to 1e-9: that halving ladder is scored as one batch, in
-    (sweep, e, f) order, and the loop resumes after its first passing move,
-    or stops if none passes.  Each trial is one row of `_objectives`, scored
-    as it would be alone, so the result is bit for bit that of scoring the
-    moves one at a time.
+    The trials are scored in batches by `_objectives`, all from the current
+    channel, and the first that passes, in (sweep, e, f) order, is taken.  A
+    batch holds the moves still ahead in this sweep and every move of the
+    next, whose step is known: it stays if this sweep has gained REFINE_TOL
+    bits and halves otherwise; at the same step, the next sweep's moves from
+    the current one on repeat trials of this batch and are dropped.  After
+    a batch with no passing move, every sweep still allowed runs on the same
+    matrix at step/2, step/4, ... down to 1e-9, and that halving ladder is
+    the next batch; the descent ends if it has no passing move either.  Each
+    trial is one row of `_objectives`, scored as it would be alone, so the
+    result is bit for bit that of scoring the moves one at a time.
     """
     n = dist.parties
     ne, nf = channel.shape
@@ -366,16 +370,18 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarr
     mat = channel.copy()
     best = _objective(dist.probs @ mat, n, kind)
 
-    def first_pass(steps: np.ndarray, start: int):
+    def first_pass(steps: np.ndarray, start: int, stop: int):
         """(k, move, row, value) of the first move from the current `mat` that
         beats `best`, in order of step k and then move = e * nf + f, the moves
-        at steps[0] tried from `start` on; or None."""
+        at steps[0] tried from `start` on and those at later steps before
+        `stop`; or None."""
         rows = np.repeat((1.0 - steps)[:, np.newaxis, np.newaxis, np.newaxis]
                          * mat[:, np.newaxis, :], nf, axis=2)
         rows[:, :, cols, cols] += steps[:, np.newaxis, np.newaxis]
-        rows = rows.reshape(steps.size, -1, nf)  # row e * nf + f is row e after move (e, f)
+        rows = rows.reshape(steps.size, ne * nf, nf)  # row e * nf + f is row e after move (e, f)
         changed = (rows != np.repeat(mat, nf, axis=0)).any(axis=2)
-        changed[0, :start] = False
+        changed[:1, :start] = False
+        changed[1:, stop:] = False
         ks, moves = np.nonzero(changed)
         if not moves.size:
             return None
@@ -389,33 +395,38 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarr
         return ks[i], moves[i], rows[ks[i], moves[i]], float(vals[i])
 
     step = REFINE_STEP
-    sweep = 0
-    moved = False
-    while sweep < REFINE_SWEEPS:
-        ladder = sweep == 1 and not moved  # the sweeps ahead of an untouched start
-        steps = np.array([step])
+    sweep = 0  # the sweep the next batch starts in, `gained` and `start` its own
+    gained = 0.0
+    start = 0
+    ladder = False
+    while True:
         if ladder:
-            steps = np.ldexp(step, -np.arange(REFINE_SWEEPS - 1))
-            steps = steps[steps >= 1e-9]
-        gained = 0.0
-        start = 0
-        while (found := first_pass(steps, start)) is not None:
-            k, move, row, val = found
+            steps = np.ldexp(step, -np.arange(REFINE_SWEEPS - sweep))
+            steps, stop = steps[steps >= 1e-9], ne * nf
+        else:
+            ahead = step if gained >= REFINE_TOL else 0.5 * step
+            steps = np.array([step, ahead] if ahead >= 1e-9 else [step])[:REFINE_SWEEPS - sweep]
+            stop = start if ahead == step else ne * nf
+        found = first_pass(steps, start, stop)
+        if found is None:
+            if ladder or steps.size < 2:
+                break
+            sweep += 2
+            step = 0.5 * float(steps[1])
+            gained = 0.0
+            start = 0
+            ladder = True
+            continue
+        k, move, row, val = found
+        if k:
             sweep += int(k)
             step = float(steps[k])
-            steps = np.array([step])
-            gained += best - val
-            best = val
-            mat[move // nf] = row
-            start = move + 1
-            moved = True
-        if ladder and not moved:
-            break
-        sweep += 1
-        if gained < REFINE_TOL:
-            step *= 0.5
-            if step < 1e-9:
-                break
+            gained = 0.0
+        gained += best - val
+        best = val
+        mat[move // nf] = row
+        start = move + 1
+        ladder = False
     return mat
 
 

@@ -181,8 +181,12 @@ def triple_depolarized_ghz(nu: float) -> np.ndarray:
     return rho
 
 
-def refine_loop(dist, channel: np.ndarray, kind: str) -> np.ndarray:
-    """Coordinate descent on channel rows, scoring one trial move at a time."""
+def refine_loop(dist, channel: np.ndarray, kind: str, taken=None) -> np.ndarray:
+    """Coordinate descent on channel rows, scoring one trial move at a time.
+
+    If `taken` is a list, (sweep, e * n_out + f, step) of each kept move
+    (e, f) is appended to it.
+    """
     from ckabounds.secrecy import REFINE_STEP, REFINE_SWEEPS, REFINE_TOL, _objective
 
     n = dist.parties
@@ -194,7 +198,7 @@ def refine_loop(dist, channel: np.ndarray, kind: str) -> np.ndarray:
     mat = channel.copy()
     best = objective(mat)
     step = REFINE_STEP
-    for _ in range(REFINE_SWEEPS):
+    for sweep in range(REFINE_SWEEPS):
         gained = 0.0
         for e in range(mat.shape[0]):
             for f in range(mat.shape[1]):
@@ -205,6 +209,8 @@ def refine_loop(dist, channel: np.ndarray, kind: str) -> np.ndarray:
                 if val < best - 1e-15:
                     gained += best - val
                     best = val
+                    if taken is not None:
+                        taken.append((sweep, e * mat.shape[1] + f, step))
                 else:
                     mat[e] = saved
         if gained < REFINE_TOL:

@@ -6,13 +6,16 @@ Examples are derandomized and few, so runs are repeatable and quick.
 import io
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
+from ckabounds import secrecy
 from ckabounds.attacks import build_cc_attack, eve_postprocess
-from ckabounds.secrecy import (JointDistribution, distribution_from_csv,
-                               distribution_to_csv, dual_intrinsic,
-                               intrinsic_information, s_n, shannon_cmi)
+from ckabounds.secrecy import (ClassicalChannel, JointDistribution, _best_partition,
+                               _refine, distribution_from_csv, distribution_to_csv,
+                               dual_intrinsic, intrinsic_information, s_n, shannon_cmi)
 
 FEW = settings(derandomize=True, deadline=None, max_examples=8, database=None)
 MANY = settings(FEW, max_examples=60)
@@ -26,6 +29,39 @@ def joint_distributions(draw):
     raw = draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
     assume(raw.sum() > 1e-6)
     return JointDistribution(shape[:-1], shape[-1], raw / raw.sum())
+
+
+@st.composite
+def refine_inputs(draw):
+    """A sparse table, an objective and a start channel for `_refine`.
+
+    Two or three parties with alphabets 2..3 and an Eve alphabet 2..5; the
+    entries come from a seeded generator, about 40% of them 0, so rows keep
+    uneven entry counts.  The start is the DP partition or, so that most
+    examples take moves, a random channel with 2..3 outputs.
+    """
+    parties = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+    shape = tuple(parties) + (draw(st.integers(2, 5)),)
+    kind = draw(st.sampled_from(["cmi", "sn"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    raw = rng.random(shape) ** 3
+    raw[rng.random(shape) < 0.4] = 0.0
+    raw.flat[0] += 1e-3
+    dist = JointDistribution(shape[:-1], shape[-1], raw / raw.sum())
+    if draw(st.booleans()):
+        return dist, kind, ClassicalChannel.from_partition(_best_partition(dist, kind), shape[-1]).matrix
+    start = rng.random((shape[-1], draw(st.integers(2, 3))))
+    return dist, kind, start / start.sum(axis=1, keepdims=True)
+
+
+@settings(FEW, max_examples=20)
+@given(inputs=refine_inputs(), sweeps=st.integers(1, 6))
+def test_refine_matches_the_one_move_loop(inputs, sweeps):
+    dist, kind, start = inputs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(secrecy, "REFINE_SWEEPS", sweeps)  # both read it at call time
+        got = _refine(dist, start, kind)
+        assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
 
 
 @FEW

@@ -270,6 +270,28 @@ def count_objectives(monkeypatch):
     return rows
 
 
+def look_ahead_branches(taken, moves, sweeps):
+    """The branches of `_refine`'s batching that the oracle's kept moves
+    (sweep, move, step) force, with `moves` moves a sweep and `sweeps` the cap.
+
+    The batch after a kept move a holds the rest of a's sweep and the next
+    sweep, so where the next kept move b lies tells which part found it.
+    """
+    found = set()
+    for (s1, m1, t1), (s2, _, t2) in zip(taken, taken[1:]):
+        if s2 == s1 + 1 and t2 == t1 and m1 + 1 < moves:
+            found.add("look-ahead at the same step")  # its moves from m1 + 1 on were dropped
+        if s2 == s1 + 1 and t2 == t1 / 2:
+            found.add("look-ahead at a halved step")
+        if m1 == moves - 1:
+            found.add("nothing left ahead")
+        if s2 >= s1 + 2:
+            found.add("ladder after a look-ahead")
+    if taken and taken[-1][0] == sweeps - 1:
+        found.add("look-ahead cut by the cap")
+    return found
+
+
 class TestBatchedSearch:
     """The batched scorer, refinement and DP against the one-at-a-time loops, bit for bit."""
 
@@ -346,12 +368,12 @@ class TestBatchedSearch:
                 assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
 
     @pytest.mark.parametrize("kind", ["cmi", "sn"])
-    def test_untouched_start_scores_its_ladder_in_one_batch(self, monkeypatch, kind):
+    def test_untouched_start_scores_two_sweeps_then_its_ladder(self, monkeypatch, kind):
         rows = count_objectives(monkeypatch)
         dist = build_cc_attack(0.05).joint
         start = dp_start(dist, kind)
         assert np.array_equal(_refine(dist, start, kind), start)
-        assert rows == [18, 504]  # sweep 0, then sweeps 1..28 at 18 moves each
+        assert rows == [36, 486]  # sweeps 0 and 1, then sweeps 2..28, at 18 moves each
         rows.clear()
         dist = build_cc_attack(0.0).joint
         start = dp_start(dist, kind)
@@ -362,6 +384,36 @@ class TestBatchedSearch:
         start = dp_start(dist, kind)
         got = _refine(dist, start, kind)
         assert rows and got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
+
+    @pytest.mark.parametrize("nu, kind, calls, trials", [(0.45, "cmi", 265, 6986),
+                                                         (0.45, "sn", 260, 6936),
+                                                         (0.5, "cmi", 209, 5961),
+                                                         (0.5, "sn", 213, 7466)])
+    def test_look_ahead_call_counts_at_high_noise(self, monkeypatch, nu, kind, calls, trials):
+        # about one batch per kept move: these searches keep 261, 256, 205 and
+        # 206 moves, and each batch after a move also holds the next sweep
+        rows = count_objectives(monkeypatch)
+        dist = build_cc_attack(nu).joint
+        start = dp_start(dist, kind)
+        got = _refine(dist, start, kind)
+        assert (len(rows), sum(rows)) == (calls, trials)
+        assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
+
+    @pytest.mark.parametrize("branch, nu, kind, sweeps", [
+        ("look-ahead at the same step", 0.55, "cmi", 2),
+        ("look-ahead at a halved step", 0.5, "cmi", 21),
+        ("nothing left ahead", 0.625, "cmi", 2),
+        ("ladder after a look-ahead", 0.55, "cmi", 5),
+        ("look-ahead cut by the cap", 0.575, "sn", 3),
+    ])
+    def test_look_ahead_branch_matches_loop(self, monkeypatch, branch, nu, kind, sweeps):
+        monkeypatch.setattr(secrecy, "REFINE_SWEEPS", sweeps)
+        dist = build_cc_attack(nu).joint
+        start = dp_start(dist, kind)
+        taken = []
+        want = oracles.refine_loop(dist, start, kind, taken)
+        assert branch in look_ahead_branches(taken, start.size, sweeps)
+        assert _refine(dist, start, kind).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["cmi", "sn"])
     def test_best_partition_matches_loop(self, rng, kind):
