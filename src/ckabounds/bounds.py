@@ -72,7 +72,11 @@ def noise_grid(lo: float, hi: float, step: float) -> list[float]:
     if span >= MAX_GRID_POINTS:
         raise ValueError(f"invalid grid: more than {MAX_GRID_POINTS} points")
     points = (round(lo + i * step, 12) for i in range(int(math.floor(span)) + 1))
-    return [nu for nu in points if nu < 1.0]
+    grid = [nu for nu in points if nu < 1.0]
+    if len(set(grid)) < len(grid):
+        raise ValueError(f"invalid grid: points collide after rounding to 12 decimals "
+                         f"(nu_step {step})")
+    return grid
 
 
 def default_grid() -> list[float]:

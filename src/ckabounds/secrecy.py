@@ -14,19 +14,16 @@ corresponding intrinsic-information value.  The search finds the best
 deterministic channel (set partition of the Eve alphabet, of at most
 EXHAUSTIVE_LIMIT symbols) exactly, by a dynamic program over subsets of
 the alphabet in O(3^|E|) steps, solved one popcount layer at a time, and
-optionally refines it by coordinate descent over stochastic channels with
-as many outputs as the deterministic optimum has blocks.  The descent
-scores its trial moves in batches (`_objectives`), all from the current
-channel, skips the moves that leave their row unchanged, and takes the
-first move that gains.  A batch holds the moves still ahead in this sweep
-and those of the next sweep, whose step is already known; after a batch
-with no gain the channel cannot change until a move passes, so every later
-sweep, at step/2, step/4, ..., is known and that halving ladder is the next
-batch.  Each trial is scored as it would be alone, so the descent ends at
-the same matrix, bit for bit, as trying the moves one at a time.
+optionally refines it by coordinate descent (`_refine`) over stochastic
+channels with as many outputs as the deterministic optimum has blocks.
 Restricting the output alphabet this way (so |F| <= |E|) is a standard
 sufficiency heuristic, not a theorem, so reported values are upper bounds
 on the true infimum.
+
+The descent screens its moves with the column-additive value -sum c_r p log2 p over the
+entries p = (Q L)[r, f], Q the stacked subset marginals P_X(x_X, e) and c_r the c_X of
+row r: moving row e of L by delta adds the rank-one Q[:, e] delta to Q L.  Only the
+trials within MARGIN (`_screen_bound`) of passing, or near PROB_FLOOR, are scored exactly.
 """
 
 from __future__ import annotations
@@ -47,6 +44,7 @@ EXHAUSTIVE_LIMIT = 10  # Eve symbols the channel search takes
 REFINE_SWEEPS = 200
 REFINE_STEP = 0.5
 REFINE_TOL = 1e-9
+MARGIN = 1e-12  # bits: `_screen_bound` of the attack's tables, rounded up
 
 CSV_MAX_ENTRIES = 1 << 20  # distribution CSV tables; 8 MiB of float64
 
@@ -181,8 +179,10 @@ def _plan(n_parties: int, kind: str):
     return axes, groups, merged
 
 
-def _combine(h, groups):
-    """sum_X c_X * h[X], group by group in `_plan` order; h[X] are floats or arrays."""
+def _objective(p: np.ndarray, n_parties: int, kind: str) -> float:
+    """Monotone `kind`, sum_X c_X H(X, E) group by group, of a table with Eve's axis last."""
+    axes, groups, _ = _plan(n_parties, kind)
+    h = [entropy_bits(p.sum(axis=a)) for a in axes]
     total = 0.0
     for group in groups:
         part = 0.0
@@ -190,45 +190,6 @@ def _combine(h, groups):
             part += c * h[i]
         total += part
     return total
-
-
-def _objective(p: np.ndarray, n_parties: int, kind: str) -> float:
-    """Monotone `kind` of a raw array with party axes first and Eve's last."""
-    axes, groups, _ = _plan(n_parties, kind)
-    return _combine([entropy_bits(p.sum(axis=a)) for a in axes], groups)
-
-
-def _row_entropies(marginals: Sequence[np.ndarray]) -> np.ndarray:
-    """Entropy in bits of row k of each (K, m) marginal i, as h[i, k].
-
-    Each row gives the bits `entropy_bits` gives for it alone: the entries
-    above PROB_FLOOR are kept, and the rows that keep the same number of
-    entries are summed as one (rows, count) array along axis 1, which adds
-    every row in the order a 1-D sum does.
-    """
-    keep = [m > PROB_FLOOR for m in marginals]
-    kept = np.concatenate([m[k] for m, k in zip(marginals, keep)])
-    terms = kept * np.log2(kept)
-    counts = np.concatenate([k.sum(axis=1) for k in keep])
-    starts = np.cumsum(counts) - counts
-    h = np.zeros(counts.size)
-    for c in np.flatnonzero(np.bincount(counts)[1:]) + 1:
-        sel = counts == c
-        h[sel] = -terms[starts[sel, np.newaxis] + np.arange(c)].sum(axis=1)
-    return h.reshape(len(marginals), -1)
-
-
-def _objectives(stack: np.ndarray, n_parties: int, kind: str) -> np.ndarray:
-    """`_objective` of every table stack[k], bit for bit, in one batch.
-
-    The axis sums, logarithms and `_combine` are those of `_objective`, done
-    for the whole stack at once; `_row_entropies` adds each row in the order
-    `entropy_bits` does.
-    """
-    axes, groups, _ = _plan(n_parties, kind)
-    k = stack.shape[0]
-    return _combine(_row_entropies(
-        [stack.sum(axis=tuple(j + 1 for j in a)).reshape(k, -1) for a in axes]), groups)
 
 
 def shannon_cmi(dist: JointDistribution) -> float:
@@ -273,6 +234,18 @@ class SearchBudget:
     refine: bool = True
 
 
+def _subset_marginals(dist: JointDistribution, kind: str) -> list[tuple[np.ndarray, float]]:
+    """(P_X, c_X) of each merged `_plan` term, P_X(x_X, e) as an (x-range, eve) array."""
+    axes, _, merged = _plan(dist.parties, kind)
+    return [(dist.probs.sum(axis=axes[i]).reshape(-1, dist.eve_alphabet), c) for i, c in merged]
+
+
+def _plogp(p: np.ndarray) -> np.ndarray:
+    """p log2 p entrywise, and 0 at or below PROB_FLOOR: the terms `entropy_bits` keeps."""
+    kept = np.where(p > PROB_FLOOR, p, 1.0)
+    return kept * np.log2(kept)
+
+
 def _block_values(dist: JointDistribution, kind: str) -> np.ndarray:
     """Per-subset contribution phi[mask - 1] of each Eve-symbol block to the objective.
 
@@ -281,17 +254,12 @@ def _block_values(dist: JointDistribution, kind: str) -> np.ndarray:
     so the objective of any partition is the sum of phi over its blocks.
     """
     ne = dist.eve_alphabet
-    axes, _, merged = _plan(dist.parties, kind)
     masks = np.arange(1, 1 << ne)
     # indicator matrix: column m-1 selects the symbols of mask m
     sel = ((masks[np.newaxis, :] >> np.arange(ne)[:, np.newaxis]) & 1).astype(float)
     phi = np.zeros(masks.size)
-    for i, coeff in merged:
-        marg = dist.probs.sum(axis=axes[i]).reshape(-1, ne)  # (x-range, eve)
-        agg = marg @ sel
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(agg > PROB_FLOOR, np.log2(np.where(agg > 0, agg, 1.0)), 0.0)
-        phi += coeff * (-(agg * logs)).sum(axis=0)
+    for marg, coeff in _subset_marginals(dist, kind):
+        phi -= coeff * _plogp(marg @ sel).sum(axis=0)
     return phi
 
 
@@ -342,6 +310,33 @@ def _best_partition(dist: JointDistribution, kind: str) -> list[list[int]]:
     return blocks
 
 
+def _screen(q: np.ndarray, coeffs: np.ndarray, mat: np.ndarray, e: np.ndarray,
+            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial t (row e[t] of `mat` set to rows[t]): the change of -sum_r coeffs[r] *
+    sum_f `_plogp`(q @ L)[r, f], and whether it moves an entry within 2x of PROB_FLOOR."""
+    marg = (q @ mat).T
+    moved = (rows - mat[e])[:, :, np.newaxis] * q.T[e][:, np.newaxis, :]  # (t, f, r)
+    after = marg + moved
+    near = [np.abs(m - 1.25 * PROB_FLOOR) <= 0.75 * PROB_FLOOR for m in (marg, after)]
+    ambiguous = ((near[0] | near[1]) & (moved != 0.0)).any(axis=(1, 2))
+    return (_plogp(marg) - _plogp(after)).sum(axis=1) @ coeffs, ambiguous
+
+
+def _screen_bound(a: int, ne: int, nf: int, rows: int, entries: int, c_abs: float) -> float:
+    """|screened - exact| of a trial in bits is at most C [(3 g(a + |E|) + g(3a + 2|E| + 3))
+    (H + 1.5) + (24 u + 2 g(S/8 + 3) + 2 g(|F| + rows) + 4 g(entries)) H], where u = 2^-53,
+    g(k) = k u / (1 - k u), S = a |F|, H = log2 S, C = c_abs = sum_X |c_X|: the relative
+    errors of P_X L on both paths (a step <= 1/2 keeps half an entry) times H + log2 e;
+    log2 (4 ulp) and rounding; pairwise sums; the screen's sums; `_objective`'s sums of
+    weight <= 2C.  Entries a move leaves alone are the same in both exact scores.  For
+    the attack's tables (a = 8, |E| = 9, |F| <= 3) this is at most 7.5e-13."""
+    g = [k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+         for k in (a + ne, 3 * a + 2 * ne + 3, a * nf // 8 + 3, nf + rows, entries)]
+    h = math.log2(max(a * nf, 2))
+    return c_abs * ((3 * g[0] + g[1]) * (h + 1.5)
+                    + (24 * 2.0 ** -53 + 2 * g[2] + 2 * g[3] + 4 * g[4]) * h)
+
+
 def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarray:
     """Coordinate descent on channel rows; step halves when a sweep stalls.
 
@@ -351,30 +346,31 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarr
     would re-score the current channel, which can never pass, so it is
     skipped.
 
-    The trials are scored in batches by `_objectives`, all from the current
-    channel, and the first that passes, in (sweep, e, f) order, is taken.  A
-    batch holds the moves still ahead in this sweep and every move of the
-    next, whose step is known: it stays if this sweep has gained REFINE_TOL
-    bits and halves otherwise; at the same step, the next sweep's moves from
-    the current one on repeat trials of this batch and are dropped.  After
-    a batch with no passing move, every sweep still allowed runs on the same
-    matrix at step/2, step/4, ... down to 1e-9, and that halving ladder is
-    the next batch; the descent ends if it has no passing move either.  Each
-    trial is one row of `_objectives`, scored as it would be alone, so the
+    Trials come in batches, all from the current channel, and the first that passes in
+    (sweep, e, f) order is kept.  After a kept move, a batch holds the rest of this sweep
+    and all of the next, whose step is known: halved unless this sweep has gained
+    REFINE_TOL, and at the same step the next sweep's moves from the current one on repeat
+    this batch's and are dropped.  After a batch with no passing move, every sweep still
+    allowed runs on the same matrix at step/2, step/4, ... down to 1e-9, and that ladder is
+    the last batch unless a move in it passes.  `_screen` rules out the trials that cannot
+    pass and `_objective`, the oracle's own expression, scores the rest in order: the
     result is bit for bit that of scoring the moves one at a time.
     """
     n = dist.parties
     ne, nf = channel.shape
-    lift = (1,) * (n - 1) + (ne, nf)  # matmul pairs each trial with every (a_N, e) slice of probs
     cols = np.arange(nf)
     mat = channel.copy()
     best = _objective(dist.probs @ mat, n, kind)
+    margs = _subset_marginals(dist, kind)
+    q = np.concatenate([m for m, _ in margs])
+    coeffs = np.concatenate([np.full(m.shape[0], c) for m, c in margs])
+    entries, c_abs = sum(map(len, _plan(n, kind)[1])), sum(abs(c) for _, c in margs)
+    margin = max(MARGIN, _screen_bound(dist.probs.size // ne, ne, nf, len(q), entries, c_abs))
 
     def first_pass(steps: np.ndarray, start: int, stop: int):
-        """(k, move, row, value) of the first move from the current `mat` that
-        beats `best`, in order of step k and then move = e * nf + f, the moves
-        at steps[0] tried from `start` on and those at later steps before
-        `stop`; or None."""
+        """(k, move, row, value) of the first move from the current `mat` that beats
+        `best`, by step k, then move = e * nf + f (at steps[0] from `start` on,
+        at later steps before `stop`); or None."""
         rows = np.repeat((1.0 - steps)[:, np.newaxis, np.newaxis, np.newaxis]
                          * mat[:, np.newaxis, :], nf, axis=2)
         rows[:, :, cols, cols] += steps[:, np.newaxis, np.newaxis]
@@ -385,14 +381,14 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarr
         ks, moves = np.nonzero(changed)
         if not moves.size:
             return None
-        trials = np.repeat(mat[np.newaxis], moves.size, axis=0)
-        trials[np.arange(moves.size), moves // nf] = rows[ks, moves]
-        vals = _objectives(dist.probs @ trials.reshape((-1,) + lift), n, kind)
-        passed = np.flatnonzero(vals < best - 1e-15)
-        if not passed.size:
-            return None
-        i = passed[0]
-        return ks[i], moves[i], rows[ks[i], moves[i]], float(vals[i])
+        change, ambiguous = _screen(q, coeffs, mat, moves // nf, rows[ks, moves])
+        for i in np.flatnonzero((best + change < best - 1e-15 + margin) | ambiguous):
+            trial = mat.copy()
+            trial[moves[i] // nf] = rows[ks[i], moves[i]]
+            val = _objective(dist.probs @ trial, n, kind)
+            if val < best - 1e-15:
+                return ks[i], moves[i], rows[ks[i], moves[i]], val
+        return None
 
     step = REFINE_STEP
     sweep = 0  # the sweep the next batch starts in, `gained` and `start` its own

@@ -220,6 +220,37 @@ def refine_loop(dist, channel: np.ndarray, kind: str, taken=None) -> np.ndarray:
     return mat
 
 
+def screen_errors(dist, kind: str, start: np.ndarray) -> list[tuple[float, bool]]:
+    """Run `_refine` from `start` and return, for every trial of every batch it
+    screened, |best + screened change - `_objective` of the trial| and whether
+    the screen called the trial ambiguous."""
+    import pytest
+
+    from ckabounds import secrecy
+
+    batches = []
+    screen = secrecy._screen
+
+    def recorded(q, coeffs, mat, e, new):
+        change, ambiguous = screen(q, coeffs, mat, e, new)
+        batches.append((mat.copy(), e, new, change, ambiguous))
+        return change, ambiguous
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(secrecy, "_screen", recorded)
+        secrecy._refine(dist, start, kind)
+    n = dist.parties
+    out = []
+    for mat, e, new, change, ambiguous in batches:
+        best = secrecy._objective(dist.probs @ mat, n, kind)
+        for t in range(e.size):
+            trial = mat.copy()
+            trial[e[t]] = new[t]
+            exact = secrecy._objective(dist.probs @ trial, n, kind)
+            out.append((abs(best + change[t] - exact), bool(ambiguous[t])))
+    return out
+
+
 def best_partition_loop(dist, kind: str) -> list[list[int]]:
     """The set-partition DP over `_block_values`, one (subset, block) pair at a time.
 

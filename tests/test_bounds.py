@@ -206,7 +206,9 @@ class TestValidators:
             noise_grid(0.0, 0.13, math.nan)
 
     def test_points_that_round_together_rejected_before_computing(self, pools, no_points):
-        grid = noise_grid(0.1, 0.1000000000005, 1e-13)
+        with pytest.raises(ValueError, match="collide after rounding to 12 decimals"):
+            noise_grid(0.1, 0.1000000000005, 1e-13)
+        grid = [round(0.1 + i * 1e-13, 12) for i in range(6)]  # the points that step makes
         with pytest.raises(ValueError, match="strictly increasing"):
             compute_curves(grid, workers=2)
         assert pools == []

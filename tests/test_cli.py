@@ -73,6 +73,14 @@ class TestCurvesCommand:
         assert code == 1
         assert "invalid grid" in capsys.readouterr().err
 
+    def test_sub_resolution_step_names_the_step(self, tmp_path, capsys):
+        code = main(["curves", "--nu-min", "0", "--nu-max", "1e-300", "--nu-step", "1e-300",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = one_line(capsys.readouterr().err)
+        assert "points collide after rounding to 12 decimals (nu_step 1e-300)" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unwritable_path_exits_two(self):
         assert main(["curves", "--nu-max", "0.01", "--nu-step", "0.01",
                      "--out", "/nonexistent-dir/curves.csv"]) == 2

@@ -64,6 +64,46 @@ def test_refine_matches_the_one_move_loop(inputs, sweeps):
         assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
 
 
+@st.composite
+def screen_inputs(draw):
+    """A sparse table with entries down to 1e-16, an objective and a stochastic start.
+
+    Two to four parties with alphabets 1..3 and an Eve alphabet 1..6.  About
+    40% of the entries are 0 and about 20% are set to 10^-16..10^-14, so
+    marginal entries land on both sides of PROB_FLOOR; with one chance in
+    three a whole Eve symbol is that small, so its moves change the marginals
+    only at that scale.  The start has 1..3 outputs and about 30% zero entries.
+    """
+    parties = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    ne = draw(st.integers(1, 6))
+    shape = tuple(parties) + (ne,)
+    kind = draw(st.sampled_from(["cmi", "sn"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    raw = rng.random(shape) ** 3
+    raw[rng.random(shape) < 0.4] = 0.0
+    raw.flat[0] += 1e-3
+    raw /= raw.sum()
+    tiny = rng.random(shape) < 0.2
+    if ne > 1 and draw(st.integers(0, 2)) == 0:
+        tiny[..., int(rng.integers(ne))] = True
+    raw[tiny] = 10.0 ** rng.uniform(-16, -14, size=int(tiny.sum()))
+    dist = JointDistribution(shape[:-1], ne, raw / raw.sum())
+    start = rng.random((ne, draw(st.integers(1, 3))))
+    start[rng.random(start.shape) < 0.3] = 0.0
+    start[:, 0] += 1e-3
+    return dist, kind, start / start.sum(axis=1, keepdims=True)
+
+
+@settings(FEW, max_examples=30)
+@given(inputs=screen_inputs(), sweeps=st.integers(1, 4))
+def test_screen_is_within_the_margin(inputs, sweeps):
+    dist, kind, start = inputs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(secrecy, "REFINE_SWEEPS", sweeps)
+        errors = oracles.screen_errors(dist, kind, start)
+    assert max((err for err, _ in errors), default=0.0) <= secrecy.MARGIN / 10
+
+
 @FEW
 @given(nu=st.floats(0.0, 0.95))
 def test_minimized_never_exceeds_fixed_postprocessing(nu):

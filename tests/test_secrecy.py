@@ -10,8 +10,8 @@ from ckabounds.attacks import build_cc_attack
 from ckabounds.bounds import default_grid
 from ckabounds.partitions import partitions_as_masks
 from ckabounds.secrecy import (ClassicalChannel, JointDistribution, SearchBudget,
-                               _best_partition, _block_values, _objective, _objectives,
-                               _refine, apply_channel,
+                               _best_partition, _block_values, _objective, _refine,
+                               apply_channel,
                                continuity_envelope, distribution_from_csv,
                                distribution_to_csv, dual_intrinsic, g,
                                intrinsic_information, s_n, shannon_cmi,
@@ -257,17 +257,33 @@ def loop_and_first_move(dist, start, kind, monkeypatch):
         k += 1
 
 
-def count_objectives(monkeypatch):
-    """Wrap `secrecy._objectives`; the returned list gets the rows of each call."""
-    rows = []
-    batch = secrecy._objectives
+def count_scores(monkeypatch):
+    """Wrap `secrecy._screen` and `secrecy._objective`: the first returned list
+    gets the trials of each screened batch, the second one entry per exact score."""
+    rows, exact = [], []
+    screen, objective = secrecy._screen, secrecy._objective
 
-    def counted(stack, n_parties, kind):
-        rows.append(stack.shape[0])
-        return batch(stack, n_parties, kind)
+    def screened(q, coeffs, mat, e, new):
+        rows.append(e.size)
+        return screen(q, coeffs, mat, e, new)
 
-    monkeypatch.setattr(secrecy, "_objectives", counted)
-    return rows
+    def scored(p, n_parties, kind):
+        exact.append(kind)
+        return objective(p, n_parties, kind)
+
+    monkeypatch.setattr(secrecy, "_screen", screened)
+    monkeypatch.setattr(secrecy, "_objective", scored)
+    return rows, exact
+
+
+# (branch, nu, kind, sweep cap): a search whose kept moves force that branch
+LOOK_AHEAD_CASES = [
+    ("look-ahead at the same step", 0.55, "cmi", 2),
+    ("look-ahead at a halved step", 0.5, "cmi", 21),
+    ("nothing left ahead", 0.625, "cmi", 2),
+    ("ladder after a look-ahead", 0.55, "cmi", 5),
+    ("look-ahead cut by the cap", 0.575, "sn", 3),
+]
 
 
 def look_ahead_branches(taken, moves, sweeps):
@@ -293,19 +309,14 @@ def look_ahead_branches(taken, moves, sweeps):
 
 
 class TestBatchedSearch:
-    """The batched scorer, refinement and DP against the one-at-a-time loops, bit for bit."""
+    """The screen, the batched refinement and the DP against the one-at-a-time loops."""
 
-    @pytest.mark.parametrize("kind", ["cmi", "sn"])
-    def test_objectives_rows_match_single_tables(self, rng, kind):
-        for _ in range(20):
-            alphabets, ne = random_shape(rng)
-            dist = sparse_joint(rng, alphabets, ne)
-            mats = rng.random((6, ne, ne))
-            mats[rng.random(mats.shape) < 0.3] = 0.0
-            stack = np.stack([dist.probs] + [dist.probs @ m for m in mats])
-            vals = _objectives(stack, len(alphabets), kind)
-            for k in range(stack.shape[0]):
-                assert vals[k] == _objective(stack[k], len(alphabets), kind)
+    @pytest.mark.parametrize("nu", BENCH_POINTS)
+    def test_screen_is_within_the_margin_on_bench_grids(self, nu):
+        dist = build_cc_attack(nu).joint
+        for kind in ("cmi", "sn"):
+            errors = [err for err, _ in oracles.screen_errors(dist, kind, dp_start(dist, kind))]
+            assert max(errors, default=0.0) <= secrecy.MARGIN / 10  # nf = 1: no moves
 
     @pytest.mark.parametrize("nu", BENCH_POINTS)
     def test_refine_matches_loop_on_bench_grids(self, nu):
@@ -369,17 +380,19 @@ class TestBatchedSearch:
 
     @pytest.mark.parametrize("kind", ["cmi", "sn"])
     def test_untouched_start_scores_two_sweeps_then_its_ladder(self, monkeypatch, kind):
-        rows = count_objectives(monkeypatch)
+        rows, exact = count_scores(monkeypatch)
         dist = build_cc_attack(0.05).joint
         start = dp_start(dist, kind)
         assert np.array_equal(_refine(dist, start, kind), start)
         assert rows == [36, 486]  # sweeps 0 and 1, then sweeps 2..28, at 18 moves each
+        assert len(exact) == 1  # the start's own value: no trial is near passing
         rows.clear()
+        exact.clear()
         dist = build_cc_attack(0.0).joint
         start = dp_start(dist, kind)
         assert start.shape[1] == 1
         assert np.array_equal(_refine(dist, start, kind), start)
-        assert rows == []
+        assert rows == [] and len(exact) == 1
         dist = build_cc_attack(0.55).joint
         start = dp_start(dist, kind)
         got = _refine(dist, start, kind)
@@ -390,22 +403,20 @@ class TestBatchedSearch:
                                                          (0.5, "cmi", 209, 5961),
                                                          (0.5, "sn", 213, 7466)])
     def test_look_ahead_call_counts_at_high_noise(self, monkeypatch, nu, kind, calls, trials):
-        # about one batch per kept move: these searches keep 261, 256, 205 and
-        # 206 moves, and each batch after a move also holds the next sweep
-        rows = count_objectives(monkeypatch)
+        # about one screened batch per kept move: these searches keep 261, 256,
+        # 205 and 206 moves, and each batch after a move also holds the next
+        # sweep; each kept move is the one trial scored exactly, after the start
+        confirmed = {(0.45, "cmi"): 261, (0.45, "sn"): 256, (0.5, "cmi"): 205, (0.5, "sn"): 206}
+        rows, exact = count_scores(monkeypatch)
         dist = build_cc_attack(nu).joint
         start = dp_start(dist, kind)
         got = _refine(dist, start, kind)
         assert (len(rows), sum(rows)) == (calls, trials)
+        assert len(exact) == 1 + confirmed[nu, kind]
+        monkeypatch.undo()
         assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
 
-    @pytest.mark.parametrize("branch, nu, kind, sweeps", [
-        ("look-ahead at the same step", 0.55, "cmi", 2),
-        ("look-ahead at a halved step", 0.5, "cmi", 21),
-        ("nothing left ahead", 0.625, "cmi", 2),
-        ("ladder after a look-ahead", 0.55, "cmi", 5),
-        ("look-ahead cut by the cap", 0.575, "sn", 3),
-    ])
+    @pytest.mark.parametrize("branch, nu, kind, sweeps", LOOK_AHEAD_CASES)
     def test_look_ahead_branch_matches_loop(self, monkeypatch, branch, nu, kind, sweeps):
         monkeypatch.setattr(secrecy, "REFINE_SWEEPS", sweeps)
         dist = build_cc_attack(nu).joint
@@ -414,6 +425,21 @@ class TestBatchedSearch:
         want = oracles.refine_loop(dist, start, kind, taken)
         assert branch in look_ahead_branches(taken, start.size, sweeps)
         assert _refine(dist, start, kind).tobytes() == want.tobytes()
+
+    def test_confirming_every_trial_matches_loop(self, monkeypatch):
+        # an infinite margin screens nothing out: every trial up to the first
+        # that passes is scored exactly, which is the loop itself
+        for _, nu, kind, sweeps in LOOK_AHEAD_CASES:
+            monkeypatch.setattr(secrecy, "REFINE_SWEEPS", sweeps)
+            dist = build_cc_attack(nu).joint
+            start = dp_start(dist, kind)
+            taken = []
+            want = oracles.refine_loop(dist, start, kind, taken)
+            monkeypatch.setattr(secrecy, "MARGIN", math.inf)
+            _, exact = count_scores(monkeypatch)
+            assert _refine(dist, start, kind).tobytes() == want.tobytes()
+            assert taken and len(exact) > 1 + len(taken)  # failing trials were scored too
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("kind", ["cmi", "sn"])
     def test_best_partition_matches_loop(self, rng, kind):
