@@ -7,7 +7,7 @@ from .states import GhzDecomposition, depolarize, ghz, noisy_ghz3
 from .behaviors import (Behavior, behavior_distance, behavior_from_measurement,
                         critical_noise, default_measurements,
                         expected_winning_probability, honest_behavior,
-                        is_nonsignaling, parity_chsh_value, qber)
+                        parity_chsh_value, qber)
 from .secrecy import (ClassicalChannel, JointDistribution, SearchBudget,
                       apply_channel, continuity_envelope, dual_intrinsic,
                       intrinsic_information, s_n, shannon_cmi, total_correlation)

@@ -162,19 +162,6 @@ def behavior_distance(p: Behavior, q: Behavior) -> float:
     return float(diff.max()) if n_in else 0.0
 
 
-def is_nonsignaling(p: Behavior, tol: float = 1e-9) -> bool:
-    """True iff every party's output marginal is independent of the others' inputs."""
-    n = p.parties
-    for i in range(n):
-        out_axes = tuple(n + j for j in range(n) if j != i)
-        marg = p.table.sum(axis=out_axes)  # shape inputs + (out_i,)
-        m = np.moveaxis(marg, i, 0)
-        flat = m.reshape(m.shape[0], -1, m.shape[-1])
-        if np.abs(flat - flat[:, :1, :]).max() > tol:
-            return False
-    return True
-
-
 def parity_chsh_value(p: Behavior, fixed_inputs: Sequence[int] = GAME_FIXED_INPUTS) -> float:
     """Winning probability of the parity game under uniform x, y in {0,1}^2.
 

@@ -33,6 +33,8 @@ def _boolean(value: str) -> bool:
     return word in ("1", "true", "yes", "on")
 
 
+CONFIG_MAX_BYTES = 1 << 16  # a config file is a few short key=value lines
+
 _CONFIG = {  # key: (default, parser of a config-file or flag value)
     "nu_min": (0.0, float),
     "nu_max": (0.13, float),
@@ -53,12 +55,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config(path: str) -> dict:
     cfg = {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"malformed config file, not UTF-8 text: {exc}") from None
-    for raw in lines:
+    with open(path, "rb") as fh:
+        data = fh.read(CONFIG_MAX_BYTES + 1)
+    if len(data) > CONFIG_MAX_BYTES:
+        raise ValueError(f"config file is longer than {CONFIG_MAX_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"malformed config file, not UTF-8 text: {exc}") from None
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -216,7 +221,7 @@ def _cmd_curves(cfg: dict, stdout) -> int:
     if cfg["minimize"]:
         stdout.write("note: minimized values are upper bounds on the channel infimum "
                      "(deterministic search plus local refinement)\n")
-    stdout.write(f"wrote {4 * len(grid)} rows to {out_path}\n")
+    stdout.write(f"wrote {sum(len(curve.samples) for curve in curves)} rows to {out_path}\n")
     return 0
 
 

@@ -133,6 +133,8 @@ class ClassicalChannel:
         seen = set()
         for j, block in enumerate(blocks):
             for e in block:
+                if not isinstance(e, (int, np.integer)) or not 0 <= e < in_alphabet:
+                    raise ValueError(f"symbol {e!r} is not an integer in 0..{in_alphabet - 1}")
                 if e in seen:
                     raise ValueError("blocks are not disjoint")
                 seen.add(e)
@@ -347,14 +349,15 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarr
     skipped.
 
     Trials come in batches, all from the current channel, and the first that passes in
-    (sweep, e, f) order is kept.  After a kept move, a batch holds the rest of this sweep
-    and all of the next, whose step is known: halved unless this sweep has gained
-    REFINE_TOL, and at the same step the next sweep's moves from the current one on repeat
-    this batch's and are dropped.  After a batch with no passing move, every sweep still
-    allowed runs on the same matrix at step/2, step/4, ... down to 1e-9, and that ladder is
-    the last batch unless a move in it passes.  `_screen` rules out the trials that cannot
-    pass and `_objective`, the oracle's own expression, scores the rest in order: the
-    result is bit for bit that of scoring the moves one at a time.
+    (sweep, e, f) order is kept; a batch with none ends the descent.  A batch is every
+    trial the one-move loop would score before it keeps its next move: the rest of this
+    sweep at `step`, the next sweep at `ahead` (= step if this sweep has gained
+    REFINE_TOL, else step/2; at the same step its moves from `start` on repeat this
+    batch's and are dropped), then every later sweep at ahead/2, ahead/4, ... down to
+    1e-9.  The first two sweeps are screened first, and the later ones are built and
+    screened only if neither has a passing trial.  `_screen` rules out the trials that
+    cannot pass and `_objective`, the oracle's own expression, scores the rest in order:
+    the result is bit for bit that of scoring the moves one at a time.
     """
     n = dist.parties
     ne, nf = channel.shape
@@ -369,15 +372,15 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarr
 
     def first_pass(steps: np.ndarray, start: int, stop: int):
         """(k, move, row, value) of the first move from the current `mat` that beats
-        `best`, by step k, then move = e * nf + f (at steps[0] from `start` on,
-        at later steps before `stop`); or None."""
+        `best`, by step k, then move = e * nf + f (at steps[0] from `start` on, at
+        steps[1] before `stop`, at later steps all); or None."""
         rows = np.repeat((1.0 - steps)[:, np.newaxis, np.newaxis, np.newaxis]
                          * mat[:, np.newaxis, :], nf, axis=2)
         rows[:, :, cols, cols] += steps[:, np.newaxis, np.newaxis]
         rows = rows.reshape(steps.size, ne * nf, nf)  # row e * nf + f is row e after move (e, f)
         changed = (rows != np.repeat(mat, nf, axis=0)).any(axis=2)
         changed[:1, :start] = False
-        changed[1:, stop:] = False
+        changed[1:2, stop:] = False
         ks, moves = np.nonzero(changed)
         if not moves.size:
             return None
@@ -394,25 +397,18 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarr
     sweep = 0  # the sweep the next batch starts in, `gained` and `start` its own
     gained = 0.0
     start = 0
-    ladder = False
     while True:
-        if ladder:
-            steps = np.ldexp(step, -np.arange(REFINE_SWEEPS - sweep))
-            steps, stop = steps[steps >= 1e-9], ne * nf
-        else:
-            ahead = step if gained >= REFINE_TOL else 0.5 * step
-            steps = np.array([step, ahead] if ahead >= 1e-9 else [step])[:REFINE_SWEEPS - sweep]
-            stop = start if ahead == step else ne * nf
+        ahead = step if gained >= REFINE_TOL else 0.5 * step
+        steps = np.array([step, ahead] if ahead >= 1e-9 else [step])[:REFINE_SWEEPS - sweep]
+        stop = start if ahead == step else ne * nf
         found = first_pass(steps, start, stop)
+        if found is None and steps.size == 2:  # the later sweeps, each at half the last step
+            steps = np.ldexp(ahead, 1 - np.arange(REFINE_SWEEPS - sweep))  # 2 ahead, ahead, ...
+            steps[0] = step
+            steps = steps[steps >= 1e-9]
+            found = first_pass(steps, ne * nf, 0)  # steps[0] and steps[1] were screened
         if found is None:
-            if ladder or steps.size < 2:
-                break
-            sweep += 2
-            step = 0.5 * float(steps[1])
-            gained = 0.0
-            start = 0
-            ladder = True
-            continue
+            return mat
         k, move, row, val = found
         if k:
             sweep += int(k)
@@ -422,8 +418,6 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarr
         best = val
         mat[move // nf] = row
         start = move + 1
-        ladder = False
-    return mat
 
 
 def _minimize_over_channels(dist: JointDistribution, kind: str,

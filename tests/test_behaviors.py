@@ -8,7 +8,7 @@ from ckabounds.behaviors import (GAME_FIXED_INPUTS, KEY_SETTING, PAULI_X, PAULI_
                                  Behavior, behavior_distance, behavior_from_measurement,
                                  critical_noise, default_measurements,
                                  expected_winning_probability, honest_behavior,
-                                 is_nonsignaling, parity_chsh_value,
+                                 parity_chsh_value,
                                  povm_from_observable, qber)
 from ckabounds.states import ghz, noisy_ghz3
 from ckabounds.qmat import Povm, maximally_mixed
@@ -198,21 +198,6 @@ class TestBehaviorDistance:
     def test_alphabet_mismatch_rejected(self):
         with pytest.raises(ValueError):
             behavior_distance(uniform_behavior(), uniform_behavior(ins=(2, 2, 1)))
-
-
-class TestNonsignaling:
-    def test_quantum_behavior_is_nonsignaling(self):
-        assert is_nonsignaling(honest_behavior(0.07), 1e-9)
-
-    def test_uniform_is_nonsignaling(self):
-        assert is_nonsignaling(uniform_behavior(), 1e-9)
-
-    def test_signaling_table_detected(self):
-        # second party outputs the first party's input
-        table = np.zeros((2, 2, 2, 2))
-        for x, y in itertools.product(range(2), repeat=2):
-            table[x, y, 0, x] = 1.0
-        assert not is_nonsignaling(Behavior((2, 2), (2, 2), table), 1e-9)
 
 
 class TestParityGame:

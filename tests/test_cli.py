@@ -28,13 +28,14 @@ def one_line(err):
 
 
 class TestCurvesCommand:
-    def test_writes_expected_rows(self, tmp_path):
+    def test_writes_expected_rows(self, tmp_path, capsys):
         out = tmp_path / "curves.csv"
         code = main(["curves", "--nu-min", "0", "--nu-max", "0.01",
                      "--nu-step", "0.005", "--out", str(out)])
         assert code == 0
         rows = read_rows(out)
         assert len(rows) == 4 * 3
+        assert f"wrote {len(rows)} rows to {out}\n" in capsys.readouterr().out
         for nu, value, _name in rows:
             if nu == 0.0:
                 assert value == pytest.approx(1.0, abs=1e-8)
@@ -145,6 +146,15 @@ class TestConfigFile:
         cfg.write_bytes(b"\xff\xfe")
         assert main(["attack", "--config", str(cfg)]) == 1
         assert "not UTF-8" in one_line(capsys.readouterr().err)
+
+    def test_config_over_the_size_cap_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"#" * cli.CONFIG_MAX_BYTES)
+        assert cli._read_config(str(cfg)) == {}
+        cfg.write_bytes(b"#" * (cli.CONFIG_MAX_BYTES + 1))
+        assert main(["curves", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 1
+        assert f"longer than {cli.CONFIG_MAX_BYTES} bytes" in one_line(capsys.readouterr().err)
+        assert not (tmp_path / "c.csv").exists()
 
     def test_format_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -67,6 +67,9 @@ class TestValidation:
             ClassicalChannel.from_partition([[0], [1]], 3)
         with pytest.raises(ValueError, match="disjoint"):
             ClassicalChannel.from_partition([[0, 1], [1, 2]], 3)
+        for blocks in ([[0], [5]], [[0], [-1]], [[0], [1.0]]):
+            with pytest.raises(ValueError, match="not an integer in 0..1"):
+                ClassicalChannel.from_partition(blocks, 2)
 
 
 class TestShannonCmi:
