@@ -1,13 +1,11 @@
 """Upper bounds on device-independent conference key rates of noisy GHZ devices."""
 
-from .qmat import (DensityMatrix, Povm, eig_hermitian, maximally_mixed,
-                   partial_trace, purify, quantum_cmi,
-                   relative_entropy, tensor, von_neumann_entropy)
-from .states import GhzDecomposition, depolarize, ghz, noisy_ghz3
-from .behaviors import (Behavior, behavior_distance, behavior_from_measurement,
-                        critical_noise, default_measurements,
-                        expected_winning_probability, honest_behavior,
-                        parity_chsh_value, qber)
+from .qmat import (DensityMatrix, Povm, maximally_mixed, partial_trace, purify,
+                   quantum_cmi, relative_entropy, tensor, von_neumann_entropy)
+from .states import GhzDecomposition, ghz, noisy_ghz3
+from .behaviors import (Behavior, behavior_from_measurement, critical_noise,
+                        default_measurements, expected_winning_probability,
+                        honest_behavior, parity_chsh_value, qber)
 from .secrecy import (ClassicalChannel, JointDistribution, SearchBudget,
                       apply_channel, continuity_envelope, dual_intrinsic,
                       intrinsic_information, s_n, shannon_cmi, total_correlation)

@@ -16,11 +16,8 @@ records the triple (a,b1,b2).  Her post-processing keeps only triples that
 mimic an honest key round: the channel `_MIMICRY` maps (a,a,a) to a and
 every other symbol to '?' (output alphabet 0, 1, '?'=2).
 
-This decomposition need not be the strongest available to the adversary;
-`build_cc_attack` therefore accepts an alternative (weight, table) pair so
-stronger biseparable splits can be plugged in.  Either way the attack
-carries the one decomposition it was built from, and is checked against
-that device: `noisy_ghz3` runs once per attack.
+The attack carries the one decomposition it was built from, and is checked
+against that device: `noisy_ghz3` runs once per attack.
 """
 
 from __future__ import annotations
@@ -64,22 +61,16 @@ class CcAttack:
 
     `joint` is the distribution over (a, b1, b2, e) with the 9-symbol Eve
     alphabet; `decomposition` is the device it attacks, the noisy GHZ state
-    at the same `nu`.  Construction verifies that dropping Eve reproduces
-    the decomposition state's key-setting behavior and that P(e = '?')
-    equals 1 minus the local weight, both to 1e-10.
+    whose biseparable weight is the local weight.  Construction verifies
+    that dropping Eve reproduces the decomposition state's key-setting
+    behavior and that P(e = '?') equals 1 minus the local weight, both to
+    1e-10.
     """
 
-    nu: float
-    local_weight: float
-    p_ghz: np.ndarray
-    p_local: np.ndarray
     joint: JointDistribution
     decomposition: states.GhzDecomposition
 
     def __post_init__(self):
-        if self.decomposition.nu != self.nu:
-            raise ValueError(f"decomposition is for nu={self.decomposition.nu}, "
-                             f"the attack for nu={self.nu}")
         device = _key_slice(self.decomposition.state)
         marginal = self.joint.probs.sum(axis=-1)
         if np.abs(marginal - device).max() > MARGINAL_TOL:
@@ -88,40 +79,31 @@ class CcAttack:
         if abs(p_ignorant - (1.0 - self.local_weight)) > MARGINAL_TOL:
             raise ValueError("P(e = '?') does not match the nonlocal weight")
 
+    @property
+    def nu(self) -> float:
+        return self.decomposition.nu
 
-def build_cc_attack(nu: float,
-                    local_weight: float | None = None,
-                    local_table: np.ndarray | None = None) -> CcAttack:
+    @property
+    def local_weight(self) -> float:
+        return self.decomposition.biseparable_weight
+
+
+def build_cc_attack(nu: float) -> CcAttack:
     """Assemble the convex-combination attack for noise level `nu` < 1.
 
-    By default the biseparable split of the depolarized GHZ state fixes the
-    local weight 1-(1-nu)^3 and the local table; both can be overridden
-    together to model a stronger decomposition.
+    The biseparable split of the depolarized GHZ state fixes the local
+    weight 1-(1-nu)^3 and the local table, the key-setting table of chi.
     """
     nu = float(nu)
     if not 0.0 <= nu < 1.0:
         raise ValueError(f"attack construction needs 0 <= nu < 1, got {nu}")
-    if (local_weight is None) != (local_table is None):
-        raise ValueError("override the local weight and the local table together")
-    p_ghz = _key_slice(states.ghz3())
     dec = states.noisy_ghz3(nu)
-    if local_weight is None:
-        local_weight = dec.biseparable_weight
-        p_local = _key_slice(dec.chi)
-    else:
-        local_weight = float(local_weight)
-        if not 0.0 <= local_weight <= 1.0:
-            raise ValueError("local weight must lie in [0, 1]")
-        p_local = np.array(local_table, dtype=float)
-        if p_local.shape != (2, 2, 2):
-            raise ValueError("local table must have shape (2, 2, 2)")
-
+    local_weight = dec.biseparable_weight
     probs = np.zeros((8, EVE_ALPHABET))
-    probs[:, EVE_IGNORANT] = (1.0 - local_weight) * p_ghz.ravel()
-    probs[range(8), _RECORDED] = local_weight * p_local.ravel()
+    probs[:, EVE_IGNORANT] = (1.0 - local_weight) * _key_slice(states.ghz3()).ravel()
+    probs[range(8), _RECORDED] = local_weight * _key_slice(dec.chi).ravel()
     joint = JointDistribution((2, 2, 2), EVE_ALPHABET, probs.reshape(2, 2, 2, EVE_ALPHABET))
-    return CcAttack(nu=nu, local_weight=local_weight, p_ghz=p_ghz,
-                    p_local=p_local, joint=joint, decomposition=dec)
+    return CcAttack(joint=joint, decomposition=dec)
 
 
 def eve_postprocess(attack: CcAttack) -> JointDistribution:

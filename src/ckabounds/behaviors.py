@@ -153,15 +153,6 @@ def honest_behavior(nu: float = 0.0) -> Behavior:
     return behavior_from_measurement(states.noisy_ghz3(nu).state, default_measurements())
 
 
-def behavior_distance(p: Behavior, q: Behavior) -> float:
-    """sup over joint inputs of the l1 distance between conditional distributions."""
-    if p.input_alphabets != q.input_alphabets or p.output_alphabets != q.output_alphabets:
-        raise ValueError("behaviors have mismatched alphabets")
-    n_in = len(p.input_alphabets)
-    diff = np.abs(p.table - q.table).reshape(p.input_alphabets + (-1,)).sum(axis=-1)
-    return float(diff.max()) if n_in else 0.0
-
-
 def parity_chsh_value(p: Behavior, fixed_inputs: Sequence[int] = GAME_FIXED_INPUTS) -> float:
     """Winning probability of the parity game under uniform x, y in {0,1}^2.
 

@@ -36,6 +36,8 @@ MAX_RELAY_PARTIES = 1024
 MAX_KEY_LEN = 4096
 MAX_GRID_POINTS = 100_000
 MAX_WORKERS = 64
+# The default noise grid, 0 to 0.13 in steps of 0.0025 (covers the critical level)
+DEFAULT_NU_MIN, DEFAULT_NU_MAX, DEFAULT_NU_STEP = 0.0, 0.13, 0.0025
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,8 @@ def noise_grid(lo: float, hi: float, step: float) -> list[float]:
 
 
 def default_grid() -> list[float]:
-    """Noise grid 0 to 0.13 in steps of 0.0025 (covers the critical level)."""
-    return noise_grid(0.0, 0.13, 0.0025)
+    """Noise grid DEFAULT_NU_MIN to DEFAULT_NU_MAX in steps of DEFAULT_NU_STEP."""
+    return noise_grid(DEFAULT_NU_MIN, DEFAULT_NU_MAX, DEFAULT_NU_STEP)
 
 
 def _check_grid(grid: Sequence[float]) -> list[float]:
@@ -109,17 +111,26 @@ def _proxy_value(attack: CcAttack) -> float:
     return max(0.0, h_a_given_e - best_bob)
 
 
-def _point_worker(args) -> tuple[float, float, float, float]:
-    """The (intrinsic, dual, trivial, proxy) values at one noise level."""
-    nu, minimize = args
-    attack = build_cc_attack(nu)
+def point_values(attack: CcAttack, minimize: bool) -> tuple[float, float]:
+    """The intrinsic (I divided by N-1) and dual (S_N) values of one attack.
+
+    Eve's post-processing is the fixed honest mimicry, or with `minimize`
+    the channel search over her raw record.
+    """
     if minimize:
         intrinsic, _ = intrinsic_information(attack.joint)
         dual, _ = dual_intrinsic(attack.joint)
     else:
         post = eve_postprocess(attack)
         intrinsic, dual = shannon_cmi(post), s_n(post)
-    return intrinsic / (_N_PARTIES - 1), dual, 1.0 - nu, _proxy_value(attack)
+    return intrinsic / (_N_PARTIES - 1), dual
+
+
+def _point_worker(args) -> tuple[float, float, float, float]:
+    """The (intrinsic, dual, trivial, proxy) values at one noise level."""
+    nu, minimize = args
+    attack = build_cc_attack(nu)
+    return point_values(attack, minimize) + (1.0 - nu, _proxy_value(attack))
 
 
 def compute_curves(grid: Sequence[float], minimize: bool = False,

@@ -18,11 +18,9 @@ import sys
 
 import numpy as np
 
-from . import behaviors, bounds, secrecy, states
-from .attacks import build_cc_attack, eve_postprocess
+from . import attacks, behaviors, bounds, states
 from .qmat import DensityMatrix, partial_trace, quantum_cmi
-from .secrecy import (JointDistribution, distribution_to_csv, dual_intrinsic,
-                      entropy_bits, intrinsic_information, s_n, shannon_cmi,
+from .secrecy import (JointDistribution, distribution_to_csv, entropy_bits, s_n,
                       total_correlation)
 
 
@@ -33,15 +31,22 @@ def _boolean(value: str) -> bool:
     return word in ("1", "true", "yes", "on")
 
 
+def path(value: str) -> str:
+    """A nonempty file path; argparse names this function in its error message."""
+    if not value:
+        raise ValueError("empty path")
+    return value
+
+
 CONFIG_MAX_BYTES = 1 << 16  # a config file is a few short key=value lines
 
 _CONFIG = {  # key: (default, parser of a config-file or flag value)
-    "nu_min": (0.0, float),
-    "nu_max": (0.13, float),
-    "nu_step": (0.0025, float),
+    "nu_min": (bounds.DEFAULT_NU_MIN, float),
+    "nu_max": (bounds.DEFAULT_NU_MAX, float),
+    "nu_step": (bounds.DEFAULT_NU_STEP, float),
     "minimize": (False, _boolean),
     "seed": (12345, int),
-    "out": (None, str),
+    "out": (None, path),
     "workers": (1, int),
     "parties": (3, int),
     "key_len": (8, int),
@@ -242,17 +247,16 @@ def _cmd_game(cfg: dict, stdout) -> int:
 
 def _cmd_attack(cfg: dict, stdout) -> int:
     nu = cfg["nu_min"]
-    attack = build_cc_attack(nu)
-    post = eve_postprocess(attack)
-    fixed_i = shannon_cmi(post)
-    fixed_s = s_n(post)
-    min_i, _ = intrinsic_information(attack.joint)
-    min_s, _ = dual_intrinsic(attack.joint)
+    attack = attacks.build_cc_attack(nu)
+    # the curves' values; intrinsic is I/(N-1) with N = 3, and doubling it back is exact
+    fixed_i, fixed_s = bounds.point_values(attack, minimize=False)
+    min_i, min_s = bounds.point_values(attack, minimize=True)
     stdout.write(f"cc attack at nu={nu:.6g}\n")
     stdout.write(f"local weight       = {attack.local_weight:.12g}\n")
-    stdout.write(f"P(e='?')           = {attack.joint.probs[..., 0].sum():.12g}\n")
-    stdout.write(f"intrinsic (minimize=off) = {fixed_i:.9f} bits, /(N-1) = {fixed_i / 2:.9f}\n")
-    stdout.write(f"intrinsic (minimize=on)  = {min_i:.9f} bits, /(N-1) = {min_i / 2:.9f}\n")
+    stdout.write(f"P(e='?')           = "
+                 f"{attack.joint.probs[..., attacks.EVE_IGNORANT].sum():.12g}\n")
+    stdout.write(f"intrinsic (minimize=off) = {2 * fixed_i:.9f} bits, /(N-1) = {fixed_i:.9f}\n")
+    stdout.write(f"intrinsic (minimize=on)  = {2 * min_i:.9f} bits, /(N-1) = {min_i:.9f}\n")
     stdout.write(f"dual_sn   (minimize=off) = {fixed_s:.9f} bits\n")
     stdout.write(f"dual_sn   (minimize=on)  = {min_s:.9f} bits\n")
     stdout.write("note: minimize=on values are upper bounds on the channel infimum\n")
@@ -296,11 +300,11 @@ _COMMANDS = {  # name: (help, handler, the _CONFIG keys it reads, each also a fl
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="ckabounds",
+    parser = _Parser(prog="ckabounds", allow_abbrev=False,
                      description="Bound curves and diagnostics for conference-key devices")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, keys) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for key in keys:
             flag = "--" + key.replace("_", "-")
             if key == "minimize":

@@ -150,15 +150,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(tuple(rho.dims[i] for i in keep), reduced.reshape(d, d))
 
 
-def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvector columns of a Hermitian matrix."""
-    m = _as_complex_matrix(m)
-    if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian within 1e-10")
-    vals, vecs = np.linalg.eigh(m)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-sum(lambda log2 lambda) in bits, eigenvalues below 1e-12 treated as 0."""
     vals = np.linalg.eigvalsh(rho.matrix)
@@ -202,12 +193,12 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dims != sigma.dims:
         raise ValueError("states must share the same subsystem dimensions")
-    rvals, rvecs = eig_hermitian(rho.matrix)
+    rvals, rvecs = np.linalg.eigh(rho.matrix)
     for lam, v in zip(rvals, rvecs.T):
         if lam > 1e-10 and (v.conj() @ sigma.matrix @ v).real <= 1e-12:
             return math.inf
     tr_rho_log_rho = float(sum(lam * math.log2(lam) for lam in rvals if lam > EIGENVALUE_CLAMP))
-    svals, svecs = eig_hermitian(sigma.matrix)
+    svals, svecs = np.linalg.eigh(sigma.matrix)
     tr_rho_log_sigma = 0.0
     for mu, w in zip(svals, svecs.T):
         if mu > EIGENVALUE_CLAMP:
@@ -217,9 +208,9 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def purify(rho: DensityMatrix) -> DensityMatrix:
     """Pure state on dims + (rank,) whose environment trace-out returns `rho`."""
-    vals, vecs = eig_hermitian(rho.matrix)
+    vals, vecs = np.linalg.eigh(rho.matrix)  # ascending: the top `rank` pairs are last
     rank = max(1, int(np.sum(vals > EIGENVALUE_CLAMP)))
-    amps = vecs[:, :rank] * np.sqrt(np.clip(vals[:rank], 0.0, None))
+    amps = vecs[:, -rank:] * np.sqrt(np.clip(vals[-rank:], 0.0, None))
     psi = amps.reshape(-1)  # index (system, environment), row-major
     psi = psi / np.linalg.norm(psi)
     return DensityMatrix(rho.dims + (rank,), np.outer(psi, psi.conj()))

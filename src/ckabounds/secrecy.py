@@ -123,10 +123,6 @@ class ClassicalChannel:
         return self.matrix.shape[1]
 
     @staticmethod
-    def identity(n: int) -> "ClassicalChannel":
-        return ClassicalChannel(np.eye(n))
-
-    @staticmethod
     def from_partition(blocks: Sequence[Sequence[int]], in_alphabet: int) -> "ClassicalChannel":
         """Deterministic channel mapping every symbol of block j to output j."""
         m = np.zeros((in_alphabet, len(blocks)))

@@ -52,19 +52,6 @@ def _depolarized(mat: np.ndarray, dims: tuple[int, ...], site: int, nu: float) -
     return (1.0 - nu) * mat + nu * mixed.reshape(mat.shape)
 
 
-def depolarize(rho: DensityMatrix, site: int, nu: float) -> DensityMatrix:
-    """Depolarize the qubit factor `site`: (1-nu) rho + nu (I/2 (x) tr_site rho)."""
-    nu = _check_nu(nu)
-    site = int(site)
-    if site < 0 or site >= rho.n_factors:
-        raise IndexError(f"site {site} out of range for {rho.n_factors} factors")
-    if rho.dims[site] != 2:
-        raise ValueError(f"site {site} has dimension {rho.dims[site]}, expected a qubit")
-    if nu == 0.0:
-        return rho
-    return DensityMatrix(rho.dims, _depolarized(rho.matrix, rho.dims, site, nu))
-
-
 def _kappa_with_mixed(pair: tuple[int, int]) -> DensityMatrix:
     """kappa on the two given qubits of a 3-qubit system, I/2 on the remaining one."""
     bits = np.indices((2, 2, 2)).reshape(3, 8)  # bits[k, idx]: qubit k of basis state idx

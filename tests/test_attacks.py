@@ -10,7 +10,7 @@ from ckabounds.attacks import (EVE_IGNORANT, POST_IGNORANT, _key_slice, build_cc
 from ckabounds.behaviors import (KEY_SETTING, PAULI_Z, behavior_from_measurement,
                                  default_measurements, povm_from_observable)
 from ckabounds import states
-from ckabounds.secrecy import intrinsic_information, shannon_cmi, s_n
+from ckabounds.secrecy import JointDistribution, intrinsic_information, shannon_cmi, s_n
 from ckabounds.states import ghz, noisy_ghz3
 import oracles
 
@@ -44,21 +44,30 @@ class TestBuildCcAttack:
             expect = device.conditional(KEY_SETTING)
             assert np.abs(attack.joint.probs.sum(axis=-1) - expect).max() < 1e-10
 
-    def test_override_requires_both_parts(self):
-        with pytest.raises(ValueError, match="together"):
-            build_cc_attack(0.1, local_weight=0.5)
-
-    def test_override_with_valid_decomposition(self):
-        # re-supplying the default split must round-trip through the override path
-        nu = 0.2
-        default = build_cc_attack(nu)
-        attack = build_cc_attack(nu, local_weight=default.local_weight,
-                                 local_table=default.p_local)
-        assert np.abs(attack.joint.probs - default.joint.probs).max() < 1e-12
-
     def test_override_with_wrong_weight_rejected(self):
+        # a joint that overrides the split at nu = 0.2 with local weight 0.9, not 1 - 0.8^3
+        attack = build_cc_attack(0.2)
+        probs = np.zeros((8, 9))
+        probs[[0, 7], EVE_IGNORANT] = 0.1 * 0.5
+        probs[range(8), range(1, 9)] = 0.9 * oracles.local_table(0.2).ravel()
+        wrong = JointDistribution((2, 2, 2), 9, probs.reshape(2, 2, 2, 9))
         with pytest.raises(ValueError, match="reproduce"):
-            build_cc_attack(0.2, local_weight=0.9, local_table=oracles.local_table(0.2))
+            dataclasses.replace(attack, joint=wrong)
+
+    def test_ignorance_mass_off_the_weight_rejected(self):
+        # moving mass from '?' to the recorded (0,0,0) keeps the device but not P(e = '?')
+        attack = build_cc_attack(0.2)
+        probs = attack.joint.probs.copy()
+        probs[0, 0, 0, EVE_IGNORANT] -= 0.01
+        probs[0, 0, 0, eve_symbol(0, 0, 0)] += 0.01
+        moved = JointDistribution((2, 2, 2), 9, probs)
+        with pytest.raises(ValueError, match="nonlocal weight"):
+            dataclasses.replace(attack, joint=moved)
+
+    def test_nu_and_weight_read_from_the_decomposition(self):
+        attack = build_cc_attack(0.2)
+        assert attack.nu == attack.decomposition.nu == 0.2
+        assert attack.local_weight == attack.decomposition.biseparable_weight
 
     def test_builds_the_device_once(self, monkeypatch):
         # CcAttack checks against the decomposition build_cc_attack made, not a rebuilt one
@@ -69,14 +78,12 @@ class TestBuildCcAttack:
             return noisy_ghz3(nu)
 
         monkeypatch.setattr(states, "noisy_ghz3", counting)
-        default = build_cc_attack(0.2)
+        build_cc_attack(0.2)
         assert calls == [0.2]
-        build_cc_attack(0.2, local_weight=default.local_weight, local_table=default.p_local)
-        assert calls == [0.2, 0.2]
 
     def test_decomposition_at_another_nu_rejected(self):
         attack = build_cc_attack(0.2)
-        with pytest.raises(ValueError, match="nu=0.3"):
+        with pytest.raises(ValueError, match="reproduce"):
             dataclasses.replace(attack, decomposition=noisy_ghz3(0.3))
 
 
@@ -97,7 +104,7 @@ class TestEvePostprocess:
         for nu in (0.05, 0.3):
             attack = build_cc_attack(nu)
             post = eve_postprocess(attack)
-            loc = attack.p_local
+            loc = _key_slice(attack.decomposition.chi)
             not_equal = sum(loc[a, b1, b2]
                             for a, b1, b2 in itertools.product(range(2), repeat=3)
                             if not a == b1 == b2)
@@ -127,11 +134,11 @@ class TestEvePostprocess:
 
 
 def _local_table(nu: float) -> np.ndarray:
-    return build_cc_attack(nu).p_local
+    return _key_slice(build_cc_attack(nu).decomposition.chi)
 
 
 class TestLocalBehaviorFromChi:
-    """`p_local`: the key-setting table of the biseparable remainder chi_nu."""
+    """The local table: the key-setting table of the biseparable remainder chi_nu."""
 
     def test_symmetric_under_bob_swap(self):
         for nu in (0.1, 0.4, 0.8):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ckabounds.behaviors import (GAME_FIXED_INPUTS, KEY_SETTING, PAULI_X, PAULI_Z,
-                                 Behavior, behavior_distance, behavior_from_measurement,
+                                 Behavior, behavior_from_measurement,
                                  critical_noise, default_measurements,
                                  expected_winning_probability, honest_behavior,
                                  parity_chsh_value,
@@ -165,39 +165,6 @@ class TestBehaviorFromMeasurement:
         z = povm_from_observable(PAULI_Z)
         with pytest.raises(ValueError, match="dimension"):
             behavior_from_measurement(random_density(rng, (3, 2)), ((z,), (z,)))
-
-
-class TestBehaviorDistance:
-    def test_identical_behaviors(self):
-        b = honest_behavior(0.2)
-        assert behavior_distance(b, b) == 0.0
-
-    def test_disjoint_deterministic_outputs(self):
-        p = deterministic_behavior((2, 2, 1), [(0, 0), (0, 0), (0,)])
-        q = deterministic_behavior((2, 2, 1), [(1, 1), (0, 0), (0,)])
-        assert behavior_distance(p, q) == pytest.approx(2.0)
-
-    def test_epsilon_mixture(self):
-        eps = 0.01
-        p = honest_behavior(0.0)
-        u = uniform_behavior(p.input_alphabets, p.output_alphabets)
-        q = Behavior(p.input_alphabets, p.output_alphabets,
-                     (1 - eps) * p.table + eps * u.table)
-        assert behavior_distance(p, q) <= 2 * eps + 1e-12
-
-    def test_metric_properties(self, rng):
-        behaviors = []
-        for _ in range(3):
-            raw = rng.random((2, 2, 1, 2, 2, 2))
-            raw /= raw.reshape(2, 2, 1, -1).sum(axis=-1)[..., None, None, None]
-            behaviors.append(Behavior((2, 2, 1), (2, 2, 2), raw))
-        p, q, r = behaviors
-        assert behavior_distance(p, q) == pytest.approx(behavior_distance(q, p))
-        assert behavior_distance(p, r) <= behavior_distance(p, q) + behavior_distance(q, r) + 1e-12
-
-    def test_alphabet_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            behavior_distance(uniform_behavior(), uniform_behavior(ins=(2, 2, 1)))
 
 
 class TestParityGame:

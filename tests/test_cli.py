@@ -1,4 +1,5 @@
 import argparse
+from decimal import Decimal
 import io
 import math
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ckabounds import cli
+from ckabounds import bounds, cli
 from ckabounds.cli import main
 from ckabounds.secrecy import distribution_from_csv
 
@@ -89,6 +90,19 @@ class TestCurvesCommand:
     def test_unknown_flag_exits_one(self):
         assert main(["curves", "--bogus"]) == 1
 
+    def test_default_grid_is_the_library_default(self):
+        cfg = cli._resolve(cli._build_parser().parse_args(["curves"]))
+        grid = bounds.noise_grid(cfg["nu_min"], cfg["nu_max"], cfg["nu_step"])
+        assert [nu.hex() for nu in grid] == [nu.hex() for nu in bounds.default_grid()]
+
+    def test_empty_out_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for argv in (["curves", "--nu-max", "0.01", "--nu-step", "0.01", "--out", ""],
+                     ["attack", "--nu-min", "0.1", "--out", ""]):
+            assert main(argv) == 1
+            assert "--out" in one_line(capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+
     def test_nonpositive_workers_exit_one(self, tmp_path, capsys):
         for workers in ("0", "-3"):
             assert main(["curves", "--nu-max", "0.01", "--nu-step", "0.01",
@@ -156,6 +170,15 @@ class TestConfigFile:
         assert f"longer than {cli.CONFIG_MAX_BYTES} bytes" in one_line(capsys.readouterr().err)
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("command", ["curves", "attack"])
+    def test_empty_out_exits_one(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nu_max = 0.01\nnu_step = 0.01\nout =\n")
+        assert main([command, "--config", str(cfg)]) == 1
+        assert "invalid value for config key 'out'" in one_line(capsys.readouterr().err)
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_format_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format = csv\n")
@@ -178,6 +201,13 @@ class TestCommandFlags:
     def test_flag_of_another_command_exits_one(self, argv, capsys):
         assert main(argv) == 1
         assert "unrecognized arguments" in one_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [["curves", "--work", "1"], ["attack", "--o", "f"]])
+    def test_abbreviated_flag_exits_one(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert "unrecognized arguments" in one_line(capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
 
     def test_readme_synopsis_matches_parsers(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -268,6 +298,29 @@ class TestAttackCommand:
 
     def test_rejects_nu_out_of_range(self, capsys):
         assert main(["attack", "--nu-min", "1.0"]) == 1
+
+    def test_values_are_the_curves_values(self, tmp_path, capsys):
+        # `attack` prints 9 decimals of the values `curves` writes with 12 significant digits
+        assert main(["attack", "--nu-min", "0.05"]) == 0
+        out = capsys.readouterr().out
+        printed = {}
+        for state in ("off", "on"):
+            suffix = "min" if state == "on" else "fixed"
+            m = re.search(rf"intrinsic \(minimize={state}\) *= .* /\(N-1\) = (\S+)\n", out)
+            printed[f"intrinsic_{suffix}"] = Decimal(m.group(1))
+            m = re.search(rf"dual_sn +\(minimize={state}\) *= (\S+) bits\n", out)
+            printed[f"dual_{suffix}"] = Decimal(m.group(1))
+        written = {}
+        for flags in ([], ["--minimize"]):
+            csv = tmp_path / "c.csv"
+            assert main(["curves", "--nu-min", "0.05", "--nu-max", "0.06", "--nu-step", "0.01",
+                         "--out", str(csv)] + flags) == 0
+            for line in csv.read_text().splitlines()[1:]:
+                nu, value, name = line.split(",")
+                if nu == "0.05" and name in printed:
+                    written[name] = Decimal(value).quantize(Decimal("1e-9"))
+        capsys.readouterr()
+        assert written == printed
 
 
 class TestRelayCommand:

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ckabounds.qmat import (DensityMatrix, Povm, eig_hermitian, maximally_mixed,
-                            partial_trace, purify, quantum_cmi,
-                            relative_entropy, tensor, von_neumann_entropy)
+from ckabounds.qmat import (DensityMatrix, Povm, maximally_mixed, partial_trace, purify,
+                            quantum_cmi, relative_entropy, tensor, von_neumann_entropy)
 from ckabounds.states import ghz
 from conftest import random_density, random_pure
 
@@ -117,40 +116,6 @@ class TestPartialTrace:
     def test_empty_keep_rejected(self, rng):
         with pytest.raises(ValueError):
             partial_trace(random_density(rng, (2, 2)), [])
-
-
-class TestEigHermitian:
-    def test_diagonal_case(self):
-        vals, _ = eig_hermitian(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        assert np.allclose(vals, [3.0, 2.0, 1.0])
-
-    def test_pauli_x_spectrum(self):
-        x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        vals, vecs = eig_hermitian(x)
-        assert np.allclose(vals, [1.0, -1.0])
-        assert np.abs(vecs @ np.diag(vals) @ vecs.conj().T - x).max() < 1e-8
-
-    def test_random_2x2_against_quadratic_formula(self, rng):
-        for _ in range(20):
-            a, d = rng.normal(size=2)
-            z = rng.normal() + 1j * rng.normal()
-            m = np.array([[a, z], [np.conj(z), d]])
-            vals, _ = eig_hermitian(m)
-            mean = (a + d) / 2
-            disc = math.sqrt(((a - d) / 2) ** 2 + abs(z) ** 2)
-            assert vals[0] == pytest.approx(mean + disc, abs=1e-10)
-            assert vals[1] == pytest.approx(mean - disc, abs=1e-10)
-
-    def test_reconstruction_and_unitarity(self, rng):
-        m = random_density(rng, (2, 2, 2)).matrix * 8.0
-        vals, vecs = eig_hermitian(m)
-        assert np.abs(vecs @ np.diag(vals) @ vecs.conj().T - m).max() < 1e-8
-        assert np.abs(vecs.conj().T @ vecs - np.eye(8)).max() < 1e-8
-        assert all(x >= y - 1e-12 for x, y in zip(vals, vals[1:]))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestVonNeumannEntropy:

@@ -162,7 +162,7 @@ class TestSn:
 class TestApplyChannel:
     def test_identity_channel(self, rng):
         dist = random_joint(rng, (2, 2), 3)
-        out = apply_channel(dist, ClassicalChannel.identity(3))
+        out = apply_channel(dist, ClassicalChannel(np.eye(3)))
         assert np.abs(out.probs - dist.probs).max() < 1e-15
 
     def test_constant_channel_makes_cmi_unconditional(self, rng):
@@ -180,7 +180,7 @@ class TestApplyChannel:
 
     def test_alphabet_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="alphabet"):
-            apply_channel(random_joint(rng, (2, 2), 3), ClassicalChannel.identity(4))
+            apply_channel(random_joint(rng, (2, 2), 3), ClassicalChannel(np.eye(4)))
 
 
 OBJECTIVES = {"cmi": shannon_cmi, "sn": s_n}

@@ -6,7 +6,7 @@ import pytest
 from ckabounds import states
 from ckabounds.qmat import (DensityMatrix, maximally_mixed, partial_trace,
                             quantum_cmi, tensor)
-from ckabounds.states import GhzDecomposition, depolarize, ghz, noisy_ghz3
+from ckabounds.states import GhzDecomposition, _depolarized, ghz, noisy_ghz3
 from conftest import random_density, random_pure
 import oracles
 
@@ -67,7 +67,13 @@ class TestIdealKeyState:
         assert np.abs(partial_trace(tau, [0]).matrix - np.eye(2) / 2).max() < 1e-10
 
 
+def depolarize(rho: DensityMatrix, site: int, nu: float) -> DensityMatrix:
+    return DensityMatrix(rho.dims, _depolarized(rho.matrix, rho.dims, site, nu))
+
+
 class TestDepolarize:
+    """`states._depolarized`, the depolarizing step of `noisy_ghz3`."""
+
     def test_zero_noise_is_identity(self, rng):
         rho = random_density(rng, (2, 2))
         assert np.abs(depolarize(rho, 0, 0.0).matrix - rho.matrix).max() < 1e-12
@@ -80,14 +86,6 @@ class TestDepolarize:
         zero = DensityMatrix((2,), np.diag([1.0, 0.0]).astype(complex))
         out = depolarize(zero, 0, 0.5)
         assert np.abs(out.matrix - np.diag([0.75, 0.25])).max() < 1e-12
-
-    def test_rejects_non_qubit_site(self):
-        with pytest.raises(ValueError, match="qubit"):
-            depolarize(maximally_mixed((3,)), 0, 0.1)
-
-    def test_rejects_bad_nu(self, rng):
-        with pytest.raises(ValueError):
-            depolarize(random_density(rng, (2,)), 0, 1.5)
 
     def test_middle_site_against_oracle(self, rng):
         # depolarizing a middle factor must commute with the index bookkeeping
@@ -129,6 +127,11 @@ class TestNoisyGhz3:
         dec = noisy_ghz3(0.0)
         assert dec.ghz_weight == pytest.approx(1.0)
         assert dec.biseparable_weight == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("nu", [-0.1, 1.5, float("nan")])
+    def test_rejects_nu_outside_unit_interval(self, nu):
+        with pytest.raises(ValueError, match="noise parameter"):
+            noisy_ghz3(nu)
 
     def test_full_noise_is_maximally_mixed(self):
         dec = noisy_ghz3(1.0)
