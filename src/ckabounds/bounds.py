@@ -67,9 +67,9 @@ def noise_grid(lo: float, hi: float, step: float) -> list[float]:
     nu = 1 is never a point: no curve is defined there.  More than
     MAX_GRID_POINTS points are rejected before any is built.
     """
-    if not (0.0 <= lo < hi <= 1.0 and step > 0.0):
-        raise ValueError(f"invalid grid: need 0 <= nu_min < nu_max <= 1 and nu_step > 0 "
-                         f"(got {lo}, {hi}, {step})")
+    if not (0.0 <= lo < hi <= 1.0 and 0.0 < step < math.inf):
+        raise ValueError(f"invalid grid: need 0 <= nu_min < nu_max <= 1 and a finite "
+                         f"nu_step > 0 (got {lo}, {hi}, {step})")
     span = (hi - lo) / step + 1e-9
     if span >= MAX_GRID_POINTS:
         raise ValueError(f"invalid grid: more than {MAX_GRID_POINTS} points")

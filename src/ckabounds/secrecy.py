@@ -22,8 +22,10 @@ on the true infimum.
 
 The descent screens its moves with the column-additive value -sum c_r p log2 p over the
 entries p = (Q L)[r, f], Q the stacked subset marginals P_X(x_X, e) and c_r the c_X of
-row r: moving row e of L by delta adds the rank-one Q[:, e] delta to Q L.  Only the
-trials within MARGIN (`_screen_bound`) of passing, or near PROB_FLOOR, are scored exactly.
+row r: moving row e of L by delta adds the rank-one Q[:, e] delta to Q L, so a trial
+touches only the entries where both delta and Q[:, e] are nonzero, and the screen works
+on those alone.  Only the trials within MARGIN (`_screen_bound`) of passing, or near
+PROB_FLOOR, are scored exactly.
 """
 
 from __future__ import annotations
@@ -308,28 +310,54 @@ def _best_partition(dist: JointDistribution, kind: str) -> list[list[int]]:
     return blocks
 
 
-def _screen(q: np.ndarray, coeffs: np.ndarray, mat: np.ndarray, e: np.ndarray,
+def _nonzeros(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """q's nonzero entries column by column: (rows, values, bounds), those of column j
+    at bounds[j]:bounds[j + 1]."""
+    col, row = np.nonzero(q.T)
+    return row, q[row, col], np.searchsorted(col, np.arange(q.shape[1] + 1))
+
+
+def _screen(q: np.ndarray, support: tuple[np.ndarray, np.ndarray, np.ndarray],
+            coeffs: np.ndarray, mat: np.ndarray, e: np.ndarray,
             rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per trial t (row e[t] of `mat` set to rows[t]): the change of -sum_r coeffs[r] *
-    sum_f `_plogp`(q @ L)[r, f], and whether it moves an entry within 2x of PROB_FLOOR."""
-    marg = (q @ mat).T
-    moved = (rows - mat[e])[:, :, np.newaxis] * q.T[e][:, np.newaxis, :]  # (t, f, r)
-    after = marg + moved
-    near = [np.abs(m - 1.25 * PROB_FLOOR) <= 0.75 * PROB_FLOOR for m in (marg, after)]
-    ambiguous = ((near[0] | near[1]) & (moved != 0.0)).any(axis=(1, 2))
-    return (_plogp(marg) - _plogp(after)).sum(axis=1) @ coeffs, ambiguous
+    sum_f `_plogp`(q @ L)[r, f], and whether it moves an entry within 2x of PROB_FLOOR.
+
+    Entry (r, f) moves by delta[t, f] q[r, e[t]], delta = rows - mat[e], so only the
+    entries with both factors nonzero are gathered, through `support` = `_nonzeros`(q);
+    every other entry adds exactly 0.  Each trial's terms are summed in (f, r) order."""
+    q_rows, q_vals, bounds = support
+    delta = rows - mat[e]
+    moves = delta != 0.0
+    t, f = np.nonzero(moves)  # the (trial, column) pairs the trials move
+    first = bounds[e[t]]
+    n = bounds[e[t] + 1] - first  # entries moved per pair
+    # entry i of pair k is nonzero first[k] + i; the pairs' entries lie end to end
+    at = np.repeat(first - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    r, t, f = q_rows[at], np.repeat(t, n), np.repeat(f, n)
+    moved = np.repeat(delta[moves], n) * q_vals[at]
+    p = np.empty((2, at.size))  # each entry before and after its move
+    p[0] = (q @ mat).ravel()[r * mat.shape[1] + f]
+    np.add(p[0], moved, out=p[1])
+    near = np.abs(p - 1.25 * PROB_FLOOR) <= 0.75 * PROB_FLOOR
+    ambiguous = np.zeros(e.size, dtype=bool)
+    ambiguous[t[(near[0] | near[1]) & (moved != 0.0)]] = True
+    p = _plogp(p)
+    return np.bincount(t, coeffs[r] * (p[0] - p[1]), minlength=e.size), ambiguous
 
 
 def _screen_bound(a: int, ne: int, nf: int, rows: int, entries: int, c_abs: float) -> float:
     """|screened - exact| of a trial in bits is at most C [(3 g(a + |E|) + g(3a + 2|E| + 3))
-    (H + 1.5) + (24 u + 2 g(S/8 + 3) + 2 g(|F| + rows) + 4 g(entries)) H], where u = 2^-53,
-    g(k) = k u / (1 - k u), S = a |F|, H = log2 S, C = c_abs = sum_X |c_X|: the relative
-    errors of P_X L on both paths (a step <= 1/2 keeps half an entry) times H + log2 e;
-    log2 (4 ulp) and rounding; pairwise sums; the screen's sums; `_objective`'s sums of
-    weight <= 2C.  Entries a move leaves alone are the same in both exact scores.  For
-    the attack's tables (a = 8, |E| = 9, |F| <= 3) this is at most 7.5e-13."""
+    (H + 1.5) + (24 u + 2 g(S/8 + 3) + 2 g(|F| rows + 1) + 4 g(entries)) H], where
+    u = 2^-53, g(k) = k u / (1 - k u), S = a |F|, H = log2 S, C = c_abs = sum_X |c_X|: the
+    relative errors of P_X L on both paths (a step <= 1/2 keeps half an entry) times
+    H + log2 e; log2 (4 ulp) and rounding; pairwise sums; the screen's sum, one
+    subtraction and one product per moved entry and then a sequential sum over at most
+    |F| x rows of them; `_objective`'s sums of weight <= 2C.  Entries a move leaves alone
+    are the same in both exact scores.  For the attack's tables (a = 8, |E| = 9,
+    |F| <= 3) this is at most 9.9e-13."""
     g = [k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
-         for k in (a + ne, 3 * a + 2 * ne + 3, a * nf // 8 + 3, nf + rows, entries)]
+         for k in (a + ne, 3 * a + 2 * ne + 3, a * nf // 8 + 3, nf * rows + 1, entries)]
     h = math.log2(max(a * nf, 2))
     return c_abs * ((3 * g[0] + g[1]) * (h + 1.5)
                     + (24 * 2.0 ** -53 + 2 * g[2] + 2 * g[3] + 4 * g[4]) * h)
@@ -363,6 +391,7 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarr
     margs = _subset_marginals(dist, kind)
     q = np.concatenate([m for m, _ in margs])
     coeffs = np.concatenate([np.full(m.shape[0], c) for m, c in margs])
+    support = _nonzeros(q)
     entries, c_abs = sum(map(len, _plan(n, kind)[1])), sum(abs(c) for _, c in margs)
     margin = max(MARGIN, _screen_bound(dist.probs.size // ne, ne, nf, len(q), entries, c_abs))
 
@@ -380,7 +409,7 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarr
         ks, moves = np.nonzero(changed)
         if not moves.size:
             return None
-        change, ambiguous = _screen(q, coeffs, mat, moves // nf, rows[ks, moves])
+        change, ambiguous = _screen(q, support, coeffs, mat, moves // nf, rows[ks, moves])
         for i in np.flatnonzero((best + change < best - 1e-15 + margin) | ambiguous):
             trial = mat.copy()
             trial[moves[i] // nf] = rows[ks[i], moves[i]]

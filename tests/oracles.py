@@ -3,9 +3,10 @@
 Everything here is deliberately written from scratch (plain loops, its own
 entropy code, a different partition enumerator) so that agreement with the
 package is meaningful.  The channel-search references (`refine_loop`,
-`best_partition_loop`) are the exceptions: they run the package's own
-`_objective` and `_block_values` one move or one subset at a time, so that
-its batched search can be checked against them bit for bit.
+`best_partition_loop`, `screen_dense`) are the exceptions: they run the
+package's own `_objective`, `_block_values` and `_plogp` one move or one
+subset at a time, or over every (trial, f, r) entry, so that its batched
+and sparse search can be checked against them.
 """
 
 import itertools
@@ -220,10 +221,25 @@ def refine_loop(dist, channel: np.ndarray, kind: str, taken=None) -> np.ndarray:
     return mat
 
 
-def screen_errors(dist, kind: str, start: np.ndarray) -> list[tuple[float, bool]]:
-    """Run `_refine` from `start` and return, for every trial of every batch it
-    screened, |best + screened change - `_objective` of the trial| and whether
-    the screen called the trial ambiguous."""
+def screen_dense(q: np.ndarray, coeffs: np.ndarray, mat: np.ndarray, e: np.ndarray,
+                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`secrecy._screen` over the whole (trial, f, r) array: the entries a trial
+    leaves alone add p log p - p log p = 0.  Each trial's terms are summed over f,
+    then dotted with `coeffs` over r."""
+    from ckabounds.secrecy import PROB_FLOOR, _plogp
+
+    marg = (q @ mat).T
+    moved = (rows - mat[e])[:, :, np.newaxis] * q.T[e][:, np.newaxis, :]  # (t, f, r)
+    after = marg + moved
+    near = [np.abs(m - 1.25 * PROB_FLOOR) <= 0.75 * PROB_FLOOR for m in (marg, after)]
+    ambiguous = ((near[0] | near[1]) & (moved != 0.0)).any(axis=(1, 2))
+    return (_plogp(marg) - _plogp(after)).sum(axis=1) @ coeffs, ambiguous
+
+
+def screened_batches(dist, kind: str, start: np.ndarray) -> list:
+    """Run `_refine` from `start` and return, for every batch it screened, the
+    arguments (q, coeffs, mat, e, rows) of its `_screen` call, less `support`, and
+    the result."""
     import pytest
 
     from ckabounds import secrecy
@@ -231,23 +247,56 @@ def screen_errors(dist, kind: str, start: np.ndarray) -> list[tuple[float, bool]
     batches = []
     screen = secrecy._screen
 
-    def recorded(q, coeffs, mat, e, new):
-        change, ambiguous = screen(q, coeffs, mat, e, new)
-        batches.append((mat.copy(), e, new, change, ambiguous))
-        return change, ambiguous
+    def recorded(q, support, coeffs, mat, e, rows):
+        result = screen(q, support, coeffs, mat, e, rows)
+        batches.append(((q, coeffs, mat.copy(), e, rows), result))
+        return result
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(secrecy, "_screen", recorded)
         secrecy._refine(dist, start, kind)
+    return batches
+
+
+def screen_errors(dist, kind: str, start: np.ndarray) -> list[tuple[float, bool]]:
+    """Run `_refine` from `start` and return, for every trial of every batch it
+    screened, |best + screened change - `_objective` of the trial| and whether
+    the screen called the trial ambiguous."""
+    from ckabounds import secrecy
+
     n = dist.parties
     out = []
-    for mat, e, new, change, ambiguous in batches:
+    for (_, _, mat, e, new), (change, ambiguous) in screened_batches(dist, kind, start):
         best = secrecy._objective(dist.probs @ mat, n, kind)
         for t in range(e.size):
             trial = mat.copy()
             trial[e[t]] = new[t]
             exact = secrecy._objective(dist.probs @ trial, n, kind)
             out.append((abs(best + change[t] - exact), bool(ambiguous[t])))
+    return out
+
+
+def screen_sum_gaps(dist, kind: str, start: np.ndarray) -> list[tuple[float, float, bool]]:
+    """Run `_refine` from `start` and return, for every trial of every batch it
+    screened, |screened change - `screen_dense` change|, the two screens' summation
+    error bounds added, and whether both flag the trial ambiguous alike.
+
+    Both screens sum the same terms c_r (p log p before - after), of total weight at
+    most 2 C log2(a |F|) (C = sum_X |c_X|, a = the parties' table size); the sums
+    carry 1 + (|F| - 1) + rows roundings on the dense path and at most
+    2 + (|F| rows - 1) on the sparse one."""
+    from ckabounds.secrecy import _subset_marginals
+
+    u = 2.0 ** -53
+    c_abs = sum(abs(c) for _, c in _subset_marginals(dist, kind))
+    out = []
+    for args, (change, ambiguous) in screened_batches(dist, kind, start):
+        rows, nf = args[0].shape[0], args[2].shape[1]
+        weight = 2.0 * c_abs * math.log2(max(dist.probs.size // dist.eve_alphabet * nf, 2))
+        bound = sum(k * u / (1.0 - k * u) for k in (nf + rows, nf * rows + 1)) * weight
+        dense, dense_ambiguous = screen_dense(*args)
+        out += [(abs(s - d), bound, bool(a == b))
+                for s, d, a, b in zip(change, dense, ambiguous, dense_ambiguous)]
     return out
 
 

@@ -205,6 +205,11 @@ class TestValidators:
         with pytest.raises(ValueError, match="invalid grid"):
             noise_grid(0.0, 0.13, math.nan)
 
+    def test_noise_grid_rejects_infinite_step(self):
+        # lo + 0 * inf is nan, which the rounding filter would silently drop
+        with pytest.raises(ValueError, match="finite nu_step"):
+            noise_grid(0.0, 0.13, math.inf)
+
     def test_points_that_round_together_rejected_before_computing(self, pools, no_points):
         with pytest.raises(ValueError, match="collide after rounding to 12 decimals"):
             noise_grid(0.1, 0.1000000000005, 1e-13)

@@ -83,6 +83,13 @@ class TestCurvesCommand:
         assert "points collide after rounding to 12 decimals (nu_step 1e-300)" in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_infinite_step_names_the_step(self, tmp_path, capsys):
+        code = main(["curves", "--nu-step", "inf", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = one_line(capsys.readouterr().err)
+        assert "finite nu_step > 0" in err and "empty noise grid" not in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unwritable_path_exits_two(self):
         assert main(["curves", "--nu-max", "0.01", "--nu-step", "0.01",
                      "--out", "/nonexistent-dir/curves.csv"]) == 2

@@ -104,6 +104,16 @@ def test_screen_is_within_the_margin(inputs, sweeps):
     assert max((err for err, _ in errors), default=0.0) <= secrecy.MARGIN / 10
 
 
+@settings(FEW, max_examples=30)
+@given(inputs=screen_inputs(), sweeps=st.integers(1, 4))
+def test_screen_matches_the_dense_screen(inputs, sweeps):
+    dist, kind, start = inputs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(secrecy, "REFINE_SWEEPS", sweeps)
+        gaps = oracles.screen_sum_gaps(dist, kind, start)
+    assert all(gap <= bound and same_flags for gap, bound, same_flags in gaps)
+
+
 @FEW
 @given(nu=st.floats(0.0, 0.95))
 def test_minimized_never_exceeds_fixed_postprocessing(nu):

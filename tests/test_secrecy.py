@@ -266,9 +266,9 @@ def count_scores(monkeypatch):
     rows, exact = [], []
     screen, objective = secrecy._screen, secrecy._objective
 
-    def screened(q, coeffs, mat, e, new):
+    def screened(q, support, coeffs, mat, e, new):
         rows.append(e.size)
-        return screen(q, coeffs, mat, e, new)
+        return screen(q, support, coeffs, mat, e, new)
 
     def scored(p, n_parties, kind):
         exact.append(kind)
@@ -320,6 +320,60 @@ class TestBatchedSearch:
         for kind in ("cmi", "sn"):
             errors = [err for err, _ in oracles.screen_errors(dist, kind, dp_start(dist, kind))]
             assert max(errors, default=0.0) <= secrecy.MARGIN / 10  # nf = 1: no moves
+
+    @pytest.mark.parametrize("nu", BENCH_POINTS)
+    def test_screen_matches_the_dense_screen_on_bench_grids(self, nu):
+        dist = build_cc_attack(nu).joint
+        for kind in ("cmi", "sn"):
+            for gap, bound, same_flags in oracles.screen_sum_gaps(dist, kind, dp_start(dist, kind)):
+                assert gap <= bound and same_flags
+
+    def test_screen_matches_the_dense_screen_near_the_floor(self, rng):
+        # columns of q at 1e-17..1e-13 put marginal entries on both sides of the
+        # PROB_FLOOR band before and after a move, so both tests of `near` decide
+        flagged = []
+        for _ in range(40):
+            n_rows, ne, nf, n_trials = (int(k) for k in rng.integers([1, 1, 1, 1], [8, 6, 4, 30]))
+            q = 10.0 ** rng.uniform(-17, -13, size=(n_rows, ne))
+            q[rng.random(q.shape) < 0.4] = 0.0
+            mat = rng.random((ne, nf))
+            mat[rng.random(mat.shape) < 0.3] = 0.0
+            mat[:, 0] += 1e-3
+            mat /= mat.sum(axis=1, keepdims=True)
+            e = rng.integers(ne, size=n_trials)
+            step = rng.choice([0.5, 0.25, 1e-3], size=(n_trials, 1))
+            rows = (1.0 - step) * mat[e] + step * np.eye(nf)[rng.integers(nf, size=n_trials)]
+            coeffs = rng.choice([-2.0, -1.0, 1.0], size=n_rows)
+            change, ambiguous = secrecy._screen(q, secrecy._nonzeros(q), coeffs, mat, e, rows)
+            dense, dense_ambiguous = oracles.screen_dense(q, coeffs, mat, e, rows)
+            assert np.array_equal(ambiguous, dense_ambiguous)
+            assert np.abs(change - dense).max() <= 1e-13 * np.abs(dense).max()
+            flagged += ambiguous.tolist()
+        assert any(flagged) and not all(flagged)
+
+    @pytest.mark.parametrize("kind", ["cmi", "sn"])
+    @pytest.mark.parametrize("nf", [2, 3])
+    def test_screen_bound_is_within_the_margin_at_the_attack_shapes(self, kind, nf):
+        dist = build_cc_attack(0.05).joint
+        margs = secrecy._subset_marginals(dist, kind)
+        rows = sum(len(m) for m, _ in margs)
+        assert (dist.probs.size // dist.eve_alphabet, dist.eve_alphabet) == (8, 9)
+        assert rows == {"cmi": 15, "sn": 21}[kind]
+        entries = sum(map(len, secrecy._plan(dist.parties, kind)[1]))
+        c_abs = sum(abs(c) for _, c in margs)
+        assert secrecy._screen_bound(8, 9, nf, rows, entries, c_abs) <= secrecy.MARGIN
+
+    def test_default_grid_scores_only_the_starts(self, monkeypatch):
+        # no trial of the default grid comes within the margin of passing, so
+        # each search scores its start exactly and nothing else
+        for nu in default_grid():
+            dist = build_cc_attack(nu).joint
+            for kind in ("cmi", "sn"):
+                start = dp_start(dist, kind)
+                _, exact = count_scores(monkeypatch)
+                assert np.array_equal(_refine(dist, start, kind), start)
+                assert len(exact) == 1
+                monkeypatch.undo()
 
     @pytest.mark.parametrize("nu", BENCH_POINTS)
     def test_refine_matches_loop_on_bench_grids(self, nu):
