@@ -22,9 +22,8 @@ import numpy as np
 
 from . import states
 from .qmat import HERMITICITY_TOL, DensityMatrix, Povm
+from .secrecy import TOTAL_TOL, probability_table
 
-CLAMP_WINDOW = 1e-12
-NORMALIZATION_TOL = 1e-9
 CRITICAL_NOISE_TOL = 1e-9
 
 _SQRT2 = math.sqrt(2.0)
@@ -41,9 +40,8 @@ GAME_FIXED_INPUTS = (1,)
 class Behavior:
     """Conditional distribution table over per-party finite alphabets.
 
-    `table` has shape input_alphabets + output_alphabets; entries within
-    1e-12 of [0, 1] are clamped into the interval, every conditional slice
-    must sum to 1 within 1e-9.
+    `table` has shape input_alphabets + output_alphabets, one distribution
+    per joint input, checked by `probability_table`.
     """
 
     input_alphabets: tuple[int, ...]
@@ -55,18 +53,8 @@ class Behavior:
         outs = tuple(int(o) for o in self.output_alphabets)
         if len(ins) != len(outs) or not ins:
             raise ValueError("need one input and one output alphabet per party")
-        t = np.array(self.table, dtype=float)
-        if t.shape != ins + outs:
-            raise ValueError(f"table shape {t.shape} does not match alphabets {ins + outs}")
-        if not np.isfinite(t).all():
-            raise ValueError("behavior table has a non-finite entry")
-        if t.min() < -CLAMP_WINDOW or t.max() > 1.0 + CLAMP_WINDOW:
-            raise ValueError("probabilities outside the clamping window [-1e-12, 1+1e-12]")
-        t = np.clip(t, 0.0, 1.0)
-        sums = t.reshape(ins + (-1,)).sum(axis=-1)
-        if np.abs(sums - 1.0).max() > NORMALIZATION_TOL:
-            raise ValueError("a conditional distribution does not sum to 1 within 1e-9")
-        t.flags.writeable = False
+        t = probability_table(self.table, ins + outs, len(outs), TOTAL_TOL,
+                              "conditional distributions")
         object.__setattr__(self, "input_alphabets", ins)
         object.__setattr__(self, "output_alphabets", outs)
         object.__setattr__(self, "table", t)
@@ -195,10 +183,7 @@ def expected_winning_probability(nu: float, n_parties: int) -> float:
     """
     if n_parties < 3:
         raise ValueError("the parity game needs at least three parties")
-    nu = float(nu)
-    if not 0.0 <= nu <= 1.0:
-        raise ValueError(f"noise parameter must lie in [0, 1], got {nu}")
-    u = 1.0 - nu
+    u = 1.0 - states._check_nu(nu)
     return 0.5 + u ** n_parties / (2 * _SQRT2) + u ** 2 * (1 - u ** (n_parties - 2)) / (8 * _SQRT2)
 
 

@@ -1,4 +1,4 @@
-"""Set-partition enumeration via restricted-growth strings."""
+"""Set-partition enumeration by growing blocks one item at a time."""
 
 from __future__ import annotations
 
@@ -9,31 +9,27 @@ from typing import Iterator, Sequence
 def set_partitions(items: Sequence) -> Iterator[list[list]]:
     """Yield every partition of `items` as a list of blocks.
 
-    Blocks appear in order of their smallest member.  The number of
+    Each item in turn joins every open block, then opens a new one, so
+    blocks appear in order of their smallest member and the partitions in
+    lexicographic order of their restricted-growth strings.  The number of
     partitions is the Bell number of len(items), so keep the argument small.
     """
     items = list(items)
-    n = len(items)
-    if n == 0:
-        yield []
-        return
-    a = [0] * n  # restricted-growth string: a[i] <= max(a[:i]) + 1
-    prefix_max = [0] * n
-    while True:
-        blocks: list[list] = [[] for _ in range(max(a) + 1)]
-        for x, label in zip(items, a):
-            blocks[label].append(x)
-        yield blocks
-        i = n - 1
-        while i > 0 and a[i] > prefix_max[i - 1]:
-            i -= 1
-        if i == 0:
+    blocks: list[list] = []
+
+    def grow(i: int) -> Iterator[list[list]]:
+        if i == len(items):
+            yield [list(b) for b in blocks]
             return
-        a[i] += 1
-        prefix_max[i] = max(prefix_max[i - 1], a[i])
-        for j in range(i + 1, n):
-            a[j] = 0
-            prefix_max[j] = prefix_max[i]
+        for b in blocks:
+            b.append(items[i])
+            yield from grow(i + 1)
+            b.pop()
+        blocks.append([items[i]])
+        yield from grow(i + 1)
+        blocks.pop()
+
+    yield from grow(0)
 
 
 @lru_cache(maxsize=None)

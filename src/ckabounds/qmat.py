@@ -6,9 +6,9 @@ Conventions used throughout the package:
 * subsystems of a composite state are indexed from 0 in tensor order;
 * total dimensions stay small (<= ~64), so dense eigendecompositions are
   always affordable and no sparse machinery is provided;
-* validity (finite entries, hermiticity, trace, positivity) is checked
-  once, when a `DensityMatrix` or `Povm` is constructed, not on every
-  operation.
+* validity (finite entries, hermiticity, positivity) is checked once, by
+  `hermitian_matrix`, when a `DensityMatrix` or `Povm` is constructed, not
+  on every operation.
 
 Adversarial systems are modelled as finite-dimensional throughout.  This is
 a computational restriction, not a claim of tightness: the quantities
@@ -38,14 +38,26 @@ def _as_complex_matrix(m) -> np.ndarray:
     return arr
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+def hermitian_matrix(m, dim: int, min_eigenvalue: float, name: str) -> np.ndarray:
+    """`m` as a read-only complex (dim x dim) matrix: finite, Hermitian within
+    `HERMITICITY_TOL`, no eigenvalue below `min_eigenvalue`; `name` leads each message."""
+    m = _as_complex_matrix(m)
+    if m.shape != (dim, dim):
+        raise ValueError(f"{name} shape {m.shape} does not match dimension {dim}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
+        raise ValueError(f"{name} is not Hermitian within {HERMITICITY_TOL:g}")
+    if np.linalg.eigvalsh(m).min() < min_eigenvalue:
+        raise ValueError(f"{name} is not positive semidefinite: "
+                         f"an eigenvalue is below {min_eigenvalue:g}")
+    m.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix on labeled tensor factors.
+    """Unit-trace matrix on labeled tensor factors, checked by `hermitian_matrix`.
 
     `dims` lists the dimension of each tensor factor; `matrix` is the
     (prod(dims) x prod(dims)) complex matrix in row-major tensor order.
@@ -60,21 +72,12 @@ class DensityMatrix:
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"invalid subsystem dimensions {dims}")
-        m = _as_complex_matrix(self.matrix)
-        d = math.prod(dims)
-        if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix has a non-finite entry")
-        if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
-            raise ValueError("matrix is not Hermitian within 1e-10")
+        m = hermitian_matrix(self.matrix, math.prod(dims), MIN_EIGENVALUE, "density matrix")
         tr = m.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace is {tr}, expected 1 within 1e-10")
-        if np.linalg.eigvalsh(m).min() < MIN_EIGENVALUE:
-            raise ValueError("matrix has an eigenvalue below -1e-9")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
@@ -87,29 +90,20 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Povm:
-    """Positive operator-valued measure on one subsystem, one effect per outcome."""
+    """Positive operator-valued measure on one subsystem, one effect per outcome,
+    each checked by `hermitian_matrix`; the effects sum to the identity."""
 
     dim: int
     effects: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        effects = tuple(_as_complex_matrix(e) for e in self.effects)
+        effects = tuple(hermitian_matrix(e, self.dim, -HERMITICITY_TOL, "POVM effect")
+                        for e in self.effects)
         if not effects:
             raise ValueError("POVM needs at least one effect")
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for e in effects:
-            if e.shape != (self.dim, self.dim):
-                raise ValueError(f"effect shape {e.shape} does not match dim {self.dim}")
-            if not np.isfinite(e).all():
-                raise ValueError("POVM effect has a non-finite entry")
-            if np.abs(e - e.conj().T).max() > HERMITICITY_TOL:
-                raise ValueError("POVM effect is not Hermitian within 1e-10")
-            if np.linalg.eigvalsh(e).min() < -HERMITICITY_TOL:
-                raise ValueError("POVM effect is not positive semidefinite within 1e-10")
-            total += e
-        if np.abs(total - np.eye(self.dim)).max() > HERMITICITY_TOL:
+        if np.abs(sum(effects) - np.eye(self.dim)).max() > HERMITICITY_TOL:
             raise ValueError("POVM effects do not sum to the identity within 1e-10")
-        object.__setattr__(self, "effects", tuple(_frozen(e) for e in effects))
+        object.__setattr__(self, "effects", effects)
 
     @property
     def n_outcomes(self) -> int:

@@ -58,12 +58,36 @@ def entropy_bits(vec: np.ndarray) -> float:
     return float(-(v * np.log2(v)).sum()) if v.size else 0.0
 
 
+def probability_table(values, shape: tuple[int, ...], outcome_axes: int, tol: float,
+                      name: str) -> np.ndarray:
+    """`values` as a read-only float table of `shape`: finite entries within 1e-12 of
+    [0, 1], clamped into it, and each distribution over the last `outcome_axes` axes
+    summing to 1 within `tol`.  `name`, a plural noun, leads each message."""
+    t = np.array(values, dtype=float)
+    if t.shape != shape:
+        raise ValueError(f"{name} have shape {t.shape}, expected {shape}")
+    lo, hi = t.min(), t.max()  # NaN propagates to both, and an infinity reaches one
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} have a non-finite entry")
+    if lo < -1e-12:
+        raise ValueError(f"{name} have a negative entry beyond the 1e-12 clamping window")
+    if hi > 1.0 + 1e-12:
+        raise ValueError(f"{name} have an entry above 1 beyond the 1e-12 clamping window")
+    t = np.clip(t, 0.0, 1.0)
+    sums = t.reshape(shape[:len(shape) - outcome_axes] + (-1,)).sum(axis=-1)
+    gaps = np.abs(sums - 1.0)
+    if gaps.max() > tol:
+        raise ValueError(f"{name} must sum to 1 within {tol:g}, got {sums.flat[gaps.argmax()]}")
+    t.flags.writeable = False
+    return t
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Joint distribution over N party symbols and one adversary symbol.
 
-    `probs` has shape party_alphabets + (eve_alphabet,); entries must be
-    nonnegative and sum to 1 within 1e-9.
+    `probs` has shape party_alphabets + (eve_alphabet,) and is one
+    distribution, checked by `probability_table`.
     """
 
     party_alphabets: tuple[int, ...]
@@ -75,18 +99,8 @@ class JointDistribution:
         ne = int(self.eve_alphabet)
         if len(alphabets) < 2 or any(a < 1 for a in alphabets) or ne < 1:
             raise ValueError("need at least two parties and nonempty alphabets")
-        p = np.array(self.probs, dtype=float)
-        if p.shape != alphabets + (ne,):
-            raise ValueError(f"probs shape {p.shape} does not match alphabets")
-        if not np.isfinite(p).all():
-            raise ValueError("non-finite probability entry")
-        if p.min() < -1e-12:
-            raise ValueError("negative probability entry")
-        p = np.clip(p, 0.0, None)
-        total = p.sum()
-        if abs(total - 1.0) > TOTAL_TOL:
-            raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-9")
-        p.flags.writeable = False
+        shape = alphabets + (ne,)
+        p = probability_table(self.probs, shape, len(shape), TOTAL_TOL, "probabilities")
         object.__setattr__(self, "party_alphabets", alphabets)
         object.__setattr__(self, "eve_alphabet", ne)
         object.__setattr__(self, "probs", p)
@@ -98,22 +112,16 @@ class JointDistribution:
 
 @dataclass(frozen=True)
 class ClassicalChannel:
-    """Row-stochastic transition matrix from the Eve alphabet to a new alphabet."""
+    """Row-stochastic transition matrix from the Eve alphabet to a new alphabet;
+    each row is one distribution, checked by `probability_table`."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+        m = np.asarray(self.matrix, dtype=float)
+        if m.ndim != 2 or 0 in m.shape:
             raise ValueError("channel matrix must be 2-dimensional and nonempty")
-        if not np.isfinite(m).all():
-            raise ValueError("channel has a non-finite entry")
-        if m.min() < -1e-12 or m.max() > 1.0 + 1e-12:
-            raise ValueError("channel entries must lie in [0, 1]")
-        m = np.clip(m, 0.0, 1.0)
-        if np.abs(m.sum(axis=1) - 1.0).max() > ROW_TOL:
-            raise ValueError("channel rows must sum to 1 within 1e-10")
-        m.flags.writeable = False
+        m = probability_table(m, m.shape, 1, ROW_TOL, "channel rows")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -514,12 +522,16 @@ def distribution_from_csv(fh) -> JointDistribution:
 
     Each axis is as long as its largest index plus one; absent rows are 0.
     Negative indices, repeated index tuples and tables of more than
-    `CSV_MAX_ENTRIES` entries are rejected before the table is allocated.
+    `CSV_MAX_ENTRIES` entries are rejected before the table is allocated;
+    so is a file of more rows than that, after reading one row past the cap.
     """
     header = fh.readline().strip().split(",")
     if len(header) < 3 or header[-2:] != ["e", "p"]:
         raise ValueError("malformed distribution CSV header: expected a1,...,aN,e,p")
-    rows = [line.split(",") for line in map(str.strip, fh) if line]
+    lines = (line for line in map(str.strip, fh) if line)
+    rows = [line.split(",") for line in itertools.islice(lines, CSV_MAX_ENTRIES + 1)]
+    if len(rows) > CSV_MAX_ENTRIES:
+        raise ValueError(f"CSV has more than {CSV_MAX_ENTRIES} rows, the most a table holds")
     if not rows or any(len(row) != len(header) for row in rows):
         raise ValueError("CSV rows missing or not as wide as the header")
     idx = [tuple(int(v) for v in row[:-1]) for row in rows]

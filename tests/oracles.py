@@ -9,6 +9,7 @@ subset at a time, or over every (trial, f, r) entry, so that its batched
 and sparse search can be checked against them.
 """
 
+import functools
 import itertools
 import math
 
@@ -78,6 +79,15 @@ def brute_channel_minimum(table: np.ndarray, objective) -> float:
         agg = np.stack([table[..., block].sum(axis=-1) for block in blocks], axis=-1)
         best = min(best, objective(agg))
     return best
+
+
+@functools.lru_cache(maxsize=None)
+def attack_channel_minimum(nu: float, objective) -> float:
+    """`brute_channel_minimum` of the attack's joint table at `nu`, computed once per
+    (nu, objective): it enumerates every partition of the 9 Eve symbols."""
+    from ckabounds.attacks import build_cc_attack
+
+    return brute_channel_minimum(build_cc_attack(nu).joint.probs, objective)
 
 
 def local_table(nu: float) -> np.ndarray:

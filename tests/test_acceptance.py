@@ -164,7 +164,7 @@ def test_criterion_8_intrinsic_oracle_equivalence(capsys):
     for nu in (0.02, 0.05, 0.1):
         dist = build_cc_attack(nu).joint
         value, _ = intrinsic_information(dist)
-        brute = oracles.brute_channel_minimum(dist.probs, oracles.cmi_of_table)
+        brute = oracles.attack_channel_minimum(nu, oracles.cmi_of_table)
         assert value == pytest.approx(brute, abs=1e-9)
     with capsys.disabled():
         report(8, "channel search equals exhaustive partition minimum at 3 noise levels")

@@ -264,6 +264,15 @@ class TestEnumeratePartitions:
             assert sum(1 for _ in set_partitions(range(n))) == bell
             assert len(partitions_as_masks(n)) == bell
 
+    def test_order_is_lexicographic_in_restricted_growth_strings(self):
+        # label strings a with a[0] = 0 and a[i] <= max(a[:i]) + 1, in lexicographic order
+        for n in range(7):
+            strings = [a for a in itertools.product(range(n), repeat=n)
+                       if all(a[i] <= max(a[:i], default=-1) + 1 for i in range(n))]
+            expected = [[[i for i in range(n) if a[i] == b] for b in range(max(a, default=-1) + 1)]
+                        for a in strings]
+            assert list(set_partitions(range(n))) == expected
+
     def test_generator_agrees_with_recursive_oracle(self):
         ours = {frozenset(frozenset(b) for b in p) for p in set_partitions(range(5))}
         brute = {frozenset(frozenset(b) for b in p)

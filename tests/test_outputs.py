@@ -1,8 +1,9 @@
 """Byte gate for the command outputs that `bench/golden.json` does not cover.
 
 The `curves` CSVs are pinned by the benchmark's golden digests; these pin the
-stdout of `verify` at the default seed, of `game`, and of
-`attack --nu-min 0.05 --out attack.csv` together with the CSV it writes.
+stdout of `verify` at the default seed, of `game`, of
+`attack --nu-min 0.05 --out attack.csv` together with the CSV it writes, and
+of `partitions --parties 4`, whose order nothing else fixes.
 A digest that moves means a printed digit moved: explain it before
 re-recording.
 """
@@ -38,3 +39,11 @@ def test_attack_stdout_and_csv(capsys, tmp_path, monkeypatch):
     assert sha256(out) == "ab2665c4cb4c5a7fb10c8f9161ddb201cf112504b3b6fcb519cf46151174f8eb"
     csv = (tmp_path / "attack.csv").read_text()
     assert sha256(csv) == "145b2fcb09e01aac70891a146e280a56d442fa6b7772e9bbebbe6d34008cfcf9"
+
+
+def test_partitions_stdout(capsys):
+    out = stdout_of(["partitions", "--parties", "4"], capsys)
+    assert out == ("{0,1,2}{3}\n{0,1,3}{2}\n{0,1}{2,3}\n{0,1}{2}{3}\n{0,2,3}{1}\n"
+                   "{0,2}{1,3}\n{0,2}{1}{3}\n{0,3}{1,2}\n{0}{1,2,3}\n{0}{1,2}{3}\n"
+                   "{0,3}{1}{2}\n{0}{1,3}{2}\n{0}{1}{2,3}\n"
+                   "13 nontrivial partitions of 4 parties\n")

@@ -45,6 +45,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="sum"):
             JointDistribution((2, 2), 2, np.full((2, 2, 2), 0.2))
 
+    def test_rejects_entry_above_one(self):
+        # within the 1e-9 total, but beyond the 1e-12 window the other tables use
+        probs = np.zeros((2, 2, 2))
+        probs[0, 0, 0] = 1.0 + 5e-10
+        with pytest.raises(ValueError, match="above 1"):
+            JointDistribution((2, 2), 2, probs)
+        probs[0, 0, 0] = 1.0 + 5e-13
+        assert JointDistribution((2, 2), 2, probs).probs[0, 0, 0] == 1.0
+
     def test_rejects_non_finite_entry(self):
         probs = np.full((2, 2, 2), 0.125)
         probs[0, 0, 0] = np.nan
@@ -534,7 +543,7 @@ class TestIntrinsicInformation:
     def test_attack_fixture_matches_brute_force(self):
         dist = build_cc_attack(0.05).joint
         value, witness = intrinsic_information(dist)
-        brute = oracles.brute_channel_minimum(dist.probs, oracles.cmi_of_table)
+        brute = oracles.attack_channel_minimum(0.05, oracles.cmi_of_table)
         assert value == pytest.approx(brute, abs=1e-9)
         # witness attains the reported value
         attained = shannon_cmi(apply_channel(dist, witness))
@@ -542,7 +551,7 @@ class TestIntrinsicInformation:
 
     def test_without_refinement_is_the_best_partition(self):
         dist = build_cc_attack(0.05).joint
-        brute = oracles.brute_channel_minimum(dist.probs, oracles.cmi_of_table)
+        brute = oracles.attack_channel_minimum(0.05, oracles.cmi_of_table)
         value, witness = intrinsic_information(dist, SearchBudget(refine=False))
         assert abs(value - brute) < 1e-12
         assert set(np.unique(witness.matrix)) <= {0.0, 1.0}
@@ -576,7 +585,7 @@ class TestDualIntrinsic:
     def test_attack_fixture_matches_brute_force(self):
         dist = build_cc_attack(0.05).joint
         value, witness = dual_intrinsic(dist)
-        brute = oracles.brute_channel_minimum(dist.probs, oracles.sn_of_table)
+        brute = oracles.attack_channel_minimum(0.05, oracles.sn_of_table)
         assert value == pytest.approx(brute, abs=1e-9)
         attained = s_n(apply_channel(dist, witness))
         assert abs(attained - value) < 1e-10
@@ -651,3 +660,11 @@ class TestCsv:
         # the table is sized by the largest index: 10**12 asked numpy for 7.28 TiB
         with pytest.raises(ValueError, match="more than"):
             distribution_from_csv(io.StringIO("a1,a2,e,p\n0,0,0,0.5\n1,1,1000000000000,0.5\n"))
+
+    def test_stops_reading_one_row_past_the_cap(self, monkeypatch):
+        # every row used to be held in memory before any cap applied
+        monkeypatch.setattr(secrecy, "CSV_MAX_ENTRIES", 3)
+        fh = io.StringIO("a1,a2,e,p\n" + "".join(f"0,0,{e},0.001\n" for e in range(1000)))
+        with pytest.raises(ValueError, match="more than 3 rows"):
+            distribution_from_csv(fh)
+        assert len(fh.readlines()) == 1000 - 4  # the header and 4 rows were consumed
