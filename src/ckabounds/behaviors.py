@@ -24,8 +24,6 @@ from . import states
 from .qmat import HERMITICITY_TOL, DensityMatrix, Povm
 from .secrecy import TOTAL_TOL, probability_table
 
-CRITICAL_NOISE_TOL = 1e-9
-
 _SQRT2 = math.sqrt(2.0)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -188,20 +186,17 @@ def expected_winning_probability(nu: float, n_parties: int) -> float:
 
 
 def critical_noise(n_parties: int) -> float:
-    """Noise level where the reference curve crosses the classical bound 3/4,
-    bisected to an interval of width `CRITICAL_NOISE_TOL`."""
-    lo, hi = 0.0, 1.0
-    f_lo = expected_winning_probability(lo, n_parties) - 0.75
-    f_hi = expected_winning_probability(hi, n_parties) - 0.75
-    if f_lo <= 0.0 or f_hi >= 0.0:
-        raise ValueError("no sign change of p_exp - 3/4 on (0, 1)")
-    while hi - lo > CRITICAL_NOISE_TOL:
-        mid = 0.5 * (lo + hi)
-        if expected_winning_probability(mid, n_parties) - 0.75 > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Noise level where the reference curve crosses the classical bound 3/4.
+
+    With u = 1 - nu the crossing is 3 u^N + u^2 = 2 sqrt2, whose left side
+    increases on u > 0 from 0 to 4 at u = 1: exactly one root lies in (0, 1).
+    """
+    if n_parties < 3:
+        raise ValueError("the parity game needs at least three parties")
+    coeffs = np.zeros(n_parties + 1)
+    coeffs[[0, n_parties - 2, n_parties]] = 3.0, 1.0, -2 * _SQRT2
+    u = next(r.real for r in np.roots(coeffs) if r.imag == 0.0 and 0.0 < r.real < 1.0)
+    return float(1.0 - u)
 
 
 def qber(p: Behavior, key_inputs: Sequence[int] = KEY_SETTING) -> float:

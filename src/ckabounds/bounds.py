@@ -1,24 +1,15 @@
 """Bound curves versus noise, party groupings, and the XOR key relay.
 
-Four named curves are assembled against the depolarizing noise level nu of
-the three-party honest device:
-
-* ``intrinsic_*``: the conditional-mutual-information bound divided by N-1,
-  either with Eve's fixed honest-mimicry post-processing (``_fixed``) or
-  with the channel search applied to her raw 9-symbol record (``_min``);
-* ``dual_*``: the telescoping-sum bound, no prefactor;
-* ``trivial``: 1 - nu, from the single-site fully separable split;
-* ``dw_lower_PROXY``: max(0, H(A|E) - max_i H(A|B_i)) on the attack
-  distribution.  This stand-in only has the shape of a one-way distillation
-  rate; it is not a proved bound, hence the PROXY label in every output.
-
-`compute_curves` is the one curve evaluator; it is defined for three
-parties only, since no biseparable decomposition of the noisy state is
-constructed for N > 3.
+The curves are assembled against the depolarizing noise level nu of the
+three-party honest device.  `point_values` is the one place that names and
+evaluates them; see its docstring for the list.  `compute_curves` maps it
+over a noise grid; it is defined for three parties only, since no
+biseparable decomposition of the noisy state is constructed for N > 3.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -104,38 +95,48 @@ def _proxy_value(attack: CcAttack) -> float:
     h_e = entropy_bits(p.sum(axis=(0, 1, 2)))
     h_a_given_e = entropy_bits(p.sum(axis=(1, 2))) - h_e
     device = p.sum(axis=3)
-    best_bob = -math.inf
-    for drop_axis, _bob in ((2, "b1"), (1, "b2")):
-        pair = device.sum(axis=drop_axis)  # joint of (a, b_i)
-        best_bob = max(best_bob, entropy_bits(pair) - entropy_bits(pair.sum(axis=0)))
+    pairs = (device.sum(axis=2), device.sum(axis=1))  # joints of (a, b1) and (a, b2)
+    best_bob = max(entropy_bits(pair) - entropy_bits(pair.sum(axis=0)) for pair in pairs)
     return max(0.0, h_a_given_e - best_bob)
 
 
-def point_values(attack: CcAttack, minimize: bool) -> tuple[float, float]:
-    """The intrinsic (I divided by N-1) and dual (S_N) values of one attack.
+def point_values(attack: CcAttack, minimize: bool) -> dict[str, float]:
+    """Every curve's value at one attack, by name, in CSV order.
 
-    Eve's post-processing is the fixed honest mimicry, or with `minimize`
-    the channel search over her raw record.
+    Eve's post-processing is the fixed honest mimicry (suffix ``_fixed``),
+    or with `minimize` the channel search over her raw 9-symbol record
+    (suffix ``_min``):
+
+    * ``intrinsic_*``: the conditional-mutual-information bound divided by N-1;
+    * ``dual_*``: the telescoping-sum bound S_N, no prefactor;
+    * ``trivial``: 1 - nu, from the single-site fully separable split;
+    * ``dw_lower_PROXY``: max(0, H(A|E) - max_i H(A|B_i)) on the attack
+      distribution.  This stand-in only has the shape of a one-way
+      distillation rate; it is not a proved bound, hence the PROXY label in
+      every output.
     """
     if minimize:
+        suffix = "min"
         intrinsic, _ = intrinsic_information(attack.joint)
         dual, _ = dual_intrinsic(attack.joint)
     else:
+        suffix = "fixed"
         post = eve_postprocess(attack)
         intrinsic, dual = shannon_cmi(post), s_n(post)
-    return intrinsic / (_N_PARTIES - 1), dual
+    return {f"intrinsic_{suffix}": intrinsic / (_N_PARTIES - 1),
+            f"dual_{suffix}": dual,
+            "trivial": 1.0 - attack.nu,
+            "dw_lower_PROXY": _proxy_value(attack)}
 
 
-def _point_worker(args) -> tuple[float, float, float, float]:
-    """The (intrinsic, dual, trivial, proxy) values at one noise level."""
-    nu, minimize = args
-    attack = build_cc_attack(nu)
-    return point_values(attack, minimize) + (1.0 - nu, _proxy_value(attack))
+def _point_worker(nu: float, minimize: bool) -> dict[str, float]:
+    """Every curve's value at one noise level."""
+    return point_values(build_cc_attack(nu), minimize)
 
 
 def compute_curves(grid: Sequence[float], minimize: bool = False,
                    workers: int = 1) -> list[BoundCurve]:
-    """All four curves over the grid; output independent of the worker count.
+    """The curves of `point_values` over the grid; output independent of the worker count.
 
     At most `workers` (1..MAX_WORKERS) processes run, and no more than the
     grid has points; with one, the points are computed in this process.
@@ -143,16 +144,14 @@ def compute_curves(grid: Sequence[float], minimize: bool = False,
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"invalid workers: need 1 <= workers <= {MAX_WORKERS}, got {workers}")
     grid = _check_grid(grid)
-    jobs = [(nu, minimize) for nu in grid]
     processes = min(workers, len(grid))
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            rows = list(pool.map(_point_worker, jobs))
+            records = list(pool.map(_point_worker, grid, itertools.repeat(minimize)))
     else:
-        rows = [_point_worker(j) for j in jobs]
-    suffix = "min" if minimize else "fixed"
-    names = (f"intrinsic_{suffix}", f"dual_{suffix}", "trivial", "dw_lower_PROXY")
-    return [BoundCurve(name, tuple(zip(grid, column))) for name, column in zip(names, zip(*rows))]
+        records = list(map(_point_worker, grid, itertools.repeat(minimize)))
+    return [BoundCurve(name, tuple(zip(grid, (r[name] for r in records))))
+            for name in records[0]]
 
 
 def enumerate_partitions(n_parties: int) -> list[tuple[tuple[int, ...], ...]]:

@@ -249,16 +249,17 @@ def _cmd_attack(cfg: dict, stdout) -> int:
     nu = cfg["nu_min"]
     attack = attacks.build_cc_attack(nu)
     # the curves' values; intrinsic is I/(N-1) with N = 3, and doubling it back is exact
-    fixed_i, fixed_s = bounds.point_values(attack, minimize=False)
-    min_i, min_s = bounds.point_values(attack, minimize=True)
+    values = {**bounds.point_values(attack, minimize=False),
+              **bounds.point_values(attack, minimize=True)}
+    fixed_i, min_i = values["intrinsic_fixed"], values["intrinsic_min"]
     stdout.write(f"cc attack at nu={nu:.6g}\n")
     stdout.write(f"local weight       = {attack.local_weight:.12g}\n")
     stdout.write(f"P(e='?')           = "
                  f"{attack.joint.probs[..., attacks.EVE_IGNORANT].sum():.12g}\n")
     stdout.write(f"intrinsic (minimize=off) = {2 * fixed_i:.9f} bits, /(N-1) = {fixed_i:.9f}\n")
     stdout.write(f"intrinsic (minimize=on)  = {2 * min_i:.9f} bits, /(N-1) = {min_i:.9f}\n")
-    stdout.write(f"dual_sn   (minimize=off) = {fixed_s:.9f} bits\n")
-    stdout.write(f"dual_sn   (minimize=on)  = {min_s:.9f} bits\n")
+    stdout.write(f"dual_sn   (minimize=off) = {values['dual_fixed']:.9f} bits\n")
+    stdout.write(f"dual_sn   (minimize=on)  = {values['dual_min']:.9f} bits\n")
     stdout.write("note: minimize=on values are upper bounds on the channel infimum\n")
     if cfg["out"]:
         with open(cfg["out"], "w") as fh:

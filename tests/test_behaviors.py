@@ -254,12 +254,16 @@ class TestCriticalNoise:
         assert critical_noise(3) == pytest.approx(0.1189, abs=5e-4)
 
     def test_root_property(self):
-        nu = critical_noise(3)
-        assert abs(expected_winning_probability(nu, 3) - 0.75) < 1e-8
+        for n in range(3, 11):
+            assert abs(expected_winning_probability(critical_noise(n), n) - 0.75) <= 1e-13
 
     def test_monotone_in_parties(self):
-        nu4 = critical_noise(4)
-        assert 0.0 < nu4 < critical_noise(3)
+        nus = [critical_noise(n) for n in range(3, 11)]
+        assert 0.0 < nus[-1] and all(b < a for a, b in zip(nus, nus[1:]))
+
+    def test_rejects_two_parties(self):
+        with pytest.raises(ValueError, match="at least three parties"):
+            critical_noise(2)
 
 
 class TestQber:

@@ -1,12 +1,15 @@
 import io
 import itertools
 import math
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ckabounds import bounds
+from ckabounds.attacks import build_cc_attack
 from ckabounds.bounds import (MAX_GRID_POINTS, MAX_KEY_LEN, MAX_RELAY_PARTIES, MAX_WORKERS,
                               BoundCurve, Xorshift64Star, compute_curves, default_grid,
                               enumerate_partitions, noise_grid, relay_chain, relay_simulate,
@@ -33,8 +36,8 @@ def pools(monkeypatch):
         def __exit__(self, *exc):
             return None
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(bounds, "ProcessPoolExecutor", Pool)
     return sizes
@@ -42,7 +45,7 @@ def pools(monkeypatch):
 
 @pytest.fixture
 def no_points(monkeypatch):
-    def worker(job):
+    def worker(*job):
         raise AssertionError(f"computed the point {job}")
 
     monkeypatch.setattr(bounds, "_point_worker", worker)
@@ -154,6 +157,19 @@ class TestComputeCurves:
             "intrinsic_fixed", "dual_fixed", "trivial", "dw_lower_PROXY"]
         for c in curves:
             assert c.values[0] == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("minimize", [False, True])
+    def test_curves_are_the_point_records(self, minimize):
+        record = bounds.point_values(build_cc_attack(0.05), minimize)
+        assert list(record) == [c.name for c in compute_curves([0.05], minimize=minimize)]
+
+    def test_readme_names_the_record_curves(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        bullet = readme.split("* `curves` ", 1)[1].split("\n* ", 1)[0]
+        documented = re.findall(r"`([^`]+)`", bullet.split("Curve names are", 1)[1])
+        attack = build_cc_attack(0.05)
+        records = {**bounds.point_values(attack, False), **bounds.point_values(attack, True)}
+        assert sorted(documented) == sorted(records)
 
     def test_worker_count_does_not_change_output(self):
         one = compute_curves(SHORT_GRID, workers=1)
