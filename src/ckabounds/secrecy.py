@@ -24,8 +24,11 @@ The descent screens its moves with the column-additive value -sum c_r p log2 p o
 entries p = (Q L)[r, f], Q the stacked subset marginals P_X(x_X, e) and c_r the c_X of
 row r: moving row e of L by delta adds the rank-one Q[:, e] delta to Q L, so a trial
 touches only the entries where both delta and Q[:, e] are nonzero, and the screen works
-on those alone.  Only the trials within MARGIN (`_screen_bound`) of passing, or near
-PROB_FLOOR, are scored exactly.
+on those alone.  It takes its trials as a block, column c holding moves of channel row
+e[c], one per block row, and gathers the entries of each (column, f) pair once for all
+rows.  Only the trials within MARGIN (`_screen_bound`) of passing, or near PROB_FLOOR,
+are scored exactly, and the descent returns its last exact score with its channel, so
+the search does not score the channel it returns again.
 """
 
 from __future__ import annotations
@@ -319,39 +322,48 @@ def _best_partition(dist: JointDistribution, kind: str) -> list[list[int]]:
 
 
 def _nonzeros(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """q's nonzero entries column by column: (rows, values, bounds), those of column j
-    at bounds[j]:bounds[j + 1]."""
+    """q's nonzero entries column by column, as (rows, values, kept), each of shape
+    (columns, L) with L the most nonzeros a column holds: column j's nonzero row indices
+    ascending in rows[j], those entries in values[j], and the slots in use in kept[j]."""
     col, row = np.nonzero(q.T)
-    return row, q[row, col], np.searchsorted(col, np.arange(q.shape[1] + 1))
+    slot = np.arange(col.size) - np.searchsorted(col, col)
+    shape = (q.shape[1], int(slot.max(initial=-1)) + 1)
+    rows, values, kept = np.zeros(shape, dtype=int), np.zeros(shape), np.zeros(shape, dtype=bool)
+    rows[col, slot], values[col, slot], kept[col, slot] = row, q[row, col], True
+    return rows, values, kept
 
 
 def _screen(q: np.ndarray, support: tuple[np.ndarray, np.ndarray, np.ndarray],
             coeffs: np.ndarray, mat: np.ndarray, e: np.ndarray,
             rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per trial t (row e[t] of `mat` set to rows[t]): the change of -sum_r coeffs[r] *
-    sum_f `_plogp`(q @ L)[r, f], and whether it moves an entry within 2x of PROB_FLOOR.
+    """Per cell (k, c) of `rows` (R, C, |F|), the trial that sets row e[c] of `mat` to
+    rows[k, c]: the change of -sum_r coeffs[r] sum_f `_plogp`(q @ L)[r, f], and whether
+    it moves an entry within 2x of PROB_FLOOR.
 
-    Entry (r, f) moves by delta[t, f] q[r, e[t]], delta = rows - mat[e], so only the
-    entries with both factors nonzero are gathered, through `support` = `_nonzeros`(q);
-    every other entry adds exactly 0.  Each trial's terms are summed in (f, r) order."""
-    q_rows, q_vals, bounds = support
+    Entry (r, f) moves by delta[k, c, f] q[r, e[c]], delta = rows - mat[e], so only the
+    entries with q[r, e[c]] nonzero, in the (c, f) pairs that some row moves, are
+    gathered: once per pair, through `support` = `_nonzeros`(q), and broadcast over the
+    R rows.  A row that leaves a gathered pair alone adds exact zeros there, and every
+    entry outside the pairs adds exactly 0.  Each cell's terms are summed in (f, r)
+    order, one after another."""
+    q_rows, q_vals, kept = support
     delta = rows - mat[e]
-    moves = delta != 0.0
-    t, f = np.nonzero(moves)  # the (trial, column) pairs the trials move
-    first = bounds[e[t]]
-    n = bounds[e[t] + 1] - first  # entries moved per pair
-    # entry i of pair k is nonzero first[k] + i; the pairs' entries lie end to end
-    at = np.repeat(first - (np.cumsum(n) - n), n) + np.arange(n.sum())
-    r, t, f = q_rows[at], np.repeat(t, n), np.repeat(f, n)
-    moved = np.repeat(delta[moves], n) * q_vals[at]
-    p = np.empty((2, at.size))  # each entry before and after its move
-    p[0] = (q @ mat).ravel()[r * mat.shape[1] + f]
-    np.add(p[0], moved, out=p[1])
+    c, f = np.nonzero(delta.any(axis=0))  # the (column, f) pairs some row moves
+    col = e[c]
+    pair, slot = np.nonzero(kept[col])  # the pairs' entries end to end, pair by pair
+    col, c, f = col[pair], c[pair], f[pair]
+    r = q_rows[col, slot]
+    moved = delta[:, c, f] * q_vals[col, slot]
+    cell = c + np.arange(0, len(rows) * e.size, e.size)[:, np.newaxis]  # k C + c
+    p = np.empty((len(rows) + 1, r.size))  # each entry before, then after each row's move
+    p[0] = (q @ mat)[r, f]
+    np.add(p[0], moved, out=p[1:])
     near = np.abs(p - 1.25 * PROB_FLOOR) <= 0.75 * PROB_FLOOR
-    ambiguous = np.zeros(e.size, dtype=bool)
-    ambiguous[t[(near[0] | near[1]) & (moved != 0.0)]] = True
+    ambiguous = np.zeros(rows.shape[:2], dtype=bool)
+    ambiguous.ravel()[cell[(near[:1] | near[1:]) & (moved != 0.0)]] = True
     p = _plogp(p)
-    return np.bincount(t, coeffs[r] * (p[0] - p[1]), minlength=e.size), ambiguous
+    change = np.bincount(cell.ravel(), (coeffs[r] * (p[:1] - p[1:])).ravel(), ambiguous.size)
+    return change.reshape(ambiguous.shape), ambiguous
 
 
 def _screen_bound(a: int, ne: int, nf: int, rows: int, entries: int, c_abs: float) -> float:
@@ -362,8 +374,11 @@ def _screen_bound(a: int, ne: int, nf: int, rows: int, entries: int, c_abs: floa
     H + log2 e; log2 (4 ulp) and rounding; pairwise sums; the screen's sum, one
     subtraction and one product per moved entry and then a sequential sum over at most
     |F| x rows of them; `_objective`'s sums of weight <= 2C.  Entries a move leaves alone
-    are the same in both exact scores.  For the attack's tables (a = 8, |E| = 9,
-    |F| <= 3) this is at most 9.9e-13."""
+    are the same in both exact scores.  A block row that leaves a gathered (column, f)
+    pair alone adds terms c_r (x - x) = +-0 to its cell's sum, and s + 0 = s exactly (the
+    sum starts at +0, so it never reaches -0), so those terms add no rounding and the
+    sequential sum keeps at most |F| x rows nonzero terms.  For the attack's tables
+    (a = 8, |E| = 9, |F| <= 3) this is at most 9.9e-13."""
     g = [k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
          for k in (a + ne, 3 * a + 2 * ne + 3, a * nf // 8 + 3, nf * rows + 1, entries)]
     h = math.log2(max(a * nf, 2))
@@ -371,8 +386,10 @@ def _screen_bound(a: int, ne: int, nf: int, rows: int, entries: int, c_abs: floa
                     + (24 * 2.0 ** -53 + 2 * g[2] + 2 * g[3] + 4 * g[4]) * h)
 
 
-def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarray:
-    """Coordinate descent on channel rows; step halves when a sweep stalls.
+def _refine(dist: JointDistribution, channel: np.ndarray,
+            kind: str) -> tuple[np.ndarray, float]:
+    """Coordinate descent on channel rows; step halves when a sweep stalls.  Returns the
+    channel it ends at and that channel's exact score, `_objective`(dist.probs @ channel).
 
     A sweep tries the moves (e, f) in row-major order: row e becomes
     (1 - step) * row + step at column f, and the move is kept if it lowers
@@ -386,14 +403,16 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarr
     sweep at `step`, the next sweep at `ahead` (= step if this sweep has gained
     REFINE_TOL, else step/2; at the same step its moves from `start` on repeat this
     batch's and are dropped), then every later sweep at ahead/2, ahead/4, ... down to
-    1e-9.  The first two sweeps are screened first, and the later ones are built and
-    screened only if neither has a passing trial.  `_screen` rules out the trials that
-    cannot pass and `_objective`, the oracle's own expression, scores the rest in order:
-    the result is bit for bit that of scoring the moves one at a time.
+    1e-9.  The first two sweeps are screened first, their trials as one row of `_screen`,
+    and the later ones are built and screened only if neither has a passing trial, as
+    one row per step over every move.  `_screen` rules out the trials that cannot pass
+    and `_objective`, the oracle's own expression, scores the rest in order: the result
+    is bit for bit that of scoring the moves one at a time.
     """
     n = dist.parties
     ne, nf = channel.shape
-    cols = np.arange(nf)
+    every_e = np.repeat(np.arange(ne), nf)  # the row each move e * nf + f replaces
+    targets = np.tile(np.eye(nf), (ne, 1))  # the column each move e * nf + f raises
     mat = channel.copy()
     best = _objective(dist.probs @ mat, n, kind)
     margs = _subset_marginals(dist, kind)
@@ -403,27 +422,26 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarr
     entries, c_abs = sum(map(len, _plan(n, kind)[1])), sum(abs(c) for _, c in margs)
     margin = max(MARGIN, _screen_bound(dist.probs.size // ne, ne, nf, len(q), entries, c_abs))
 
-    def first_pass(steps: np.ndarray, start: int, stop: int):
-        """(k, move, row, value) of the first move from the current `mat` that beats
-        `best`, by step k, then move = e * nf + f (at steps[0] from `start` on, at
-        steps[1] before `stop`, at later steps all); or None."""
-        rows = np.repeat((1.0 - steps)[:, np.newaxis, np.newaxis, np.newaxis]
-                         * mat[:, np.newaxis, :], nf, axis=2)
-        rows[:, :, cols, cols] += steps[:, np.newaxis, np.newaxis]
-        rows = rows.reshape(steps.size, ne * nf, nf)  # row e * nf + f is row e after move (e, f)
-        changed = (rows != np.repeat(mat, nf, axis=0)).any(axis=2)
-        changed[:1, :start] = False
-        changed[1:2, stop:] = False
-        ks, moves = np.nonzero(changed)
-        if not moves.size:
-            return None
-        change, ambiguous = _screen(q, support, coeffs, mat, moves // nf, rows[ks, moves])
+    def trial_rows(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row e after move (e, f) at each step, as (step, e * nf + f, nf), and
+        whether the move changes the row.  (1 - step) row + step 1_f adds an exact
+        0 off column f."""
+        now = mat[every_e]
+        steps = steps[:, np.newaxis, np.newaxis]
+        rows = (1.0 - steps) * now + steps * targets
+        return rows, (rows != now).any(axis=2)
+
+    def first_pass(ks: np.ndarray, moves: np.ndarray, rows: np.ndarray, change: np.ndarray,
+                   ambiguous: np.ndarray):
+        """(k, move, row, value) of the first trial i, in the order given, that the screen
+        does not rule out and whose exact score beats `best`; or None.  Trial i is move
+        moves[i] = e * nf + f at step k = ks[i], setting row e of `mat` to rows[i]."""
         for i in np.flatnonzero((best + change < best - 1e-15 + margin) | ambiguous):
             trial = mat.copy()
-            trial[moves[i] // nf] = rows[ks[i], moves[i]]
+            trial[moves[i] // nf] = rows[i]
             val = _objective(dist.probs @ trial, n, kind)
             if val < best - 1e-15:
-                return ks[i], moves[i], rows[ks[i], moves[i]], val
+                return ks[i], moves[i], rows[i], val
         return None
 
     step = REFINE_STEP
@@ -433,15 +451,27 @@ def _refine(dist: JointDistribution, channel: np.ndarray, kind: str) -> np.ndarr
     while True:
         ahead = step if gained >= REFINE_TOL else 0.5 * step
         steps = np.array([step, ahead] if ahead >= 1e-9 else [step])[:REFINE_SWEEPS - sweep]
-        stop = start if ahead == step else ne * nf
-        found = first_pass(steps, start, stop)
+        rows, changed = trial_rows(steps)
+        changed[:1, :start] = False
+        changed[1:2, (start if ahead == step else ne * nf):] = False
+        ks, moves = np.nonzero(changed)
+        found = None
+        if moves.size:  # by step, then move = e * nf + f, as one row
+            rows = rows[ks, moves]
+            change, ambiguous = _screen(q, support, coeffs, mat, moves // nf, rows[np.newaxis])
+            found = first_pass(ks, moves, rows, change[0], ambiguous[0])
         if found is None and steps.size == 2:  # the later sweeps, each at half the last step
             steps = np.ldexp(ahead, 1 - np.arange(REFINE_SWEEPS - sweep))  # 2 ahead, ahead, ...
             steps[0] = step
             steps = steps[steps >= 1e-9]
-            found = first_pass(steps, ne * nf, 0)  # steps[0] and steps[1] were screened
+            rows, changed = trial_rows(steps[2:])  # steps[0] and steps[1] were screened
+            if changed.any():  # one row per step over every move
+                change, ambiguous = _screen(q, support, coeffs, mat, every_e, rows)
+                ks, moves = np.nonzero(changed)
+                found = first_pass(ks + 2, moves, rows[ks, moves], change[ks, moves],
+                                   ambiguous[ks, moves])
         if found is None:
-            return mat
+            return mat, best
         k, move, row, val = found
         if k:
             sweep += int(k)
@@ -461,10 +491,10 @@ def _minimize_over_channels(dist: JointDistribution, kind: str,
         raise ValueError(f"channel search takes at most {EXHAUSTIVE_LIMIT} Eve symbols, got {ne}")
     mat = ClassicalChannel.from_partition(_best_partition(dist, kind), ne).matrix.copy()
     if budget.refine:
-        mat = _refine(dist, mat, kind)
-    witness = ClassicalChannel(mat)
-    value = _objective(apply_channel(dist, witness).probs, dist.parties, kind)
-    return value, witness
+        mat, value = _refine(dist, mat, kind)
+    else:
+        value = _objective(dist.probs @ mat, dist.parties, kind)
+    return value, ClassicalChannel(mat)
 
 
 def intrinsic_information(dist: JointDistribution,

@@ -3,10 +3,11 @@
 Everything here is deliberately written from scratch (plain loops, its own
 entropy code, a different partition enumerator) so that agreement with the
 package is meaningful.  The channel-search references (`refine_loop`,
-`best_partition_loop`, `screen_dense`) are the exceptions: they run the
-package's own `_objective`, `_block_values` and `_plogp` one move or one
-subset at a time, or over every (trial, f, r) entry, so that its batched
-and sparse search can be checked against them.
+`best_partition_loop`, `screen_dense`, `screen_sparse`) are the exceptions:
+they run the package's own `_objective`, `_block_values` and `_plogp` one
+move or one subset at a time, over every (trial, f, r) entry, or over the
+entries each trial moves, gathered trial by trial, so that its batched and
+block-screened search can be checked against them.
 """
 
 import functools
@@ -246,10 +247,50 @@ def screen_dense(q: np.ndarray, coeffs: np.ndarray, mat: np.ndarray, e: np.ndarr
     return (_plogp(marg) - _plogp(after)).sum(axis=1) @ coeffs, ambiguous
 
 
+def screen_sparse(q: np.ndarray, coeffs: np.ndarray, mat: np.ndarray, e: np.ndarray,
+                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`secrecy._screen` one trial at a time: trial t sets row e[t] of `mat` to rows[t],
+    and the entries it moves are gathered for it alone.
+
+    Entry (r, f) moves by delta[t, f] q[r, e[t]], delta = rows - mat[e], so only the
+    entries with both factors nonzero are gathered, from q's nonzeros listed column by
+    column (column j's at bounds[j]:bounds[j + 1]); every other entry adds exactly 0.
+    Each trial's terms are summed in (f, r) order, so the block screen, which adds
+    exact zeros besides, must equal this bit for bit."""
+    from ckabounds.secrecy import PROB_FLOOR, _plogp
+
+    col, q_rows = np.nonzero(q.T)
+    q_vals, bounds = q[q_rows, col], np.searchsorted(col, np.arange(q.shape[1] + 1))
+    delta = rows - mat[e]
+    moves = delta != 0.0
+    t, f = np.nonzero(moves)  # the (trial, column) pairs the trials move
+    first = bounds[e[t]]
+    n = bounds[e[t] + 1] - first  # entries moved per pair
+    # entry i of pair k is nonzero first[k] + i; the pairs' entries lie end to end
+    at = np.repeat(first - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    r, t, f = q_rows[at], np.repeat(t, n), np.repeat(f, n)
+    moved = np.repeat(delta[moves], n) * q_vals[at]
+    p = np.empty((2, at.size))  # each entry before and after its move
+    p[0] = (q @ mat).ravel()[r * mat.shape[1] + f]
+    np.add(p[0], moved, out=p[1])
+    near = np.abs(p - 1.25 * PROB_FLOOR) <= 0.75 * PROB_FLOOR
+    ambiguous = np.zeros(e.size, dtype=bool)
+    ambiguous[t[(near[0] | near[1]) & (moved != 0.0)]] = True
+    p = _plogp(p)
+    return np.bincount(t, coeffs[r] * (p[0] - p[1]), minlength=e.size), ambiguous
+
+
+def screened_trials(mat: np.ndarray, e: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The cells (k, c) of a `_screen` block `rows` that are trials: those whose row
+    rows[k, c] differs from row e[c] of `mat`."""
+    return (rows != mat[e]).any(axis=2)
+
+
 def screened_batches(dist, kind: str, start: np.ndarray) -> list:
     """Run `_refine` from `start` and return, for every batch it screened, the
     arguments (q, coeffs, mat, e, rows) of its `_screen` call, less `support`, and
-    the result."""
+    the result, all over the batch's trials only: the block's cells that are
+    trials, in (row, column) order, trial t setting row e[t] of mat to rows[t]."""
     import pytest
 
     from ckabounds import secrecy
@@ -259,7 +300,10 @@ def screened_batches(dist, kind: str, start: np.ndarray) -> list:
 
     def recorded(q, support, coeffs, mat, e, rows):
         result = screen(q, support, coeffs, mat, e, rows)
-        batches.append(((q, coeffs, mat.copy(), e, rows), result))
+        trials = screened_trials(mat, e, rows)
+        e = np.broadcast_to(e, trials.shape)[trials]
+        batches.append(((q, coeffs, mat.copy(), e, rows[trials]),
+                        (result[0][trials], result[1][trials])))
         return result
 
     with pytest.MonkeyPatch.context() as mp:
@@ -294,7 +338,7 @@ def screen_sum_gaps(dist, kind: str, start: np.ndarray) -> list[tuple[float, flo
     Both screens sum the same terms c_r (p log p before - after), of total weight at
     most 2 C log2(a |F|) (C = sum_X |c_X|, a = the parties' table size); the sums
     carry 1 + (|F| - 1) + rows roundings on the dense path and at most
-    2 + (|F| rows - 1) on the sparse one."""
+    2 + (|F| rows - 1) on the block one, whose exact-zero terms round nothing."""
     from ckabounds.secrecy import _subset_marginals
 
     u = 2.0 ** -53

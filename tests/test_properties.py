@@ -60,8 +60,9 @@ def test_refine_matches_the_one_move_loop(inputs, sweeps):
     dist, kind, start = inputs
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(secrecy, "REFINE_SWEEPS", sweeps)  # both read it at call time
-        got = _refine(dist, start, kind)
+        got, value = _refine(dist, start, kind)
         assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
+        assert value == secrecy._objective(dist.probs @ got, dist.parties, kind)
 
 
 @st.composite
@@ -111,7 +112,11 @@ def test_screen_matches_the_dense_screen(inputs, sweeps):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(secrecy, "REFINE_SWEEPS", sweeps)
         gaps = oracles.screen_sum_gaps(dist, kind, start)
+        batches = oracles.screened_batches(dist, kind, start)
     assert all(gap <= bound and same_flags for gap, bound, same_flags in gaps)
+    for args, (change, ambiguous) in batches:  # and the per-trial screen exactly
+        want, want_ambiguous = oracles.screen_sparse(*args)
+        assert np.array_equal(change, want) and np.array_equal(ambiguous, want_ambiguous)
 
 
 @FEW

@@ -7,7 +7,7 @@ import pytest
 
 from ckabounds import secrecy
 from ckabounds.attacks import build_cc_attack
-from ckabounds.bounds import default_grid
+from ckabounds.bounds import default_grid, noise_grid
 from ckabounds.partitions import partitions_as_masks
 from ckabounds.secrecy import (ClassicalChannel, JointDistribution, SearchBudget,
                                _best_partition, _block_values, _objective, _refine,
@@ -271,12 +271,13 @@ def loop_and_first_move(dist, start, kind, monkeypatch):
 
 def count_scores(monkeypatch):
     """Wrap `secrecy._screen` and `secrecy._objective`: the first returned list
-    gets the trials of each screened batch, the second one entry per exact score."""
+    gets the number of trials of each screened batch (the cells of its block that
+    are trials), the second one entry per exact score."""
     rows, exact = [], []
     screen, objective = secrecy._screen, secrecy._objective
 
     def screened(q, support, coeffs, mat, e, new):
-        rows.append(e.size)
+        rows.append(int(oracles.screened_trials(mat, e, new).sum()))
         return screen(q, support, coeffs, mat, e, new)
 
     def scored(p, n_parties, kind):
@@ -337,28 +338,50 @@ class TestBatchedSearch:
             for gap, bound, same_flags in oracles.screen_sum_gaps(dist, kind, dp_start(dist, kind)):
                 assert gap <= bound and same_flags
 
+    @pytest.mark.parametrize("nu", BENCH_POINTS)
+    def test_screen_is_the_sparse_screen_on_bench_grids(self, nu):
+        # the block screen sums each trial's terms as the per-trial screen does
+        dist = build_cc_attack(nu).joint
+        for kind in ("cmi", "sn"):
+            for args, (change, ambiguous) in oracles.screened_batches(dist, kind, dp_start(dist, kind)):
+                q, coeffs, mat, e, rows = args
+                want, want_ambiguous = oracles.screen_sparse(q, coeffs, mat, e, rows)
+                assert np.array_equal(change, want) and np.array_equal(ambiguous, want_ambiguous)
+
     def test_screen_matches_the_dense_screen_near_the_floor(self, rng):
         # columns of q at 1e-17..1e-13 put marginal entries on both sides of the
-        # PROB_FLOOR band before and after a move, so both tests of `near` decide
-        flagged = []
+        # PROB_FLOOR band before and after a move, so both tests of `near` decide;
+        # each block puts its columns' moves at 1..4 steps; at the step 1e-17,
+        # 1 - step rounds to 1 and a target entry above about 0.1 does not move
+        # either, so rows leave at exact 0 the pairs that other rows move
+        flagged, left_alone = [], 0
         for _ in range(40):
-            n_rows, ne, nf, n_trials = (int(k) for k in rng.integers([1, 1, 1, 1], [8, 6, 4, 30]))
+            n_rows, ne, nf, n_cols, n_steps = (
+                int(k) for k in rng.integers([1, 1, 1, 1, 1], [8, 6, 4, 30, 5]))
             q = 10.0 ** rng.uniform(-17, -13, size=(n_rows, ne))
             q[rng.random(q.shape) < 0.4] = 0.0
             mat = rng.random((ne, nf))
             mat[rng.random(mat.shape) < 0.3] = 0.0
             mat[:, 0] += 1e-3
             mat /= mat.sum(axis=1, keepdims=True)
-            e = rng.integers(ne, size=n_trials)
-            step = rng.choice([0.5, 0.25, 1e-3], size=(n_trials, 1))
-            rows = (1.0 - step) * mat[e] + step * np.eye(nf)[rng.integers(nf, size=n_trials)]
+            e = rng.integers(ne, size=n_cols)
+            step = rng.choice([0.5, 0.25, 1e-3, 1e-17], size=(n_steps, 1, 1))
+            rows = (1.0 - step) * mat[e] + step * np.eye(nf)[rng.integers(nf, size=n_cols)]
             coeffs = rng.choice([-2.0, -1.0, 1.0], size=n_rows)
             change, ambiguous = secrecy._screen(q, secrecy._nonzeros(q), coeffs, mat, e, rows)
-            dense, dense_ambiguous = oracles.screen_dense(q, coeffs, mat, e, rows)
+            assert change.shape == ambiguous.shape == (n_steps, n_cols)
+            e_t, rows_t = np.broadcast_to(e, change.shape).ravel(), rows.reshape(-1, nf)
+            change, ambiguous = change.ravel(), ambiguous.ravel()
+            sparse, sparse_ambiguous = oracles.screen_sparse(q, coeffs, mat, e_t, rows_t)
+            assert np.array_equal(change, sparse) and np.array_equal(ambiguous, sparse_ambiguous)
+            dense, dense_ambiguous = oracles.screen_dense(q, coeffs, mat, e_t, rows_t)
             assert np.array_equal(ambiguous, dense_ambiguous)
             assert np.abs(change - dense).max() <= 1e-13 * np.abs(dense).max()
             flagged += ambiguous.tolist()
+            moved = rows != mat[e]
+            left_alone += np.count_nonzero(moved.any(axis=0) & ~moved)
         assert any(flagged) and not all(flagged)
+        assert left_alone
 
     @pytest.mark.parametrize("kind", ["cmi", "sn"])
     @pytest.mark.parametrize("nf", [2, 3])
@@ -380,7 +403,8 @@ class TestBatchedSearch:
             for kind in ("cmi", "sn"):
                 start = dp_start(dist, kind)
                 _, exact = count_scores(monkeypatch)
-                assert np.array_equal(_refine(dist, start, kind), start)
+                got, _ = _refine(dist, start, kind)
+                assert np.array_equal(got, start)
                 assert len(exact) == 1
                 monkeypatch.undo()
 
@@ -389,13 +413,14 @@ class TestBatchedSearch:
         dist = build_cc_attack(nu).joint
         for kind in ("cmi", "sn"):
             start = dp_start(dist, kind)
-            got = _refine(dist, start, kind)
+            got, _ = _refine(dist, start, kind)
             assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
 
     def test_refine_takes_moves_at_high_noise(self):
         dist = build_cc_attack(0.55).joint
         start = dp_start(dist, "sn")
-        assert not np.array_equal(_refine(dist, start, "sn"), start)
+        got, _ = _refine(dist, start, "sn")
+        assert not np.array_equal(got, start)
 
     @pytest.mark.parametrize("kind", ["cmi", "sn"])
     def test_refine_matches_loop_on_sparse_tables(self, rng, kind):
@@ -406,8 +431,9 @@ class TestBatchedSearch:
             if i % 2:  # a stochastic start: rows with no skipped move
                 start = rng.random((ne, int(rng.integers(1, 4))))
                 start /= start.sum(axis=1, keepdims=True)
-            got = _refine(dist, start, kind)
+            got, value = _refine(dist, start, kind)
             assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
+            assert value == _objective(dist.probs @ got, dist.parties, kind)  # its last score
 
     @pytest.mark.parametrize("nu, kind, sweep", [(0.45, "cmi", 3), (0.45, "sn", 3),
                                                  (0.475, "cmi", 1), (0.475, "sn", 1),
@@ -417,7 +443,8 @@ class TestBatchedSearch:
         start = dp_start(dist, kind)
         want, first = loop_and_first_move(dist, start, kind, monkeypatch)
         assert first == sweep
-        assert _refine(dist, start, kind).tobytes() == want.tobytes()
+        got, _ = _refine(dist, start, kind)
+        assert got.tobytes() == want.tobytes()
 
     def test_ladder_matches_loop_on_sparse_tables(self, rng, monkeypatch):
         firsts = []
@@ -427,7 +454,8 @@ class TestBatchedSearch:
             dist = sparse_joint(rng, alphabets, ne)
             start = dp_start(dist, kind)
             want, first = loop_and_first_move(dist, start, kind, monkeypatch)
-            assert _refine(dist, start, kind).tobytes() == want.tobytes()
+            got, _ = _refine(dist, start, kind)
+            assert got.tobytes() == want.tobytes()
             firsts.append(first)
         assert any(k is not None and k >= 2 for k in firsts)
 
@@ -441,7 +469,7 @@ class TestBatchedSearch:
         for dist in tables:
             for kind in ("cmi", "sn"):
                 start = dp_start(dist, kind)
-                got = _refine(dist, start, kind)
+                got, _ = _refine(dist, start, kind)
                 assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
 
     @pytest.mark.parametrize("kind", ["cmi", "sn"])
@@ -449,7 +477,8 @@ class TestBatchedSearch:
         rows, exact = count_scores(monkeypatch)
         dist = build_cc_attack(0.05).joint
         start = dp_start(dist, kind)
-        assert np.array_equal(_refine(dist, start, kind), start)
+        got, _ = _refine(dist, start, kind)
+        assert np.array_equal(got, start)
         assert rows == [36, 486]  # sweeps 0 and 1, then sweeps 2..28, at 18 moves each
         assert len(exact) == 1  # the start's own value: no trial is near passing
         rows.clear()
@@ -457,11 +486,12 @@ class TestBatchedSearch:
         dist = build_cc_attack(0.0).joint
         start = dp_start(dist, kind)
         assert start.shape[1] == 1
-        assert np.array_equal(_refine(dist, start, kind), start)
+        got, _ = _refine(dist, start, kind)
+        assert np.array_equal(got, start)
         assert rows == [] and len(exact) == 1
         dist = build_cc_attack(0.55).joint
         start = dp_start(dist, kind)
-        got = _refine(dist, start, kind)
+        got, _ = _refine(dist, start, kind)
         assert rows and got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
 
     @pytest.mark.parametrize("nu, kind, calls, trials", [(0.45, "cmi", 265, 6986),
@@ -476,7 +506,7 @@ class TestBatchedSearch:
         rows, exact = count_scores(monkeypatch)
         dist = build_cc_attack(nu).joint
         start = dp_start(dist, kind)
-        got = _refine(dist, start, kind)
+        got, _ = _refine(dist, start, kind)
         assert (len(rows), sum(rows)) == (calls, trials)
         assert len(exact) == 1 + confirmed[nu, kind]
         monkeypatch.undo()
@@ -490,7 +520,8 @@ class TestBatchedSearch:
         taken = []
         want = oracles.refine_loop(dist, start, kind, taken)
         assert branch in look_ahead_branches(taken, start.size, sweeps)
-        assert _refine(dist, start, kind).tobytes() == want.tobytes()
+        got, _ = _refine(dist, start, kind)
+        assert got.tobytes() == want.tobytes()
 
     def test_confirming_every_trial_matches_loop(self, monkeypatch):
         # an infinite margin screens nothing out: every trial up to the first
@@ -503,7 +534,8 @@ class TestBatchedSearch:
             want = oracles.refine_loop(dist, start, kind, taken)
             monkeypatch.setattr(secrecy, "MARGIN", math.inf)
             _, exact = count_scores(monkeypatch)
-            assert _refine(dist, start, kind).tobytes() == want.tobytes()
+            got, _ = _refine(dist, start, kind)
+            assert got.tobytes() == want.tobytes()
             assert taken and len(exact) > 1 + len(taken)  # failing trials were scored too
             monkeypatch.undo()
 
@@ -568,6 +600,20 @@ class TestIntrinsicInformation:
             dist = random_joint(rng, (2, 2), 4)
             value, _ = intrinsic_information(dist)
             assert value <= shannon_cmi(dist) + 1e-12
+
+
+class TestSearchedValue:
+    @pytest.mark.parametrize("refine", [True, False])
+    @pytest.mark.parametrize("search, kind", [(intrinsic_information, "cmi"),
+                                              (dual_intrinsic, "sn")])
+    def test_value_is_the_witness_score_on_bench_grids(self, search, kind, refine):
+        # the search returns the score it computed for its last channel, not a new
+        # scoring of the witness; that must be the witness's own score, bit for bit
+        for nu in default_grid() + noise_grid(0.3, 0.9, 0.025):
+            dist = build_cc_attack(nu).joint
+            value, witness = search(dist, SearchBudget(refine=refine))
+            exact = _objective(apply_channel(dist, witness).probs, 3, kind)
+            assert value.hex() == exact.hex()
 
 
 class TestDualIntrinsic:
