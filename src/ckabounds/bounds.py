@@ -78,7 +78,7 @@ def default_grid() -> list[float]:
 
 
 def _check_grid(grid: Sequence[float]) -> list[float]:
-    grid = [float(nu) for nu in grid]
+    grid = [float(nu) + 0.0 for nu in grid]  # -0.0 + 0.0 is +0.0
     if not grid:
         raise ValueError("empty noise grid")
     if any(not 0.0 <= nu < 1.0 for nu in grid):

@@ -246,13 +246,12 @@ def _cmd_game(cfg: dict, stdout) -> int:
 
 
 def _cmd_attack(cfg: dict, stdout) -> int:
-    nu = cfg["nu_min"]
-    attack = attacks.build_cc_attack(nu)
+    attack = attacks.build_cc_attack(cfg["nu_min"])
     # the curves' values; intrinsic is I/(N-1) with N = 3, and doubling it back is exact
     values = {**bounds.point_values(attack, minimize=False),
               **bounds.point_values(attack, minimize=True)}
     fixed_i, min_i = values["intrinsic_fixed"], values["intrinsic_min"]
-    stdout.write(f"cc attack at nu={nu:.6g}\n")
+    stdout.write(f"cc attack at nu={attack.nu:.6g}\n")
     stdout.write(f"local weight       = {attack.local_weight:.12g}\n")
     stdout.write(f"P(e='?')           = "
                  f"{attack.joint.probs[..., attacks.EVE_IGNORANT].sum():.12g}\n")

@@ -10,18 +10,22 @@ P(a_1..a_N, e):
   I(A_{N-1}:A_N|A_1..A_{N-2} E).
 
 Minimizing either quantity over classical channels E -> F gives the
-corresponding intrinsic-information value.  The search finds the best
-deterministic channel (set partition of the Eve alphabet, of at most
-EXHAUSTIVE_LIMIT symbols) exactly, by a dynamic program over subsets of
-the alphabet in O(3^|E|) steps, solved one popcount layer at a time, and
-optionally refines it by coordinate descent (`_refine`) over stochastic
-channels with as many outputs as the deterministic optimum has blocks.
+corresponding intrinsic-information value.  A search reads top to bottom:
+it stacks the subset marginals P_X(x_X, e) of the monotone once
+(`_subset_marginals`); the block table `_block_values` built from them
+feeds an exact dynamic program over subsets of the Eve alphabet (of at
+most EXHAUSTIVE_LIMIT symbols), O(3^|E|) steps solved one popcount layer
+at a time, for the best deterministic channel (set partition); that
+channel is written as a 0/1 matrix and scored once; coordinate descent
+(`_refine`), given the same marginals and that score, optionally refines
+it over stochastic channels with as many outputs as the partition has
+blocks; and only the channel returned is checked as a `ClassicalChannel`.
 Restricting the output alphabet this way (so |F| <= |E|) is a standard
 sufficiency heuristic, not a theorem, so reported values are upper bounds
 on the true infimum.
 
 The descent screens its moves with the column-additive value -sum c_r p log2 p over the
-entries p = (Q L)[r, f], Q the stacked subset marginals P_X(x_X, e) and c_r the c_X of
+entries p = (Q L)[r, f], Q the stacked subset marginals and c_r the c_X of
 row r: moving row e of L by delta adds the rank-one Q[:, e] delta to Q L, so a trial
 touches only the entries where both delta and Q[:, e] are nonzero, and the screen works
 on those alone.  It takes its trials as a block, column c holding moves of channel row
@@ -50,8 +54,6 @@ REFINE_SWEEPS = 200
 REFINE_STEP = 0.5
 REFINE_TOL = 1e-9
 MARGIN = 1e-12  # bits: `_screen_bound` of the attack's tables, rounded up
-
-CSV_MAX_ENTRIES = 1 << 20  # distribution CSV tables; 8 MiB of float64
 
 
 def entropy_bits(vec: np.ndarray) -> float:
@@ -257,19 +259,19 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     return kept * np.log2(kept)
 
 
-def _block_values(dist: JointDistribution, kind: str) -> np.ndarray:
-    """Per-subset contribution phi[mask - 1] of each Eve-symbol block to the objective.
+def _block_values(margs: list[tuple[np.ndarray, float]], ne: int) -> np.ndarray:
+    """Per-subset contribution phi[mask - 1] of each block of the ne Eve symbols to the
+    objective whose `_subset_marginals` are `margs`.
 
     Both objectives are sums of entropies of (X, F) marginals, and those
     entropies split additively over the blocks of a deterministic channel,
     so the objective of any partition is the sum of phi over its blocks.
     """
-    ne = dist.eve_alphabet
     masks = np.arange(1, 1 << ne)
     # indicator matrix: column m-1 selects the symbols of mask m
     sel = ((masks[np.newaxis, :] >> np.arange(ne)[:, np.newaxis]) & 1).astype(float)
     phi = np.zeros(masks.size)
-    for marg, coeff in _subset_marginals(dist, kind):
+    for marg, coeff in margs:
         phi -= coeff * _plogp(marg @ sel).sum(axis=0)
     return phi
 
@@ -297,16 +299,16 @@ def _partition_layers(ne: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return out
 
 
-def _best_partition(dist: JointDistribution, kind: str) -> list[list[int]]:
+def _best_partition(phi: np.ndarray) -> list[list[int]]:
     """Blocks, ordered by lowest symbol, of the partition of Eve's alphabet
-    with the least objective: best[S] = min of phi[T] + best[S - T] over the
-    blocks T of S that hold S's lowest symbol, 3^|E| subset pairs in all.
+    with the least sum of the `_block_values` table `phi`: best[S] = min of
+    phi[T] + best[S - T] over the blocks T of S that hold S's lowest symbol,
+    3^|E| subset pairs in all.
 
     The subsets are solved a popcount layer at a time, since S - T has fewer
     symbols than S; each S keeps the first of its minimal blocks.
     """
-    ne = dist.eve_alphabet
-    phi = _block_values(dist, kind)
+    ne = phi.size.bit_length()  # phi has 2^ne - 1 entries
     best = np.zeros(1 << ne)
     choice = np.zeros(1 << ne, dtype=int)
     for subsets, blocks in _partition_layers(ne):
@@ -386,10 +388,12 @@ def _screen_bound(a: int, ne: int, nf: int, rows: int, entries: int, c_abs: floa
                     + (24 * 2.0 ** -53 + 2 * g[2] + 2 * g[3] + 4 * g[4]) * h)
 
 
-def _refine(dist: JointDistribution, channel: np.ndarray,
-            kind: str) -> tuple[np.ndarray, float]:
-    """Coordinate descent on channel rows; step halves when a sweep stalls.  Returns the
-    channel it ends at and that channel's exact score, `_objective`(dist.probs @ channel).
+def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, float]],
+            channel: np.ndarray, best: float) -> tuple[np.ndarray, float]:
+    """Coordinate descent on channel rows; step halves when a sweep stalls.  `margs` are
+    the `_subset_marginals`(dist, kind) and `best` the start's exact score,
+    `_objective`(dist.probs @ channel).  Returns the channel it ends at and that
+    channel's exact score.
 
     A sweep tries the moves (e, f) in row-major order: row e becomes
     (1 - step) * row + step at column f, and the move is kept if it lowers
@@ -414,8 +418,6 @@ def _refine(dist: JointDistribution, channel: np.ndarray,
     every_e = np.repeat(np.arange(ne), nf)  # the row each move e * nf + f replaces
     targets = np.tile(np.eye(nf), (ne, 1))  # the column each move e * nf + f raises
     mat = channel.copy()
-    best = _objective(dist.probs @ mat, n, kind)
-    margs = _subset_marginals(dist, kind)
     q = np.concatenate([m for m, _ in margs])
     coeffs = np.concatenate([np.full(m.shape[0], c) for m, c in margs])
     support = _nonzeros(q)
@@ -489,11 +491,14 @@ def _minimize_over_channels(dist: JointDistribution, kind: str,
     ne = dist.eve_alphabet
     if ne > EXHAUSTIVE_LIMIT:
         raise ValueError(f"channel search takes at most {EXHAUSTIVE_LIMIT} Eve symbols, got {ne}")
-    mat = ClassicalChannel.from_partition(_best_partition(dist, kind), ne).matrix.copy()
+    margs = _subset_marginals(dist, kind)
+    blocks = _best_partition(_block_values(margs, ne))
+    mat = np.zeros((ne, len(blocks)))
+    for j, block in enumerate(blocks):
+        mat[block, j] = 1.0
+    value = _objective(dist.probs @ mat, dist.parties, kind)
     if budget.refine:
-        mat, value = _refine(dist, mat, kind)
-    else:
-        value = _objective(dist.probs @ mat, dist.parties, kind)
+        mat, value = _refine(dist, kind, margs, mat, value)
     return value, ClassicalChannel(mat)
 
 
@@ -545,31 +550,3 @@ def distribution_to_csv(dist: JointDistribution, fh) -> None:
     fh.write(",".join([f"a{i+1}" for i in range(dist.parties)] + ["e", "p"]) + "\n")
     for idx in itertools.product(*(range(k) for k in dist.probs.shape)):
         fh.write(",".join(str(v) for v in idx) + f",{dist.probs[idx]:.15g}\n")
-
-
-def distribution_from_csv(fh) -> JointDistribution:
-    """Inverse of `distribution_to_csv`; alphabets are inferred from the rows.
-
-    Each axis is as long as its largest index plus one; absent rows are 0.
-    Negative indices, repeated index tuples and tables of more than
-    `CSV_MAX_ENTRIES` entries are rejected before the table is allocated;
-    so is a file of more rows than that, after reading one row past the cap.
-    """
-    header = fh.readline().strip().split(",")
-    if len(header) < 3 or header[-2:] != ["e", "p"]:
-        raise ValueError("malformed distribution CSV header: expected a1,...,aN,e,p")
-    lines = (line for line in map(str.strip, fh) if line)
-    rows = [line.split(",") for line in itertools.islice(lines, CSV_MAX_ENTRIES + 1)]
-    if len(rows) > CSV_MAX_ENTRIES:
-        raise ValueError(f"CSV has more than {CSV_MAX_ENTRIES} rows, the most a table holds")
-    if not rows or any(len(row) != len(header) for row in rows):
-        raise ValueError("CSV rows missing or not as wide as the header")
-    idx = [tuple(int(v) for v in row[:-1]) for row in rows]
-    if min(map(min, idx)) < 0 or len(set(idx)) != len(idx):
-        raise ValueError("CSV rows hold a negative or a repeated index tuple")
-    shape = tuple(max(column) + 1 for column in zip(*idx))
-    if math.prod(shape) > CSV_MAX_ENTRIES:
-        raise ValueError(f"CSV table would have more than {CSV_MAX_ENTRIES} entries")
-    probs = np.zeros(shape)
-    probs[tuple(zip(*idx))] = [float(row[-1]) for row in rows]
-    return JointDistribution(shape[:-1], shape[-1], probs)

@@ -30,7 +30,7 @@ def _check_nu(nu: float) -> float:
     nu = float(nu)
     if not 0.0 <= nu <= 1.0:
         raise ValueError(f"noise parameter must lie in [0, 1], got {nu}")
-    return nu
+    return nu + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def ghz(n_parties: int, local_dim: int = 2) -> DensityMatrix:

@@ -10,6 +10,7 @@ entries each trial moves, gathered trial by trial, so that its batched and
 block-screened search can be checked against them.
 """
 
+import csv
 import functools
 import itertools
 import math
@@ -308,7 +309,7 @@ def screened_batches(dist, kind: str, start: np.ndarray) -> list:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(secrecy, "_screen", recorded)
-        secrecy._refine(dist, start, kind)
+        refine(dist, start, kind)
     return batches
 
 
@@ -361,10 +362,10 @@ def best_partition_loop(dist, kind: str) -> list[list[int]]:
     lowest symbol, tried in descending submask order; the first strict
     minimum wins.
     """
-    from ckabounds.secrecy import _block_values
+    from ckabounds.secrecy import _block_values, _subset_marginals
 
     ne = dist.eve_alphabet
-    phi = _block_values(dist, kind).tolist()
+    phi = _block_values(_subset_marginals(dist, kind), ne).tolist()
     best = [0.0] * (1 << ne)
     choice = [0] * (1 << ne)
     for s in range(1, 1 << ne):
@@ -384,3 +385,34 @@ def best_partition_loop(dist, kind: str) -> list[list[int]]:
         blocks.append([i for i in range(ne) if choice[s] >> i & 1])
         s ^= choice[s]
     return blocks
+
+
+def best_partition(dist, kind: str) -> list[list[int]]:
+    """`_best_partition` of `dist` for `kind`, on the block table
+    `_minimize_over_channels` builds from the subset marginals."""
+    from ckabounds import secrecy
+
+    margs = secrecy._subset_marginals(dist, kind)
+    return secrecy._best_partition(secrecy._block_values(margs, dist.eve_alphabet))
+
+
+def refine(dist, start: np.ndarray, kind: str) -> tuple[np.ndarray, float]:
+    """`_refine` from `start`, given what `_minimize_over_channels` gives it: the
+    subset marginals and the start's exact score (one `_objective` call)."""
+    from ckabounds import secrecy
+
+    best = secrecy._objective(dist.probs @ start, dist.parties, kind)
+    return secrecy._refine(dist, kind, secrecy._subset_marginals(dist, kind), start, best)
+
+
+def joint_table_from_csv(fh) -> tuple[list[str], np.ndarray]:
+    """The header and the table of a `distribution_to_csv` file, read with the stdlib
+    `csv` module.  Its rows must run row-major over every index tuple of the table
+    that their largest indices span, one row each."""
+    reader = csv.reader(fh)
+    header = next(reader)
+    rows = list(reader)
+    idx = [tuple(int(v) for v in row[:-1]) for row in rows]
+    shape = tuple(max(column) + 1 for column in zip(*idx))
+    assert idx == list(itertools.product(*(range(k) for k in shape)))
+    return header, np.array([float(row[-1]) for row in rows]).reshape(shape)

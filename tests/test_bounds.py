@@ -194,6 +194,12 @@ class TestComputeCurves:
         assert len(lines) == 1 + 4 * 2
         assert lines[1].split(",")[2] == "intrinsic_fixed"
 
+    def test_negative_zero_is_written_as_zero(self):
+        buf = io.StringIO()
+        write_curves_csv(compute_curves([-0.0, 0.1]), buf)
+        nus = [line.split(",")[0] for line in buf.getvalue().splitlines()[1:]]
+        assert set(nus) == {"0", "0.1"}
+
 
 class TestValidators:
     """Checked without building a grid, computing a point or starting a process pool."""

@@ -10,7 +10,7 @@ import pytest
 
 from ckabounds import bounds, cli
 from ckabounds.cli import main
-from ckabounds.secrecy import distribution_from_csv
+import oracles
 
 
 def read_rows(path):
@@ -297,14 +297,18 @@ class TestAttackCommand:
     def test_exports_joint_csv(self, tmp_path):
         out = tmp_path / "attack.csv"
         assert main(["attack", "--nu-min", "0.1", "--out", str(out)]) == 0
-        with open(out) as fh:
-            dist = distribution_from_csv(fh)
-        assert dist.party_alphabets == (2, 2, 2)
-        assert dist.eve_alphabet == 9
-        assert dist.probs[..., 0].sum() == pytest.approx(0.729, abs=1e-9)
+        with open(out, newline="") as fh:
+            header, probs = oracles.joint_table_from_csv(fh)
+        assert header == ["a1", "a2", "a3", "e", "p"]
+        assert probs.shape == (2, 2, 2, 9)
+        assert probs[..., 0].sum() == pytest.approx(0.729, abs=1e-9)
 
     def test_rejects_nu_out_of_range(self, capsys):
         assert main(["attack", "--nu-min", "1.0"]) == 1
+
+    def test_negative_zero_nu_is_printed_as_zero(self, capsys):
+        assert main(["attack", "--nu-min", "-0.0"]) == 0
+        assert capsys.readouterr().out.startswith("cc attack at nu=0\n")
 
     def test_values_are_the_curves_values(self, tmp_path, capsys):
         # `attack` prints 9 decimals of the values `curves` writes with 12 significant digits

@@ -10,9 +10,8 @@ from ckabounds.attacks import build_cc_attack
 from ckabounds.bounds import default_grid, noise_grid
 from ckabounds.partitions import partitions_as_masks
 from ckabounds.secrecy import (ClassicalChannel, JointDistribution, SearchBudget,
-                               _best_partition, _block_values, _objective, _refine,
-                               apply_channel,
-                               continuity_envelope, distribution_from_csv,
+                               _best_partition, _block_values, _objective,
+                               apply_channel, continuity_envelope,
                                distribution_to_csv, dual_intrinsic, g,
                                intrinsic_information, s_n, shannon_cmi,
                                total_correlation)
@@ -207,7 +206,7 @@ class TestBestPartition:
         objective = OBJECTIVES[kind]
         for ne in range(1, 8):
             dist = random_joint(rng, (2, 3, 2), ne)
-            blocks = _best_partition(dist, kind)
+            blocks = oracles.best_partition(dist, kind)
             assert sorted(e for b in blocks for e in b) == list(range(ne))
             assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
             found = objective(apply_channel(dist, ClassicalChannel.from_partition(blocks, ne)))
@@ -220,8 +219,8 @@ class TestBestPartition:
     @pytest.mark.parametrize("nu", [0.05, 0.525, 0.7])  # 0.525: two partitions tie for cmi
     def test_matches_enumeration_on_the_attack(self, kind, nu):
         dist = build_cc_attack(nu).joint
-        phi = _block_values(dist, kind)
-        blocks = _best_partition(dist, kind)
+        phi = _block_values(secrecy._subset_marginals(dist, kind), 9)
+        blocks = _best_partition(phi)
         value = sum(phi[sum(1 << e for e in b) - 1] for b in blocks)
         brute = min(sum(phi[m - 1] for m in masks) for masks in partitions_as_masks(9))
         assert value == pytest.approx(brute, abs=1e-12)
@@ -243,7 +242,7 @@ def random_shape(rng):
 
 
 def dp_start(dist, kind):
-    return ClassicalChannel.from_partition(_best_partition(dist, kind), dist.eve_alphabet).matrix.copy()
+    return ClassicalChannel.from_partition(oracles.best_partition(dist, kind), dist.eve_alphabet).matrix.copy()
 
 
 # About 14 points from each benchmark grid: curves_min's default grid, and
@@ -403,7 +402,7 @@ class TestBatchedSearch:
             for kind in ("cmi", "sn"):
                 start = dp_start(dist, kind)
                 _, exact = count_scores(monkeypatch)
-                got, _ = _refine(dist, start, kind)
+                got, _ = oracles.refine(dist, start, kind)
                 assert np.array_equal(got, start)
                 assert len(exact) == 1
                 monkeypatch.undo()
@@ -413,13 +412,13 @@ class TestBatchedSearch:
         dist = build_cc_attack(nu).joint
         for kind in ("cmi", "sn"):
             start = dp_start(dist, kind)
-            got, _ = _refine(dist, start, kind)
+            got, _ = oracles.refine(dist, start, kind)
             assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
 
     def test_refine_takes_moves_at_high_noise(self):
         dist = build_cc_attack(0.55).joint
         start = dp_start(dist, "sn")
-        got, _ = _refine(dist, start, "sn")
+        got, _ = oracles.refine(dist, start, "sn")
         assert not np.array_equal(got, start)
 
     @pytest.mark.parametrize("kind", ["cmi", "sn"])
@@ -431,7 +430,7 @@ class TestBatchedSearch:
             if i % 2:  # a stochastic start: rows with no skipped move
                 start = rng.random((ne, int(rng.integers(1, 4))))
                 start /= start.sum(axis=1, keepdims=True)
-            got, value = _refine(dist, start, kind)
+            got, value = oracles.refine(dist, start, kind)
             assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
             assert value == _objective(dist.probs @ got, dist.parties, kind)  # its last score
 
@@ -443,7 +442,7 @@ class TestBatchedSearch:
         start = dp_start(dist, kind)
         want, first = loop_and_first_move(dist, start, kind, monkeypatch)
         assert first == sweep
-        got, _ = _refine(dist, start, kind)
+        got, _ = oracles.refine(dist, start, kind)
         assert got.tobytes() == want.tobytes()
 
     def test_ladder_matches_loop_on_sparse_tables(self, rng, monkeypatch):
@@ -454,7 +453,7 @@ class TestBatchedSearch:
             dist = sparse_joint(rng, alphabets, ne)
             start = dp_start(dist, kind)
             want, first = loop_and_first_move(dist, start, kind, monkeypatch)
-            got, _ = _refine(dist, start, kind)
+            got, _ = oracles.refine(dist, start, kind)
             assert got.tobytes() == want.tobytes()
             firsts.append(first)
         assert any(k is not None and k >= 2 for k in firsts)
@@ -469,7 +468,7 @@ class TestBatchedSearch:
         for dist in tables:
             for kind in ("cmi", "sn"):
                 start = dp_start(dist, kind)
-                got, _ = _refine(dist, start, kind)
+                got, _ = oracles.refine(dist, start, kind)
                 assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
 
     @pytest.mark.parametrize("kind", ["cmi", "sn"])
@@ -477,7 +476,7 @@ class TestBatchedSearch:
         rows, exact = count_scores(monkeypatch)
         dist = build_cc_attack(0.05).joint
         start = dp_start(dist, kind)
-        got, _ = _refine(dist, start, kind)
+        got, _ = oracles.refine(dist, start, kind)
         assert np.array_equal(got, start)
         assert rows == [36, 486]  # sweeps 0 and 1, then sweeps 2..28, at 18 moves each
         assert len(exact) == 1  # the start's own value: no trial is near passing
@@ -486,12 +485,12 @@ class TestBatchedSearch:
         dist = build_cc_attack(0.0).joint
         start = dp_start(dist, kind)
         assert start.shape[1] == 1
-        got, _ = _refine(dist, start, kind)
+        got, _ = oracles.refine(dist, start, kind)
         assert np.array_equal(got, start)
         assert rows == [] and len(exact) == 1
         dist = build_cc_attack(0.55).joint
         start = dp_start(dist, kind)
-        got, _ = _refine(dist, start, kind)
+        got, _ = oracles.refine(dist, start, kind)
         assert rows and got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
 
     @pytest.mark.parametrize("nu, kind, calls, trials", [(0.45, "cmi", 265, 6986),
@@ -506,7 +505,7 @@ class TestBatchedSearch:
         rows, exact = count_scores(monkeypatch)
         dist = build_cc_attack(nu).joint
         start = dp_start(dist, kind)
-        got, _ = _refine(dist, start, kind)
+        got, _ = oracles.refine(dist, start, kind)
         assert (len(rows), sum(rows)) == (calls, trials)
         assert len(exact) == 1 + confirmed[nu, kind]
         monkeypatch.undo()
@@ -520,7 +519,7 @@ class TestBatchedSearch:
         taken = []
         want = oracles.refine_loop(dist, start, kind, taken)
         assert branch in look_ahead_branches(taken, start.size, sweeps)
-        got, _ = _refine(dist, start, kind)
+        got, _ = oracles.refine(dist, start, kind)
         assert got.tobytes() == want.tobytes()
 
     def test_confirming_every_trial_matches_loop(self, monkeypatch):
@@ -534,7 +533,7 @@ class TestBatchedSearch:
             want = oracles.refine_loop(dist, start, kind, taken)
             monkeypatch.setattr(secrecy, "MARGIN", math.inf)
             _, exact = count_scores(monkeypatch)
-            got, _ = _refine(dist, start, kind)
+            got, _ = oracles.refine(dist, start, kind)
             assert got.tobytes() == want.tobytes()
             assert taken and len(exact) > 1 + len(taken)  # failing trials were scored too
             monkeypatch.undo()
@@ -543,7 +542,7 @@ class TestBatchedSearch:
     def test_best_partition_matches_loop(self, rng, kind):
         for nu in BENCH_POINTS:
             dist = build_cc_attack(nu).joint
-            assert _best_partition(dist, kind) == oracles.best_partition_loop(dist, kind)
+            assert oracles.best_partition(dist, kind) == oracles.best_partition_loop(dist, kind)
         for i in range(30):
             alphabets, _ = random_shape(rng)
             dist = sparse_joint(rng, alphabets, int(rng.integers(1, 9)))
@@ -551,7 +550,7 @@ class TestBatchedSearch:
                 probs = np.round(dist.probs * 4) + 0.0
                 probs.flat[0] += 1.0
                 dist = JointDistribution(dist.party_alphabets, dist.eve_alphabet, probs / probs.sum())
-            assert _best_partition(dist, kind) == oracles.best_partition_loop(dist, kind)
+            assert oracles.best_partition(dist, kind) == oracles.best_partition_loop(dist, kind)
 
 
 class TestIntrinsicInformation:
@@ -587,7 +586,7 @@ class TestIntrinsicInformation:
         value, witness = intrinsic_information(dist, SearchBudget(refine=False))
         assert abs(value - brute) < 1e-12
         assert set(np.unique(witness.matrix)) <= {0.0, 1.0}
-        assert witness.out_alphabet == len(_best_partition(dist, "cmi"))
+        assert witness.out_alphabet == len(oracles.best_partition(dist, "cmi"))
 
     @pytest.mark.parametrize("search", [intrinsic_information, dual_intrinsic])
     def test_rejects_eve_alphabet_over_the_limit(self, search):
@@ -614,6 +613,25 @@ class TestSearchedValue:
             value, witness = search(dist, SearchBudget(refine=refine))
             exact = _objective(apply_channel(dist, witness).probs, 3, kind)
             assert value.hex() == exact.hex()
+
+
+class TestSearchInputs:
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_one_marginal_table_and_one_channel_check_per_search(self, monkeypatch, refine):
+        # the DP and the descent share one `_subset_marginals` table, and only
+        # the witness goes through `probability_table`, after the search
+        dists = [build_cc_attack(nu).joint for nu in default_grid()]
+        calls = []
+        for name in ("_subset_marginals", "probability_table"):
+            def counted(*args, _name=name, _wrapped=getattr(secrecy, name)):
+                calls.append(_name)
+                return _wrapped(*args)
+            monkeypatch.setattr(secrecy, name, counted)
+        for dist in dists:
+            for search in (intrinsic_information, dual_intrinsic):
+                calls.clear()
+                search(dist, SearchBudget(refine=refine))
+                assert calls == ["_subset_marginals", "probability_table"]
 
 
 class TestDualIntrinsic:
@@ -672,45 +690,10 @@ def csv_text(dist):
 class TestCsv:
     def test_round_trip(self, rng):
         dist = random_joint(rng, (2, 3), 4)
-        back = distribution_from_csv(io.StringIO(csv_text(dist)))
-        assert back.party_alphabets == dist.party_alphabets
-        assert back.eve_alphabet == dist.eve_alphabet
-        assert np.abs(back.probs - dist.probs).max() < 1e-12
+        _, back = oracles.joint_table_from_csv(io.StringIO(csv_text(dist)))
+        assert back.shape == dist.probs.shape
+        assert np.abs(back - dist.probs).max() < 1e-12
 
     def test_header(self, rng):
         text = csv_text(random_joint(rng, (2, 2, 2), 9))
         assert text.splitlines()[0] == "a1,a2,a3,e,p"
-
-    def test_rejects_malformed_input(self):
-        with pytest.raises(ValueError, match="wide"):
-            distribution_from_csv(io.StringIO("a1,a2,e,p\n0,0,0,1\n0,1,0\n"))
-        with pytest.raises(ValueError, match="header"):
-            distribution_from_csv(io.StringIO("a1,a2,p\n0,0,1\n"))
-
-    def test_rejects_nan_probability(self):
-        # NaN passed the sign and sum checks, and shannon_cmi read -0.5 bits
-        with pytest.raises(ValueError, match="non-finite"):
-            distribution_from_csv(io.StringIO("a1,a2,e,p\n0,0,0,nan\n1,1,0,1\n"))
-
-    def test_rejects_negative_index(self):
-        # -1 would wrap around to index 1 and load as [0.25, 0.75]
-        with pytest.raises(ValueError, match="negative or a repeated"):
-            distribution_from_csv(io.StringIO("a1,a2,e,p\n0,0,0,0.25\n1,0,0,0.5\n-1,0,0,0.75\n"))
-
-    def test_rejects_duplicate_row(self):
-        # the second 0,0,0 row would silently replace the first
-        with pytest.raises(ValueError, match="negative or a repeated"):
-            distribution_from_csv(io.StringIO("a1,a2,e,p\n0,0,0,0.5\n0,0,0,1\n"))
-
-    def test_rejects_oversized_table(self):
-        # the table is sized by the largest index: 10**12 asked numpy for 7.28 TiB
-        with pytest.raises(ValueError, match="more than"):
-            distribution_from_csv(io.StringIO("a1,a2,e,p\n0,0,0,0.5\n1,1,1000000000000,0.5\n"))
-
-    def test_stops_reading_one_row_past_the_cap(self, monkeypatch):
-        # every row used to be held in memory before any cap applied
-        monkeypatch.setattr(secrecy, "CSV_MAX_ENTRIES", 3)
-        fh = io.StringIO("a1,a2,e,p\n" + "".join(f"0,0,{e},0.001\n" for e in range(1000)))
-        with pytest.raises(ValueError, match="more than 3 rows"):
-            distribution_from_csv(fh)
-        assert len(fh.readlines()) == 1000 - 4  # the header and 4 rows were consumed

@@ -128,6 +128,9 @@ class TestNoisyGhz3:
         assert dec.ghz_weight == pytest.approx(1.0)
         assert dec.biseparable_weight == pytest.approx(0.0, abs=1e-15)
 
+    def test_negative_zero_noise_is_zero(self):
+        assert not np.signbit(noisy_ghz3(-0.0).nu)
+
     @pytest.mark.parametrize("nu", [-0.1, 1.5, float("nan")])
     def test_rejects_nu_outside_unit_interval(self, nu):
         with pytest.raises(ValueError, match="noise parameter"):
