@@ -14,12 +14,17 @@ corresponding intrinsic-information value.  A search reads top to bottom:
 it stacks the subset marginals P_X(x_X, e) of the monotone once
 (`_subset_marginals`); the block table `_block_values` built from them
 feeds an exact dynamic program over subsets of the Eve alphabet (of at
-most EXHAUSTIVE_LIMIT symbols), O(3^|E|) steps solved one popcount layer
-at a time, for the best deterministic channel (set partition); that
-channel is written as a 0/1 matrix and scored once; coordinate descent
-(`_refine`), given the same marginals and that score, optionally refines
-it over stochastic channels with as many outputs as the partition has
-blocks; and only the channel returned is checked as a `ClassicalChannel`.
+most EXHAUSTIVE_LIMIT symbols), solved one popcount layer at a time, for
+the best deterministic channel (set partition).  The program splits a
+subset S into a block T holding S's lowest symbol and the rest S - T, so
+from the full set down it reads no other subset holding symbol 0, and it
+solves only those it reads: (3^(|E|-1) - 1)/2 + 2^(|E|-1) (subset, block)
+pairs, 3,536 at |E| = 9.  That channel is written as a 0/1 matrix and
+scored once, by `_objective`, which takes p log2 p of all the monotone's
+marginals in one pass; coordinate descent (`_refine`), given the same
+marginals and that score, optionally refines it over stochastic channels
+with as many outputs as the partition has blocks; and only the channel
+returned is checked as a `ClassicalChannel`.
 Restricting the output alphabet this way (so |F| <= |E|) is a standard
 sufficiency heuristic, not a theorem, so reported values are upper bounds
 on the true infimum.
@@ -37,6 +42,7 @@ the search does not score the channel it returns again.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -57,7 +63,8 @@ MARGIN = 1e-12  # bits: `_screen_bound` of the attack's tables, rounded up
 
 
 def entropy_bits(vec: np.ndarray) -> float:
-    """Shannon entropy in bits; probabilities below 1e-15 are treated as 0."""
+    """Shannon entropy in bits; probabilities at or below PROB_FLOOR = 1e-15 are
+    treated as 0."""
     v = np.asarray(vec, dtype=float).ravel()
     v = v[v > PROB_FLOOR]
     return float(-(v * np.log2(v)).sum()) if v.size else 0.0
@@ -192,10 +199,30 @@ def _plan(n_parties: int, kind: str):
     return axes, groups, merged
 
 
+@lru_cache(maxsize=None)
+def _segment_ends(shape: tuple[int, ...], n_parties: int, kind: str) -> tuple[int, ...]:
+    """Where each `_plan` marginal of a table of `shape` ends when the marginals are
+    flattened and laid end to end in `_plan` order."""
+    sizes = (math.prod(n for j, n in enumerate(shape) if j not in a)
+             for a in _plan(n_parties, kind)[0])
+    return tuple(itertools.accumulate(sizes))
+
+
 def _objective(p: np.ndarray, n_parties: int, kind: str) -> float:
-    """Monotone `kind`, sum_X c_X H(X, E) group by group, of a table with Eve's axis last."""
+    """Monotone `kind`, sum_X c_X H(X, E) group by group, of a table with Eve's axis last.
+
+    The marginals are laid end to end and their entries above PROB_FLOOR take
+    p log2 p in one pass.  Each entropy H(X, E) is then minus the sum of its own
+    contiguous run of terms: the terms `entropy_bits` would sum, in its order, so
+    its pairwise sum gives the same bits."""
     axes, groups, _ = _plan(n_parties, kind)
-    h = [entropy_bits(p.sum(axis=a)) for a in axes]
+    v = np.concatenate([np.add.reduce(p, axis=a).ravel() for a in axes])
+    kept = v > PROB_FLOOR
+    v = v[kept]
+    terms = np.log2(v) * v
+    at = kept.nonzero()[0].tolist()  # where each term came from, to split them by marginal
+    ends = [bisect.bisect_left(at, end) for end in _segment_ends(p.shape, n_parties, kind)]
+    h = [-float(np.add.reduce(terms[a:b])) for a, b in zip([0] + ends, ends)]
     total = 0.0
     for group in groups:
         part = 0.0
@@ -259,6 +286,15 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     return kept * np.log2(kept)
 
 
+@lru_cache(maxsize=None)
+def _selector(ne: int) -> np.ndarray:
+    """ne x (2^ne - 1) 0/1 matrix whose column mask - 1 selects the symbols of mask."""
+    masks = np.arange(1, 1 << ne)
+    sel = ((masks[np.newaxis, :] >> np.arange(ne)[:, np.newaxis]) & 1).astype(float)
+    sel.flags.writeable = False  # shared by every caller through the cache
+    return sel
+
+
 def _block_values(margs: list[tuple[np.ndarray, float]], ne: int) -> np.ndarray:
     """Per-subset contribution phi[mask - 1] of each block of the ne Eve symbols to the
     objective whose `_subset_marginals` are `margs`.
@@ -267,59 +303,70 @@ def _block_values(margs: list[tuple[np.ndarray, float]], ne: int) -> np.ndarray:
     entropies split additively over the blocks of a deterministic channel,
     so the objective of any partition is the sum of phi over its blocks.
     """
-    masks = np.arange(1, 1 << ne)
-    # indicator matrix: column m-1 selects the symbols of mask m
-    sel = ((masks[np.newaxis, :] >> np.arange(ne)[:, np.newaxis]) & 1).astype(float)
-    phi = np.zeros(masks.size)
+    sel = _selector(ne)
+    phi = np.zeros(sel.shape[1])
     for marg, coeff in margs:
         phi -= coeff * _plogp(marg @ sel).sum(axis=0)
     return phi
 
 
 @lru_cache(maxsize=None)
-def _partition_layers(ne: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per popcount p = 1..ne: the subsets S of {0..ne-1} with p symbols, and
-    for each the 2^(p-1) blocks T of S that hold S's lowest symbol, in
-    descending order of the submask T - low(S)."""
-    layers = [([], []) for _ in range(ne)]
-    for s in range(1, 1 << ne):
+def _partition_layers(ne: int) -> tuple[tuple[tuple[np.ndarray, ...], ...], tuple]:
+    """The subsets S of {0..ne-1} that `_best_partition` solves, one popcount layer at
+    a time: every nonempty subset of the symbols 1..ne-1, then the full set.  A layer is
+    (subsets, blocks - 1, remainders): for each S, the 2^(|S|-1) blocks T of S that hold
+    S's lowest symbol, in descending order of the submask T - low(S), as the `phi`
+    index T - 1 and as the remainder S - T.  Also returns each solved subset's
+    (layer, row), indexed by its mask, and None for the other masks.  No remainder
+    holds symbol 0, so every remainder but 0 is solved in an earlier layer."""
+    full = (1 << ne) - 1
+    layers = [([], [], []) for _ in range(ne)]
+    where = [None] * (full + 1)
+    for s in [*range(2, full, 2), full]:
         low = s & -s
         rest = s ^ low
         blocks, t = [], rest
         for _ in range(1 << rest.bit_count()):
             blocks.append(t | low)
             t = (t - 1) & rest
-        subsets, table = layers[s.bit_count() - 1]
+        k = s.bit_count() - 1
+        subsets, minus_one, remainders = layers[k]
+        where[s] = (k, len(subsets))
         subsets.append(s)
-        table.append(blocks)
-    out = tuple((np.array(subsets), np.array(table)) for subsets, table in layers)
+        minus_one.append([b - 1 for b in blocks])
+        remainders.append([s ^ b for b in blocks])
+    out = tuple(tuple(np.array(a, dtype=np.intp) for a in layer) for layer in layers)
     for arrays in out:
         for a in arrays:
             a.flags.writeable = False  # shared by every caller through the cache
-    return out
+    return out, tuple(where)
 
 
 def _best_partition(phi: np.ndarray) -> list[list[int]]:
     """Blocks, ordered by lowest symbol, of the partition of Eve's alphabet
     with the least sum of the `_block_values` table `phi`: best[S] = min of
-    phi[T] + best[S - T] over the blocks T of S that hold S's lowest symbol,
-    3^|E| subset pairs in all.
+    phi[T] + best[S - T] over the blocks T of S that hold S's lowest symbol.
 
-    The subsets are solved a popcount layer at a time, since S - T has fewer
-    symbols than S; each S keeps the first of its minimal blocks.
+    Only the subsets that some S - T can be are solved, with the full set:
+    S - T lacks S's lowest symbol, so from the full set down no other subset
+    holding symbol 0 is ever read.  That is (3^(|E|-1) - 1)/2 + 2^(|E|-1)
+    (subset, block) pairs, 3,536 at |E| = 9, where every subset would take
+    (3^|E| - 1)/2.  The subsets are solved a popcount layer at a time, since
+    S - T has fewer symbols than S; the blocks are then read back from the
+    full set down, each S taking the first of its minimal blocks.
     """
     ne = phi.size.bit_length()  # phi has 2^ne - 1 entries
+    layers, where = _partition_layers(ne)
     best = np.zeros(1 << ne)
-    choice = np.zeros(1 << ne, dtype=int)
-    for subsets, blocks in _partition_layers(ne):
-        vals = phi[blocks - 1] + best[subsets[:, np.newaxis] ^ blocks]
-        first = vals.argmin(axis=1)
-        best[subsets] = vals[np.arange(subsets.size), first]
-        choice[subsets] = blocks[np.arange(subsets.size), first]
+    for subsets, minus_one, remainders in layers:
+        best[subsets] = (phi[minus_one] + best[remainders]).min(axis=1)
     blocks, s = [], (1 << ne) - 1
     while s:
-        blocks.append([i for i in range(ne) if choice[s] >> i & 1])
-        s ^= int(choice[s])
+        layer, row = where[s]
+        _, minus_one, remainders = layers[layer]
+        rest = int(remainders[row, (phi[minus_one[row]] + best[remainders[row]]).argmin()])
+        blocks.append([i for i in range(ne) if (s ^ rest) >> i & 1])
+        s = rest
     return blocks
 
 

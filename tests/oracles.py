@@ -2,11 +2,12 @@
 
 Everything here is deliberately written from scratch (plain loops, its own
 entropy code, a different partition enumerator) so that agreement with the
-package is meaningful.  The channel-search references (`refine_loop`,
-`best_partition_loop`, `screen_dense`, `screen_sparse`) are the exceptions:
-they run the package's own `_objective`, `_block_values` and `_plogp` one
-move or one subset at a time, over every (trial, f, r) entry, or over the
-entries each trial moves, gathered trial by trial, so that its batched and
+package is meaningful.  The channel-search references (`objective_loop`,
+`refine_loop`, `best_partition_loop`, `screen_dense`, `screen_sparse`) are
+the exceptions: they run the package's own `entropy_bits`, `_plan`,
+`_objective` and `_plogp` one entropy, one move or one subset at a time,
+over every (trial, f, r) entry, or over the entries each trial moves,
+gathered trial by trial, so that its one-pass scoring and its batched and
 block-screened search can be checked against them.
 """
 
@@ -355,17 +356,32 @@ def screen_sum_gaps(dist, kind: str, start: np.ndarray) -> list[tuple[float, flo
     return out
 
 
-def best_partition_loop(dist, kind: str) -> list[list[int]]:
-    """The set-partition DP over `_block_values`, one (subset, block) pair at a time.
+def objective_loop(p: np.ndarray, n_parties: int, kind: str) -> float:
+    """`secrecy._objective` one entropy at a time: sum_X c_X H(X, E) group by
+    group, each H an `entropy_bits` call on its own marginal."""
+    from ckabounds.secrecy import _plan, entropy_bits
+
+    axes, groups, _ = _plan(n_parties, kind)
+    h = [entropy_bits(p.sum(axis=a)) for a in axes]
+    total = 0.0
+    for group in groups:
+        part = 0.0
+        for i, c in group:
+            part += c * h[i]
+        total += part
+    return total
+
+
+def best_partition_loop(phi) -> list[list[int]]:
+    """The set-partition DP over a `_block_values` table `phi`, solving every
+    subset, one (subset, block) pair at a time.
 
     best[S] = min of phi[T] + best[S - T] over the blocks T of S holding S's
     lowest symbol, tried in descending submask order; the first strict
     minimum wins.
     """
-    from ckabounds.secrecy import _block_values, _subset_marginals
-
-    ne = dist.eve_alphabet
-    phi = _block_values(_subset_marginals(dist, kind), ne).tolist()
+    phi = np.asarray(phi, dtype=float).tolist()
+    ne = len(phi).bit_length()  # phi has 2^ne - 1 entries
     best = [0.0] * (1 << ne)
     choice = [0] * (1 << ne)
     for s in range(1, 1 << ne):
@@ -387,13 +403,18 @@ def best_partition_loop(dist, kind: str) -> list[list[int]]:
     return blocks
 
 
-def best_partition(dist, kind: str) -> list[list[int]]:
-    """`_best_partition` of `dist` for `kind`, on the block table
-    `_minimize_over_channels` builds from the subset marginals."""
+def block_table(dist, kind: str) -> np.ndarray:
+    """The `_block_values` table `_minimize_over_channels` builds for `dist` and `kind`."""
     from ckabounds import secrecy
 
-    margs = secrecy._subset_marginals(dist, kind)
-    return secrecy._best_partition(secrecy._block_values(margs, dist.eve_alphabet))
+    return secrecy._block_values(secrecy._subset_marginals(dist, kind), dist.eve_alphabet)
+
+
+def best_partition(dist, kind: str) -> list[list[int]]:
+    """`_best_partition` of `dist` for `kind`, on its `block_table`."""
+    from ckabounds import secrecy
+
+    return secrecy._best_partition(block_table(dist, kind))
 
 
 def refine(dist, start: np.ndarray, kind: str) -> tuple[np.ndarray, float]:

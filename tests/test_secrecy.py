@@ -9,8 +9,9 @@ from ckabounds import secrecy
 from ckabounds.attacks import build_cc_attack
 from ckabounds.bounds import default_grid, noise_grid
 from ckabounds.partitions import partitions_as_masks
-from ckabounds.secrecy import (ClassicalChannel, JointDistribution, SearchBudget,
-                               _best_partition, _block_values, _objective,
+from ckabounds.secrecy import (EXHAUSTIVE_LIMIT, PROB_FLOOR, ClassicalChannel,
+                               JointDistribution, SearchBudget, _best_partition,
+                               _block_values, _objective, _partition_layers,
                                apply_channel, continuity_envelope,
                                distribution_to_csv, dual_intrinsic, g,
                                intrinsic_information, s_n, shannon_cmi,
@@ -167,6 +168,78 @@ class TestSn:
             assert s_n(random_joint(rng, (2, 2, 2), 2)) >= -1e-9
 
 
+def floor_heavy_table(rng, shape, mode):
+    """A nonnegative table of `shape`, not normalized, whose entries sit on the
+    PROB_FLOOR cut in one of several ways: 0 random, 1 with exact zeros, 2 with
+    entries at PROB_FLOOR, 3 just above it, 4 all at or below it (the table's own
+    entropy term is empty), 5 all zero (every term is)."""
+    p = rng.random(shape) ** 3 + 1e-300
+    hit = rng.random(shape) < 0.5
+    hit.flat[0] = False  # a normalized table keeps one entry it was drawn with
+    if mode == 1:
+        p[hit] = 0.0
+    elif mode == 2:
+        p[hit] = PROB_FLOOR
+    elif mode == 3:
+        p[hit] = np.nextafter(PROB_FLOOR, 1.0)
+    elif mode == 4:
+        p = np.where(hit, PROB_FLOOR, 0.0)
+    elif mode == 5:
+        p = np.zeros(shape)
+    return p / p.sum() if mode < 4 else p
+
+
+class TestObjective:
+    """`_objective` takes p log2 p of all its marginals in one pass; it must give
+    the bits of scoring one entropy at a time, `oracles.objective_loop`."""
+
+    def test_matches_loop_on_every_table_scored_on_bench_grids(self, monkeypatch):
+        from ckabounds.bounds import point_values
+
+        objective, scored = secrecy._objective, []
+
+        def recorded(p, n_parties, kind):
+            value = objective(p, n_parties, kind)
+            scored.append((p.copy(), n_parties, kind, value))
+            return value
+
+        monkeypatch.setattr(secrecy, "_objective", recorded)
+        grid = default_grid() + noise_grid(0.3, 0.9, 0.025)
+        for nu in grid:
+            attack = build_cc_attack(nu)
+            point_values(attack, minimize=True)
+            point_values(attack, minimize=False)
+        assert len(scored) > 4 * len(grid)  # the fixed curves, the starts and confirmations
+        for p, n_parties, kind, value in scored:
+            assert value.hex() == oracles.objective_loop(p, n_parties, kind).hex()
+
+    def test_matches_loop_on_random_tables(self, rng):
+        for i in range(600):
+            n = 2 + i % 3
+            shape = tuple(int(a) for a in rng.integers(1, 4, size=n)) + (1 + i % 10,)
+            p = floor_heavy_table(rng, shape, i % 6)
+            for kind in ("cmi", "sn"):
+                got = _objective(p, n, kind)
+                assert type(got) is float
+                assert got.hex() == oracles.objective_loop(p, n, kind).hex()
+
+    def test_log2_terms_do_not_depend_on_position(self, rng):
+        # `_objective` and `_plogp` take log2(x) * x over arrays that place an
+        # entry elsewhere than one entropy at a time would: at every length and
+        # offset (SIMD body and tail lanes alike) each entry must give the bits it
+        # gives alone, and x * log2(x) the same bits
+        x = np.concatenate([rng.random(40) ** 8, rng.random(40),
+                            [PROB_FLOOR * 1.5, 0.5, 1.0, 2.0 ** -1000]])
+        rng.shuffle(x)
+        alone = np.array([(np.log2(x[i:i + 1]) * x[i:i + 1])[0] for i in range(x.size)])
+        for length in range(1, 71):
+            for offset in range(x.size - length + 1):
+                v = x[offset:offset + length]
+                want = alone[offset:offset + length].view(np.uint64)
+                assert np.array_equal((np.log2(v) * v).view(np.uint64), want)
+                assert np.array_equal((v * np.log2(v)).view(np.uint64), want)
+
+
 class TestApplyChannel:
     def test_identity_channel(self, rng):
         dist = random_joint(rng, (2, 2), 3)
@@ -226,6 +299,42 @@ class TestBestPartition:
         assert value == pytest.approx(brute, abs=1e-12)
         channel = ClassicalChannel.from_partition(blocks, 9)
         assert OBJECTIVES[kind](apply_channel(dist, channel)) == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("ne", range(1, EXHAUSTIVE_LIMIT + 1))
+    def test_layers_solve_each_read_subset_once(self, ne):
+        # the full set and every nonempty subset without symbol 0, each once, by
+        # popcount; each remainder S - T is 0 or solved in an earlier layer, and
+        # the blocks T are those holding S's lowest symbol, descending in T - low(S)
+        layers, where = _partition_layers(ne)
+        full = (1 << ne) - 1
+        solved, seen = {0}, []
+        for k, (subsets, minus_one, remainders) in enumerate(layers):
+            for row, s in enumerate(subsets.tolist()):
+                assert s.bit_count() == k + 1 and where[s] == (k, row)
+                low = s & -s
+                rest = s ^ low
+                want = sorted((t | low for t in range(rest + 1) if t & rest == t), reverse=True)
+                assert (minus_one[row] + 1).tolist() == want
+                assert (remainders[row] ^ (minus_one[row] + 1)).tolist() == [s] * len(want)
+                assert set(remainders[row].tolist()) <= solved
+            solved |= set(subsets.tolist())
+            seen += subsets.tolist()
+            assert not any(a.flags.writeable for a in (subsets, minus_one, remainders))
+        assert sorted(seen) == sorted({*range(2, full, 2), full})
+        assert len(seen) == len(set(seen))
+        assert [s for s, w in enumerate(where) if w is not None] == sorted(seen)
+        pairs = sum(m.size for _, m, _ in layers)
+        assert pairs == (3 ** (ne - 1) - 1) // 2 + 2 ** (ne - 1)
+
+    @pytest.mark.parametrize("ne", range(1, EXHAUSTIVE_LIMIT + 1))
+    def test_matches_loop_on_tie_heavy_tables(self, rng, ne):
+        # block values from a few small integers: many partitions tie exactly,
+        # so the first minimal block of each subset decides the partition
+        for top in (1, 2, 5):
+            phi = rng.integers(-top, top + 1, size=(1 << ne) - 1).astype(float)
+            assert _best_partition(phi) == oracles.best_partition_loop(phi)
+        # all tie: the largest block, tried first, is kept
+        assert _best_partition(np.zeros((1 << ne) - 1)) == [list(range(ne))]
 
 
 def sparse_joint(rng, alphabets, eve):
@@ -541,16 +650,18 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("kind", ["cmi", "sn"])
     def test_best_partition_matches_loop(self, rng, kind):
         for nu in BENCH_POINTS:
-            dist = build_cc_attack(nu).joint
-            assert oracles.best_partition(dist, kind) == oracles.best_partition_loop(dist, kind)
-        for i in range(30):
-            alphabets, _ = random_shape(rng)
-            dist = sparse_joint(rng, alphabets, int(rng.integers(1, 9)))
-            if i % 3 == 0:  # coarse entries make ties between partitions
-                probs = np.round(dist.probs * 4) + 0.0
-                probs.flat[0] += 1.0
-                dist = JointDistribution(dist.party_alphabets, dist.eve_alphabet, probs / probs.sum())
-            assert oracles.best_partition(dist, kind) == oracles.best_partition_loop(dist, kind)
+            phi = oracles.block_table(build_cc_attack(nu).joint, kind)
+            assert _best_partition(phi) == oracles.best_partition_loop(phi)
+        for ne in range(1, EXHAUSTIVE_LIMIT + 1):
+            for i in range(3):
+                alphabets, _ = random_shape(rng)
+                dist = sparse_joint(rng, alphabets, ne)
+                if i:  # coarse entries make ties between partitions
+                    probs = np.round(dist.probs * 4) + 0.0
+                    probs.flat[0] += 1.0
+                    dist = JointDistribution(alphabets, ne, probs / probs.sum())
+                phi = oracles.block_table(dist, kind)
+                assert _best_partition(phi) == oracles.best_partition_loop(phi)
 
 
 class TestIntrinsicInformation:
