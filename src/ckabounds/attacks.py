@@ -8,16 +8,17 @@ GHZ part she cannot read and a biseparable part she knows completely:
 
 Everything refers to the key-generating setting, where all parties measure
 sigma_z.  Its outcome table is the computational-basis diagonal of the
-state, since the sigma_z projectors are the diagonal 0/1 matrices, so
-`_key_slice` reads it directly.  The weight and chi_nu of the split come
-from one `states.noisy_ghz3` decomposition.  The Eve alphabet has 9
-symbols: index 0 is the ignorance symbol '?', index 1 + 4a + 2b1 + b2
-records the triple (a,b1,b2).  Her post-processing keeps only triples that
-mimic an honest key round: the channel `_MIMICRY` maps (a,a,a) to a and
-every other symbol to '?' (output alphabet 0, 1, '?'=2).
+state, since the sigma_z projectors are the diagonal 0/1 matrices.  The
+weight and chi_nu's diagonal come from `states.biseparable_split`, so no
+density matrix is built per attack.  The Eve alphabet has 9 symbols: index
+0 is the ignorance symbol '?', index 1 + 4a + 2b1 + b2 records the triple
+(a,b1,b2).  Her post-processing keeps only triples that mimic an honest key
+round: the channel `_MIMICRY` maps (a,a,a) to a and every other symbol to
+'?' (output alphabet 0, 1, '?'=2).
 
-The attack carries the one decomposition it was built from, and is checked
-against that device: `noisy_ghz3` runs once per attack.
+The attack is checked against the device's key table built another way:
+depolarizing a qubit and then measuring sigma_z flips the outcome with
+probability nu/2.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
-from .qmat import DensityMatrix
 from .secrecy import ClassicalChannel, JointDistribution, apply_channel
 
 MARGINAL_TOL = 1e-10
@@ -50,9 +50,9 @@ _MIMICRY = ClassicalChannel.from_partition(
     [[_RECORDED[0]], [_RECORDED[7]], [EVE_IGNORANT] + _RECORDED[1:7]], EVE_ALPHABET)
 
 
-def _key_slice(state: DensityMatrix) -> np.ndarray:
-    """All-sigma_z outcome probabilities of a three-qubit state, shape (2, 2, 2)."""
-    return state.matrix.diagonal().real.reshape(2, 2, 2)
+def _ghz_key() -> np.ndarray:
+    """GHZ's all-sigma_z outcome table, flat: (1/sqrt 2)^2 on 000 and on 111."""
+    return states.ghz3().matrix.diagonal().real
 
 
 @dataclass(frozen=True)
@@ -60,50 +60,41 @@ class CcAttack:
     """Convex-combination attack at the key-generating setting.
 
     `joint` is the distribution over (a, b1, b2, e) with the 9-symbol Eve
-    alphabet; `decomposition` is the device it attacks, the noisy GHZ state
-    whose biseparable weight is the local weight.  Construction verifies
-    that dropping Eve reproduces the decomposition state's key-setting
-    behavior and that P(e = '?') equals 1 minus the local weight, both to
-    1e-10.
+    alphabet.  Construction checks `nu` as a noise level and verifies, to
+    1e-10, that dropping Eve gives GHZ's key table with each outcome
+    flipped with probability nu/2, and that P(e = '?') is 1 - local_weight.
     """
 
+    nu: float
+    local_weight: float
     joint: JointDistribution
-    decomposition: states.GhzDecomposition
 
     def __post_init__(self):
-        device = _key_slice(self.decomposition.state)
+        object.__setattr__(self, "nu", states._check_nu(self.nu))
+        e = self.nu / 2
+        flip = np.array([[1.0 - e, e], [e, 1.0 - e]])
+        device = np.einsum("abc,ax,by,cz->xyz", _ghz_key().reshape(2, 2, 2), flip, flip, flip)
         marginal = self.joint.probs.sum(axis=-1)
-        if np.abs(marginal - device).max() > MARGINAL_TOL:
+        if not np.abs(marginal - device).max() <= MARGINAL_TOL:
             raise ValueError("attack joint does not reproduce the device's key-setting behavior")
         p_ignorant = self.joint.probs[..., EVE_IGNORANT].sum()
-        if abs(p_ignorant - (1.0 - self.local_weight)) > MARGINAL_TOL:
+        if not abs(p_ignorant - (1.0 - self.local_weight)) <= MARGINAL_TOL:
             raise ValueError("P(e = '?') does not match the nonlocal weight")
-
-    @property
-    def nu(self) -> float:
-        return self.decomposition.nu
-
-    @property
-    def local_weight(self) -> float:
-        return self.decomposition.biseparable_weight
 
 
 def build_cc_attack(nu: float) -> CcAttack:
-    """Assemble the convex-combination attack for noise level `nu` < 1.
-
-    The biseparable split of the depolarized GHZ state fixes the local
-    weight 1-(1-nu)^3 and the local table, the key-setting table of chi.
-    """
+    """The convex-combination attack for noise level `nu` < 1: the biseparable
+    split of the depolarized GHZ state fixes the local weight 1-(1-nu)^3 and
+    the local table, the key-setting table of chi."""
     nu = float(nu)
     if not 0.0 <= nu < 1.0:
         raise ValueError(f"attack construction needs 0 <= nu < 1, got {nu}")
-    dec = states.noisy_ghz3(nu)
-    local_weight = dec.biseparable_weight
+    _, local_weight, _, chi = states.biseparable_split(nu)
     probs = np.zeros((8, EVE_ALPHABET))
-    probs[:, EVE_IGNORANT] = (1.0 - local_weight) * _key_slice(states.ghz3()).ravel()
-    probs[range(8), _RECORDED] = local_weight * _key_slice(dec.chi).ravel()
+    probs[:, EVE_IGNORANT] = (1.0 - local_weight) * _ghz_key()
+    probs[range(8), _RECORDED] = local_weight * chi
     joint = JointDistribution((2, 2, 2), EVE_ALPHABET, probs.reshape(2, 2, 2, EVE_ALPHABET))
-    return CcAttack(joint=joint, decomposition=dec)
+    return CcAttack(nu=nu, local_weight=local_weight, joint=joint)
 
 
 def eve_postprocess(attack: CcAttack) -> JointDistribution:

@@ -9,8 +9,8 @@ classically correlated pair states
     kappa_XY = (|00><00| + |11><11|) / 2
 
 (each tensored with I/2 on the remaining qubit) plus a fully mixed term.
-Only the weights and the depolarized state depend on nu: GHZ, the three
-kappa states and I/8 are built and validated once, on first use.
+Every part is diagonal, so `biseparable_split` gives the split without a
+density matrix.  GHZ, the three kappa states and I/8 are built once, on first use.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmat import DensityMatrix, maximally_mixed
+from .qmat import DensityMatrix
 
 RECONSTRUCTION_TOL = 1e-10
 
@@ -52,13 +52,6 @@ def _depolarized(mat: np.ndarray, dims: tuple[int, ...], site: int, nu: float) -
     return (1.0 - nu) * mat + nu * mixed.reshape(mat.shape)
 
 
-def _kappa_with_mixed(pair: tuple[int, int]) -> DensityMatrix:
-    """kappa on the two given qubits of a 3-qubit system, I/2 on the remaining one."""
-    bits = np.indices((2, 2, 2)).reshape(3, 8)  # bits[k, idx]: qubit k of basis state idx
-    i, j = pair
-    return DensityMatrix((2, 2, 2), np.diag(0.25 * (bits[i] == bits[j])).astype(complex))
-
-
 # The nu-independent states are cached on first use rather than built at
 # import: validating a state runs LAPACK, and loading it adds about 1.7 MB to
 # the peak RSS of a process that never builds a state (the parent of a
@@ -70,10 +63,35 @@ def ghz3() -> DensityMatrix:
 
 
 @functools.cache
+def _part_diagonals() -> np.ndarray:
+    """Diagonals of kappa_AB1, kappa_AB2, kappa_B1B2 (I/2 on the third qubit) and I/8."""
+    bits = np.indices((2, 2, 2)).reshape(3, 8)  # bits[k, idx]: qubit k of basis state idx
+    kappas = [0.25 * (bits[i] == bits[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    return np.array(kappas + [np.full(8, 0.125)])
+
+
+@functools.cache
 def _biseparable_parts() -> tuple[DensityMatrix, ...]:
-    """kappa_AB1, kappa_AB2, kappa_B1B2 (each with I/2 on the third qubit) and I/8."""
-    kappas = tuple(_kappa_with_mixed(pair) for pair in ((0, 1), (0, 2), (1, 2)))
-    return kappas + (maximally_mixed((2, 2, 2)),)
+    """The parts of chi as states, in the order of `_part_diagonals`."""
+    return tuple(DensityMatrix((2, 2, 2), np.diag(d)) for d in _part_diagonals())
+
+
+def biseparable_split(nu: float) -> tuple[float, float, tuple[float, ...], np.ndarray]:
+    """(1-nu)^3, the biseparable weight, the weights of the three kappa terms and
+    I/8, and chi's computational-basis diagonal, which is all of chi."""
+    nu = _check_nu(nu)
+    ghz_w = (1.0 - nu) ** 3
+    bis_w = 1.0 - ghz_w
+    pair_w = (1.0 - nu) ** 2 * nu
+    weights = (pair_w, pair_w, pair_w, (3.0 - 2.0 * nu) * nu ** 2)
+    parts = _part_diagonals()
+    if bis_w > 1e-15:
+        # times the reciprocal, as numpy divides complex by real: the golden digests pin these bits
+        chi = sum(w * d for w, d in zip(weights, parts)) * (1.0 / bis_w)
+    else:
+        # nu -> 0 limit of chi: equal thirds of the pair terms, no mixed part
+        chi = sum(parts[:3]) / 3.0
+    return ghz_w, bis_w, weights, chi
 
 
 @dataclass(frozen=True)
@@ -96,18 +114,19 @@ class GhzDecomposition:
     state: DensityMatrix
 
     def __post_init__(self):
-        if abs(self.ghz_weight + self.biseparable_weight - 1.0) > 1e-12:
+        if not abs(self.ghz_weight + self.biseparable_weight - 1.0) <= 1e-12:
             raise ValueError("decomposition weights do not sum to 1")
         term_total = sum(w for _, w, _ in self.kappa_terms)
-        if abs(term_total - self.biseparable_weight) > 1e-12:
+        if not abs(term_total - self.biseparable_weight) <= 1e-12:
             raise ValueError("kappa term weights do not sum to the biseparable weight")
         recon = (self.ghz_weight * ghz3().matrix
                  + self.biseparable_weight * self.chi.matrix)
         err = np.abs(recon - self.state.matrix).max()
-        if err > RECONSTRUCTION_TOL:
+        if not err <= RECONSTRUCTION_TOL:
             raise ValueError(f"decomposition does not reconstruct the state (err {err:.2e})")
         terms = sum(w * s.matrix for _, w, s in self.kappa_terms)
-        if np.abs(terms - self.biseparable_weight * self.chi.matrix).max() > RECONSTRUCTION_TOL:
+        err = np.abs(terms - self.biseparable_weight * self.chi.matrix).max()
+        if not err <= RECONSTRUCTION_TOL:
             raise ValueError("kappa terms do not sum to biseparable_weight * chi")
 
 
@@ -118,23 +137,12 @@ def noisy_ghz3(nu: float) -> GhzDecomposition:
     for site in range(3):
         state = _depolarized(state, (2, 2, 2), site, nu)
 
-    ghz_w = (1.0 - nu) ** 3
-    bis_w = 1.0 - ghz_w
-    pair_w = (1.0 - nu) ** 2 * nu
-    mix_w = (3.0 - 2.0 * nu) * nu ** 2
-    ab1, ab2, b1b2, mixed = _biseparable_parts()
-    kappa_terms = (("AB1", pair_w, ab1), ("AB2", pair_w, ab2), ("B1B2", pair_w, b1b2),
-                   ("mixed", mix_w, mixed))
-    if bis_w > 1e-15:
-        chi_mat = sum(w * s.matrix for _, w, s in kappa_terms) / bis_w
-    else:
-        # nu -> 0 limit of chi: equal thirds of the pair terms, no mixed part
-        chi_mat = sum(s.matrix for _, _, s in kappa_terms[:3]) / 3.0
+    ghz_w, bis_w, weights, chi = biseparable_split(nu)
     return GhzDecomposition(
         nu=nu,
         ghz_weight=ghz_w,
         biseparable_weight=bis_w,
-        chi=DensityMatrix((2, 2, 2), chi_mat),
-        kappa_terms=kappa_terms,
+        chi=DensityMatrix((2, 2, 2), np.diag(chi)),
+        kappa_terms=tuple(zip(("AB1", "AB2", "B1B2", "mixed"), weights, _biseparable_parts())),
         state=DensityMatrix((2, 2, 2), state),
     )

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from ckabounds.attacks import (EVE_IGNORANT, POST_IGNORANT, _key_slice, build_cc_attack,
-                               eve_postprocess, eve_symbol)
+from ckabounds.attacks import (_RECORDED, EVE_IGNORANT, POST_IGNORANT, _ghz_key,
+                               build_cc_attack, eve_postprocess, eve_symbol)
 from ckabounds.behaviors import (KEY_SETTING, PAULI_Z, behavior_from_measurement,
                                  default_measurements, povm_from_observable)
-from ckabounds import states
+from ckabounds import qmat, states
 from ckabounds.secrecy import JointDistribution, intrinsic_information, shannon_cmi, s_n
 from ckabounds.states import ghz, noisy_ghz3
 import oracles
@@ -64,27 +64,47 @@ class TestBuildCcAttack:
         with pytest.raises(ValueError, match="nonlocal weight"):
             dataclasses.replace(attack, joint=moved)
 
-    def test_nu_and_weight_read_from_the_decomposition(self):
-        attack = build_cc_attack(0.2)
-        assert attack.nu == attack.decomposition.nu == 0.2
-        assert attack.local_weight == attack.decomposition.biseparable_weight
+    def test_nu_and_weight_match_noisy_ghz3(self):
+        for nu in _benchmark_grids() + [-0.0, 0.999]:
+            attack, dec = build_cc_attack(nu), noisy_ghz3(nu)
+            assert attack.nu.hex() == dec.nu.hex(), nu
+            assert attack.local_weight.hex() == dec.biseparable_weight.hex(), nu
 
-    def test_builds_the_device_once(self, monkeypatch):
-        # CcAttack checks against the decomposition build_cc_attack made, not a rebuilt one
-        calls = []
+    def test_builds_no_noisy_ghz3(self, monkeypatch):
+        def refuse(nu):
+            raise AssertionError("build_cc_attack called noisy_ghz3")
 
-        def counting(nu):
-            calls.append(nu)
-            return noisy_ghz3(nu)
-
-        monkeypatch.setattr(states, "noisy_ghz3", counting)
+        monkeypatch.setattr(states, "noisy_ghz3", refuse)
         build_cc_attack(0.2)
-        assert calls == [0.2]
 
-    def test_decomposition_at_another_nu_rejected(self):
+    def test_builds_no_density_matrix(self, monkeypatch):
+        # beyond the GHZ state, cached on first use
+        build_cc_attack(0.1)
+        built = []
+        validate = qmat.DensityMatrix.__post_init__
+
+        def counting(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(qmat.DensityMatrix, "__post_init__", counting)
+        for nu in (0.0, 0.05, 0.5):
+            build_cc_attack(nu)
+        assert built == []
+
+    def test_fields_at_another_nu_or_weight_rejected(self):
         attack = build_cc_attack(0.2)
         with pytest.raises(ValueError, match="reproduce"):
-            dataclasses.replace(attack, decomposition=noisy_ghz3(0.3))
+            dataclasses.replace(attack, nu=0.3)
+        with pytest.raises(ValueError, match="nonlocal weight"):
+            dataclasses.replace(attack, local_weight=0.5)
+
+    def test_nan_fields_rejected(self):
+        attack = build_cc_attack(0.1)
+        with pytest.raises(ValueError, match="nonlocal weight"):
+            dataclasses.replace(attack, local_weight=math.nan)
+        with pytest.raises(ValueError, match="noise parameter"):
+            dataclasses.replace(attack, nu=math.nan)
 
 
 class TestEvePostprocess:
@@ -104,7 +124,7 @@ class TestEvePostprocess:
         for nu in (0.05, 0.3):
             attack = build_cc_attack(nu)
             post = eve_postprocess(attack)
-            loc = _key_slice(attack.decomposition.chi)
+            loc = _local_table(nu)
             not_equal = sum(loc[a, b1, b2]
                             for a, b1, b2 in itertools.product(range(2), repeat=3)
                             if not a == b1 == b2)
@@ -134,7 +154,7 @@ class TestEvePostprocess:
 
 
 def _local_table(nu: float) -> np.ndarray:
-    return _key_slice(build_cc_attack(nu).decomposition.chi)
+    return states.biseparable_split(nu)[3].reshape(2, 2, 2)
 
 
 class TestLocalBehaviorFromChi:
@@ -184,15 +204,33 @@ class TestKeySlice:
         z = povm_from_observable(PAULI_Z)
         return behavior_from_measurement(rho, ((z,), (z,), (z,))).conditional((0, 0, 0))
 
+    @staticmethod
+    def diagonal(rho):
+        return rho.matrix.diagonal().real.reshape(2, 2, 2)
+
     def test_ghz(self):
         rho = ghz(3, 2)
-        assert np.array_equal(_key_slice(rho), self.born_rule(rho))
+        assert np.array_equal(self.diagonal(rho), self.born_rule(rho))
+        assert np.array_equal(_ghz_key().reshape(2, 2, 2), self.born_rule(rho))
 
     def test_noisy_state_and_chi_over_benchmark_grids(self):
         for nu in _benchmark_grids():
             dec = noisy_ghz3(nu)
             for rho in (dec.state, dec.chi):
-                assert np.array_equal(_key_slice(rho), self.born_rule(rho)), nu
+                assert np.array_equal(self.diagonal(rho), self.born_rule(rho)), nu
+
+    def test_attack_tables_are_the_born_rule_on_chi_and_ghz(self):
+        # ties the attack to its biseparable certificate, which it does not carry
+        ghz_table = self.born_rule(ghz(3, 2)).ravel()
+        for nu in _benchmark_grids():
+            attack = build_cc_attack(nu)
+            chi_table = self.born_rule(noisy_ghz3(nu).chi).ravel()
+            assert np.array_equal(_local_table(nu).ravel(), chi_table), nu
+            probs = attack.joint.probs.reshape(8, -1)
+            assert np.array_equal(probs[range(8), _RECORDED],
+                                  attack.local_weight * chi_table), nu
+            assert np.array_equal(probs[:, EVE_IGNORANT],
+                                  (1.0 - attack.local_weight) * ghz_table), nu
 
     @pytest.mark.parametrize("nu", [0.0, 0.05, 0.525, 0.9])
     def test_postprocessed_table_against_oracle(self, nu):

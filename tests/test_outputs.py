@@ -2,8 +2,9 @@
 
 The `curves` CSVs are pinned by the benchmark's golden digests; these pin the
 stdout of `verify` at the default seed, of `game`, of
-`attack --nu-min 0.05 --out attack.csv` together with the CSV it writes, and
-of `partitions --parties 4`, whose order nothing else fixes.
+`attack --out attack.csv` at nu = 0.05 and at nu = 0 (chi's nu -> 0 limit)
+together with the CSV it writes, and of `partitions --parties 4`, whose
+order nothing else fixes.
 A digest that moves means a printed digit moved: explain it before
 re-recording.
 """
@@ -39,6 +40,15 @@ def test_attack_stdout_and_csv(capsys, tmp_path, monkeypatch):
     assert sha256(out) == "ab2665c4cb4c5a7fb10c8f9161ddb201cf112504b3b6fcb519cf46151174f8eb"
     csv = (tmp_path / "attack.csv").read_text()
     assert sha256(csv) == "145b2fcb09e01aac70891a146e280a56d442fa6b7772e9bbebbe6d34008cfcf9"
+
+
+def test_attack_at_zero_noise_stdout_and_csv(capsys, tmp_path, monkeypatch):
+    # chi's nu -> 0 limit, which the attack reads with local weight 0
+    monkeypatch.chdir(tmp_path)
+    out = stdout_of(["attack", "--nu-min", "0", "--out", "attack.csv"], capsys)
+    assert sha256(out) == "faa7f8cf237b1045e93286f484e1aeacdf5cd8c1d585037a1e605b370f6b6169"
+    csv = (tmp_path / "attack.csv").read_text()
+    assert sha256(csv) == "5925f64746163e06f26b155c378dd2cf477aae0286423119c8bbe4c7340f0ee3"
 
 
 def test_partitions_stdout(capsys):

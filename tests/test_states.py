@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -217,3 +219,13 @@ class TestNoisyGhz3:
             GhzDecomposition(nu=0.3, ghz_weight=dec.ghz_weight,
                              biseparable_weight=dec.biseparable_weight,
                              chi=dec.chi, kappa_terms=terms, state=dec.state)
+
+    def test_nan_weights_rejected(self):
+        # NaN fails every comparison, so each check must reject what it cannot order
+        dec = noisy_ghz3(0.1)
+        nan_terms = tuple((label, math.nan, s) for label, _, s in dec.kappa_terms)
+        with pytest.raises(ValueError, match="sum to 1"):
+            dataclasses.replace(dec, ghz_weight=math.nan, biseparable_weight=math.nan,
+                                kappa_terms=nan_terms)
+        with pytest.raises(ValueError, match="kappa term weights"):
+            dataclasses.replace(dec, kappa_terms=nan_terms)
