@@ -4,7 +4,7 @@ from .qmat import (DensityMatrix, Povm, maximally_mixed, partial_trace, purify,
                    quantum_cmi, relative_entropy, tensor, von_neumann_entropy)
 from .states import GhzDecomposition, ghz, noisy_ghz3
 from .behaviors import (Behavior, behavior_from_measurement, critical_noise,
-                        default_measurements, expected_winning_probability,
+                        default_measurements, depolarized, expected_winning_probability,
                         honest_behavior, parity_chsh_value, qber)
 from .secrecy import (ClassicalChannel, JointDistribution, SearchBudget,
                       apply_channel, continuity_envelope, dual_intrinsic,

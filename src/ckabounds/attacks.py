@@ -15,10 +15,6 @@ density matrix is built per attack.  The Eve alphabet has 9 symbols: index
 (a,b1,b2).  Her post-processing keeps only triples that mimic an honest key
 round: the channel `_MIMICRY` maps (a,a,a) to a and every other symbol to
 '?' (output alphabet 0, 1, '?'=2).
-
-The attack is checked against the device's key table built another way:
-depolarizing a qubit and then measuring sigma_z flips the outcome with
-probability nu/2.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import states
+from . import behaviors, states
 from .secrecy import ClassicalChannel, JointDistribution, apply_channel
 
 MARGINAL_TOL = 1e-10
@@ -61,8 +57,8 @@ class CcAttack:
 
     `joint` is the distribution over (a, b1, b2, e) with the 9-symbol Eve
     alphabet.  Construction checks `nu` as a noise level and verifies, to
-    1e-10, that dropping Eve gives GHZ's key table with each outcome
-    flipped with probability nu/2, and that P(e = '?') is 1 - local_weight.
+    1e-10, that dropping Eve gives the device's key table, GHZ's table
+    `behaviors.depolarized` by `nu`, and that P(e = '?') is 1 - local_weight.
     """
 
     nu: float
@@ -71,11 +67,8 @@ class CcAttack:
 
     def __post_init__(self):
         object.__setattr__(self, "nu", states._check_nu(self.nu))
-        e = self.nu / 2
-        flip = np.array([[1.0 - e, e], [e, 1.0 - e]])
-        device = np.einsum("abc,ax,by,cz->xyz", _ghz_key().reshape(2, 2, 2), flip, flip, flip)
-        marginal = self.joint.probs.sum(axis=-1)
-        if not np.abs(marginal - device).max() <= MARGINAL_TOL:
+        device = behaviors.depolarized(_ghz_key().reshape(2, 2, 2), self.nu)
+        if not np.abs(self.joint.probs.sum(axis=-1) - device).max() <= MARGINAL_TOL:
             raise ValueError("attack joint does not reproduce the device's key-setting behavior")
         p_ignorant = self.joint.probs[..., EVE_IGNORANT].sum()
         if not abs(p_ignorant - (1.0 - self.local_weight)) <= MARGINAL_TOL:

@@ -3,8 +3,8 @@
 A `Behavior` stores the full table p(a_1..a_N | x_1..x_N) of a multi-party
 box.  The first party is Alice, the second the distinguished Bob of the
 parity game, the remaining parties are the extra Bobs whose game inputs are
-fixed.  The honest device measures a (possibly depolarized) GHZ state with
-the observables returned by `default_measurements`; the key-generating
+fixed.  The honest device measures GHZ with the observables returned by
+`default_measurements`, and `depolarized` adds its noise; the key-generating
 setting is `KEY_SETTING`, where every party measures sigma_z.  The parity
 game is the only game played, so `parity_chsh_value` evaluates its win
 condition directly on the table.
@@ -114,11 +114,8 @@ def behavior_from_measurement(rho: DensityMatrix,
     if len(povms) != rho.n_factors:
         raise ValueError(f"got POVMs for {len(povms)} parties, state has {rho.n_factors} factors")
     for i, party in enumerate(povms):
-        if not party:
-            raise ValueError(f"party {i} has no measurement settings")
-        outcomes = {p.n_outcomes for p in party}
-        if len(outcomes) != 1:
-            raise ValueError(f"party {i} mixes outcome counts across inputs")
+        if len({p.n_outcomes for p in party}) != 1:
+            raise ValueError(f"party {i} needs at least one input, all with one outcome count")
         for p in party:
             if p.dim != rho.dims[i]:
                 raise ValueError(
@@ -134,9 +131,18 @@ def behavior_from_measurement(rho: DensityMatrix,
     return Behavior(table.shape[:n], table.shape[n:], table)
 
 
+def depolarized(table, nu: float) -> np.ndarray:
+    """The device's noise: each of `table`'s last three binary output axes flipped with
+    probability nu/2, as depolarizing a qubit by `nu` flips a +-1 observable's outcome."""
+    e = states._check_nu(nu) / 2
+    flip = np.array([[1.0 - e, e], [e, 1.0 - e]])
+    return np.einsum("...abc,ax,by,cz->...xyz", table, flip, flip, flip)
+
+
 def honest_behavior(nu: float = 0.0) -> Behavior:
-    """Default-measurement behavior of the triple-depolarized GHZ state."""
-    return behavior_from_measurement(states.noisy_ghz3(nu).state, default_measurements())
+    """GHZ's default-measurement Born table, `depolarized` by `nu`."""
+    ghz = behavior_from_measurement(states.ghz3(), default_measurements())
+    return Behavior(ghz.input_alphabets, ghz.output_alphabets, depolarized(ghz.table, nu))
 
 
 def parity_chsh_value(p: Behavior, fixed_inputs: Sequence[int] = GAME_FIXED_INPUTS) -> float:

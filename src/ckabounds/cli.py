@@ -141,10 +141,9 @@ def _suite_duality(seed: int):
 
 
 def _suite_reconstruction(seed: int):
-    ghz_mat = states.ghz(3, 2).matrix
     for nu in (i / 101.0 for i in range(101)):
         dec = states.noisy_ghz3(nu)
-        recon = dec.ghz_weight * ghz_mat + dec.biseparable_weight * dec.chi.matrix
+        recon = dec.ghz_weight * states.ghz3().matrix + dec.biseparable_weight * dec.chi.matrix
         yield nu, float(np.abs(recon - dec.state.matrix).max())
 
 

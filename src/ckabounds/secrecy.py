@@ -72,9 +72,11 @@ def entropy_bits(vec: np.ndarray) -> float:
 
 def probability_table(values, shape: tuple[int, ...], outcome_axes: int, tol: float,
                       name: str) -> np.ndarray:
-    """`values` as a read-only float table of `shape`: finite entries within 1e-12 of
-    [0, 1], clamped into it, and each distribution over the last `outcome_axes` axes
-    summing to 1 within `tol`.  `name`, a plural noun, leads each message."""
+    """`values` as a read-only float table of `shape`, no axis empty, with finite entries
+    within 1e-12 of [0, 1] (clamped into it) and each distribution over the last
+    `outcome_axes` axes summing to 1 within `tol`.  `name`, a plural noun, leads errors."""
+    if min(shape) < 1:
+        raise ValueError(f"{name} need every axis of length at least 1, got shape {shape}")
     t = np.array(values, dtype=float)
     if t.shape != shape:
         raise ValueError(f"{name} have shape {t.shape}, expected {shape}")
@@ -109,8 +111,8 @@ class JointDistribution:
     def __post_init__(self):
         alphabets = tuple(int(a) for a in self.party_alphabets)
         ne = int(self.eve_alphabet)
-        if len(alphabets) < 2 or any(a < 1 for a in alphabets) or ne < 1:
-            raise ValueError("need at least two parties and nonempty alphabets")
+        if len(alphabets) < 2:
+            raise ValueError("need at least two parties")
         shape = alphabets + (ne,)
         p = probability_table(self.probs, shape, len(shape), TOTAL_TOL, "probabilities")
         object.__setattr__(self, "party_alphabets", alphabets)
@@ -131,8 +133,8 @@ class ClassicalChannel:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or 0 in m.shape:
-            raise ValueError("channel matrix must be 2-dimensional and nonempty")
+        if m.ndim != 2:
+            raise ValueError("channel matrix must be 2-dimensional")
         m = probability_table(m, m.shape, 1, ROW_TOL, "channel rows")
         object.__setattr__(self, "matrix", m)
 

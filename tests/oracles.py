@@ -152,6 +152,15 @@ def born_table(rho: np.ndarray, effects) -> np.ndarray:
     return table
 
 
+def depolarized_ghz_behavior(nu: float):
+    """The honest device by the Born rule on the triple-depolarized GHZ density matrix
+    `noisy_ghz3(nu).state`: the route `behaviors.depolarized`'s outcome flips replace."""
+    from ckabounds.behaviors import behavior_from_measurement, default_measurements
+    from ckabounds.states import noisy_ghz3
+
+    return behavior_from_measurement(noisy_ghz3(nu).state, default_measurements())
+
+
 def game_value(behavior, input_distribution, predicate) -> float:
     """Winning probability of a nonlocal game, one table entry at a time.
 

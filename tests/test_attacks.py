@@ -8,7 +8,7 @@ import pytest
 from ckabounds.attacks import (_RECORDED, EVE_IGNORANT, POST_IGNORANT, _ghz_key,
                                build_cc_attack, eve_postprocess, eve_symbol)
 from ckabounds.behaviors import (KEY_SETTING, PAULI_Z, behavior_from_measurement,
-                                 default_measurements, povm_from_observable)
+                                 default_measurements, honest_behavior, povm_from_observable)
 from ckabounds import qmat, states
 from ckabounds.secrecy import JointDistribution, intrinsic_information, shannon_cmi, s_n
 from ckabounds.states import ghz, noisy_ghz3
@@ -37,12 +37,10 @@ class TestBuildCcAttack:
             build_cc_attack(1.0)
 
     def test_marginal_consistency_over_grid(self):
-        povms = default_measurements()
-        for nu in np.linspace(0.0, 0.9, 10):
-            attack = build_cc_attack(float(nu))
-            device = behavior_from_measurement(noisy_ghz3(float(nu)).state, povms)
-            expect = device.conditional(KEY_SETTING)
-            assert np.abs(attack.joint.probs.sum(axis=-1) - expect).max() < 1e-10
+        for nu in _benchmark_grids():
+            marginal = build_cc_attack(nu).joint.probs.sum(axis=-1)
+            expect = honest_behavior(nu).conditional(KEY_SETTING)
+            assert np.abs(marginal - expect).max() <= 1e-15, nu
 
     def test_override_with_wrong_weight_rejected(self):
         # a joint that overrides the split at nu = 0.2 with local weight 0.9, not 1 - 0.8^3

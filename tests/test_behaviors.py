@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from ckabounds import qmat
 from ckabounds.behaviors import (GAME_FIXED_INPUTS, KEY_SETTING, PAULI_X, PAULI_Z,
                                  Behavior, behavior_from_measurement,
-                                 critical_noise, default_measurements,
+                                 critical_noise, default_measurements, depolarized,
                                  expected_winning_probability, honest_behavior,
                                  parity_chsh_value,
                                  povm_from_observable, qber)
-from ckabounds.states import ghz, noisy_ghz3
+from ckabounds.states import ghz, ghz3, noisy_ghz3
 from ckabounds.qmat import Povm, maximally_mixed
 from conftest import random_density
 import oracles
@@ -58,6 +59,14 @@ class TestBehaviorValidation:
     def test_rejects_non_finite_entry(self):
         with pytest.raises(ValueError, match="non-finite"):
             Behavior((1,), (2,), np.array([[np.nan, 1.0]]))
+
+    def test_rejects_empty_axis(self):
+        # numpy cannot take the minimum of an empty table, so the axes are checked first
+        for ins, outs in (((1,), (0,)), ((0, 2), (2, 2))):
+            with pytest.raises(ValueError, match="^conditional distributions need every "
+                                                 "axis of length at least 1") as err:
+                Behavior(ins, outs, np.zeros(ins + outs))
+            assert "\n" not in str(err.value)
 
     def test_clamps_tiny_negatives(self):
         table = np.array([[1.0 + 5e-13, -5e-13]])
@@ -161,10 +170,89 @@ class TestBehaviorFromMeasurement:
         expect = dec.ghz_weight * p_ghz + dec.biseparable_weight * oracles.local_table(nu)
         assert np.abs(measured - expect).max() < 1e-10
 
+    def test_party_without_inputs_or_with_mixed_outcome_counts_rejected(self):
+        z = povm_from_observable(PAULI_Z)
+        three = Povm(2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))))
+        for bob in ((), (z, three)):
+            with pytest.raises(ValueError, match="party 1 needs at least one input"):
+                behavior_from_measurement(ghz(2, 2), ((z,), bob))
+
     def test_dimension_mismatch_rejected(self, rng):
         z = povm_from_observable(PAULI_Z)
         with pytest.raises(ValueError, match="dimension"):
             behavior_from_measurement(random_density(rng, (3, 2)), ((z,), (z,)))
+
+
+def _flip_tables(rng, lead=(4, 3)):
+    """Random conditional tables with leading input axes and three binary outputs."""
+    raw = rng.random(lead + (2, 2, 2))
+    return raw / raw.sum(axis=(-3, -2, -1), keepdims=True)
+
+
+class TestDepolarized:
+    """The device's noise as per-party outcome flips, against the Born rule on the
+    depolarized GHZ density matrix it replaced."""
+
+    def test_matches_born_route(self):
+        for nu in np.linspace(0.0, 0.99, 199):
+            born = oracles.depolarized_ghz_behavior(float(nu)).table
+            assert np.abs(honest_behavior(float(nu)).table - born).max() <= 1e-15, nu
+
+    def test_noiseless_at_zero(self, rng):
+        noiseless = behavior_from_measurement(ghz3(), default_measurements()).table
+        assert np.array_equal(depolarized(noiseless, 0.0), noiseless)
+        assert np.array_equal(honest_behavior(0.0).table, noiseless)
+        # the `game` command reads this table: it equals the old route bit for bit
+        assert np.array_equal(noiseless, oracles.depolarized_ghz_behavior(0.0).table)
+        tables = _flip_tables(rng)
+        assert np.array_equal(depolarized(tables, 0.0), tables)
+
+    def test_conditionals_sum_to_one(self, rng):
+        tables = _flip_tables(rng)
+        for nu in np.linspace(0.0, 1.0, 21):
+            for t in (honest_behavior(float(nu)).table, depolarized(tables, float(nu))):
+                assert np.abs(t.sum(axis=(-3, -2, -1)) - 1.0).max() <= 1e-15
+
+    def test_point_mass_flips_each_party_independently(self):
+        # from 000, k flipped outcomes have probability e^k (1-e)^(3-k), e = nu/2
+        point = np.zeros((2, 2, 2))
+        point[0, 0, 0] = 1.0
+        for nu in (0.1, 0.5, 1.0):
+            e = nu / 2
+            out = depolarized(point, nu)
+            for outcome in itertools.product(range(2), repeat=3):
+                k = sum(outcome)
+                assert out[outcome] == pytest.approx(e ** k * (1 - e) ** (3 - k), abs=1e-16)
+
+    def test_leading_axes_broadcast(self, rng):
+        tables = _flip_tables(rng)
+        out = depolarized(tables, 0.3)
+        assert out.shape == tables.shape
+        for idx in np.ndindex(tables.shape[:2]):
+            assert np.abs(out[idx] - depolarized(tables[idx], 0.3)).max() <= 1e-16
+
+    def test_rejects_nu_outside_unit_interval(self):
+        point = np.full((2, 2, 2), 0.125)
+        for nu in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError, match="noise parameter"):
+                depolarized(point, nu)
+            with pytest.raises(ValueError, match="noise parameter"):
+                honest_behavior(nu)
+
+    def test_honest_behavior_builds_no_density_matrix(self, monkeypatch):
+        # beyond the GHZ state, cached on first use
+        honest_behavior(0.1)
+        built = []
+        validate = qmat.DensityMatrix.__post_init__
+
+        def counting(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(qmat.DensityMatrix, "__post_init__", counting)
+        for nu in (0.0, 0.05, 0.5):
+            honest_behavior(nu)
+        assert built == []
 
 
 class TestParityGame:

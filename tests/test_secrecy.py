@@ -60,6 +60,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-finite"):
             JointDistribution((2, 2), 2, probs)
 
+    def test_rejects_empty_axis(self):
+        for alphabets, eve in (((2, 0), 1), ((2, 2), 0)):
+            with pytest.raises(ValueError, match="^probabilities need every axis of length "
+                                                 "at least 1"):
+                JointDistribution(alphabets, eve, np.zeros(alphabets + (eve,)))
+        for shape in ((0, 3), (3, 0)):
+            with pytest.raises(ValueError, match="^channel rows need every axis of length "
+                                                 "at least 1"):
+                ClassicalChannel(np.zeros(shape))
+
     def test_channel_rejects_non_finite_entry(self):
         with pytest.raises(ValueError, match="non-finite"):
             ClassicalChannel(np.array([[np.nan, 1.0], [0.5, 0.5]]))
