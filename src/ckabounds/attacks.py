@@ -86,7 +86,7 @@ def build_cc_attack(nu: float) -> CcAttack:
     probs = np.zeros((8, EVE_ALPHABET))
     probs[:, EVE_IGNORANT] = (1.0 - local_weight) * _ghz_key()
     probs[range(8), _RECORDED] = local_weight * chi
-    joint = JointDistribution((2, 2, 2), EVE_ALPHABET, probs.reshape(2, 2, 2, EVE_ALPHABET))
+    joint = JointDistribution(probs.reshape(2, 2, 2, EVE_ALPHABET))
     return CcAttack(nu=nu, local_weight=local_weight, joint=joint)
 
 

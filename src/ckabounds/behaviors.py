@@ -22,7 +22,7 @@ import numpy as np
 
 from . import states
 from .qmat import HERMITICITY_TOL, DensityMatrix, Povm
-from .secrecy import TOTAL_TOL, probability_table
+from .secrecy import TOTAL_TOL, integer, probability_table
 
 _SQRT2 = math.sqrt(2.0)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -36,34 +36,36 @@ GAME_FIXED_INPUTS = (1,)
 
 @dataclass(frozen=True)
 class Behavior:
-    """Conditional distribution table over per-party finite alphabets.
+    """Conditional distribution table p(a_1..a_N | x_1..x_N) over per-party finite alphabets.
 
-    `table` has shape input_alphabets + output_alphabets, one distribution
-    per joint input, checked by `probability_table`.
+    `table` has one input axis per party, then one output axis per party, and one
+    distribution per joint input, checked by `probability_table`.
     """
 
-    input_alphabets: tuple[int, ...]
-    output_alphabets: tuple[int, ...]
     table: np.ndarray
 
     def __post_init__(self):
-        ins = tuple(int(i) for i in self.input_alphabets)
-        outs = tuple(int(o) for o in self.output_alphabets)
-        if len(ins) != len(outs) or not ins:
-            raise ValueError("need one input and one output alphabet per party")
-        t = probability_table(self.table, ins + outs, len(outs), TOTAL_TOL,
-                              "conditional distributions")
-        object.__setattr__(self, "input_alphabets", ins)
-        object.__setattr__(self, "output_alphabets", outs)
-        object.__setattr__(self, "table", t)
+        t = np.asarray(self.table, dtype=float)
+        if t.ndim < 2 or t.ndim % 2:
+            raise ValueError(f"need one input and one output axis per party, got shape {t.shape}")
+        object.__setattr__(self, "table", probability_table(
+            t, t.ndim // 2, TOTAL_TOL, "conditional distributions"))
 
     @property
     def parties(self) -> int:
-        return len(self.input_alphabets)
+        return self.table.ndim // 2
+
+    @property
+    def input_alphabets(self) -> tuple[int, ...]:
+        return self.table.shape[:self.parties]
+
+    @property
+    def output_alphabets(self) -> tuple[int, ...]:
+        return self.table.shape[self.parties:]
 
     def conditional(self, inputs: Sequence[int]) -> np.ndarray:
         """Output distribution for one joint input, shape = output_alphabets."""
-        inputs = tuple(int(x) for x in inputs)
+        inputs = tuple(integer(x, "input") for x in inputs)
         if len(inputs) != self.parties:
             raise ValueError(f"expected {self.parties} inputs, got {len(inputs)}")
         for x, size in zip(inputs, self.input_alphabets):
@@ -84,7 +86,7 @@ def povm_from_observable(obs: np.ndarray) -> Povm:
     eye = np.eye(obs.shape[0])
     if np.abs(obs @ obs - eye).max() > HERMITICITY_TOL:
         raise ValueError("observable does not square to the identity within 1e-10")
-    return Povm(obs.shape[0], ((eye + obs) / 2, (eye - obs) / 2))
+    return Povm(((eye + obs) / 2, (eye - obs) / 2))
 
 
 @functools.cache
@@ -128,7 +130,7 @@ def behavior_from_measurement(rho: DensityMatrix,
     for party in povms:
         t = np.tensordot(t, np.array([p.effects for p in party]), axes=([0, 1], [3, 2]))
     table = t.real.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-    return Behavior(table.shape[:n], table.shape[n:], table)
+    return Behavior(table)
 
 
 def depolarized(table, nu: float) -> np.ndarray:
@@ -139,10 +141,15 @@ def depolarized(table, nu: float) -> np.ndarray:
     return np.einsum("...abc,ax,by,cz->...xyz", table, flip, flip, flip)
 
 
+@functools.cache
+def _ghz_table() -> np.ndarray:
+    """GHZ's noiseless default-measurement Born table, built once and shared read-only."""
+    return behavior_from_measurement(states.ghz3(), default_measurements()).table
+
+
 def honest_behavior(nu: float = 0.0) -> Behavior:
     """GHZ's default-measurement Born table, `depolarized` by `nu`."""
-    ghz = behavior_from_measurement(states.ghz3(), default_measurements())
-    return Behavior(ghz.input_alphabets, ghz.output_alphabets, depolarized(ghz.table, nu))
+    return Behavior(depolarized(_ghz_table(), nu))
 
 
 def parity_chsh_value(p: Behavior, fixed_inputs: Sequence[int] = GAME_FIXED_INPUTS) -> float:
@@ -153,7 +160,7 @@ def parity_chsh_value(p: Behavior, fixed_inputs: Sequence[int] = GAME_FIXED_INPU
     answers, the players win iff a + b_1 = x (y + bbar) mod 2.
     """
     n = p.parties
-    fixed = tuple(int(f) for f in fixed_inputs)
+    fixed = tuple(integer(f, "fixed input") for f in fixed_inputs)
     if n < 2:
         raise ValueError(f"parity game needs at least two parties, got {n}")
     if p.input_alphabets[0] < 2 or p.input_alphabets[1] < 2:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .attacks import CcAttack, build_cc_attack, eve_postprocess
 from .partitions import set_partitions
-from .secrecy import (dual_intrinsic, entropy_bits, intrinsic_information, s_n,
+from .secrecy import (dual_intrinsic, entropy_bits, integer, intrinsic_information, s_n,
                       shannon_cmi)
 
 VALUE_FLOOR = -1e-9
@@ -141,6 +141,7 @@ def compute_curves(grid: Sequence[float], minimize: bool = False,
     At most `workers` (1..MAX_WORKERS) processes run, and no more than the
     grid has points; with one, the points are computed in this process.
     """
+    workers = integer(workers, "workers")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"invalid workers: need 1 <= workers <= {MAX_WORKERS}, got {workers}")
     grid = _check_grid(grid)
@@ -156,6 +157,7 @@ def compute_curves(grid: Sequence[float], minimize: bool = False,
 
 def enumerate_partitions(n_parties: int) -> list[tuple[tuple[int, ...], ...]]:
     """All groupings of range(n_parties) into 2 to N-1 blocks."""
+    n_parties = integer(n_parties, "n_parties")
     if n_parties < 3:
         raise ValueError("partition enumeration needs at least three parties")
     if n_parties > MAX_GROUPING_PARTIES:
@@ -225,6 +227,7 @@ def relay_chain(r: int, edge_keys: Sequence[int]) -> tuple[tuple[int, ...], tupl
 
 def relay_simulate(n_parties: int, key_len: int, rng_seed: int) -> RelayTranscript:
     """Sample edge keys and the secret, run the relay, return the transcript."""
+    n_parties, key_len = integer(n_parties, "n_parties"), integer(key_len, "key_len")
     if n_parties < 3:
         raise ValueError("the relay needs at least three parties")
     if n_parties > MAX_RELAY_PARTIES:

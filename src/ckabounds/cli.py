@@ -104,10 +104,9 @@ def _random_density(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityM
     return DensityMatrix(dims, m / m.trace())
 
 
-def _random_joint(rng: np.random.Generator, alphabets: tuple[int, ...],
-                  eve: int) -> JointDistribution:
-    raw = rng.random(alphabets + (eve,)) ** 2 + 1e-6
-    return JointDistribution(alphabets, eve, raw / raw.sum())
+def _random_joint(rng: np.random.Generator, shape: tuple[int, ...]) -> JointDistribution:
+    raw = rng.random(shape) ** 2 + 1e-6
+    return JointDistribution(raw / raw.sum())
 
 
 def _suite_expansion(seed: int):
@@ -128,8 +127,7 @@ def _suite_duality(seed: int):
     for i in range(220):
         inst_seed = seed + 10_000 + i
         rng = np.random.default_rng(inst_seed)
-        alphabets = tuple(rng.integers(2, 4) for _ in range(3))
-        dist = _random_joint(rng, alphabets, 1)
+        dist = _random_joint(rng, tuple(rng.integers(2, 4) for _ in range(3)) + (1,))
         lhs = s_n(dist) + total_correlation(dist)
         p = dist.probs.sum(axis=-1)
         rhs = 0.0
@@ -168,13 +166,12 @@ def _suite_order(seed: int):
         rng = np.random.default_rng(inst_seed)
         n = 2 + i % 3
         alphabets = tuple(int(a) for a in rng.integers(2, 4, size=n))
-        dist = _random_joint(rng, alphabets, int(rng.integers(1, 4)))
+        dist = _random_joint(rng, alphabets + (int(rng.integers(1, 4)),))
         p = dist.probs
         dual_total = (sum(entropy_bits(p.sum(axis=k)) for k in range(n))
                       - (n - 1) * entropy_bits(p) - entropy_bits(p.sum(axis=tuple(range(n)))))
         orders = (np.transpose(p, perm + (n,)) for perm in itertools.permutations(range(n)))
-        yield inst_seed, max(abs(s_n(JointDistribution(q.shape[:n], q.shape[n], q)) - dual_total)
-                             for q in orders)
+        yield inst_seed, max(abs(s_n(JointDistribution(q)) - dual_total) for q in orders)
 
 
 # Each suite yields (instance seed, or nu for reconstruction; error) per instance.

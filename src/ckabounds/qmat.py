@@ -90,20 +90,25 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Povm:
-    """Positive operator-valued measure on one subsystem, one effect per outcome,
-    each checked by `hermitian_matrix`; the effects sum to the identity."""
+    """Positive operator-valued measure on one subsystem, one effect per outcome, each
+    checked by `hermitian_matrix`; the effects share one (dim x dim) shape and sum to I."""
 
-    dim: int
     effects: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        effects = tuple(hermitian_matrix(e, self.dim, -HERMITICITY_TOL, "POVM effect")
+        shapes = sorted({np.shape(e) for e in self.effects})
+        if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
+            raise ValueError(f"POVM needs at least one effect, all of one square shape: {shapes}")
+        dim = shapes[0][0]
+        effects = tuple(hermitian_matrix(e, dim, -HERMITICITY_TOL, "POVM effect")
                         for e in self.effects)
-        if not effects:
-            raise ValueError("POVM needs at least one effect")
-        if np.abs(sum(effects) - np.eye(self.dim)).max() > HERMITICITY_TOL:
+        if np.abs(sum(effects) - np.eye(dim)).max() > HERMITICITY_TOL:
             raise ValueError("POVM effects do not sum to the identity within 1e-10")
         object.__setattr__(self, "effects", effects)
+
+    @property
+    def dim(self) -> int:
+        return self.effects[0].shape[0]
 
     @property
     def n_outcomes(self) -> int:

@@ -11,33 +11,18 @@ P(a_1..a_N, e):
 
 Minimizing either quantity over classical channels E -> F gives the
 corresponding intrinsic-information value.  A search reads top to bottom:
-it stacks the subset marginals P_X(x_X, e) of the monotone once
-(`_subset_marginals`); the block table `_block_values` built from them
-feeds an exact dynamic program over subsets of the Eve alphabet (of at
-most EXHAUSTIVE_LIMIT symbols), solved one popcount layer at a time, for
-the best deterministic channel (set partition).  The program splits a
-subset S into a block T holding S's lowest symbol and the rest S - T, so
-from the full set down it reads no other subset holding symbol 0, and it
-solves only those it reads: (3^(|E|-1) - 1)/2 + 2^(|E|-1) (subset, block)
-pairs, 3,536 at |E| = 9.  That channel is written as a 0/1 matrix and
-scored once, by `_objective`, which takes p log2 p of all the monotone's
-marginals in one pass; coordinate descent (`_refine`), given the same
-marginals and that score, optionally refines it over stochastic channels
-with as many outputs as the partition has blocks; and only the channel
-returned is checked as a `ClassicalChannel`.
-Restricting the output alphabet this way (so |F| <= |E|) is a standard
-sufficiency heuristic, not a theorem, so reported values are upper bounds
-on the true infimum.
+it stacks the monotone's subset marginals once (`_subset_marginals`), and
+the block table `_block_values` built from them feeds an exact dynamic
+program over the set partitions of Eve's alphabet (`_best_partition`, at
+most EXHAUSTIVE_LIMIT symbols).  The best deterministic channel it finds
+is scored by `_objective` and optionally refined by coordinate descent
+(`_refine`); only the channel returned is checked as a `ClassicalChannel`.
 
-The descent screens its moves with the column-additive value -sum c_r p log2 p over the
-entries p = (Q L)[r, f], Q the stacked subset marginals and c_r the c_X of
-row r: moving row e of L by delta adds the rank-one Q[:, e] delta to Q L, so a trial
-touches only the entries where both delta and Q[:, e] are nonzero, and the screen works
-on those alone.  It takes its trials as a block, column c holding moves of channel row
-e[c], one per block row, and gathers the entries of each (column, f) pair once for all
-rows.  Only the trials within MARGIN (`_screen_bound`) of passing, or near PROB_FLOOR,
-are scored exactly, and the descent returns its last exact score with its channel, so
-the search does not score the channel it returns again.
+The search tries only that deterministic channel and a local descent from
+it over stochastic channels with one output per block, so its values are
+upper bounds on the infimum over all channels.  Christandl, Renner and
+Wolf (ISIT 2003) show that |F| <= |E| outputs suffice for the bipartite
+intrinsic information; nothing more is claimed here.
 """
 
 from __future__ import annotations
@@ -45,6 +30,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -70,16 +56,23 @@ def entropy_bits(vec: np.ndarray) -> float:
     return float(-(v * np.log2(v)).sum()) if v.size else 0.0
 
 
-def probability_table(values, shape: tuple[int, ...], outcome_axes: int, tol: float,
-                      name: str) -> np.ndarray:
-    """`values` as a read-only float table of `shape`, no axis empty, with finite entries
-    within 1e-12 of [0, 1] (clamped into it) and each distribution over the last
-    `outcome_axes` axes summing to 1 within `tol`.  `name`, a plural noun, leads errors."""
-    if min(shape) < 1:
-        raise ValueError(f"{name} need every axis of length at least 1, got shape {shape}")
+def integer(value, name: str) -> int:
+    """`value` by `operator.index`; anything else, 2.5 or "3", is a ValueError led by `name`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def probability_table(values, outcome_axes: int, tol: float, name: str) -> np.ndarray:
+    """`values` as a read-only float table of at least `outcome_axes` axes, none empty,
+    with finite entries within 1e-12 of [0, 1] (clamped into it) and each distribution
+    over the last `outcome_axes` axes summing to 1 within `tol`.  `name`, a plural noun,
+    leads errors."""
     t = np.array(values, dtype=float)
-    if t.shape != shape:
-        raise ValueError(f"{name} have shape {t.shape}, expected {shape}")
+    if t.ndim < outcome_axes or 0 in t.shape:
+        raise ValueError(f"{name} need every axis of length at least 1 and at least "
+                         f"{outcome_axes} axes, got shape {t.shape}")
     lo, hi = t.min(), t.max()  # NaN propagates to both, and an infinity reaches one
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} have a non-finite entry")
@@ -88,7 +81,7 @@ def probability_table(values, shape: tuple[int, ...], outcome_axes: int, tol: fl
     if hi > 1.0 + 1e-12:
         raise ValueError(f"{name} have an entry above 1 beyond the 1e-12 clamping window")
     t = np.clip(t, 0.0, 1.0)
-    sums = t.reshape(shape[:len(shape) - outcome_axes] + (-1,)).sum(axis=-1)
+    sums = t.reshape(t.shape[:t.ndim - outcome_axes] + (-1,)).sum(axis=-1)
     gaps = np.abs(sums - 1.0)
     if gaps.max() > tol:
         raise ValueError(f"{name} must sum to 1 within {tol:g}, got {sums.flat[gaps.argmax()]}")
@@ -98,30 +91,27 @@ def probability_table(values, shape: tuple[int, ...], outcome_axes: int, tol: fl
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Joint distribution over N party symbols and one adversary symbol.
+    """Joint distribution P(a_1..a_N, e) over N >= 2 party symbols and one adversary symbol.
 
-    `probs` has shape party_alphabets + (eve_alphabet,) and is one
-    distribution, checked by `probability_table`.
+    `probs` has one axis per party, then Eve's axis, and is one distribution,
+    checked by `probability_table`; the alphabets are its axis lengths.
     """
 
-    party_alphabets: tuple[int, ...]
-    eve_alphabet: int
     probs: np.ndarray
 
     def __post_init__(self):
-        alphabets = tuple(int(a) for a in self.party_alphabets)
-        ne = int(self.eve_alphabet)
-        if len(alphabets) < 2:
-            raise ValueError("need at least two parties")
-        shape = alphabets + (ne,)
-        p = probability_table(self.probs, shape, len(shape), TOTAL_TOL, "probabilities")
-        object.__setattr__(self, "party_alphabets", alphabets)
-        object.__setattr__(self, "eve_alphabet", ne)
-        object.__setattr__(self, "probs", p)
+        p = np.asarray(self.probs, dtype=float)
+        if p.ndim < 3:
+            raise ValueError(f"need at least two party axes and Eve's axis, got shape {p.shape}")
+        object.__setattr__(self, "probs", probability_table(p, p.ndim, TOTAL_TOL, "probabilities"))
 
     @property
     def parties(self) -> int:
-        return len(self.party_alphabets)
+        return self.probs.ndim - 1
+
+    @property
+    def eve_alphabet(self) -> int:
+        return self.probs.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -135,8 +125,7 @@ class ClassicalChannel:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise ValueError("channel matrix must be 2-dimensional")
-        m = probability_table(m, m.shape, 1, ROW_TOL, "channel rows")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", probability_table(m, 1, ROW_TOL, "channel rows"))
 
     @property
     def in_alphabet(self) -> int:
@@ -256,8 +245,7 @@ def apply_channel(dist: JointDistribution, channel: ClassicalChannel) -> JointDi
         raise ValueError(
             f"channel input alphabet {channel.in_alphabet} does not match "
             f"eve alphabet {dist.eve_alphabet}")
-    out = dist.probs @ channel.matrix
-    return JointDistribution(dist.party_alphabets, channel.out_alphabet, out)
+    return JointDistribution(dist.probs @ channel.matrix)
 
 
 @dataclass(frozen=True)

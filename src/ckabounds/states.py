@@ -108,14 +108,11 @@ class GhzDecomposition:
 
     nu: float
     ghz_weight: float
-    biseparable_weight: float
     chi: DensityMatrix
     kappa_terms: tuple[tuple[str, float, DensityMatrix], ...]
     state: DensityMatrix
 
     def __post_init__(self):
-        if not abs(self.ghz_weight + self.biseparable_weight - 1.0) <= 1e-12:
-            raise ValueError("decomposition weights do not sum to 1")
         term_total = sum(w for _, w, _ in self.kappa_terms)
         if not abs(term_total - self.biseparable_weight) <= 1e-12:
             raise ValueError("kappa term weights do not sum to the biseparable weight")
@@ -129,6 +126,10 @@ class GhzDecomposition:
         if not err <= RECONSTRUCTION_TOL:
             raise ValueError("kappa terms do not sum to biseparable_weight * chi")
 
+    @property
+    def biseparable_weight(self) -> float:
+        return 1.0 - self.ghz_weight
+
 
 def noisy_ghz3(nu: float) -> GhzDecomposition:
     """Apply the depolarizing channel to all three qubits of GHZ and decompose."""
@@ -137,11 +138,10 @@ def noisy_ghz3(nu: float) -> GhzDecomposition:
     for site in range(3):
         state = _depolarized(state, (2, 2, 2), site, nu)
 
-    ghz_w, bis_w, weights, chi = biseparable_split(nu)
+    ghz_w, _, weights, chi = biseparable_split(nu)
     return GhzDecomposition(
         nu=nu,
         ghz_weight=ghz_w,
-        biseparable_weight=bis_w,
         chi=DensityMatrix((2, 2, 2), np.diag(chi)),
         kappa_terms=tuple(zip(("AB1", "AB2", "B1B2", "mixed"), weights, _biseparable_parts())),
         state=DensityMatrix((2, 2, 2), state),

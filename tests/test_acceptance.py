@@ -87,7 +87,7 @@ def test_criterion_4_duality_identity(capsys):
     for _ in range(instances):
         alphabets = tuple(int(a) for a in rng.integers(2, 4, size=3))
         raw = rng.random(alphabets + (1,)) ** 2 + 1e-9
-        dist = JointDistribution(alphabets, 1, raw / raw.sum())
+        dist = JointDistribution(raw / raw.sum())
         lhs = s_n(dist) + total_correlation(dist)
         p = dist.probs[..., 0]
         rhs = 0.0
@@ -106,7 +106,7 @@ def test_criterion_5_normalization(capsys):
     for k in range(2):
         for e in range(2):
             key[k, k, k, e] = 0.25
-    dist = JointDistribution((2, 2, 2), 2, key)
+    dist = JointDistribution(key)
     assert shannon_cmi(dist) == pytest.approx(2.0, abs=1e-9)
     assert s_n(dist) == pytest.approx(1.0, abs=1e-9)
     with capsys.disabled():

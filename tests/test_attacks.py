@@ -48,7 +48,7 @@ class TestBuildCcAttack:
         probs = np.zeros((8, 9))
         probs[[0, 7], EVE_IGNORANT] = 0.1 * 0.5
         probs[range(8), range(1, 9)] = 0.9 * oracles.local_table(0.2).ravel()
-        wrong = JointDistribution((2, 2, 2), 9, probs.reshape(2, 2, 2, 9))
+        wrong = JointDistribution(probs.reshape(2, 2, 2, 9))
         with pytest.raises(ValueError, match="reproduce"):
             dataclasses.replace(attack, joint=wrong)
 
@@ -58,7 +58,7 @@ class TestBuildCcAttack:
         probs = attack.joint.probs.copy()
         probs[0, 0, 0, EVE_IGNORANT] -= 0.01
         probs[0, 0, 0, eve_symbol(0, 0, 0)] += 0.01
-        moved = JointDistribution((2, 2, 2), 9, probs)
+        moved = JointDistribution(probs)
         with pytest.raises(ValueError, match="nonlocal weight"):
             dataclasses.replace(attack, joint=moved)
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ckabounds import qmat
+from ckabounds import behaviors, qmat
 from ckabounds.behaviors import (GAME_FIXED_INPUTS, KEY_SETTING, PAULI_X, PAULI_Z,
                                  Behavior, behavior_from_measurement,
                                  critical_noise, default_measurements, depolarized,
@@ -21,7 +21,7 @@ TSIRELSON = 0.5 + 1.0 / (2.0 * math.sqrt(2.0))
 
 def uniform_behavior(ins=(2, 2, 2), outs=(2, 2, 2)):
     table = np.full(ins + outs, 1.0 / math.prod(outs))
-    return Behavior(ins, outs, table)
+    return Behavior(table)
 
 
 def deterministic_behavior(ins, strategies):
@@ -31,7 +31,7 @@ def deterministic_behavior(ins, strategies):
     for xs in itertools.product(*(range(k) for k in ins)):
         outputs = tuple(strategies[i][x] for i, x in enumerate(xs))
         table[xs + outputs] = 1.0
-    return Behavior(ins, outs, table)
+    return Behavior(table)
 
 
 def all_deterministic_game_behaviors():
@@ -49,28 +49,46 @@ class TestBehaviorValidation:
         table[0, 0] = 0.7
         table[1, 1] = 1.0
         with pytest.raises(ValueError, match="sum to 1"):
-            Behavior((2,), (2,), table)
+            Behavior(table)
 
     def test_rejects_out_of_window(self):
         table = np.array([[1.1, -0.1]])
         with pytest.raises(ValueError, match="window"):
-            Behavior((1,), (2,), table)
+            Behavior(table)
 
     def test_rejects_non_finite_entry(self):
         with pytest.raises(ValueError, match="non-finite"):
-            Behavior((1,), (2,), np.array([[np.nan, 1.0]]))
+            Behavior(np.array([[np.nan, 1.0]]))
 
     def test_rejects_empty_axis(self):
         # numpy cannot take the minimum of an empty table, so the axes are checked first
         for ins, outs in (((1,), (0,)), ((0, 2), (2, 2))):
             with pytest.raises(ValueError, match="^conditional distributions need every "
                                                  "axis of length at least 1") as err:
-                Behavior(ins, outs, np.zeros(ins + outs))
+                Behavior(np.zeros(ins + outs))
             assert "\n" not in str(err.value)
+
+    def test_rejects_odd_or_zero_axis_count(self):
+        for table in (np.full((2, 2, 2), 0.25), np.ones(1), np.float64(1.0)):
+            with pytest.raises(ValueError, match="^need one input and one output axis per "
+                                                 "party") as err:
+                Behavior(table)
+            assert "\n" not in str(err.value)
+
+    def test_alphabets_are_read_from_the_shape(self):
+        b = uniform_behavior((2, 3, 1), (2, 2, 4))
+        assert (b.parties, b.input_alphabets, b.output_alphabets) == (3, (2, 3, 1), (2, 2, 4))
+
+    def test_conditional_rejects_non_integral_input(self):
+        b = uniform_behavior()
+        for bad in (1.7, 1.0, "1"):
+            with pytest.raises(ValueError, match="^input must be an integer, got "):
+                b.conditional((bad, 0, 0))
+        assert b.conditional((np.int64(1), 0, 0)).shape == (2, 2, 2)
 
     def test_clamps_tiny_negatives(self):
         table = np.array([[1.0 + 5e-13, -5e-13]])
-        b = Behavior((1,), (2,), table)
+        b = Behavior(table)
         assert b.table.min() >= 0.0
 
 
@@ -131,8 +149,8 @@ class TestBehaviorFromMeasurement:
         # a (3, 2) state; both qutrit inputs have three outcomes
         rho = random_density(rng, (3, 2))
         plus, minus = povm_from_observable(random_observable(rng, 3)).effects
-        qutrit = (Povm(3, tuple(np.diag(row) for row in np.eye(3))),
-                  Povm(3, (plus, minus, np.zeros((3, 3)))))
+        qutrit = (Povm(tuple(np.diag(row) for row in np.eye(3))),
+                  Povm((plus, minus, np.zeros((3, 3)))))
         qubit = (povm_from_observable(PAULI_Z), povm_from_observable(PAULI_X))
         table = behavior_from_measurement(rho, (qutrit, qubit)).table
         assert table.shape == (2, 2, 3, 2)
@@ -172,7 +190,7 @@ class TestBehaviorFromMeasurement:
 
     def test_party_without_inputs_or_with_mixed_outcome_counts_rejected(self):
         z = povm_from_observable(PAULI_Z)
-        three = Povm(2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))))
+        three = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))))
         for bob in ((), (z, three)):
             with pytest.raises(ValueError, match="party 1 needs at least one input"):
                 behavior_from_measurement(ghz(2, 2), ((z,), bob))
@@ -254,6 +272,20 @@ class TestDepolarized:
             honest_behavior(nu)
         assert built == []
 
+    def test_noiseless_table_is_built_once(self, monkeypatch):
+        built = []
+
+        def counting(rho, povms):
+            built.append(rho)
+            return behavior_from_measurement(rho, povms)
+
+        monkeypatch.setattr(behaviors, "behavior_from_measurement", counting)
+        behaviors._ghz_table.cache_clear()
+        tables = [honest_behavior(nu).table for nu in (0.0, 0.05, 0.0)]
+        assert len(built) == 1
+        assert np.array_equal(tables[0], tables[2])
+        assert not behaviors._ghz_table().flags.writeable
+
 
 class TestParityGame:
     def test_uniform_behavior_wins_half(self):
@@ -270,7 +302,7 @@ class TestParityGame:
             w = rng.random(len(boxes))
             w /= w.sum()
             table = sum(wi * b.table for wi, b in zip(w, boxes))
-            mix = Behavior((2, 2, 1), (2, 2, 2), table)
+            mix = Behavior(table)
             assert parity_chsh_value(mix, fixed_inputs=(0,)) <= 0.75 + 1e-9
 
     def test_honest_ghz_reaches_tsirelson(self):
@@ -303,11 +335,11 @@ class TestParityGame:
     def test_non_binary_outputs_rejected(self):
         table = np.full((2, 2, 3, 3), 1.0 / 9.0)
         with pytest.raises(ValueError, match="binary"):
-            parity_chsh_value(Behavior((2, 2), (3, 3), table), fixed_inputs=())
+            parity_chsh_value(Behavior(table), fixed_inputs=())
 
     def test_one_party_rejected(self):
         with pytest.raises(ValueError, match="at least two parties"):
-            parity_chsh_value(Behavior((2,), (2,), np.full((2, 2), 0.5)), fixed_inputs=())
+            parity_chsh_value(Behavior(np.full((2, 2), 0.5)), fixed_inputs=())
 
 
 class TestExpectedWinningProbability:
@@ -409,7 +441,7 @@ class TestGameSpec:
                 win = xs[:2] == (x, y) and xs[2] == 1
                 a = xs[0] * xs[1] % 2 if win else 1 - xs[0] * xs[1] % 2
                 table[xs + (a, 0, 0)] = 1.0
-            box = Behavior((2, 2, 2), (2, 2, 2), table)
+            box = Behavior(table)
             assert parity_chsh_value(box, fixed_inputs=(1,)) == 0.25
             assert parity_chsh_value(box, fixed_inputs=(0,)) == 0.0
 
@@ -425,6 +457,10 @@ class TestGameSpec:
         for fixed in ((), (1, 1)):
             with pytest.raises(ValueError, match="expected 1 fixed inputs"):
                 parity_chsh_value(honest_behavior(0.0), fixed_inputs=fixed)
+
+    def test_non_integral_fixed_input_rejected(self):
+        with pytest.raises(ValueError, match="^fixed input must be an integer, got 1.7$"):
+            parity_chsh_value(honest_behavior(0.0), fixed_inputs=(1.7,))
 
     def test_honest_behavior_equals_oracle_bit_for_bit(self):
         game = parity_game(GAME_FIXED_INPUTS)

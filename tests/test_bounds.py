@@ -251,6 +251,11 @@ class TestValidators:
                 compute_curves([0.1], workers=bad)
         assert pools == []
 
+    def test_non_integer_workers_rejected(self, pools, no_points):
+        with pytest.raises(ValueError, match="^workers must be an integer, got 2.5$"):
+            compute_curves([0.1, 0.2], workers=2.5)
+        assert pools == []
+
 
 class TestEnumeratePartitions:
     def test_three_parties(self):
@@ -276,6 +281,10 @@ class TestEnumeratePartitions:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             enumerate_partitions(2)
+
+    def test_non_integer_n_rejected(self):
+        with pytest.raises(ValueError, match="^n_parties must be an integer, got 3.5$"):
+            enumerate_partitions(3.5)
 
     def test_large_n_rejected_before_enumerating(self):
         with pytest.raises(ValueError, match="at most 10"):
@@ -355,6 +364,12 @@ class TestRelay:
             relay_simulate(2, 8, 1)
         with pytest.raises(ValueError):
             relay_simulate(3, 0, 1)
+
+    def test_rejects_non_integer_counts(self):
+        with pytest.raises(ValueError, match="^n_parties must be an integer, got 3.5$"):
+            relay_simulate(3.5, 8, 1)
+        with pytest.raises(ValueError, match="^key_len must be an integer, got 8.5$"):
+            relay_simulate(3, 8.5, 1)
 
     def test_rejects_oversized_arguments_before_sampling(self):
         with pytest.raises(ValueError, match="at most 1024 parties"):

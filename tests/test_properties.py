@@ -27,7 +27,7 @@ def joint_distributions(draw):
     shape = tuple(parties) + (draw(st.integers(1, 4)),)
     raw = draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
     assume(raw.sum() > 1e-6)
-    return JointDistribution(shape[:-1], shape[-1], raw / raw.sum())
+    return JointDistribution(raw / raw.sum())
 
 
 @st.composite
@@ -46,7 +46,7 @@ def refine_inputs(draw):
     raw = rng.random(shape) ** 3
     raw[rng.random(shape) < 0.4] = 0.0
     raw.flat[0] += 1e-3
-    dist = JointDistribution(shape[:-1], shape[-1], raw / raw.sum())
+    dist = JointDistribution(raw / raw.sum())
     if draw(st.booleans()):
         return dist, kind, ClassicalChannel.from_partition(oracles.best_partition(dist, kind), shape[-1]).matrix
     start = rng.random((shape[-1], draw(st.integers(2, 3))))
@@ -87,7 +87,7 @@ def screen_inputs(draw):
     if ne > 1 and draw(st.integers(0, 2)) == 0:
         tiny[..., int(rng.integers(ne))] = True
     raw[tiny] = 10.0 ** rng.uniform(-16, -14, size=int(tiny.sum()))
-    dist = JointDistribution(shape[:-1], ne, raw / raw.sum())
+    dist = JointDistribution(raw / raw.sum())
     start = rng.random((ne, draw(st.integers(1, 3))))
     start[rng.random(start.shape) < 0.3] = 0.0
     start[:, 0] += 1e-3

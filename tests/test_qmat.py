@@ -44,20 +44,31 @@ class TestDensityMatrixValidation:
 
 class TestPovmValidation:
     def test_projective_pair_accepted(self):
-        p = Povm(2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        p = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
         assert p.n_outcomes == 2
 
     def test_rejects_incomplete(self):
         with pytest.raises(ValueError, match="identity"):
-            Povm(2, (np.diag([1.0, 0.0]),))
+            Povm((np.diag([1.0, 0.0]),))
 
     def test_rejects_non_finite_entry(self):
         with pytest.raises(ValueError, match="non-finite"):
-            Povm(2, (np.diag([1.0, np.nan]), np.diag([0.0, 1.0])))
+            Povm((np.diag([1.0, np.nan]), np.diag([0.0, 1.0])))
+
+    def test_dim_is_read_from_the_effects(self):
+        assert Povm((np.eye(3),)).dim == 3
+
+    def test_rejects_effects_of_different_or_non_square_shapes(self):
+        for effects in ((np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 0.0])),
+                        (np.ones((2, 3)),), (np.ones(2),), ()):
+            with pytest.raises(ValueError, match="^POVM needs at least one effect, all of one "
+                                                 "square shape") as err:
+                Povm(effects)
+            assert "\n" not in str(err.value)
 
     def test_rejects_negative_effect(self):
         with pytest.raises(ValueError, match="positive"):
-            Povm(2, (np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
+            Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
 
 
 class TestTensor:

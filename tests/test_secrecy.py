@@ -21,7 +21,7 @@ import oracles
 
 def random_joint(rng, alphabets, eve):
     raw = rng.random(tuple(alphabets) + (eve,)) ** 2 + 1e-9
-    return JointDistribution(tuple(alphabets), eve, raw / raw.sum())
+    return JointDistribution(raw / raw.sum())
 
 
 def ideal_key_distribution(n=3, key=2, eve=2):
@@ -30,7 +30,7 @@ def ideal_key_distribution(n=3, key=2, eve=2):
     for k in range(key):
         for e in range(eve):
             probs[(k,) * n + (e,)] = 1.0 / (key * eve)
-    return JointDistribution((key,) * n, eve, probs)
+    return JointDistribution(probs)
 
 
 class TestValidation:
@@ -39,36 +39,52 @@ class TestValidation:
         probs[0, 0, 0] = -0.1
         probs[1, 1, 1] = 0.35
         with pytest.raises(ValueError, match="negative"):
-            JointDistribution((2, 2), 2, probs)
+            JointDistribution(probs)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="sum"):
-            JointDistribution((2, 2), 2, np.full((2, 2, 2), 0.2))
+            JointDistribution(np.full((2, 2, 2), 0.2))
 
     def test_rejects_entry_above_one(self):
         # within the 1e-9 total, but beyond the 1e-12 window the other tables use
         probs = np.zeros((2, 2, 2))
         probs[0, 0, 0] = 1.0 + 5e-10
         with pytest.raises(ValueError, match="above 1"):
-            JointDistribution((2, 2), 2, probs)
+            JointDistribution(probs)
         probs[0, 0, 0] = 1.0 + 5e-13
-        assert JointDistribution((2, 2), 2, probs).probs[0, 0, 0] == 1.0
+        assert JointDistribution(probs).probs[0, 0, 0] == 1.0
 
     def test_rejects_non_finite_entry(self):
         probs = np.full((2, 2, 2), 0.125)
         probs[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            JointDistribution((2, 2), 2, probs)
+            JointDistribution(probs)
 
     def test_rejects_empty_axis(self):
         for alphabets, eve in (((2, 0), 1), ((2, 2), 0)):
             with pytest.raises(ValueError, match="^probabilities need every axis of length "
                                                  "at least 1"):
-                JointDistribution(alphabets, eve, np.zeros(alphabets + (eve,)))
+                JointDistribution(np.zeros(alphabets + (eve,)))
         for shape in ((0, 3), (3, 0)):
             with pytest.raises(ValueError, match="^channel rows need every axis of length "
                                                  "at least 1"):
                 ClassicalChannel(np.zeros(shape))
+
+    def test_rejects_fewer_than_three_axes(self):
+        for probs in (np.full((2, 2), 0.25), np.ones(1), np.float64(1.0)):
+            with pytest.raises(ValueError, match="^need at least two party axes and Eve's "
+                                                 "axis") as err:
+                JointDistribution(probs)
+            assert "\n" not in str(err.value)
+
+    def test_alphabets_are_read_from_the_shape(self):
+        dist = JointDistribution(np.full((2, 3, 4), 1.0 / 24.0))
+        assert (dist.parties, dist.eve_alphabet) == (2, 4)
+
+    def test_table_needs_its_outcome_axes(self):
+        with pytest.raises(ValueError, match="^rows need every axis of length at least 1 and "
+                                             "at least 2 axes, got shape \\(2,\\)$"):
+            secrecy.probability_table(np.full(2, 0.5), 2, 1e-9, "rows")
 
     def test_channel_rejects_non_finite_entry(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -94,19 +110,19 @@ class TestValidation:
 class TestShannonCmi:
     def test_independent_bits_and_eve(self):
         probs = np.full((2, 2, 2, 2), 1.0 / 16.0)
-        dist = JointDistribution((2, 2, 2), 2, probs)
+        dist = JointDistribution(probs)
         assert abs(shannon_cmi(dist)) < 1e-12
 
     def test_ghz_measurement_distribution(self):
         probs = np.zeros((2, 2, 2, 1))
         probs[0, 0, 0, 0] = probs[1, 1, 1, 0] = 0.5
-        dist = JointDistribution((2, 2, 2), 1, probs)
+        dist = JointDistribution(probs)
         assert shannon_cmi(dist) == pytest.approx(2.0, abs=1e-12)
 
     def test_eve_copy_removes_correlation(self):
         probs = np.zeros((2, 2, 2))
         probs[0, 0, 0] = probs[1, 1, 1] = 0.5
-        dist = JointDistribution((2, 2), 2, probs)
+        dist = JointDistribution(probs)
         assert abs(shannon_cmi(dist)) < 1e-12
 
     def test_matches_oracle_on_randoms(self, rng):
@@ -120,7 +136,7 @@ class TestShannonCmi:
         dist = random_joint(rng, (2, 2, 2), 3)
         for perm in itertools.permutations(range(3)):
             probs = np.transpose(dist.probs, perm + (3,))
-            assert shannon_cmi(JointDistribution((2, 2, 2), 3, probs)) == pytest.approx(
+            assert shannon_cmi(JointDistribution(probs)) == pytest.approx(
                 shannon_cmi(dist), abs=1e-11)
 
 
@@ -131,7 +147,7 @@ class TestSn:
     def test_independent_parties(self, rng):
         marginals = [rng.random(2) + 0.1 for _ in range(3)]
         probs = np.einsum("a,b,c->abc", *[m / m.sum() for m in marginals])[..., None]
-        dist = JointDistribution((2, 2, 2), 1, probs)
+        dist = JointDistribution(probs)
         assert abs(s_n(dist)) < 1e-12
 
     def test_duality_identity(self, rng):
@@ -169,7 +185,7 @@ class TestSn:
         dist = random_joint(rng, (2, 3, 2), 2)
         for perm in itertools.permutations(range(3)):
             probs = np.transpose(dist.probs, perm + (3,))
-            shuffled = JointDistribution(probs.shape[:3], 2, probs)
+            shuffled = JointDistribution(probs)
             assert s_n(shuffled) == pytest.approx(oracles.sn_of_table(probs), abs=1e-11)
             assert s_n(shuffled) == pytest.approx(s_n(dist), abs=1e-12)
 
@@ -352,7 +368,7 @@ def sparse_joint(rng, alphabets, eve):
     raw = rng.random(tuple(alphabets) + (eve,)) ** 3
     raw[rng.random(raw.shape) < 0.4] = 0.0
     raw.flat[0] += 1e-3
-    return JointDistribution(tuple(alphabets), eve, raw / raw.sum())
+    return JointDistribution(raw / raw.sum())
 
 
 def random_shape(rng):
@@ -669,7 +685,7 @@ class TestBatchedSearch:
                 if i:  # coarse entries make ties between partitions
                     probs = np.round(dist.probs * 4) + 0.0
                     probs.flat[0] += 1.0
-                    dist = JointDistribution(alphabets, ne, probs / probs.sum())
+                    dist = JointDistribution(probs / probs.sum())
                 phi = oracles.block_table(dist, kind)
                 assert _best_partition(phi) == oracles.best_partition_loop(phi)
 
@@ -680,7 +696,7 @@ class TestIntrinsicInformation:
         for k in range(2):
             for e in range(2):
                 probs[k, k, e] = 0.25
-        dist = JointDistribution((2, 2), 2, probs)
+        dist = JointDistribution(probs)
         value, witness = intrinsic_information(dist)
         assert value == pytest.approx(1.0, abs=1e-10)
         assert witness.in_alphabet == 2
@@ -688,7 +704,7 @@ class TestIntrinsicInformation:
     def test_eve_determines_outputs(self):
         probs = np.zeros((2, 2, 2))
         probs[0, 0, 0] = probs[1, 1, 1] = 0.5
-        dist = JointDistribution((2, 2), 2, probs)
+        dist = JointDistribution(probs)
         value, _ = intrinsic_information(dist)
         assert value == pytest.approx(0.0, abs=1e-10)
 
@@ -711,7 +727,7 @@ class TestIntrinsicInformation:
 
     @pytest.mark.parametrize("search", [intrinsic_information, dual_intrinsic])
     def test_rejects_eve_alphabet_over_the_limit(self, search):
-        dist = JointDistribution((2, 2), 11, np.full((2, 2, 11), 1.0 / 44.0))  # a product
+        dist = JointDistribution(np.full((2, 2, 11), 1.0 / 44.0))  # a product
         with pytest.raises(ValueError, match="at most 10 Eve symbols, got 11"):
             search(dist)
 
@@ -763,7 +779,7 @@ class TestDualIntrinsic:
     def test_eve_determines_outputs(self):
         probs = np.zeros((2, 2, 2))
         probs[0, 0, 0] = probs[1, 1, 1] = 0.5
-        dist = JointDistribution((2, 2), 2, probs)
+        dist = JointDistribution(probs)
         value, _ = dual_intrinsic(dist)
         assert value == pytest.approx(0.0, abs=1e-10)
 

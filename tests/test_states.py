@@ -203,7 +203,6 @@ class TestNoisyGhz3:
         dec = noisy_ghz3(0.3)
         with pytest.raises(ValueError, match="reconstruct"):
             GhzDecomposition(nu=0.3, ghz_weight=dec.ghz_weight,
-                             biseparable_weight=dec.biseparable_weight,
                              chi=maximally_mixed((2, 2, 2)),
                              kappa_terms=dec.kappa_terms, state=dec.state)
 
@@ -217,15 +216,13 @@ class TestNoisyGhz3:
         terms = dec.kappa_terms[:3] + ((label, weight, DensityMatrix((2, 2, 2), zero)),)
         with pytest.raises(ValueError, match="biseparable_weight \\* chi"):
             GhzDecomposition(nu=0.3, ghz_weight=dec.ghz_weight,
-                             biseparable_weight=dec.biseparable_weight,
                              chi=dec.chi, kappa_terms=terms, state=dec.state)
 
     def test_nan_weights_rejected(self):
         # NaN fails every comparison, so each check must reject what it cannot order
         dec = noisy_ghz3(0.1)
         nan_terms = tuple((label, math.nan, s) for label, _, s in dec.kappa_terms)
-        with pytest.raises(ValueError, match="sum to 1"):
-            dataclasses.replace(dec, ghz_weight=math.nan, biseparable_weight=math.nan,
-                                kappa_terms=nan_terms)
+        with pytest.raises(ValueError, match="kappa term weights"):
+            dataclasses.replace(dec, ghz_weight=math.nan)
         with pytest.raises(ValueError, match="kappa term weights"):
             dataclasses.replace(dec, kappa_terms=nan_terms)
