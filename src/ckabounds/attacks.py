@@ -8,18 +8,19 @@ GHZ part she cannot read and a biseparable part she knows completely:
 
 Everything refers to the key-generating setting, where all parties measure
 sigma_z.  Its outcome table is the computational-basis diagonal of the
-state, since the sigma_z projectors are the diagonal 0/1 matrices.  The
-weight and chi_nu's diagonal come from `states.biseparable_split`, so no
-density matrix is built per attack.  The Eve alphabet has 9 symbols: index
-0 is the ignorance symbol '?', index 1 + 4a + 2b1 + b2 records the triple
-(a,b1,b2).  Her post-processing keeps only triples that mimic an honest key
-round: the channel `_MIMICRY` maps (a,a,a) to a and every other symbol to
-'?' (output alphabet 0, 1, '?'=2).
+state, since the sigma_z projectors are the diagonal 0/1 matrices.  GHZ's
+diagonal is written in closed form, and the weight and chi_nu's diagonal
+come from `states.biseparable_split`, so no density matrix is built.  The
+Eve alphabet has 9 symbols: index 0 is the ignorance symbol '?', index
+1 + 4a + 2b1 + b2 records the triple (a,b1,b2).  Her post-processing keeps
+only triples that mimic an honest key round: the channel `_MIMICRY` maps
+(a,a,a) to a and every other symbol to '?' (output alphabet 0, 1, '?'=2).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +47,10 @@ _MIMICRY = ClassicalChannel.from_partition(
     [[_RECORDED[0]], [_RECORDED[7]], [EVE_IGNORANT] + _RECORDED[1:7]], EVE_ALPHABET)
 
 
-def _ghz_key() -> np.ndarray:
-    """GHZ's all-sigma_z outcome table, flat: (1/sqrt 2)^2 on 000 and on 111."""
-    return states.ghz3().matrix.diagonal().real
+#: GHZ's all-sigma_z outcome table, flat and read-only: (1/sqrt 2)^2 = 0x1.ffffffffffffep-2,
+#: the bits of the GHZ state's diagonal and not 0.5, on 000 and on 111
+_GHZ_KEY = np.array([1.0, 0, 0, 0, 0, 0, 0, 1.0]) * (1.0 / math.sqrt(2.0)) ** 2
+_GHZ_KEY.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class CcAttack:
 
     def __post_init__(self):
         object.__setattr__(self, "nu", states._check_nu(self.nu))
-        device = behaviors.depolarized(_ghz_key().reshape(2, 2, 2), self.nu)
+        device = behaviors.depolarized(_GHZ_KEY.reshape(2, 2, 2), self.nu)
         if not np.abs(self.joint.probs.sum(axis=-1) - device).max() <= MARGINAL_TOL:
             raise ValueError("attack joint does not reproduce the device's key-setting behavior")
         p_ignorant = self.joint.probs[..., EVE_IGNORANT].sum()
@@ -84,7 +86,7 @@ def build_cc_attack(nu: float) -> CcAttack:
         raise ValueError(f"attack construction needs 0 <= nu < 1, got {nu}")
     _, local_weight, _, chi = states.biseparable_split(nu)
     probs = np.zeros((8, EVE_ALPHABET))
-    probs[:, EVE_IGNORANT] = (1.0 - local_weight) * _ghz_key()
+    probs[:, EVE_IGNORANT] = (1.0 - local_weight) * _GHZ_KEY
     probs[range(8), _RECORDED] = local_weight * chi
     joint = JointDistribution(probs.reshape(2, 2, 2, EVE_ALPHABET))
     return CcAttack(nu=nu, local_weight=local_weight, joint=joint)

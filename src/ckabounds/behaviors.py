@@ -156,27 +156,20 @@ def parity_chsh_value(p: Behavior, fixed_inputs: Sequence[int] = GAME_FIXED_INPU
     """Winning probability of the parity game under uniform x, y in {0,1}^2.
 
     Alice and the first Bob receive uniformly random bits; the remaining
-    Bobs sit at `fixed_inputs`.  With bbar the parity of the extra Bobs'
-    answers, the players win iff a + b_1 = x (y + bbar) mod 2.
+    Bobs sit at `fixed_inputs`, which `Behavior.conditional` checks as part
+    of each joint input.  With bbar the parity of the extra Bobs' answers,
+    the players win iff a + b_1 = x (y + bbar) mod 2.
     """
     n = p.parties
-    fixed = tuple(integer(f, "fixed input") for f in fixed_inputs)
     if n < 2:
         raise ValueError(f"parity game needs at least two parties, got {n}")
-    if p.input_alphabets[0] < 2 or p.input_alphabets[1] < 2:
-        raise ValueError("Alice and the first Bob need at least two inputs")
     if any(o != 2 for o in p.output_alphabets):
         raise ValueError("parity game requires binary outputs")
-    for f, size in zip(fixed, p.input_alphabets[2:]):
-        if not 0 <= f < size:
-            raise ValueError(f"fixed input {f} out of range")
-    if len(fixed) != n - 2:
-        raise ValueError(f"expected {n - 2} fixed inputs, got {len(fixed)}")
     # Summed entry by entry, inputs then outcomes row-major, so the value is
     # reproducible to the last bit (the `game` command prints its residual).
     total = 0.0
     for x, y in itertools.product(range(2), repeat=2):
-        cond = p.table[(x, y) + fixed]
+        cond = p.conditional((x, y) + tuple(fixed_inputs))
         for outcome in itertools.product(range(2), repeat=n):
             bbar = sum(outcome[2:]) % 2
             if (outcome[0] + outcome[1]) % 2 == x * (y + bbar) % 2:
@@ -192,6 +185,7 @@ def expected_winning_probability(nu: float, n_parties: int) -> float:
     the actual default-measurement device: the measured game value exceeds it
     by exactly (1-nu)^2 (1 - (1-nu)^(N-2)) / (8 sqrt2).
     """
+    n_parties = integer(n_parties, "n_parties")
     if n_parties < 3:
         raise ValueError("the parity game needs at least three parties")
     u = 1.0 - states._check_nu(nu)
@@ -204,6 +198,7 @@ def critical_noise(n_parties: int) -> float:
     With u = 1 - nu the crossing is 3 u^N + u^2 = 2 sqrt2, whose left side
     increases on u > 0 from 0 to 4 at u = 1: exactly one root lies in (0, 1).
     """
+    n_parties = integer(n_parties, "n_parties")
     if n_parties < 3:
         raise ValueError("the parity game needs at least three parties")
     coeffs = np.zeros(n_parties + 1)

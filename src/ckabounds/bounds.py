@@ -64,7 +64,7 @@ def noise_grid(lo: float, hi: float, step: float) -> list[float]:
     span = (hi - lo) / step + 1e-9
     if span >= MAX_GRID_POINTS:
         raise ValueError(f"invalid grid: more than {MAX_GRID_POINTS} points")
-    points = (round(lo + i * step, 12) for i in range(int(math.floor(span)) + 1))
+    points = (round(lo + i * step, 12) for i in range(math.floor(span) + 1))
     grid = [nu for nu in points if nu < 1.0]
     if len(set(grid)) < len(grid):
         raise ValueError(f"invalid grid: points collide after rounding to 12 decimals "
@@ -162,11 +162,8 @@ def enumerate_partitions(n_parties: int) -> list[tuple[tuple[int, ...], ...]]:
         raise ValueError("partition enumeration needs at least three parties")
     if n_parties > MAX_GROUPING_PARTIES:
         raise ValueError(f"partition enumeration takes at most {MAX_GROUPING_PARTIES} parties")
-    out = []
-    for blocks in set_partitions(range(n_parties)):
-        if 2 <= len(blocks) <= n_parties - 1:
-            out.append(tuple(tuple(b) for b in blocks))
-    return out
+    return [tuple(map(tuple, blocks)) for blocks in set_partitions(range(n_parties))
+            if 2 <= len(blocks) <= n_parties - 1]
 
 
 class Xorshift64Star:
@@ -176,8 +173,7 @@ class Xorshift64Star:
     _MULT = 0x2545F4914F6CDD1D
 
     def __init__(self, seed: int):
-        s = int(seed) & self._MASK
-        self._state = s if s else 0x9E3779B97F4A7C15
+        self._state = integer(seed, "seed") & self._MASK or 0x9E3779B97F4A7C15
 
     def next64(self) -> int:
         s = self._state
@@ -189,11 +185,9 @@ class Xorshift64Star:
 
     def bits(self, k: int) -> int:
         out = 0
-        got = 0
-        while got < k:
+        for got in range(0, k, 64):
             take = min(64, k - got)
             out = (out << take) | (self.next64() >> (64 - take))
-            got += take
         return out
 
 
@@ -215,8 +209,8 @@ def relay_chain(r: int, edge_keys: Sequence[int]) -> tuple[tuple[int, ...], tupl
     Party 0 one-time-pads its secret r with the first edge key; each later
     party unpads with its shared edge key and re-pads with the next one.
     """
-    edge_keys = tuple(int(k) for k in edge_keys)
-    finals = [int(r)]
+    edge_keys = tuple(integer(k, "edge key") for k in edge_keys)
+    finals = [integer(r, "r")]
     broadcasts = []
     for key in edge_keys:
         msg = key ^ finals[-1]
@@ -237,10 +231,7 @@ def relay_simulate(n_parties: int, key_len: int, rng_seed: int) -> RelayTranscri
     rng = Xorshift64Star(rng_seed)
     edge_keys = tuple(rng.bits(key_len) for _ in range(n_parties - 1))
     r = rng.bits(key_len)
-    broadcasts, finals = relay_chain(r, edge_keys)
-    return RelayTranscript(n_parties=n_parties, key_len=key_len, r=r,
-                           edge_keys=edge_keys, broadcasts=broadcasts,
-                           final_keys=finals)
+    return RelayTranscript(n_parties, key_len, r, edge_keys, *relay_chain(r, edge_keys))
 
 
 def write_curves_csv(curves: Iterable[BoundCurve], fh) -> None:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+from .secrecy import integer
+
 
 def set_partitions(items: Sequence) -> Iterator[list[list]]:
     """Yield every partition of `items` as a list of blocks.
@@ -37,7 +39,5 @@ def partitions_as_masks(n: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of range(n), each block encoded as a bitmask.
 
     The brute-force reference that tests hold the channel search's DP to."""
-    out = []
-    for blocks in set_partitions(range(n)):
-        out.append(tuple(sum(1 << i for i in block) for block in blocks))
-    return tuple(out)
+    return tuple(tuple(sum(1 << i for i in block) for block in blocks)
+                 for blocks in set_partitions(range(integer(n, "n"))))

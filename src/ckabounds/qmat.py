@@ -8,7 +8,9 @@ Conventions used throughout the package:
   always affordable and no sparse machinery is provided;
 * validity (finite entries, hermiticity, positivity) is checked once, by
   `hermitian_matrix`, when a `DensityMatrix` or `Povm` is constructed, not
-  on every operation.
+  on every operation;
+* every dimension and subsystem index passes `secrecy.integer`, so 2.5 or
+  "1" is a one-line `ValueError`, never truncated.
 
 Adversarial systems are modelled as finite-dimensional throughout.  This is
 a computational restriction, not a claim of tightness: the quantities
@@ -22,6 +24,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .secrecy import integer
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -69,7 +73,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(integer(d, "dimension") for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"invalid subsystem dimensions {dims}")
         m = hermitian_matrix(self.matrix, math.prod(dims), MIN_EIGENVALUE, "density matrix")
@@ -123,18 +127,18 @@ def tensor(a, b):
 
 
 def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
-    d = math.prod(dims)
-    return DensityMatrix(tuple(dims), np.eye(d, dtype=complex) / d)
+    dims = tuple(integer(d, "dimension") for d in dims)
+    return DensityMatrix(dims, np.eye(math.prod(dims), dtype=complex) / math.prod(dims))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced state on the `keep` factors, original factor ordering preserved."""
-    keep = sorted({int(i) for i in keep})
+    """Reduced state on the `keep` factors (a nonempty index set), factor order kept."""
+    keep = sorted({integer(i, "keep index") for i in keep})
     n = rho.n_factors
     if not keep:
         raise ValueError("keep must be a nonempty set of subsystem indices")
     if keep[0] < 0 or keep[-1] >= n:
-        raise IndexError(f"subsystem index out of range for {n} factors: {keep}")
+        raise ValueError(f"keep index out of range for {n} factors: {keep}")
     if len(keep) == n:
         return rho
     t = rho.matrix.reshape(rho.dims + rho.dims)
@@ -164,24 +168,24 @@ def quantum_cmi(rho: DensityMatrix,
     `groups` collects the subsystem indices of each party A_i and `eve` the
     conditioning subsystems E (may be empty, in which case the conditional
     entropies are unconditional).  Together they must partition the factors.
+    The sum over parties runs left to right, the same bits on every interpreter.
     """
-    groups = [tuple(int(i) for i in g) for g in groups]
-    eve = tuple(int(i) for i in eve)
-    flat = [i for g in groups for i in g] + list(eve)
+    groups = [tuple(integer(i, "group index") for i in g) for g in groups]
+    eve = tuple(integer(i, "eve index") for i in eve)
+    parties = tuple(i for g in groups for i in g)
     if len(groups) < 2 or any(not g for g in groups):
         raise ValueError("need at least two nonempty groups")
-    if sorted(flat) != list(range(rho.n_factors)):
+    if sorted(parties + eve) != list(range(rho.n_factors)):
         raise ValueError("groups and eve must partition the subsystems")
 
     def ent(subsys: tuple[int, ...]) -> float:
-        if not subsys:
-            return 0.0
-        return von_neumann_entropy(partial_trace(rho, subsys))
+        return von_neumann_entropy(partial_trace(rho, subsys)) if subsys else 0.0
 
     h_eve = ent(eve)
-    total = sum(ent(g + eve) - h_eve for g in groups)
-    all_parties = tuple(i for g in groups for i in g)
-    return total - (ent(all_parties + eve) - h_eve)
+    total = 0.0
+    for g in groups:  # not sum(): Python 3.12 compensates float sums
+        total += ent(g + eve) - h_eve
+    return total - (ent(parties + eve) - h_eve)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -196,7 +200,9 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     for lam, v in zip(rvals, rvecs.T):
         if lam > 1e-10 and (v.conj() @ sigma.matrix @ v).real <= 1e-12:
             return math.inf
-    tr_rho_log_rho = float(sum(lam * math.log2(lam) for lam in rvals if lam > EIGENVALUE_CLAMP))
+    tr_rho_log_rho = 0.0
+    for lam in rvals[rvals > EIGENVALUE_CLAMP].tolist():  # left to right, as in quantum_cmi
+        tr_rho_log_rho += lam * math.log2(lam)
     svals, svecs = np.linalg.eigh(sigma.matrix)
     tr_rho_log_sigma = 0.0
     for mu, w in zip(svals, svecs.T):

@@ -138,11 +138,13 @@ class ClassicalChannel:
     @staticmethod
     def from_partition(blocks: Sequence[Sequence[int]], in_alphabet: int) -> "ClassicalChannel":
         """Deterministic channel mapping every symbol of block j to output j."""
+        in_alphabet = integer(in_alphabet, "in_alphabet")
         m = np.zeros((in_alphabet, len(blocks)))
         seen = set()
         for j, block in enumerate(blocks):
             for e in block:
-                if not isinstance(e, (int, np.integer)) or not 0 <= e < in_alphabet:
+                e = integer(e, "symbol")
+                if not 0 <= e < in_alphabet:
                     raise ValueError(f"symbol {e!r} is not an integer in 0..{in_alphabet - 1}")
                 if e in seen:
                     raise ValueError("blocks are not disjoint")

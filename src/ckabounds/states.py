@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmat import DensityMatrix
+from .secrecy import integer
 
 RECONSTRUCTION_TOL = 1e-10
 
@@ -35,9 +36,9 @@ def _check_nu(nu: float) -> float:
 
 def ghz(n_parties: int, local_dim: int = 2) -> DensityMatrix:
     """Pure GHZ state (1/sqrt(d)) sum_i |i...i> on `n_parties` qudits."""
-    if n_parties < 2 or local_dim < 2:
+    n, d = integer(n_parties, "n_parties"), integer(local_dim, "local_dim")
+    if n < 2 or d < 2:
         raise ValueError("GHZ state needs n_parties >= 2 and local_dim >= 2")
-    d, n = local_dim, n_parties
     psi = np.zeros(d ** n, dtype=complex)
     stride = (d ** n - 1) // (d - 1)  # index of |i...i> is i * stride
     psi[::stride] = 1.0 / math.sqrt(d)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ckabounds.attacks import (_RECORDED, EVE_IGNORANT, POST_IGNORANT, _ghz_key,
+from ckabounds.attacks import (_GHZ_KEY, _RECORDED, EVE_IGNORANT, POST_IGNORANT,
                                build_cc_attack, eve_postprocess, eve_symbol)
 from ckabounds.behaviors import (KEY_SETTING, PAULI_Z, behavior_from_measurement,
                                  default_measurements, honest_behavior, povm_from_observable)
@@ -76,8 +76,8 @@ class TestBuildCcAttack:
         build_cc_attack(0.2)
 
     def test_builds_no_density_matrix(self, monkeypatch):
-        # beyond the GHZ state, cached on first use
-        build_cc_attack(0.1)
+        # not even the GHZ state: its key table is written in closed form
+        states.ghz3.cache_clear()
         built = []
         validate = qmat.DensityMatrix.__post_init__
 
@@ -209,7 +209,9 @@ class TestKeySlice:
     def test_ghz(self):
         rho = ghz(3, 2)
         assert np.array_equal(self.diagonal(rho), self.born_rule(rho))
-        assert np.array_equal(_ghz_key().reshape(2, 2, 2), self.born_rule(rho))
+        assert np.array_equal(_GHZ_KEY.reshape(2, 2, 2), self.born_rule(rho))
+        assert _GHZ_KEY[0].hex() == "0x1.ffffffffffffep-2"  # not 0.5
+        assert not _GHZ_KEY.flags.writeable
 
     def test_noisy_state_and_chi_over_benchmark_grids(self):
         for nu in _benchmark_grids():

@@ -357,6 +357,11 @@ class TestExpectedWinningProbability:
         with pytest.raises(ValueError):
             expected_winning_probability(0.1, 2)
 
+    def test_rejects_non_integral_parties(self):
+        # 3.5 parties gave a number, 0.75498 at nu = 0.1
+        with pytest.raises(ValueError, match="^n_parties must be an integer, got 3.5$"):
+            expected_winning_probability(0.1, 3.5)
+
     def test_measured_value_exceeds_reference_by_exact_offset(self):
         # the reference curve undercounts the surviving A-B1 correlations;
         # the default-measurement device wins more by (1-nu)^2 nu / (8 sqrt2)
@@ -384,6 +389,10 @@ class TestCriticalNoise:
     def test_rejects_two_parties(self):
         with pytest.raises(ValueError, match="at least three parties"):
             critical_noise(2)
+
+    def test_rejects_non_integral_parties(self):
+        with pytest.raises(ValueError, match="^n_parties must be an integer, got 3.5$"):
+            critical_noise(3.5)
 
 
 class TestQber:
@@ -454,13 +463,30 @@ class TestGameSpec:
         assert parity_chsh_value(b, fixed_inputs=()) == pytest.approx(TSIRELSON, abs=1e-10)
 
     def test_wrong_number_of_fixed_inputs_rejected(self):
-        for fixed in ((), (1, 1)):
-            with pytest.raises(ValueError, match="expected 1 fixed inputs"):
+        for fixed, count in (((), 2), ((1, 1), 4)):
+            with pytest.raises(ValueError, match=f"^expected 3 inputs, got {count}$"):
                 parity_chsh_value(honest_behavior(0.0), fixed_inputs=fixed)
 
     def test_non_integral_fixed_input_rejected(self):
-        with pytest.raises(ValueError, match="^fixed input must be an integer, got 1.7$"):
+        with pytest.raises(ValueError, match="^input must be an integer, got 1.7$"):
             parity_chsh_value(honest_behavior(0.0), fixed_inputs=(1.7,))
+
+    def test_fixed_input_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="^input 2 out of range for alphabet size 2$"):
+            parity_chsh_value(honest_behavior(0.0), fixed_inputs=(2,))
+
+    def test_slices_are_read_through_conditional(self, monkeypatch):
+        # one rule for joint inputs: the game reads each (x, y) slice as Behavior.conditional
+        seen = []
+        read = Behavior.conditional
+
+        def recording(self, inputs):
+            seen.append(tuple(inputs))
+            return read(self, inputs)
+
+        monkeypatch.setattr(Behavior, "conditional", recording)
+        parity_chsh_value(honest_behavior(0.0))
+        assert seen == [(x, y, 1) for x in range(2) for y in range(2)]
 
     def test_honest_behavior_equals_oracle_bit_for_bit(self):
         game = parity_game(GAME_FIXED_INPUTS)

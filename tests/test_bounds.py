@@ -285,6 +285,8 @@ class TestEnumeratePartitions:
     def test_non_integer_n_rejected(self):
         with pytest.raises(ValueError, match="^n_parties must be an integer, got 3.5$"):
             enumerate_partitions(3.5)
+        with pytest.raises(ValueError, match="^n must be an integer, got 2.5$"):
+            partitions_as_masks(2.5)
 
     def test_large_n_rejected_before_enumerating(self):
         with pytest.raises(ValueError, match="at most 10"):
@@ -370,6 +372,17 @@ class TestRelay:
             relay_simulate(3.5, 8, 1)
         with pytest.raises(ValueError, match="^key_len must be an integer, got 8.5$"):
             relay_simulate(3, 8.5, 1)
+
+    def test_rejects_non_integer_seed_and_keys(self):
+        # int() read seed 1.9 as 1 and (r, keys) = (1.5, [2.7]) as (1, [2])
+        with pytest.raises(ValueError, match="^seed must be an integer, got 1.9$"):
+            relay_simulate(3, 8, 1.9)
+        with pytest.raises(ValueError, match="^seed must be an integer, got '7'$"):
+            Xorshift64Star("7")
+        with pytest.raises(ValueError, match="^r must be an integer, got 1.5$"):
+            relay_chain(1.5, [2])
+        with pytest.raises(ValueError, match="^edge key must be an integer, got 2.7$"):
+            relay_chain(1, [2.7])
 
     def test_rejects_oversized_arguments_before_sampling(self):
         with pytest.raises(ValueError, match="at most 1024 parties"):

@@ -3,8 +3,8 @@
 The `curves` CSVs are pinned by the benchmark's golden digests; these pin the
 stdout of `verify` at the default seed, of `game`, of
 `attack --out attack.csv` at nu = 0.05 and at nu = 0 (chi's nu -> 0 limit)
-together with the CSV it writes, and of `partitions --parties 4`, whose
-order nothing else fixes.
+together with the CSV it writes, of `partitions --parties 4`, whose
+order nothing else fixes, and of `relay`, which fixes the generator's stream.
 A digest that moves means a printed digit moved: explain it before
 re-recording.
 """
@@ -57,3 +57,23 @@ def test_partitions_stdout(capsys):
                    "{0,2}{1,3}\n{0,2}{1}{3}\n{0,3}{1,2}\n{0}{1,2,3}\n{0}{1,2}{3}\n"
                    "{0,3}{1}{2}\n{0}{1,3}{2}\n{0}{1}{2,3}\n"
                    "13 nontrivial partitions of 4 parties\n")
+
+
+def test_relay_stdout(capsys):
+    # the default flags, then a negative seed (masked to 64 bits) and a 70-bit draw
+    assert stdout_of(["relay"], capsys) == (
+        "relay over 3 parties, key_len=8, seed=12345\n"
+        "secret r    = 13\n"
+        "edge keys   = 98 c0\n"
+        "broadcasts  = 8b d3\n"
+        "final keys  = 13 13 13\n"
+        "messages = 2, all parties agree: True\n")
+    out = stdout_of(["relay", "--parties", "4", "--key-len", "70", "--seed", "-1"], capsys)
+    assert out == (
+        "relay over 4 parties, key_len=70, seed=-1\n"
+        "secret r    = 3ae00bb4d95291e75f\n"
+        "edge keys   = 3e4b32797180000023 0d1b257ccc9beaf1b1 1b0b594fe0c40681f7\n"
+        "broadcasts  = 04ab39cda8d291e77c 37fb2ec815c97b16ee 21eb52fb39969766a8\n"
+        "final keys  = 3ae00bb4d95291e75f 3ae00bb4d95291e75f 3ae00bb4d95291e75f "
+        "3ae00bb4d95291e75f\n"
+        "messages = 3, all parties agree: True\n")

@@ -36,6 +36,13 @@ class TestDensityMatrixValidation:
             with pytest.raises(ValueError, match="non-finite"):
                 DensityMatrix((2,), m)
 
+    def test_rejects_non_integral_dimension(self):
+        # int() read 2.7 as 2 and built a qubit
+        with pytest.raises(ValueError, match="^dimension must be an integer, got 2.7$"):
+            DensityMatrix((2.7,), np.eye(2) / 2)
+        with pytest.raises(ValueError, match="^dimension must be an integer, got 2.5$"):
+            maximally_mixed((2.5,))
+
     def test_matrix_is_immutable(self, rng):
         rho = random_density(rng, (2, 2))
         with pytest.raises(ValueError):
@@ -121,8 +128,16 @@ class TestPartialTrace:
         assert abs(reduced.matrix.trace() - 1.0) < 1e-12
 
     def test_index_out_of_range(self, rng):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match=r"^keep index out of range for 2 factors: \[2\]$"):
             partial_trace(random_density(rng, (2, 2)), [2])
+
+    def test_non_integral_index_rejected(self, rng):
+        # int() read 0.5 as subsystem 0 and 1.9 as subsystem 1
+        rho = random_density(rng, (2, 2))
+        for bad in (0.5, 1.9, "1"):
+            with pytest.raises(ValueError, match=f"^keep index must be an integer, got {bad!r}$"):
+                partial_trace(rho, [bad])
+        assert partial_trace(rho, [np.int64(0), True]) is rho  # index-like values stay
 
     def test_empty_keep_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -192,6 +207,25 @@ class TestQuantumCmi:
         for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
             val = quantum_cmi(rho, [[perm[0]], [perm[1]], [perm[2]]], (3,))
             assert abs(val - base) < 1e-9
+
+    def test_sums_left_to_right(self, rng):
+        # the same bits on every interpreter: Python 3.12's sum() of floats is compensated
+        rho = random_density(rng, (2, 2, 2, 2))
+        h = [von_neumann_entropy(partial_trace(rho, s)) for s in ((0, 3), (1, 3), (2, 3))]
+        h_eve = von_neumann_entropy(partial_trace(rho, (3,)))
+        total = 0.0
+        for h_i in h:
+            total += h_i - h_eve
+        expect = total - (von_neumann_entropy(rho) - h_eve)
+        assert quantum_cmi(rho, [[0], [1], [2]], (3,)).hex() == expect.hex()
+
+    def test_non_integral_index_rejected(self, rng):
+        # int() read [[0.5], [1]] as [[0], [1]]
+        rho = random_density(rng, (2, 2))
+        with pytest.raises(ValueError, match="^group index must be an integer, got 0.5$"):
+            quantum_cmi(rho, [[0.5], [1]])
+        with pytest.raises(ValueError, match="^eve index must be an integer, got 2.5$"):
+            quantum_cmi(random_density(rng, (2, 2, 2)), [[0], [1]], (2.5,))
 
     def test_malformed_partition_rejected(self, rng):
         rho = random_density(rng, (2, 2, 2))

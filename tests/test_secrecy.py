@@ -102,9 +102,20 @@ class TestValidation:
             ClassicalChannel.from_partition([[0], [1]], 3)
         with pytest.raises(ValueError, match="disjoint"):
             ClassicalChannel.from_partition([[0, 1], [1, 2]], 3)
-        for blocks in ([[0], [5]], [[0], [-1]], [[0], [1.0]]):
+        for blocks in ([[0], [5]], [[0], [-1]]):
             with pytest.raises(ValueError, match="not an integer in 0..1"):
                 ClassicalChannel.from_partition(blocks, 2)
+        with pytest.raises(ValueError, match="^symbol must be an integer, got 1.0$"):
+            ClassicalChannel.from_partition([[0], [1.0]], 2)
+        with pytest.raises(ValueError, match="^in_alphabet must be an integer, got 2.5$"):
+            ClassicalChannel.from_partition([[0], [1]], 2.5)
+
+    def test_partition_symbols_are_read_as_indices(self):
+        # True is symbol 1, as Behavior.conditional reads it; numpy's boolean
+        # indexing made it a row-sum error
+        expect = ClassicalChannel.from_partition([[0], [1]], 2).matrix
+        for blocks in ([[0], [True]], [[np.int64(0)], [np.uint8(1)]]):
+            assert np.array_equal(ClassicalChannel.from_partition(blocks, 2).matrix, expect)
 
 
 class TestShannonCmi:

@@ -43,6 +43,13 @@ class TestGhz:
         with pytest.raises(ValueError):
             ghz(2, 1)
 
+    def test_rejects_non_integral_sizes(self):
+        # both were numpy TypeError tracebacks
+        with pytest.raises(ValueError, match="^n_parties must be an integer, got 3.5$"):
+            ghz(3.5)
+        with pytest.raises(ValueError, match="^local_dim must be an integer, got 2.5$"):
+            ghz(3, 2.5)
+
 
 def ideal_key_state(n_parties: int, eve_state: DensityMatrix) -> DensityMatrix:
     """(|0..0><0..0| + |1..1><1..1|)/2 on N qubits, tensored with the adversary state."""
