@@ -44,7 +44,7 @@ class BoundCurve:
         if any(b <= a for a, b in zip(nus, nus[1:])):
             raise ValueError("noise values must be strictly increasing")
         if any(not math.isfinite(v) or v < VALUE_FLOOR for _, v in samples):
-            raise ValueError("curve values must be finite and nonnegative")
+            raise ValueError(f"curve values must be finite and at least {VALUE_FLOOR:g}")
         object.__setattr__(self, "samples", samples)
 
     @property

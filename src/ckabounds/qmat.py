@@ -45,6 +45,7 @@ def _as_complex_matrix(m) -> np.ndarray:
 def hermitian_matrix(m, dim: int, min_eigenvalue: float, name: str) -> np.ndarray:
     """`m` as a read-only complex (dim x dim) matrix: finite, Hermitian within
     `HERMITICITY_TOL`, no eigenvalue below `min_eigenvalue`; `name` leads each message."""
+    dim = integer(dim, f"{name} dimension")
     m = _as_complex_matrix(m)
     if m.shape != (dim, dim):
         raise ValueError(f"{name} shape {m.shape} does not match dimension {dim}")

@@ -8,17 +8,31 @@ the exceptions: they run the package's own `entropy_bits`, `_plan`,
 `_objective` and `_plogp` one entropy, one move or one subset at a time,
 over every (trial, f, r) entry, or over the entries each trial moves,
 gathered trial by trial, so that its one-pass scoring and its batched and
-block-screened search can be checked against them.
+block-screened search can be checked against them.  `bench_grids` reads
+the benchmark's noise levels from the committed golden CSVs, so a test over
+them follows the workloads.
 """
 
 import csv
 import functools
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def bench_grids() -> list[float]:
+    """The noise levels of both `--minimize` benchmark workloads, in order: the `nu`
+    column of the committed `curves_min.csv`, then of `curves_min_high_noise.csv`."""
+    grid = []
+    for name in ("curves_min", "curves_min_high_noise"):
+        with open(GOLDEN / f"{name}.csv", newline="") as fh:
+            grid += dict.fromkeys(float(row["nu"]) for row in csv.DictReader(fh))
+    return grid
 
 
 def entropy(vec) -> float:

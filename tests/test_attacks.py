@@ -37,7 +37,7 @@ class TestBuildCcAttack:
             build_cc_attack(1.0)
 
     def test_marginal_consistency_over_grid(self):
-        for nu in _benchmark_grids():
+        for nu in oracles.bench_grids():
             marginal = build_cc_attack(nu).joint.probs.sum(axis=-1)
             expect = honest_behavior(nu).conditional(KEY_SETTING)
             assert np.abs(marginal - expect).max() <= 1e-15, nu
@@ -63,7 +63,7 @@ class TestBuildCcAttack:
             dataclasses.replace(attack, joint=moved)
 
     def test_nu_and_weight_match_noisy_ghz3(self):
-        for nu in _benchmark_grids() + [-0.0, 0.999]:
+        for nu in oracles.bench_grids() + [-0.0, 0.999]:
             attack, dec = build_cc_attack(nu), noisy_ghz3(nu)
             assert attack.nu.hex() == dec.nu.hex(), nu
             assert attack.local_weight.hex() == dec.biseparable_weight.hex(), nu
@@ -187,11 +187,14 @@ class TestLocalBehaviorFromChi:
         assert codes == set(range(1, 9))
         assert EVE_IGNORANT == 0
 
-
-def _benchmark_grids():
-    """Both benchmark grids: 0 to 0.13 step 0.0025, and 0.3 to 0.9 step 0.025."""
-    return ([round(0.0025 * i, 12) for i in range(53)]
-            + [round(0.3 + 0.025 * i, 12) for i in range(25)])
+    def test_eve_symbol_rejects_a_non_bit(self):
+        # 2 gave 9, outside the alphabet; 0.5 gave 3.0 and -1 gave -3
+        for bit, message in ((2, "a must be 0 or 1, got 2"), (-1, "a must be 0 or 1, got -1"),
+                             (0.5, "a must be an integer, got 0.5")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                eve_symbol(bit, 0, 0)
+        with pytest.raises(ValueError, match="^b2 must be 0 or 1, got 2$"):
+            eve_symbol(0, 0, 2)
 
 
 class TestKeySlice:
@@ -214,7 +217,7 @@ class TestKeySlice:
         assert not _GHZ_KEY.flags.writeable
 
     def test_noisy_state_and_chi_over_benchmark_grids(self):
-        for nu in _benchmark_grids():
+        for nu in oracles.bench_grids():
             dec = noisy_ghz3(nu)
             for rho in (dec.state, dec.chi):
                 assert np.array_equal(self.diagonal(rho), self.born_rule(rho)), nu
@@ -222,7 +225,7 @@ class TestKeySlice:
     def test_attack_tables_are_the_born_rule_on_chi_and_ghz(self):
         # ties the attack to its biseparable certificate, which it does not carry
         ghz_table = self.born_rule(ghz(3, 2)).ravel()
-        for nu in _benchmark_grids():
+        for nu in oracles.bench_grids():
             attack = build_cc_attack(nu)
             chi_table = self.born_rule(noisy_ghz3(nu).chi).ravel()
             assert np.array_equal(_local_table(nu).ravel(), chi_table), nu

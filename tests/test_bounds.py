@@ -57,8 +57,13 @@ class TestBoundCurveValidation:
             BoundCurve("x", ((0.1, 1.0), (0.1, 0.9)))
 
     def test_rejects_negative_values(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            BoundCurve("x", ((0.0, 1.0), (0.1, -0.5)))
+        # rounding residue down to VALUE_FLOOR = -1e-9 is accepted, and the message says so
+        BoundCurve("x", ((0.0, 1.0), (0.1, -5e-10)))
+        below = math.nextafter(bounds.VALUE_FLOOR, -math.inf)
+        for value in (-0.5, below):
+            with pytest.raises(ValueError, match="^curve values must be finite and at least "
+                                                 "-1e-09$"):
+                BoundCurve("x", ((0.0, 1.0), (0.1, value)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -239,6 +244,12 @@ class TestValidators:
         with pytest.raises(ValueError, match="strictly increasing"):
             compute_curves(grid, workers=2)
         assert pools == []
+
+    def test_bench_grids_are_the_workload_grids(self):
+        # the tests that cover "the bench grids" read them from the committed CSVs
+        grid = oracles.bench_grids()
+        assert grid == default_grid() + noise_grid(0.3, 0.9, 0.025)
+        assert len(grid) == 53 + 25
 
     def test_default_grid_is_a_noise_grid(self):
         grid = default_grid()

@@ -1,79 +1,79 @@
-"""Byte gate for the command outputs that `bench/golden.json` does not cover.
+"""Pinned command outputs, committed under `tests/golden/` and compared byte for byte.
 
-The `curves` CSVs are pinned by the benchmark's golden digests; these pin the
-stdout of `verify` at the default seed, of `game`, of
-`attack --out attack.csv` at nu = 0.05 and at nu = 0 (chi's nu -> 0 limit)
-together with the CSV it writes, of `partitions --parties 4`, whose
-order nothing else fixes, and of `relay`, which fixes the generator's stream.
-A digest that moves means a printed digit moved: explain it before
-re-recording.
+`OUTPUTS` is the one list of them: a file stem and its `ckabounds` argv, whose
+stdout is `<stem>.txt` and whose `--out` file is `<stem>.csv`.  Its `curves` rows,
+the benchmark's workloads, pin only the CSV: `bench/test_golden.py` runs them, and
+here their `bench/golden.json` digests are tied to these files.  A mismatch names
+its line; explain it, then rewrite every file and `VERSIONS` (the Python and numpy
+that wrote them) with `PYTHONPATH=src python tests/test_outputs.py`.
 """
 
 import hashlib
+import json
+import os
+import platform
+import runpy
+import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 from ckabounds.cli import main
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH = GOLDEN.parents[1] / "bench"
+CURVES = runpy.run_path(str(BENCH / "run.py"))["WORKLOADS"]
 
-def sha256(data: str) -> str:
-    return hashlib.sha256(data.encode()).hexdigest()
-
-
-def stdout_of(args, capsys) -> str:
-    capsys.readouterr()
-    assert main(args) == 0
-    return capsys.readouterr().out
-
-
-def test_verify_stdout(capsys):
-    out = stdout_of(["verify"], capsys)
-    assert sha256(out) == "29b8ce8ef18650def5558349e2e5ce22f7f8a447000ffff1192e6460ef9a612c"
-
-
-def test_game_stdout(capsys):
-    out = stdout_of(["game"], capsys)
-    assert sha256(out) == "a44e3c1a097b2952d7451a444b7edce17b7ae2d17986a12ea8b8350b9dee781e"
+OUTPUTS = {
+    "verify": ["verify"],  # at the default seed
+    "game": ["game"],
+    # the stdout names the CSV path; nu = 0 is chi's nu -> 0 limit, read with local weight 0
+    "attack": ["attack", "--nu-min", "0.05", "--out", "attack.csv"],
+    "attack_nu0": ["attack", "--nu-min", "0", "--out", "attack.csv"],
+    "partitions": ["partitions", "--parties", "4"],  # an order nothing else fixes
+    # the generator's stream: the defaults, then a negative seed (masked to 64 bits), 70 bits
+    "relay": ["relay"],
+    "relay_70_bits": ["relay", "--parties", "4", "--key-len", "70", "--seed", "-1"],
+    **{name: [*argv, "--out", f"{name}.csv"] for name, argv in CURVES.items()},
+}
 
 
-def test_attack_stdout_and_csv(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # the stdout names the CSV path
-    out = stdout_of(["attack", "--nu-min", "0.05", "--out", "attack.csv"], capsys)
-    assert sha256(out) == "ab2665c4cb4c5a7fb10c8f9161ddb201cf112504b3b6fcb519cf46151174f8eb"
-    csv = (tmp_path / "attack.csv").read_text()
-    assert sha256(csv) == "145b2fcb09e01aac70891a146e280a56d442fa6b7772e9bbebbe6d34008cfcf9"
+def pinned(stem: str) -> dict[str, str]:
+    """Run row `stem` in the working directory: {golden file name: the text it must hold}."""
+    argv, out = OUTPUTS[stem], StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    files = {} if stem in CURVES else {f"{stem}.txt": out.getvalue()}
+    if "--out" in argv:
+        files[f"{stem}.csv"] = Path(argv[argv.index("--out") + 1]).read_bytes().decode()
+    return files
 
 
-def test_attack_at_zero_noise_stdout_and_csv(capsys, tmp_path, monkeypatch):
-    # chi's nu -> 0 limit, which the attack reads with local weight 0
+@pytest.mark.parametrize("stem", [stem for stem in OUTPUTS if stem not in CURVES])
+def test_output_matches_golden(stem, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    out = stdout_of(["attack", "--nu-min", "0", "--out", "attack.csv"], capsys)
-    assert sha256(out) == "faa7f8cf237b1045e93286f484e1aeacdf5cd8c1d585037a1e605b370f6b6169"
-    csv = (tmp_path / "attack.csv").read_text()
-    assert sha256(csv) == "5925f64746163e06f26b155c378dd2cf477aae0286423119c8bbe4c7340f0ee3"
+    for name, text in pinned(stem).items():  # lists of lines, so a mismatch names its line
+        golden = (GOLDEN / name).read_bytes().decode()
+        assert text.splitlines(keepends=True) == golden.splitlines(keepends=True), name
 
 
-def test_partitions_stdout(capsys):
-    out = stdout_of(["partitions", "--parties", "4"], capsys)
-    assert out == ("{0,1,2}{3}\n{0,1,3}{2}\n{0,1}{2,3}\n{0,1}{2}{3}\n{0,2,3}{1}\n"
-                   "{0,2}{1,3}\n{0,2}{1}{3}\n{0,3}{1,2}\n{0}{1,2,3}\n{0}{1,2}{3}\n"
-                   "{0,3}{1}{2}\n{0}{1,3}{2}\n{0}{1}{2,3}\n"
-                   "13 nontrivial partitions of 4 parties\n")
+def test_bench_digests_are_the_committed_csvs():
+    digests = json.loads((BENCH / "golden.json").read_text())
+    for name, digest in digests.items():
+        assert hashlib.sha256((GOLDEN / f"{name}.csv").read_bytes()).hexdigest() == digest, name
 
 
-def test_relay_stdout(capsys):
-    # the default flags, then a negative seed (masked to 64 bits) and a 70-bit draw
-    assert stdout_of(["relay"], capsys) == (
-        "relay over 3 parties, key_len=8, seed=12345\n"
-        "secret r    = 13\n"
-        "edge keys   = 98 c0\n"
-        "broadcasts  = 8b d3\n"
-        "final keys  = 13 13 13\n"
-        "messages = 2, all parties agree: True\n")
-    out = stdout_of(["relay", "--parties", "4", "--key-len", "70", "--seed", "-1"], capsys)
-    assert out == (
-        "relay over 4 parties, key_len=70, seed=-1\n"
-        "secret r    = 3ae00bb4d95291e75f\n"
-        "edge keys   = 3e4b32797180000023 0d1b257ccc9beaf1b1 1b0b594fe0c40681f7\n"
-        "broadcasts  = 04ab39cda8d291e77c 37fb2ec815c97b16ee 21eb52fb39969766a8\n"
-        "final keys  = 3ae00bb4d95291e75f 3ae00bb4d95291e75f 3ae00bb4d95291e75f "
-        "3ae00bb4d95291e75f\n"
-        "messages = 3, all parties agree: True\n")
+def record():
+    for stem in OUTPUTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            for name, text in pinned(stem).items():
+                (GOLDEN / name).write_bytes(text.encode())
+    (GOLDEN / "VERSIONS").write_text(f"python {platform.python_version()} numpy {np.__version__}\n")
+
+
+if __name__ == "__main__":
+    record()

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ckabounds.qmat import (DensityMatrix, Povm, maximally_mixed, partial_trace, purify,
-                            quantum_cmi, relative_entropy, tensor, von_neumann_entropy)
+from ckabounds.qmat import (DensityMatrix, Povm, hermitian_matrix, maximally_mixed,
+                            partial_trace, purify, quantum_cmi, relative_entropy, tensor,
+                            von_neumann_entropy)
 from ckabounds.states import ghz
 from conftest import random_density, random_pure
 
@@ -42,6 +43,10 @@ class TestDensityMatrixValidation:
             DensityMatrix((2.7,), np.eye(2) / 2)
         with pytest.raises(ValueError, match="^dimension must be an integer, got 2.5$"):
             maximally_mixed((2.5,))
+        # hermitian_matrix passed 2.0 and reported 2.5 as a shape mismatch
+        for dim in (2.0, 2.5):
+            with pytest.raises(ValueError, match=f"^x dimension must be an integer, got {dim}$"):
+                hermitian_matrix(np.eye(2), dim, 0.0, "x")
 
     def test_matrix_is_immutable(self, rng):
         rho = random_density(rng, (2, 2))

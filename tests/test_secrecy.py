@@ -7,7 +7,7 @@ import pytest
 
 from ckabounds import secrecy
 from ckabounds.attacks import build_cc_attack
-from ckabounds.bounds import default_grid, noise_grid
+from ckabounds.bounds import default_grid
 from ckabounds.partitions import partitions_as_masks
 from ckabounds.secrecy import (EXHAUSTIVE_LIMIT, PROB_FLOOR, ClassicalChannel,
                                JointDistribution, SearchBudget, _best_partition,
@@ -241,7 +241,7 @@ class TestObjective:
             return value
 
         monkeypatch.setattr(secrecy, "_objective", recorded)
-        grid = default_grid() + noise_grid(0.3, 0.9, 0.025)
+        grid = oracles.bench_grids()
         for nu in grid:
             attack = build_cc_attack(nu)
             point_values(attack, minimize=True)
@@ -756,7 +756,7 @@ class TestSearchedValue:
     def test_value_is_the_witness_score_on_bench_grids(self, search, kind, refine):
         # the search returns the score it computed for its last channel, not a new
         # scoring of the witness; that must be the witness's own score, bit for bit
-        for nu in default_grid() + noise_grid(0.3, 0.9, 0.025):
+        for nu in oracles.bench_grids():
             dist = build_cc_attack(nu).joint
             value, witness = search(dist, SearchBudget(refine=refine))
             exact = _objective(apply_channel(dist, witness).probs, 3, kind)
