@@ -33,7 +33,8 @@ DEFAULT_NU_MIN, DEFAULT_NU_MAX, DEFAULT_NU_STEP = 0.0, 0.13, 0.0025
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """Samples (nu, value-in-bits) of one named bound."""
+    """Samples (nu, value-in-bits) of one named bound: nu strictly increasing in [0, 1),
+    values finite and at least VALUE_FLOOR."""
 
     name: str
     samples: tuple[tuple[float, float], ...]
@@ -41,6 +42,8 @@ class BoundCurve:
     def __post_init__(self):
         samples = tuple((float(n), float(v)) for n, v in self.samples)
         nus = [n for n, _ in samples]
+        if any(not 0.0 <= n < 1.0 for n in nus):  # NaN too, so the order test below holds
+            raise ValueError("noise values must lie in [0, 1)")
         if any(b <= a for a, b in zip(nus, nus[1:])):
             raise ValueError("noise values must be strictly increasing")
         if any(not math.isfinite(v) or v < VALUE_FLOOR for _, v in samples):

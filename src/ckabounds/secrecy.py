@@ -16,7 +16,9 @@ the block table `_block_values` built from them feeds an exact dynamic
 program over the set partitions of Eve's alphabet (`_best_partition`, at
 most EXHAUSTIVE_LIMIT symbols).  The best deterministic channel it finds
 is scored by `_objective` and optionally refined by coordinate descent
-(`_refine`); only the channel returned is checked as a `ClassicalChannel`.
+(`_refine`), whose first batch screens every move at every step in one
+`_screen` call, so a start it cannot improve costs one screen; only the
+channel returned is checked as a `ClassicalChannel`.
 
 The search tries only that deterministic channel and a local descent from
 it over stochastic channels with one output per block, so its values are
@@ -427,6 +429,16 @@ def _screen_bound(a: int, ne: int, nf: int, rows: int, entries: int, c_abs: floa
                     + (24 * 2.0 ** -53 + 2 * g[2] + 2 * g[3] + 4 * g[4]) * h)
 
 
+@lru_cache(maxsize=None)
+def _moves(ne: int, nf: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row each move e * nf + f replaces, and the column it raises as a row of eye(nf)."""
+    every_e = np.repeat(np.arange(ne), nf)
+    targets = np.tile(np.eye(nf), (ne, 1))
+    for a in (every_e, targets):
+        a.flags.writeable = False  # shared by every caller through the cache
+    return every_e, targets
+
+
 def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, float]],
             channel: np.ndarray, best: float) -> tuple[np.ndarray, float]:
     """Coordinate descent on channel rows; step halves when a sweep stalls.  `margs` are
@@ -446,16 +458,18 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
     sweep at `step`, the next sweep at `ahead` (= step if this sweep has gained
     REFINE_TOL, else step/2; at the same step its moves from `start` on repeat this
     batch's and are dropped), then every later sweep at ahead/2, ahead/4, ... down to
-    1e-9.  The first two sweeps are screened first, their trials as one row of `_screen`,
-    and the later ones are built and screened only if neither has a passing trial, as
-    one row per step over every move.  `_screen` rules out the trials that cannot pass
-    and `_objective`, the oracle's own expression, scores the rest in order: the result
-    is bit for bit that of scoring the moves one at a time.
+    1e-9.  The first batch, before any move is kept, is screened whole in one `_screen`
+    call, one row per step over every move: a start the descent cannot leave, as on the
+    whole default grid, costs that one call, or none if it has no trial (one block).
+    In every later batch the first two sweeps are screened first, their trials as one
+    row, and the later ones are built and screened only if neither has a passing trial,
+    as one row per step over every move.  `_screen` rules out the trials that cannot
+    pass and `_objective`, the oracle's own expression, scores the rest in order: the
+    result is bit for bit that of scoring the moves one at a time.
     """
     n = dist.parties
     ne, nf = channel.shape
-    every_e = np.repeat(np.arange(ne), nf)  # the row each move e * nf + f replaces
-    targets = np.tile(np.eye(nf), (ne, 1))  # the column each move e * nf + f raises
+    every_e, targets = _moves(ne, nf)
     mat = channel.copy()
     q = np.concatenate([m for m, _ in margs])
     coeffs = np.concatenate([np.full(m.shape[0], c) for m, c in margs])
@@ -491,25 +505,28 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
     start = 0
     while True:
         ahead = step if gained >= REFINE_TOL else 0.5 * step
-        steps = np.array([step, ahead] if ahead >= 1e-9 else [step])[:REFINE_SWEEPS - sweep]
-        rows, changed = trial_rows(steps)
-        changed[:1, :start] = False
-        changed[1:2, (start if ahead == step else ne * nf):] = False
-        ks, moves = np.nonzero(changed)
         found = None
-        if moves.size:  # by step, then move = e * nf + f, as one row
-            rows = rows[ks, moves]
-            change, ambiguous = _screen(q, support, coeffs, mat, moves // nf, rows[np.newaxis])
-            found = first_pass(ks, moves, rows, change[0], ambiguous[0])
-        if found is None and steps.size == 2:  # the later sweeps, each at half the last step
+        screened = 0  # the steps of this batch screened so far
+        if start:  # after a kept move: this sweep and the next first, their trials as one row
+            steps = np.array([step, ahead] if ahead >= 1e-9 else [step])[:REFINE_SWEEPS - sweep]
+            rows, changed = trial_rows(steps)
+            changed[:1, :start] = False
+            changed[1:2, (start if ahead == step else ne * nf):] = False
+            ks, moves = np.nonzero(changed)
+            if moves.size:  # by step, then move = e * nf + f
+                rows = rows[ks, moves]
+                change, ambiguous = _screen(q, support, coeffs, mat, moves // nf, rows[np.newaxis])
+                found = first_pass(ks, moves, rows, change[0], ambiguous[0])
+            screened = 2
+        if found is None:  # the rest, each sweep at half the last step, one row per step
             steps = np.ldexp(ahead, 1 - np.arange(REFINE_SWEEPS - sweep))  # 2 ahead, ahead, ...
             steps[0] = step
             steps = steps[steps >= 1e-9]
-            rows, changed = trial_rows(steps[2:])  # steps[0] and steps[1] were screened
-            if changed.any():  # one row per step over every move
+            rows, changed = trial_rows(steps[screened:])
+            if changed.any():  # over every move
                 change, ambiguous = _screen(q, support, coeffs, mat, every_e, rows)
                 ks, moves = np.nonzero(changed)
-                found = first_pass(ks + 2, moves, rows[ks, moves], change[ks, moves],
+                found = first_pass(ks + screened, moves, rows[ks, moves], change[ks, moves],
                                    ambiguous[ks, moves])
         if found is None:
             return mat, best

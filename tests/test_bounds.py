@@ -68,6 +68,11 @@ class TestBoundCurveValidation:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             BoundCurve("x", ((0.0, math.inf),))
+        # nor a noise value outside [0, 1), the range `compute_curves` takes
+        for samples in (((math.nan, 0.0),), ((math.inf, 0.0),), ((-5.0, 0.0),), ((1.0, 0.0),),
+                        ((0.1, 0.0), (math.nan, 0.0), (0.2, 0.0))):
+            with pytest.raises(ValueError, match=r"^noise values must lie in \[0, 1\)$"):
+                BoundCurve("x", samples)
 
 
 @pytest.fixture(scope="module")

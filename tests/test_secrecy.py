@@ -618,13 +618,13 @@ class TestBatchedSearch:
                 assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
 
     @pytest.mark.parametrize("kind", ["cmi", "sn"])
-    def test_untouched_start_scores_two_sweeps_then_its_ladder(self, monkeypatch, kind):
+    def test_untouched_start_screens_its_whole_ladder_at_once(self, monkeypatch, kind):
         rows, exact = count_scores(monkeypatch)
         dist = build_cc_attack(0.05).joint
         start = dp_start(dist, kind)
         got, _ = oracles.refine(dist, start, kind)
         assert np.array_equal(got, start)
-        assert rows == [36, 486]  # sweeps 0 and 1, then sweeps 2..28, at 18 moves each
+        assert rows == [522]  # sweeps 0..28 at 18 moves each, in one call
         assert len(exact) == 1  # the start's own value: no trial is near passing
         rows.clear()
         exact.clear()
@@ -638,15 +638,24 @@ class TestBatchedSearch:
         start = dp_start(dist, kind)
         got, _ = oracles.refine(dist, start, kind)
         assert rows and got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
+        # every default-grid search keeps no move: one call, or none from one block
+        for nu in default_grid():
+            dist = build_cc_attack(nu).joint
+            start = dp_start(dist, kind)
+            rows.clear()
+            got, _ = oracles.refine(dist, start, kind)
+            assert np.array_equal(got, start)
+            assert len(rows) == (start.shape[1] > 1)
 
-    @pytest.mark.parametrize("nu, kind, calls, trials", [(0.45, "cmi", 265, 6986),
-                                                         (0.45, "sn", 260, 6936),
-                                                         (0.5, "cmi", 209, 5961),
-                                                         (0.5, "sn", 213, 7466)])
+    @pytest.mark.parametrize("nu, kind, calls, trials", [(0.45, "cmi", 264, 6986),
+                                                         (0.45, "sn", 259, 6936),
+                                                         (0.5, "cmi", 209, 6447),
+                                                         (0.5, "sn", 213, 7952)])
     def test_look_ahead_call_counts_at_high_noise(self, monkeypatch, nu, kind, calls, trials):
         # about one screened batch per kept move: these searches keep 261, 256,
-        # 205 and 206 moves, and each batch after a move also holds the next
-        # sweep; each kept move is the one trial scored exactly, after the start
+        # 205 and 206 moves, the first batch holds the start's whole ladder and
+        # each batch after a move also holds the next sweep; each kept move is
+        # the one trial scored exactly, after the start
         confirmed = {(0.45, "cmi"): 261, (0.45, "sn"): 256, (0.5, "cmi"): 205, (0.5, "sn"): 206}
         rows, exact = count_scores(monkeypatch)
         dist = build_cc_attack(nu).joint
