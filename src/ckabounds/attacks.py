@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import behaviors, states
-from .secrecy import ClassicalChannel, JointDistribution, apply_channel, integer
+from .secrecy import ClassicalChannel, JointDistribution, apply_channel, integer, unit_interval
 
 MARGINAL_TOL = 1e-10
 
@@ -61,7 +61,7 @@ class CcAttack:
     """Convex-combination attack at the key-generating setting.
 
     `joint` is the distribution over (a, b1, b2, e) with the 9-symbol Eve
-    alphabet.  Construction checks `nu` as a noise level and verifies, to
+    alphabet.  Construction checks `nu` as a noise level below 1 and verifies, to
     1e-10, that dropping Eve gives the device's key table, GHZ's table
     `behaviors.depolarized` by `nu`, and that P(e = '?') is 1 - local_weight.
     """
@@ -71,7 +71,9 @@ class CcAttack:
     joint: JointDistribution
 
     def __post_init__(self):
-        object.__setattr__(self, "nu", states._check_nu(self.nu))
+        object.__setattr__(self, "nu", unit_interval(self.nu, "nu"))
+        if self.nu == 1.0:
+            raise ValueError("attack construction needs nu < 1, got 1.0")
         device = behaviors.depolarized(_GHZ_KEY.reshape(2, 2, 2), self.nu)
         if not np.abs(self.joint.probs.sum(axis=-1) - device).max() <= MARGINAL_TOL:
             raise ValueError("attack joint does not reproduce the device's key-setting behavior")
@@ -84,15 +86,21 @@ def build_cc_attack(nu: float) -> CcAttack:
     """The convex-combination attack for noise level `nu` < 1: the biseparable
     split of the depolarized GHZ state fixes the local weight 1-(1-nu)^3 and
     the local table, the key-setting table of chi."""
-    nu = float(nu)
-    if not 0.0 <= nu < 1.0:
-        raise ValueError(f"attack construction needs 0 <= nu < 1, got {nu}")
     _, local_weight, _, chi = states.biseparable_split(nu)
     probs = np.zeros((8, EVE_ALPHABET))
     probs[:, EVE_IGNORANT] = (1.0 - local_weight) * _GHZ_KEY
     probs[range(8), _RECORDED] = local_weight * chi
     joint = JointDistribution(probs.reshape(2, 2, 2, EVE_ALPHABET))
     return CcAttack(nu=nu, local_weight=local_weight, joint=joint)
+
+
+def local_fraction(nu: float) -> float:
+    """The largest local weight of a convex-combination attack on the device at noise `nu`,
+    (w(0) - w(nu)) / (w(0) - 3/4) for the parity-game value w: a local box wins with
+    probability at most 3/4 and a quantum box at most w(0).  With u = 1 - nu this is
+    clip((1 + 1/sqrt 2)(2 - u^2 - u^3), 0, 1), which is 1 from nu = 0.1302966."""
+    u = 1.0 - unit_interval(nu, "nu")
+    return min(1.0, max(0.0, (1.0 + 1.0 / math.sqrt(2.0)) * (2.0 - u ** 2 - u ** 3)))
 
 
 def eve_postprocess(attack: CcAttack) -> JointDistribution:

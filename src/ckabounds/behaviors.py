@@ -22,7 +22,7 @@ import numpy as np
 
 from . import states
 from .qmat import HERMITICITY_TOL, DensityMatrix, Povm
-from .secrecy import TOTAL_TOL, integer, probability_table
+from .secrecy import TOTAL_TOL, integer, probability_table, unit_interval
 
 _SQRT2 = math.sqrt(2.0)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -136,7 +136,7 @@ def behavior_from_measurement(rho: DensityMatrix,
 def depolarized(table, nu: float) -> np.ndarray:
     """The device's noise: each of `table`'s last three binary output axes flipped with
     probability nu/2, as depolarizing a qubit by `nu` flips a +-1 observable's outcome."""
-    e = states._check_nu(nu) / 2
+    e = unit_interval(nu, "nu") / 2
     flip = np.array([[1.0 - e, e], [e, 1.0 - e]])
     return np.einsum("...abc,ax,by,cz->...xyz", table, flip, flip, flip)
 
@@ -188,7 +188,7 @@ def expected_winning_probability(nu: float, n_parties: int) -> float:
     n_parties = integer(n_parties, "n_parties")
     if n_parties < 3:
         raise ValueError("the parity game needs at least three parties")
-    u = 1.0 - states._check_nu(nu)
+    u = 1.0 - unit_interval(nu, "nu")
     return 0.5 + u ** n_parties / (2 * _SQRT2) + u ** 2 * (1 - u ** (n_parties - 2)) / (8 * _SQRT2)
 
 

@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 
 from .attacks import CcAttack, build_cc_attack, eve_postprocess
 from .partitions import set_partitions
-from .secrecy import (dual_intrinsic, entropy_bits, integer, intrinsic_information, s_n,
-                      shannon_cmi)
+from .secrecy import (REAL, dual_intrinsic, entropy_bits, integer, intrinsic_information, s_n,
+                      shannon_cmi, unit_interval)
 
 VALUE_FLOOR = -1e-9
 _N_PARTIES = 3
@@ -33,22 +33,18 @@ DEFAULT_NU_MIN, DEFAULT_NU_MAX, DEFAULT_NU_STEP = 0.0, 0.13, 0.0025
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """Samples (nu, value-in-bits) of one named bound: nu strictly increasing in [0, 1),
-    values finite and at least VALUE_FLOOR."""
+    """Samples (nu, value-in-bits) of one named bound: the nu column a grid that
+    `compute_curves` takes, values finite and at least VALUE_FLOOR."""
 
     name: str
     samples: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        samples = tuple((float(n), float(v)) for n, v in self.samples)
-        nus = [n for n, _ in samples]
-        if any(not 0.0 <= n < 1.0 for n in nus):  # NaN too, so the order test below holds
-            raise ValueError("noise values must lie in [0, 1)")
-        if any(b <= a for a, b in zip(nus, nus[1:])):
-            raise ValueError("noise values must be strictly increasing")
-        if any(not math.isfinite(v) or v < VALUE_FLOOR for _, v in samples):
+        nus = _check_grid([n for n, _ in self.samples])
+        values = [float(v) for _, v in self.samples]
+        if any(not math.isfinite(v) or v < VALUE_FLOOR for v in values):
             raise ValueError(f"curve values must be finite and at least {VALUE_FLOOR:g}")
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", tuple(zip(nus, values)))
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -61,7 +57,8 @@ def noise_grid(lo: float, hi: float, step: float) -> list[float]:
     nu = 1 is never a point: no curve is defined there.  More than
     MAX_GRID_POINTS points are rejected before any is built.
     """
-    if not (0.0 <= lo < hi <= 1.0 and 0.0 < step < math.inf):
+    lo, hi = unit_interval(lo, "nu_min"), unit_interval(hi, "nu_max")
+    if not (lo < hi and isinstance(step, REAL) and 0.0 < step < math.inf):
         raise ValueError(f"invalid grid: need 0 <= nu_min < nu_max <= 1 and a finite "
                          f"nu_step > 0 (got {lo}, {hi}, {step})")
     span = (hi - lo) / step + 1e-9
@@ -81,11 +78,11 @@ def default_grid() -> list[float]:
 
 
 def _check_grid(grid: Sequence[float]) -> list[float]:
-    grid = [float(nu) + 0.0 for nu in grid]  # -0.0 + 0.0 is +0.0
+    grid = [unit_interval(nu, "nu") for nu in grid]
     if not grid:
         raise ValueError("empty noise grid")
-    if any(not 0.0 <= nu < 1.0 for nu in grid):
-        raise ValueError("invalid grid: curve evaluation requires 0 <= nu < 1")
+    if 1.0 in grid:
+        raise ValueError("invalid grid: curve evaluation requires nu < 1, got 1.0")
     for a, b in zip(grid, grid[1:]):
         if b <= a:
             raise ValueError(f"invalid grid: points must be strictly increasing, "

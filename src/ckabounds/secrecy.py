@@ -32,6 +32,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,6 +49,7 @@ REFINE_SWEEPS = 200
 REFINE_STEP = 0.5
 REFINE_TOL = 1e-9
 MARGIN = 1e-12  # bits: `_screen_bound` of the attack's tables, rounded up
+REAL = (float, numbers.Real)  # what `unit_interval` takes; float first skips the ABC check
 
 
 def entropy_bits(vec: np.ndarray) -> float:
@@ -64,6 +66,16 @@ def integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def unit_interval(value, name: str) -> float:
+    """`value` as a float in [0, 1], -0.0 read as +0.0; anything else, "0.1", None,
+    an array, 1.5 or NaN, is a ValueError led by `name`."""
+    if not isinstance(value, REAL):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not 0.0 <= (x := float(value)) <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
+    return x + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def probability_table(values, outcome_axes: int, tol: float, name: str) -> np.ndarray:
@@ -588,9 +600,7 @@ def continuity_envelope(eps: float, log_dim: float, flavor: str) -> float:
     `flavor` selects 2 eps log_dim + g(eps) for "conditional-entropy" or
     2 eps log_dim + 2 g(eps) for "cmi".
     """
-    eps = float(eps)
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must lie in [0, 1], got {eps}")
+    eps = unit_interval(eps, "eps")
     if flavor == "conditional-entropy":
         return 2.0 * eps * log_dim + g(eps)
     if flavor == "cmi":

@@ -22,16 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmat import DensityMatrix
-from .secrecy import integer
+from .secrecy import integer, unit_interval
 
 RECONSTRUCTION_TOL = 1e-10
-
-
-def _check_nu(nu: float) -> float:
-    nu = float(nu)
-    if not 0.0 <= nu <= 1.0:
-        raise ValueError(f"noise parameter must lie in [0, 1], got {nu}")
-    return nu + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def ghz(n_parties: int, local_dim: int = 2) -> DensityMatrix:
@@ -80,7 +73,7 @@ def _biseparable_parts() -> tuple[DensityMatrix, ...]:
 def biseparable_split(nu: float) -> tuple[float, float, tuple[float, ...], np.ndarray]:
     """(1-nu)^3, the biseparable weight, the weights of the three kappa terms and
     I/8, and chi's computational-basis diagonal, which is all of chi."""
-    nu = _check_nu(nu)
+    nu = unit_interval(nu, "nu")
     ghz_w = (1.0 - nu) ** 3
     bis_w = 1.0 - ghz_w
     pair_w = (1.0 - nu) ** 2 * nu
@@ -134,7 +127,7 @@ class GhzDecomposition:
 
 def noisy_ghz3(nu: float) -> GhzDecomposition:
     """Apply the depolarizing channel to all three qubits of GHZ and decompose."""
-    nu = _check_nu(nu)
+    nu = unit_interval(nu, "nu")
     state = ghz3().matrix
     for site in range(3):
         state = _depolarized(state, (2, 2, 2), site, nu)

@@ -1,14 +1,18 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from ckabounds.attacks import (_GHZ_KEY, _RECORDED, EVE_IGNORANT, POST_IGNORANT,
-                               build_cc_attack, eve_postprocess, eve_symbol)
+from ckabounds.attacks import (_GHZ_KEY, _RECORDED, EVE_ALPHABET, EVE_IGNORANT, POST_IGNORANT,
+                               CcAttack, build_cc_attack, eve_postprocess, eve_symbol,
+                               local_fraction)
 from ckabounds.behaviors import (KEY_SETTING, PAULI_Z, behavior_from_measurement,
-                                 default_measurements, honest_behavior, povm_from_observable)
+                                 default_measurements, depolarized, honest_behavior,
+                                 parity_chsh_value, povm_from_observable)
+from ckabounds.bounds import compute_curves, default_grid
 from ckabounds import qmat, states
 from ckabounds.secrecy import JointDistribution, intrinsic_information, shannon_cmi, s_n
 from ckabounds.states import ghz, noisy_ghz3
@@ -33,8 +37,19 @@ class TestBuildCcAttack:
         assert value < 1e-7
 
     def test_rejects_nu_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^attack construction needs nu < 1, got 1.0$"):
             build_cc_attack(1.0)
+        with pytest.raises(ValueError, match="^nu must be a real number, got None$"):
+            build_cc_attack(None)  # was a TypeError
+
+    def test_attack_built_directly_at_nu_one_rejected(self):
+        # the all-local joint at nu = 1 matches the device; it was accepted
+        probs = np.zeros((8, EVE_ALPHABET))
+        probs[range(8), _RECORDED] = states.biseparable_split(1.0)[3]
+        joint = JointDistribution(probs.reshape(2, 2, 2, EVE_ALPHABET))
+        CcAttack(nu=1.0 - 1e-12, local_weight=1.0, joint=joint)
+        with pytest.raises(ValueError, match="^attack construction needs nu < 1, got 1.0$"):
+            CcAttack(nu=1.0, local_weight=1.0, joint=joint)
 
     def test_marginal_consistency_over_grid(self):
         for nu in oracles.bench_grids():
@@ -101,8 +116,57 @@ class TestBuildCcAttack:
         attack = build_cc_attack(0.1)
         with pytest.raises(ValueError, match="nonlocal weight"):
             dataclasses.replace(attack, local_weight=math.nan)
-        with pytest.raises(ValueError, match="noise parameter"):
+        with pytest.raises(ValueError, match=r"^nu must lie in \[0, 1\], got nan$"):
             dataclasses.replace(attack, nu=math.nan)
+        with pytest.raises(ValueError, match="^nu must be a real number, got '0.1'$"):
+            dataclasses.replace(attack, nu="0.1")  # was parsed
+
+
+@pytest.mark.parametrize("nu, message", [
+    (-0.1, "nu must lie in [0, 1], got -0.1"),
+    (1.5, "nu must lie in [0, 1], got 1.5"),
+    (math.nan, "nu must lie in [0, 1], got nan"),
+    ("0.1", "nu must be a real number, got '0.1'"),
+    (None, "nu must be a real number, got None"),
+    (0.1 + 0j, "nu must be a real number, got (0.1+0j)"),
+])
+def test_a_bad_nu_gets_one_message_everywhere(nu, message):
+    point = np.full((2, 2, 2), 0.125)
+    for call in (build_cc_attack, noisy_ghz3, lambda x: depolarized(point, x),
+                 lambda x: compute_curves([x]), local_fraction):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(nu)
+
+
+class TestLocalFraction:
+    def test_matches_the_game_value_ratio(self):
+        # a local box wins with probability at most 3/4, the noiseless device with w(0)
+        top = parity_chsh_value(honest_behavior(0.0))
+        for nu in np.linspace(0.0, 0.13, 200):
+            ratio = (top - parity_chsh_value(honest_behavior(nu))) / (top - 0.75)
+            assert abs(local_fraction(nu) - ratio) <= 1e-14
+
+    def test_nondecreasing_on_the_default_grid(self):
+        values = [local_fraction(nu) for nu in default_grid()]
+        assert values[0] == 0.0
+        assert all(a <= b for a, b in zip(values, values[1:]))
+
+    def test_one_from_the_threshold(self):
+        # bisection puts the threshold at 0.130296645
+        assert local_fraction(0.1302966) < 1.0
+        for nu in (0.1302967, 0.2, 0.5, 1.0):
+            assert local_fraction(nu) == 1.0
+
+    def test_at_least_the_split_weight(self):
+        for nu in oracles.bench_grids():
+            assert local_fraction(nu) >= 1.0 - (1.0 - nu) ** 3
+            assert local_fraction(nu) >= build_cc_attack(nu).local_weight
+
+    @pytest.mark.parametrize("nu, lp_value", [(0.01, 0.0846742035), (0.05, 0.4099190158),
+                                              (0.10, 0.7869762261), (0.12, 0.9288845986)])
+    def test_matches_the_linear_program(self, nu, lp_value):
+        # the optimum over the 128 deterministic boxes, to the 10 digits recorded
+        assert local_fraction(nu) == pytest.approx(lp_value, abs=1e-10)
 
 
 class TestEvePostprocess:

@@ -252,10 +252,13 @@ class TestDepolarized:
     def test_rejects_nu_outside_unit_interval(self):
         point = np.full((2, 2, 2), 0.125)
         for nu in (-0.1, 1.1, math.nan):
-            with pytest.raises(ValueError, match="noise parameter"):
+            message = rf"^nu must lie in \[0, 1\], got {nu}$"
+            with pytest.raises(ValueError, match=message):
                 depolarized(point, nu)
-            with pytest.raises(ValueError, match="noise parameter"):
+            with pytest.raises(ValueError, match=message):
                 honest_behavior(nu)
+        with pytest.raises(ValueError, match="^nu must be a real number, got '0.1'$"):
+            honest_behavior("0.1")  # was parsed
 
     def test_honest_behavior_builds_no_density_matrix(self, monkeypatch):
         # beyond the GHZ state, cached on first use
@@ -356,6 +359,11 @@ class TestExpectedWinningProbability:
     def test_rejects_two_parties(self):
         with pytest.raises(ValueError):
             expected_winning_probability(0.1, 2)
+
+    def test_rejects_nu_that_is_not_a_real_number(self):
+        # "0.1" was parsed
+        with pytest.raises(ValueError, match="^nu must be a real number, got '0.1'$"):
+            expected_winning_probability("0.1", 3)
 
     def test_rejects_non_integral_parties(self):
         # 3.5 parties gave a number, 0.75498 at nu = 0.1

@@ -68,10 +68,17 @@ class TestBoundCurveValidation:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             BoundCurve("x", ((0.0, math.inf),))
-        # nor a noise value outside [0, 1), the range `compute_curves` takes
-        for samples in (((math.nan, 0.0),), ((math.inf, 0.0),), ((-5.0, 0.0),), ((1.0, 0.0),),
-                        ((0.1, 0.0), (math.nan, 0.0), (0.2, 0.0))):
-            with pytest.raises(ValueError, match=r"^noise values must lie in \[0, 1\)$"):
+        # nor a noise column that `compute_curves` would not take as a grid
+        outside = r"^nu must lie in \[0, 1\], got "
+        for samples, message in (
+                (((math.nan, 0.0),), outside + "nan$"),
+                (((math.inf, 0.0),), outside + "inf$"),
+                (((-5.0, 0.0),), outside + "-5.0$"),
+                (((1.0, 0.0),), "^invalid grid: curve evaluation requires nu < 1, got 1.0$"),
+                (((0.1, 0.0), (math.nan, 0.0), (0.2, 0.0)), outside + "nan$"),
+                (((None, 0.5),), "^nu must be a real number, got None$"),  # was a TypeError
+                ((), "^empty noise grid$")):  # was accepted
+            with pytest.raises(ValueError, match=message):
                 BoundCurve("x", samples)
 
 
@@ -108,8 +115,11 @@ class TestIntrinsicCurve:
             assert lo <= hi + 1e-9
 
     def test_rejects_grid_outside_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^invalid grid: curve evaluation requires nu < 1, "
+                                             "got 1.0$"):
             compute_curves([0.5, 1.0])
+        with pytest.raises(ValueError, match="^nu must be a real number, got None$"):
+            compute_curves([None])  # was a TypeError
 
 
 class TestDualCurve:
@@ -241,6 +251,17 @@ class TestValidators:
         # lo + 0 * inf is nan, which the rounding filter would silently drop
         with pytest.raises(ValueError, match="finite nu_step"):
             noise_grid(0.0, 0.13, math.inf)
+
+    def test_noise_grid_rejects_a_value_that_is_not_a_number(self):
+        # each was a TypeError
+        with pytest.raises(ValueError, match="^nu_min must be a real number, got None$"):
+            noise_grid(None, 1, 0.1)
+        with pytest.raises(ValueError, match="^nu_min must be a real number, got '0'$"):
+            noise_grid("0", 1, 0.1)
+        with pytest.raises(ValueError, match="finite nu_step > 0 "):
+            noise_grid(0, 1, None)
+        with pytest.raises(ValueError, match=r"^nu_max must lie in \[0, 1\], got 1.5$"):
+            noise_grid(0, 1.5, 0.1)
 
     def test_points_that_round_together_rejected_before_computing(self, pools, no_points):
         with pytest.raises(ValueError, match="collide after rounding to 12 decimals"):

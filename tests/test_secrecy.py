@@ -15,7 +15,7 @@ from ckabounds.secrecy import (EXHAUSTIVE_LIMIT, PROB_FLOOR, ClassicalChannel,
                                apply_channel, continuity_envelope,
                                distribution_to_csv, dual_intrinsic, g,
                                intrinsic_information, s_n, shannon_cmi,
-                               total_correlation)
+                               total_correlation, unit_interval)
 import oracles
 
 
@@ -818,6 +818,31 @@ class TestDualIntrinsic:
             assert value <= s_n(dist) + 1e-12
 
 
+class TestUnitInterval:
+    def test_real_numbers_keep_their_value(self):
+        for value in (0, 1, True, False, 0.25, np.float64(0.1), np.float32(0.5), np.int64(1),
+                      math.nextafter(1.0, 0.0), 5e-324):
+            out = unit_interval(value, "x")
+            assert type(out) is float and out == float(value)
+
+    def test_negative_zero_is_positive_zero(self):
+        assert not np.signbit(unit_interval(-0.0, "x"))
+        assert not np.signbit(unit_interval(np.float64(-0.0), "x"))
+
+    def test_not_a_real_number_rejected(self):
+        for value, shown in (("0.1", "'0.1'"), (None, "None"), (0.1 + 0j, r"\(0.1\+0j\)"),
+                             (np.array(0.1), r"array\(0.1\)"), ([0.1], r"\[0.1\]")):
+            with pytest.raises(ValueError, match=f"^x must be a real number, got {shown}$"):
+                unit_interval(value, "x")
+
+    def test_outside_unit_interval_rejected(self):
+        for value, shown in ((-0.1, "-0.1"), (1.5, "1.5"), (math.nan, "nan"),
+                             (math.inf, "inf"), (np.float64(-1e-300), "-1e-300"),
+                             (2, "2.0"), (math.nextafter(1.0, 2.0), "1.0000000000000002")):
+            with pytest.raises(ValueError, match=rf"^x must lie in \[0, 1\], got {shown}$"):
+                unit_interval(value, "x")
+
+
 class TestContinuityEnvelope:
     def test_zero_epsilon(self):
         assert continuity_envelope(0.0, 3.0, "cmi") == 0.0
@@ -832,8 +857,10 @@ class TestContinuityEnvelope:
         assert continuity_envelope(0.5, 1.0, "cmi") == pytest.approx(expect, abs=1e-12)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^eps must lie in \[0, 1\], got 1.5$"):
             continuity_envelope(1.5, 1.0, "cmi")
+        with pytest.raises(ValueError, match="^eps must be a real number, got None$"):
+            continuity_envelope(None, 1.0, "cmi")  # was a TypeError
         with pytest.raises(ValueError):
             continuity_envelope(0.5, 1.0, "unknown")
 

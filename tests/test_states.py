@@ -140,9 +140,11 @@ class TestNoisyGhz3:
     def test_negative_zero_noise_is_zero(self):
         assert not np.signbit(noisy_ghz3(-0.0).nu)
 
-    @pytest.mark.parametrize("nu", [-0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("nu", [-0.1, 1.5, float("nan"), "0.1"])  # "0.1" was parsed
     def test_rejects_nu_outside_unit_interval(self, nu):
-        with pytest.raises(ValueError, match="noise parameter"):
+        message = (r"must lie in \[0, 1\], got " + repr(nu) if isinstance(nu, float)
+                   else "must be a real number, got '0.1'")
+        with pytest.raises(ValueError, match=f"^nu {message}$"):
             noisy_ghz3(nu)
 
     def test_full_noise_is_maximally_mixed(self):
