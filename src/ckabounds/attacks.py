@@ -37,9 +37,7 @@ POST_IGNORANT = 2
 
 def eve_symbol(a: int, b1: int, b2: int) -> int:
     """Eve-alphabet index recording the output triple; each bit is 0 or 1."""
-    for name, bit in (("a", a), ("b1", b1), ("b2", b2)):
-        if integer(bit, name) not in (0, 1):
-            raise ValueError(f"{name} must be 0 or 1, got {bit!r}")
+    a, b1, b2 = (integer(bit, name, 0, 1) for name, bit in (("a", a), ("b1", b1), ("b2", b2)))
     return 1 + 4 * a + 2 * b1 + b2
 
 

@@ -65,13 +65,10 @@ class Behavior:
 
     def conditional(self, inputs: Sequence[int]) -> np.ndarray:
         """Output distribution for one joint input, shape = output_alphabets."""
-        inputs = tuple(integer(x, "input") for x in inputs)
         if len(inputs) != self.parties:
             raise ValueError(f"expected {self.parties} inputs, got {len(inputs)}")
-        for x, size in zip(inputs, self.input_alphabets):
-            if not 0 <= x < size:
-                raise ValueError(f"input {x} out of range for alphabet size {size}")
-        return self.table[inputs]
+        return self.table[tuple(integer(x, "input", 0, size - 1)
+                                for x, size in zip(inputs, self.input_alphabets))]
 
 
 def povm_from_observable(obs: np.ndarray) -> Povm:
@@ -185,9 +182,7 @@ def expected_winning_probability(nu: float, n_parties: int) -> float:
     the actual default-measurement device: the measured game value exceeds it
     by exactly (1-nu)^2 (1 - (1-nu)^(N-2)) / (8 sqrt2).
     """
-    n_parties = integer(n_parties, "n_parties")
-    if n_parties < 3:
-        raise ValueError("the parity game needs at least three parties")
+    n_parties = integer(n_parties, "n_parties", 3)
     u = 1.0 - unit_interval(nu, "nu")
     return 0.5 + u ** n_parties / (2 * _SQRT2) + u ** 2 * (1 - u ** (n_parties - 2)) / (8 * _SQRT2)
 
@@ -198,9 +193,7 @@ def critical_noise(n_parties: int) -> float:
     With u = 1 - nu the crossing is 3 u^N + u^2 = 2 sqrt2, whose left side
     increases on u > 0 from 0 to 4 at u = 1: exactly one root lies in (0, 1).
     """
-    n_parties = integer(n_parties, "n_parties")
-    if n_parties < 3:
-        raise ValueError("the parity game needs at least three parties")
+    n_parties = integer(n_parties, "n_parties", 3)
     coeffs = np.zeros(n_parties + 1)
     coeffs[[0, n_parties - 2, n_parties]] = 3.0, 1.0, -2 * _SQRT2
     u = next(r.real for r in np.roots(coeffs) if r.imag == 0.0 and 0.0 < r.real < 1.0)

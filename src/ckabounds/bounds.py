@@ -34,16 +34,17 @@ DEFAULT_NU_MIN, DEFAULT_NU_MAX, DEFAULT_NU_STEP = 0.0, 0.13, 0.0025
 @dataclass(frozen=True)
 class BoundCurve:
     """Samples (nu, value-in-bits) of one named bound: the nu column a grid that
-    `compute_curves` takes, values finite and at least VALUE_FLOOR."""
+    `compute_curves` takes, values real, finite and at least VALUE_FLOOR."""
 
     name: str
     samples: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         nus = _check_grid([n for n, _ in self.samples])
-        values = [float(v) for _, v in self.samples]
+        # a value that is not a real number reads as NaN, which the check refuses
+        values = [float(v) if isinstance(v, REAL) else math.nan for _, v in self.samples]
         if any(not math.isfinite(v) or v < VALUE_FLOOR for v in values):
-            raise ValueError(f"curve values must be finite and at least {VALUE_FLOOR:g}")
+            raise ValueError(f"curve values must be real, finite and at least {VALUE_FLOOR:g}")
         object.__setattr__(self, "samples", tuple(zip(nus, values)))
 
     @property
@@ -141,9 +142,7 @@ def compute_curves(grid: Sequence[float], minimize: bool = False,
     At most `workers` (1..MAX_WORKERS) processes run, and no more than the
     grid has points; with one, the points are computed in this process.
     """
-    workers = integer(workers, "workers")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"invalid workers: need 1 <= workers <= {MAX_WORKERS}, got {workers}")
+    workers = integer(workers, "workers", 1, MAX_WORKERS)
     grid = _check_grid(grid)
     processes = min(workers, len(grid))
     if processes > 1:
@@ -157,11 +156,7 @@ def compute_curves(grid: Sequence[float], minimize: bool = False,
 
 def enumerate_partitions(n_parties: int) -> list[tuple[tuple[int, ...], ...]]:
     """All groupings of range(n_parties) into 2 to N-1 blocks."""
-    n_parties = integer(n_parties, "n_parties")
-    if n_parties < 3:
-        raise ValueError("partition enumeration needs at least three parties")
-    if n_parties > MAX_GROUPING_PARTIES:
-        raise ValueError(f"partition enumeration takes at most {MAX_GROUPING_PARTIES} parties")
+    n_parties = integer(n_parties, "n_parties", 3, MAX_GROUPING_PARTIES)
     return [tuple(map(tuple, blocks)) for blocks in set_partitions(range(n_parties))
             if 2 <= len(blocks) <= n_parties - 1]
 
@@ -184,6 +179,7 @@ class Xorshift64Star:
         return (s * self._MULT) & self._MASK
 
     def bits(self, k: int) -> int:
+        k = integer(k, "k", 0)
         out = 0
         for got in range(0, k, 64):
             take = min(64, k - got)
@@ -209,8 +205,8 @@ def relay_chain(r: int, edge_keys: Sequence[int]) -> tuple[tuple[int, ...], tupl
     Party 0 one-time-pads its secret r with the first edge key; each later
     party unpads with its shared edge key and re-pads with the next one.
     """
-    edge_keys = tuple(integer(k, "edge key") for k in edge_keys)
-    finals = [integer(r, "r")]
+    edge_keys = tuple(integer(k, "edge key", 0) for k in edge_keys)
+    finals = [integer(r, "r", 0)]
     broadcasts = []
     for key in edge_keys:
         msg = key ^ finals[-1]
@@ -221,13 +217,8 @@ def relay_chain(r: int, edge_keys: Sequence[int]) -> tuple[tuple[int, ...], tupl
 
 def relay_simulate(n_parties: int, key_len: int, rng_seed: int) -> RelayTranscript:
     """Sample edge keys and the secret, run the relay, return the transcript."""
-    n_parties, key_len = integer(n_parties, "n_parties"), integer(key_len, "key_len")
-    if n_parties < 3:
-        raise ValueError("the relay needs at least three parties")
-    if n_parties > MAX_RELAY_PARTIES:
-        raise ValueError(f"the relay takes at most {MAX_RELAY_PARTIES} parties")
-    if not 1 <= key_len <= MAX_KEY_LEN:
-        raise ValueError(f"key_len must lie in 1..{MAX_KEY_LEN}")
+    n_parties = integer(n_parties, "n_parties", 3, MAX_RELAY_PARTIES)
+    key_len = integer(key_len, "key_len", 1, MAX_KEY_LEN)
     rng = Xorshift64Star(rng_seed)
     edge_keys = tuple(rng.bits(key_len) for _ in range(n_parties - 1))
     r = rng.bits(key_len)

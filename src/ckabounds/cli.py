@@ -20,7 +20,7 @@ import numpy as np
 
 from . import attacks, behaviors, bounds, states
 from .qmat import DensityMatrix, partial_trace, quantum_cmi
-from .secrecy import (JointDistribution, distribution_to_csv, entropy_bits, s_n,
+from .secrecy import (JointDistribution, distribution_to_csv, entropy_bits, integer, s_n,
                       total_correlation)
 
 
@@ -188,9 +188,7 @@ _SUITES = (
 
 
 def _cmd_verify(cfg: dict, stdout) -> int:
-    seed = cfg["seed"]
-    if seed < 0:
-        raise ValueError(f"invalid seed: verify needs seed >= 0, got {seed}")
+    seed = integer(cfg["seed"], "seed", 0)
     failed = False
     for name, suite, tol in _SUITES:
         results = list(suite(seed))

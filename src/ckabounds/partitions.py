@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .secrecy import integer
+from .secrecy import EXHAUSTIVE_LIMIT, integer
 
 
 def set_partitions(items: Sequence) -> Iterator[list[list]]:
@@ -36,8 +36,8 @@ def set_partitions(items: Sequence) -> Iterator[list[list]]:
 
 @lru_cache(maxsize=None)
 def partitions_as_masks(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of range(n), each block encoded as a bitmask.
+    """All partitions of range(n), n in 0..EXHAUSTIVE_LIMIT, each block encoded as a bitmask.
 
     The brute-force reference that tests hold the channel search's DP to."""
     return tuple(tuple(sum(1 << i for i in block) for block in blocks)
-                 for blocks in set_partitions(range(integer(n, "n"))))
+                 for blocks in set_partitions(range(integer(n, "n", 0, EXHAUSTIVE_LIMIT))))

@@ -9,8 +9,9 @@ Conventions used throughout the package:
 * validity (finite entries, hermiticity, positivity) is checked once, by
   `hermitian_matrix`, when a `DensityMatrix` or `Povm` is constructed, not
   on every operation;
-* every dimension and subsystem index passes `secrecy.integer`, so 2.5 or
-  "1" is a one-line `ValueError`, never truncated.
+* every dimension (at least 1) and subsystem index (0..n-1) passes
+  `secrecy.integer`, so 2.5, "1" or a value outside its range is a one-line
+  `ValueError`, never truncated.
 
 Adversarial systems are modelled as finite-dimensional throughout.  This is
 a computational restriction, not a claim of tightness: the quantities
@@ -45,7 +46,7 @@ def _as_complex_matrix(m) -> np.ndarray:
 def hermitian_matrix(m, dim: int, min_eigenvalue: float, name: str) -> np.ndarray:
     """`m` as a read-only complex (dim x dim) matrix: finite, Hermitian within
     `HERMITICITY_TOL`, no eigenvalue below `min_eigenvalue`; `name` leads each message."""
-    dim = integer(dim, f"{name} dimension")
+    dim = integer(dim, f"{name} dimension", 1)
     m = _as_complex_matrix(m)
     if m.shape != (dim, dim):
         raise ValueError(f"{name} shape {m.shape} does not match dimension {dim}")
@@ -74,9 +75,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(integer(d, "dimension") for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"invalid subsystem dimensions {dims}")
+        dims = tuple(integer(d, "dimension", 1) for d in self.dims)
+        if not dims:
+            raise ValueError("a density matrix needs at least one subsystem")
         m = hermitian_matrix(self.matrix, math.prod(dims), MIN_EIGENVALUE, "density matrix")
         tr = m.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
@@ -128,18 +129,16 @@ def tensor(a, b):
 
 
 def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
-    dims = tuple(integer(d, "dimension") for d in dims)
+    dims = tuple(integer(d, "dimension", 1) for d in dims)
     return DensityMatrix(dims, np.eye(math.prod(dims), dtype=complex) / math.prod(dims))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the `keep` factors (a nonempty index set), factor order kept."""
-    keep = sorted({integer(i, "keep index") for i in keep})
     n = rho.n_factors
+    keep = sorted({integer(i, "keep index", 0, n - 1) for i in keep})
     if not keep:
         raise ValueError("keep must be a nonempty set of subsystem indices")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"keep index out of range for {n} factors: {keep}")
     if len(keep) == n:
         return rho
     t = rho.matrix.reshape(rho.dims + rho.dims)

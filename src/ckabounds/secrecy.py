@@ -60,12 +60,18 @@ def entropy_bits(vec: np.ndarray) -> float:
     return float(-(v * np.log2(v)).sum()) if v.size else 0.0
 
 
-def integer(value, name: str) -> int:
-    """`value` by `operator.index`; anything else, 2.5 or "3", is a ValueError led by `name`."""
+def integer(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """`value` by `operator.index`, at least `lo` and, if `hi` is given, in lo..hi;
+    anything else, 2.5, "3" or a value outside the bounds, is a ValueError led by `name`."""
     try:
-        return operator.index(value)
+        v = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if hi is not None and not lo <= v <= hi:
+        raise ValueError(f"{name} must lie in {lo}..{hi}, got {v}")
+    if lo is not None and v < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {v}")
+    return v
 
 
 def unit_interval(value, name: str) -> float:
@@ -152,14 +158,12 @@ class ClassicalChannel:
     @staticmethod
     def from_partition(blocks: Sequence[Sequence[int]], in_alphabet: int) -> "ClassicalChannel":
         """Deterministic channel mapping every symbol of block j to output j."""
-        in_alphabet = integer(in_alphabet, "in_alphabet")
+        in_alphabet = integer(in_alphabet, "in_alphabet", 1)
         m = np.zeros((in_alphabet, len(blocks)))
         seen = set()
         for j, block in enumerate(blocks):
             for e in block:
-                e = integer(e, "symbol")
-                if not 0 <= e < in_alphabet:
-                    raise ValueError(f"symbol {e!r} is not an integer in 0..{in_alphabet - 1}")
+                e = integer(e, "symbol", 0, in_alphabet - 1)
                 if e in seen:
                     raise ValueError("blocks are not disjoint")
                 seen.add(e)

@@ -29,9 +29,7 @@ RECONSTRUCTION_TOL = 1e-10
 
 def ghz(n_parties: int, local_dim: int = 2) -> DensityMatrix:
     """Pure GHZ state (1/sqrt(d)) sum_i |i...i> on `n_parties` qudits."""
-    n, d = integer(n_parties, "n_parties"), integer(local_dim, "local_dim")
-    if n < 2 or d < 2:
-        raise ValueError("GHZ state needs n_parties >= 2 and local_dim >= 2")
+    n, d = integer(n_parties, "n_parties", 2), integer(local_dim, "local_dim", 2)
     psi = np.zeros(d ** n, dtype=complex)
     stride = (d ** n - 1) // (d - 1)  # index of |i...i> is i * stride
     psi[::stride] = 1.0 / math.sqrt(d)

@@ -253,11 +253,11 @@ class TestLocalBehaviorFromChi:
 
     def test_eve_symbol_rejects_a_non_bit(self):
         # 2 gave 9, outside the alphabet; 0.5 gave 3.0 and -1 gave -3
-        for bit, message in ((2, "a must be 0 or 1, got 2"), (-1, "a must be 0 or 1, got -1"),
+        for bit, message in ((2, "a must lie in 0..1, got 2"), (-1, "a must lie in 0..1, got -1"),
                              (0.5, "a must be an integer, got 0.5")):
-            with pytest.raises(ValueError, match=f"^{message}$"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 eve_symbol(bit, 0, 0)
-        with pytest.raises(ValueError, match="^b2 must be 0 or 1, got 2$"):
+        with pytest.raises(ValueError, match=r"^b2 must lie in 0\.\.1, got 2$"):
             eve_symbol(0, 0, 2)
 
 

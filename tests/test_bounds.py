@@ -61,13 +61,16 @@ class TestBoundCurveValidation:
         BoundCurve("x", ((0.0, 1.0), (0.1, -5e-10)))
         below = math.nextafter(bounds.VALUE_FLOOR, -math.inf)
         for value in (-0.5, below):
-            with pytest.raises(ValueError, match="^curve values must be finite and at least "
-                                                 "-1e-09$"):
+            with pytest.raises(ValueError, match="^curve values must be real, finite and at "
+                                                 "least -1e-09$"):
                 BoundCurve("x", ((0.0, 1.0), (0.1, value)))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            BoundCurve("x", ((0.0, math.inf),))
+        # "0.5" was read as 0.5 and None was a TypeError
+        for value in (math.inf, math.nan, "0.5", None):
+            with pytest.raises(ValueError, match="^curve values must be real, finite and at "
+                                                 "least -1e-09$"):
+                BoundCurve("x", ((0.0, value),))
         # nor a noise column that `compute_curves` would not take as a grid
         outside = r"^nu must lie in \[0, 1\], got "
         for samples, message in (
@@ -284,7 +287,7 @@ class TestValidators:
 
     def test_workers_bounds(self, pools, no_points):
         for bad in (0, -3, MAX_WORKERS + 1):
-            with pytest.raises(ValueError, match="invalid workers"):
+            with pytest.raises(ValueError, match=rf"^workers must lie in 1\.\.64, got {bad}$"):
                 compute_curves([0.1], workers=bad)
         assert pools == []
 
@@ -324,10 +327,17 @@ class TestEnumeratePartitions:
             enumerate_partitions(3.5)
         with pytest.raises(ValueError, match="^n must be an integer, got 2.5$"):
             partitions_as_masks(2.5)
+        # -1 gave ((),), the partitions of no items
+        with pytest.raises(ValueError, match=r"^n must lie in 0\.\.10, got -1$"):
+            partitions_as_masks(-1)
 
     def test_large_n_rejected_before_enumerating(self):
-        with pytest.raises(ValueError, match="at most 10"):
+        with pytest.raises(ValueError, match=r"^n_parties must lie in 3\.\.10, got 1000000000$"):
             enumerate_partitions(10**9)
+        # the brute-force reference enumerated Bell(n) partitions and cached them
+        with pytest.raises(ValueError, match=r"^n must lie in 0\.\.10, got 1000000000$"):
+            partitions_as_masks(10**9)
+        assert len(partitions_as_masks(0)) == 1
 
     def test_bell_numbers(self):
         for n, bell in ((1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)):
@@ -420,11 +430,22 @@ class TestRelay:
             relay_chain(1.5, [2])
         with pytest.raises(ValueError, match="^edge key must be an integer, got 2.7$"):
             relay_chain(1, [2.7])
+        # keys are bit strings: (-1, [5]) gave final keys (-1, -1)
+        with pytest.raises(ValueError, match="^r must be at least 0, got -1$"):
+            relay_chain(-1, [5])
+        with pytest.raises(ValueError, match="^edge key must be at least 0, got -5$"):
+            relay_chain(1, [2, -5])
+        # bits(2.5) was a TypeError and bits(-3) gave 0
+        with pytest.raises(ValueError, match="^k must be an integer, got 2.5$"):
+            Xorshift64Star(1).bits(2.5)
+        with pytest.raises(ValueError, match="^k must be at least 0, got -3$"):
+            Xorshift64Star(1).bits(-3)
+        assert Xorshift64Star(1).bits(0) == 0
 
     def test_rejects_oversized_arguments_before_sampling(self):
-        with pytest.raises(ValueError, match="at most 1024 parties"):
+        with pytest.raises(ValueError, match=r"^n_parties must lie in 3\.\.1024, got 1000000000$"):
             relay_simulate(10**9, 8, 1)
-        with pytest.raises(ValueError, match="key_len"):
+        with pytest.raises(ValueError, match=r"^key_len must lie in 1\.\.4096, got 1000000000$"):
             relay_simulate(3, 10**9, 1)
         assert len(relay_simulate(MAX_RELAY_PARTIES, 1, 1).final_keys) == MAX_RELAY_PARTIES
         assert relay_simulate(3, MAX_KEY_LEN, 1).r < 1 << MAX_KEY_LEN

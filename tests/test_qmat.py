@@ -47,6 +47,17 @@ class TestDensityMatrixValidation:
         for dim in (2.0, 2.5):
             with pytest.raises(ValueError, match=f"^x dimension must be an integer, got {dim}$"):
                 hermitian_matrix(np.eye(2), dim, 0.0, "x")
+        # below 1: numpy's "zero-size array" and "negative dimensions" errors
+        with pytest.raises(ValueError, match="^x dimension must be at least 1, got 0$"):
+            hermitian_matrix(np.zeros((0, 0)), 0, 0.0, "x")
+        with pytest.raises(ValueError, match="^dimension must be at least 1, got -2$"):
+            maximally_mixed((-2,))
+
+    def test_rejects_no_or_empty_subsystems(self):
+        with pytest.raises(ValueError, match="^dimension must be at least 1, got 0$"):
+            DensityMatrix((2, 0), np.eye(2) / 2)
+        with pytest.raises(ValueError, match="^a density matrix needs at least one subsystem$"):
+            DensityMatrix((), np.eye(1))
 
     def test_matrix_is_immutable(self, rng):
         rho = random_density(rng, (2, 2))
@@ -77,6 +88,9 @@ class TestPovmValidation:
                                                  "square shape") as err:
                 Povm(effects)
             assert "\n" not in str(err.value)
+        # numpy's "zero-size array to reduction operation maximum which has no identity"
+        with pytest.raises(ValueError, match="^POVM effect dimension must be at least 1, got 0$"):
+            Povm((np.zeros((0, 0)),))
 
     def test_rejects_negative_effect(self):
         with pytest.raises(ValueError, match="positive"):
@@ -133,7 +147,7 @@ class TestPartialTrace:
         assert abs(reduced.matrix.trace() - 1.0) < 1e-12
 
     def test_index_out_of_range(self, rng):
-        with pytest.raises(ValueError, match=r"^keep index out of range for 2 factors: \[2\]$"):
+        with pytest.raises(ValueError, match=r"^keep index must lie in 0\.\.1, got 2$"):
             partial_trace(random_density(rng, (2, 2)), [2])
 
     def test_non_integral_index_rejected(self, rng):

@@ -102,13 +102,16 @@ class TestValidation:
             ClassicalChannel.from_partition([[0], [1]], 3)
         with pytest.raises(ValueError, match="disjoint"):
             ClassicalChannel.from_partition([[0, 1], [1, 2]], 3)
-        for blocks in ([[0], [5]], [[0], [-1]]):
-            with pytest.raises(ValueError, match="not an integer in 0..1"):
+        for blocks, bad in (([[0], [5]], 5), ([[0], [-1]], -1)):
+            with pytest.raises(ValueError, match=rf"^symbol must lie in 0\.\.1, got {bad}$"):
                 ClassicalChannel.from_partition(blocks, 2)
         with pytest.raises(ValueError, match="^symbol must be an integer, got 1.0$"):
             ClassicalChannel.from_partition([[0], [1.0]], 2)
         with pytest.raises(ValueError, match="^in_alphabet must be an integer, got 2.5$"):
             ClassicalChannel.from_partition([[0], [1]], 2.5)
+        # numpy's "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match="^in_alphabet must be at least 1, got -1$"):
+            ClassicalChannel.from_partition([[0]], -1)
 
     def test_partition_symbols_are_read_as_indices(self):
         # True is symbol 1, as Behavior.conditional reads it; numpy's boolean
@@ -816,6 +819,35 @@ class TestDualIntrinsic:
             dist = random_joint(rng, (2, 2, 2), 3)
             value, _ = dual_intrinsic(dist)
             assert value <= s_n(dist) + 1e-12
+
+
+class TestInteger:
+    def test_bounds_are_inclusive(self):
+        for value in (2, 5, np.int64(3), np.uint8(5)):
+            out = secrecy.integer(value, "x", 2, 5)
+            assert type(out) is int and out == value
+        assert secrecy.integer(10**30, "x", 2) == 10**30
+        assert secrecy.integer(-7, "x") == -7
+
+    def test_outside_the_range_rejected(self):
+        for value in (1, 6, np.int64(6), -(10**30)):
+            with pytest.raises(ValueError, match=rf"^x must lie in 2\.\.5, got {value}$"):
+                secrecy.integer(value, "x", 2, 5)
+
+    def test_below_a_lower_bound_rejected(self):
+        for value in (1, np.int32(-4)):
+            with pytest.raises(ValueError, match=rf"^x must be at least 2, got {value}$"):
+                secrecy.integer(value, "x", 2)
+
+    def test_a_bool_is_its_integer(self):
+        assert secrecy.integer(True, "x", 1, 1) == 1
+        with pytest.raises(ValueError, match=r"^x must lie in 1\.\.5, got 0$"):
+            secrecy.integer(False, "x", 1, 5)
+
+    def test_non_integer_message_unchanged(self):
+        for value, shown in ((2.5, "2.5"), ("3", "'3'"), (None, "None"), (3.0, "3.0")):
+            with pytest.raises(ValueError, match=f"^x must be an integer, got {shown}$"):
+                secrecy.integer(value, "x", 0, 5)
 
 
 class TestUnitInterval:

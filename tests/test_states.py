@@ -38,9 +38,9 @@ class TestGhz:
             assert m[4 * i, 4 * i] == pytest.approx(1 / 3)
 
     def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n_parties must be at least 2, got 1$"):
             ghz(1, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^local_dim must be at least 2, got 1$"):
             ghz(2, 1)
 
     def test_rejects_non_integral_sizes(self):
