@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .attacks import CcAttack, build_cc_attack, eve_postprocess
 from .partitions import set_partitions
-from .secrecy import (REAL, dual_intrinsic, entropy_bits, integer, intrinsic_information, s_n,
+from .secrecy import (dual_intrinsic, entropy_bits, integer, intrinsic_information, real, s_n,
                       shannon_cmi, unit_interval)
 
 VALUE_FLOOR = -1e-9
@@ -42,7 +42,7 @@ class BoundCurve:
     def __post_init__(self):
         nus = _check_grid([n for n, _ in self.samples])
         # a value that is not a real number reads as NaN, which the check refuses
-        values = [float(v) if isinstance(v, REAL) else math.nan for _, v in self.samples]
+        values = [real(v) for _, v in self.samples]
         if any(not math.isfinite(v) or v < VALUE_FLOOR for v in values):
             raise ValueError(f"curve values must be real, finite and at least {VALUE_FLOOR:g}")
         object.__setattr__(self, "samples", tuple(zip(nus, values)))
@@ -58,8 +58,8 @@ def noise_grid(lo: float, hi: float, step: float) -> list[float]:
     nu = 1 is never a point: no curve is defined there.  More than
     MAX_GRID_POINTS points are rejected before any is built.
     """
-    lo, hi = unit_interval(lo, "nu_min"), unit_interval(hi, "nu_max")
-    if not (lo < hi and isinstance(step, REAL) and 0.0 < step < math.inf):
+    lo, hi, step = unit_interval(lo, "nu_min"), unit_interval(hi, "nu_max"), real(step)
+    if not (lo < hi and 0.0 < step < math.inf):
         raise ValueError(f"invalid grid: need 0 <= nu_min < nu_max <= 1 and a finite "
                          f"nu_step > 0 (got {lo}, {hi}, {step})")
     span = (hi - lo) / step + 1e-9

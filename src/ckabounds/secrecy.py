@@ -17,8 +17,10 @@ program over the set partitions of Eve's alphabet (`_best_partition`, at
 most EXHAUSTIVE_LIMIT symbols).  The best deterministic channel it finds
 is scored by `_objective` and optionally refined by coordinate descent
 (`_refine`), whose first batch screens every move at every step in one
-`_screen` call, so a start it cannot improve costs one screen; only the
-channel returned is checked as a `ClassicalChannel`.
+`_screen` call, so a start it cannot improve costs one screen.  That batch's
+shape part, its trial rows and the entries they move, is built once per start
+channel (`_first_batch`), and each search gathers its own table into it.  Only
+the channel returned is checked as a `ClassicalChannel`.
 
 The search tries only that deterministic channel and a local descent from
 it over stochastic channels with one output per block, so its values are
@@ -36,7 +38,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,7 +51,8 @@ REFINE_SWEEPS = 200
 REFINE_STEP = 0.5
 REFINE_TOL = 1e-9
 MARGIN = 1e-12  # bits: `_screen_bound` of the attack's tables, rounded up
-REAL = (float, numbers.Real)  # what `unit_interval` takes; float first skips the ABC check
+FIRST_BATCHES = 16  # start channels whose first refinement batch `_first_batch` keeps
+REAL = (float, numbers.Real)  # what `real` reads; float first skips the ABC check
 
 
 def entropy_bits(vec: np.ndarray) -> float:
@@ -74,12 +77,23 @@ def integer(value, name: str, lo: int | None = None, hi: int | None = None) -> i
     return v
 
 
+def real(value) -> float:
+    """`value` as a float if it is a real number, NaN if not ("0.1", None); an int or
+    fraction beyond the float range, such as 10**400, reads as inf or -inf."""
+    if not isinstance(value, REAL):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def unit_interval(value, name: str) -> float:
     """`value` as a float in [0, 1], -0.0 read as +0.0; anything else, "0.1", None,
-    an array, 1.5 or NaN, is a ValueError led by `name`."""
+    an array, 1.5, 10**400 or NaN, is a ValueError led by `name`."""
     if not isinstance(value, REAL):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not 0.0 <= (x := float(value)) <= 1.0:
+    if not 0.0 <= (x := real(value)) <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
     return x + 0.0  # -0.0 + 0.0 is +0.0
 
@@ -328,28 +342,28 @@ def _partition_layers(ne: int) -> tuple[tuple[tuple[np.ndarray, ...], ...], tupl
     S's lowest symbol, in descending order of the submask T - low(S), as the `phi`
     index T - 1 and as the remainder S - T.  Also returns each solved subset's
     (layer, row), indexed by its mask, and None for the other masks.  No remainder
-    holds symbol 0, so every remainder but 0 is solved in an earlier layer."""
+    holds symbol 0, so every remainder but 0 is solved in an earlier layer.
+
+    Subsets come in ascending order within a layer.  The submasks of S - low(S),
+    descending, are its bits picked by the bits of 2^k - 1, 2^k - 2, ..., 0, with
+    k = |S| - 1, since picking bits keeps the order of the pickers."""
     full = (1 << ne) - 1
-    layers = [([], [], []) for _ in range(ne)]
-    where = [None] * (full + 1)
-    for s in [*range(2, full, 2), full]:
-        low = s & -s
-        rest = s ^ low
-        blocks, t = [], rest
-        for _ in range(1 << rest.bit_count()):
-            blocks.append(t | low)
-            t = (t - 1) & rest
-        k = s.bit_count() - 1
-        subsets, minus_one, remainders = layers[k]
-        where[s] = (k, len(subsets))
-        subsets.append(s)
-        minus_one.append([b - 1 for b in blocks])
-        remainders.append([s ^ b for b in blocks])
-    out = tuple(tuple(np.array(a, dtype=np.intp) for a in layer) for layer in layers)
-    for arrays in out:
+    masks = np.append(np.arange(2, full, 2, dtype=np.intp), full)
+    bits = masks[:, np.newaxis] >> np.arange(ne) & 1
+    sizes = bits.sum(axis=1)
+    layers, where = [], [None] * (full + 1)
+    for k in range(ne):
+        subsets = masks[sizes == k + 1]
+        symbols = np.nonzero(bits[sizes == k + 1])[1].reshape(subsets.size, k + 1)
+        pickers = np.arange((1 << k) - 1, -1, -1)[:, np.newaxis] >> np.arange(k) & 1
+        blocks = ((1 << symbols[:, 1:]) @ pickers.T) | (1 << symbols[:, :1])
+        layers.append((subsets, blocks - 1, subsets[:, np.newaxis] ^ blocks))
+        for row, s in enumerate(subsets.tolist()):
+            where[s] = (k, row)
+    for arrays in layers:
         for a in arrays:
             a.flags.writeable = False  # shared by every caller through the cache
-    return out, tuple(where)
+    return tuple(layers), tuple(where)
 
 
 def _best_partition(phi: np.ndarray) -> list[list[int]]:
@@ -392,10 +406,27 @@ def _nonzeros(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, values, kept
 
 
+class _Trials(NamedTuple):
+    """A block of trials, the part of a `_screen` call that does not depend on q: cell
+    (k, c) sets row e[c] of the channel to rows[k, c] (rows is (R, C, |F|)), delta is
+    rows - mat[e], and (c, f) are the (column, f) pairs that some row moves."""
+
+    e: np.ndarray
+    rows: np.ndarray
+    delta: np.ndarray
+    c: np.ndarray
+    f: np.ndarray
+
+
+def _trials(mat: np.ndarray, e: np.ndarray, rows: np.ndarray) -> _Trials:
+    """The `_Trials` block that sets row e[c] of `mat` to rows[k, c]."""
+    delta = rows - mat[e]
+    return _Trials(e, rows, delta, *np.nonzero(delta.any(axis=0)))
+
+
 def _screen(q: np.ndarray, support: tuple[np.ndarray, np.ndarray, np.ndarray],
-            coeffs: np.ndarray, mat: np.ndarray, e: np.ndarray,
-            rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per cell (k, c) of `rows` (R, C, |F|), the trial that sets row e[c] of `mat` to
+            coeffs: np.ndarray, mat: np.ndarray, trials: _Trials) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell (k, c) of the `_Trials` block, the trial that sets row e[c] of `mat` to
     rows[k, c]: the change of -sum_r coeffs[r] sum_f `_plogp`(q @ L)[r, f], and whether
     it moves an entry within 2x of PROB_FLOOR.
 
@@ -406,8 +437,7 @@ def _screen(q: np.ndarray, support: tuple[np.ndarray, np.ndarray, np.ndarray],
     entry outside the pairs adds exactly 0.  Each cell's terms are summed in (f, r)
     order, one after another."""
     q_rows, q_vals, kept = support
-    delta = rows - mat[e]
-    c, f = np.nonzero(delta.any(axis=0))  # the (column, f) pairs some row moves
+    e, rows, delta, c, f = trials
     col = e[c]
     pair, slot = np.nonzero(kept[col])  # the pairs' entries end to end, pair by pair
     col, c, f = col[pair], c[pair], f[pair]
@@ -455,6 +485,43 @@ def _moves(ne: int, nf: int) -> tuple[np.ndarray, np.ndarray]:
     return every_e, targets
 
 
+def _trial_rows(mat: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row e of `mat` after move (e, f) at each step, as (step, e * nf + f, nf), and
+    whether the move changes the row.  (1 - step) row + step 1_f adds an exact 0 off
+    column f."""
+    every_e, targets = _moves(*mat.shape)
+    now = mat[every_e]
+    steps = steps[:, np.newaxis, np.newaxis]
+    rows = (1.0 - steps) * now + steps * targets
+    return rows, (rows != now).any(axis=2)
+
+
+def _ladder(mat: np.ndarray, steps: np.ndarray):
+    """Every move of `mat` at each of `steps`, one row of trials per step: (ks, moves,
+    rows, trials), trial i being move moves[i] = e * nf + f at step ks[i], which sets
+    row e to rows[i], and `trials` the `_Trials` block over every move; None if no
+    move changes its row."""
+    every_e, _ = _moves(*mat.shape)
+    rows, changed = _trial_rows(mat, steps)
+    ks, moves = np.nonzero(changed)
+    if not ks.size:
+        return None
+    return ks, moves, rows[ks, moves], _trials(mat, every_e, rows)
+
+
+@lru_cache(maxsize=FIRST_BATCHES)
+def _first_batch(shape: tuple[int, int], start: bytes, steps: bytes):
+    """The `_ladder` of the start channel, a float array of `shape` given by its bytes,
+    over the float `steps`, also given by their bytes: the shape part of the first batch
+    of every search from that start, built once and read-only."""
+    ladder = _ladder(np.frombuffer(start).reshape(shape), np.frombuffer(steps))
+    if ladder is not None:
+        ks, moves, rows, trials = ladder
+        for a in (ks, moves, rows, *trials):
+            a.flags.writeable = False  # shared by every search from this start
+    return ladder
+
+
 def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, float]],
             channel: np.ndarray, best: float) -> tuple[np.ndarray, float]:
     """Coordinate descent on channel rows; step halves when a sweep stalls.  `margs` are
@@ -477,30 +544,23 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
     1e-9.  The first batch, before any move is kept, is screened whole in one `_screen`
     call, one row per step over every move: a start the descent cannot leave, as on the
     whole default grid, costs that one call, or none if it has no trial (one block).
-    In every later batch the first two sweeps are screened first, their trials as one
-    row, and the later ones are built and screened only if neither has a passing trial,
-    as one row per step over every move.  `_screen` rules out the trials that cannot
-    pass and `_objective`, the oracle's own expression, scores the rest in order: the
-    result is bit for bit that of scoring the moves one at a time.
+    That batch's shape part (its trial rows and the pairs they move, `_ladder`) depends
+    only on the start channel, so `_first_batch` builds it once per start; only q's
+    part is gathered per search.  In every later batch the first two sweeps are screened
+    first, their trials as one row, and the later ones are built and screened only if
+    neither has a passing trial, as one row per step over every move.  `_screen` rules
+    out the trials that cannot pass and `_objective`, the oracle's own expression,
+    scores the rest in order: the result is bit for bit that of scoring the moves one at
+    a time.
     """
     n = dist.parties
     ne, nf = channel.shape
-    every_e, targets = _moves(ne, nf)
     mat = channel.copy()
     q = np.concatenate([m for m, _ in margs])
     coeffs = np.concatenate([np.full(m.shape[0], c) for m, c in margs])
     support = _nonzeros(q)
     entries, c_abs = sum(map(len, _plan(n, kind)[1])), sum(abs(c) for _, c in margs)
     margin = max(MARGIN, _screen_bound(dist.probs.size // ne, ne, nf, len(q), entries, c_abs))
-
-    def trial_rows(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row e after move (e, f) at each step, as (step, e * nf + f, nf), and
-        whether the move changes the row.  (1 - step) row + step 1_f adds an exact
-        0 off column f."""
-        now = mat[every_e]
-        steps = steps[:, np.newaxis, np.newaxis]
-        rows = (1.0 - steps) * now + steps * targets
-        return rows, (rows != now).any(axis=2)
 
     def first_pass(ks: np.ndarray, moves: np.ndarray, rows: np.ndarray, change: np.ndarray,
                    ambiguous: np.ndarray):
@@ -525,24 +585,26 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
         screened = 0  # the steps of this batch screened so far
         if start:  # after a kept move: this sweep and the next first, their trials as one row
             steps = np.array([step, ahead] if ahead >= 1e-9 else [step])[:REFINE_SWEEPS - sweep]
-            rows, changed = trial_rows(steps)
+            rows, changed = _trial_rows(mat, steps)
             changed[:1, :start] = False
             changed[1:2, (start if ahead == step else ne * nf):] = False
             ks, moves = np.nonzero(changed)
             if moves.size:  # by step, then move = e * nf + f
                 rows = rows[ks, moves]
-                change, ambiguous = _screen(q, support, coeffs, mat, moves // nf, rows[np.newaxis])
+                trials = _trials(mat, moves // nf, rows[np.newaxis])
+                change, ambiguous = _screen(q, support, coeffs, mat, trials)
                 found = first_pass(ks, moves, rows, change[0], ambiguous[0])
             screened = 2
         if found is None:  # the rest, each sweep at half the last step, one row per step
             steps = np.ldexp(ahead, 1 - np.arange(REFINE_SWEEPS - sweep))  # 2 ahead, ahead, ...
             steps[0] = step
             steps = steps[steps >= 1e-9]
-            rows, changed = trial_rows(steps[screened:])
-            if changed.any():  # over every move
-                change, ambiguous = _screen(q, support, coeffs, mat, every_e, rows)
-                ks, moves = np.nonzero(changed)
-                found = first_pass(ks + screened, moves, rows[ks, moves], change[ks, moves],
+            ladder = (_ladder(mat, steps[screened:]) if start
+                      else _first_batch(mat.shape, mat.tobytes(), steps.tobytes()))
+            if ladder is not None:  # over every move
+                ks, moves, rows, trials = ladder
+                change, ambiguous = _screen(q, support, coeffs, mat, trials)
+                found = first_pass(ks + screened, moves, rows, change[ks, moves],
                                    ambiguous[ks, moves])
         if found is None:
             return mat, best
@@ -569,7 +631,7 @@ def _minimize_over_channels(dist: JointDistribution, kind: str,
     for j, block in enumerate(blocks):
         mat[block, j] = 1.0
     value = _objective(dist.probs @ mat, dist.parties, kind)
-    if budget.refine:
+    if budget.refine and len(blocks) > 1:  # every channel to one output is the same
         mat, value = _refine(dist, kind, margs, mat, value)
     return value, ClassicalChannel(mat)
 

@@ -323,8 +323,9 @@ def screened_batches(dist, kind: str, start: np.ndarray) -> list:
     batches = []
     screen = secrecy._screen
 
-    def recorded(q, support, coeffs, mat, e, rows):
-        result = screen(q, support, coeffs, mat, e, rows)
+    def recorded(q, support, coeffs, mat, block):
+        result = screen(q, support, coeffs, mat, block)
+        e, rows = block.e, block.rows
         trials = screened_trials(mat, e, rows)
         e = np.broadcast_to(e, trials.shape)[trials]
         batches.append(((q, coeffs, mat.copy(), e, rows[trials]),
@@ -424,6 +425,29 @@ def best_partition_loop(phi) -> list[list[int]]:
         blocks.append([i for i in range(ne) if choice[s] >> i & 1])
         s ^= choice[s]
     return blocks
+
+
+def partition_layers_loop(ne: int) -> tuple[list[tuple[np.ndarray, ...]], list]:
+    """`secrecy._partition_layers` one subset at a time: for each solved S in
+    ascending order, its blocks T holding S's lowest symbol, walked down the
+    submasks of S - low(S) by t -> (t - 1) & (S - low(S))."""
+    full = (1 << ne) - 1
+    layers = [([], [], []) for _ in range(ne)]
+    where = [None] * (full + 1)
+    for s in [*range(2, full, 2), full]:
+        low = s & -s
+        rest = s ^ low
+        blocks, t = [], rest
+        for _ in range(1 << rest.bit_count()):
+            blocks.append(t | low)
+            t = (t - 1) & rest
+        k = s.bit_count() - 1
+        subsets, minus_one, remainders = layers[k]
+        where[s] = (k, len(subsets))
+        subsets.append(s)
+        minus_one.append([b - 1 for b in blocks])
+        remainders.append([s ^ b for b in blocks])
+    return [tuple(np.array(a, dtype=np.intp) for a in layer) for layer in layers], where
 
 
 def block_table(dist, kind: str) -> np.ndarray:

@@ -66,8 +66,8 @@ class TestBoundCurveValidation:
                 BoundCurve("x", ((0.0, 1.0), (0.1, value)))
 
     def test_rejects_non_finite(self):
-        # "0.5" was read as 0.5 and None was a TypeError
-        for value in (math.inf, math.nan, "0.5", None):
+        # "0.5" was read as 0.5, None was a TypeError and 10**400 an OverflowError
+        for value in (math.inf, math.nan, "0.5", None, 10**400):
             with pytest.raises(ValueError, match="^curve values must be real, finite and at "
                                                  "least -1e-09$"):
                 BoundCurve("x", ((0.0, value),))
@@ -254,6 +254,8 @@ class TestValidators:
         # lo + 0 * inf is nan, which the rounding filter would silently drop
         with pytest.raises(ValueError, match="finite nu_step"):
             noise_grid(0.0, 0.13, math.inf)
+        with pytest.raises(ValueError, match=r"finite nu_step > 0 \(got 0.0, 0.13, inf\)$"):
+            noise_grid(0.0, 0.13, 10**400)  # was an OverflowError
 
     def test_noise_grid_rejects_a_value_that_is_not_a_number(self):
         # each was a TypeError

@@ -7,7 +7,7 @@ import pytest
 
 from ckabounds import secrecy
 from ckabounds.attacks import build_cc_attack
-from ckabounds.bounds import default_grid
+from ckabounds.bounds import compute_curves, default_grid, noise_grid, write_curves_csv
 from ckabounds.partitions import partitions_as_masks
 from ckabounds.secrecy import (EXHAUSTIVE_LIMIT, PROB_FLOOR, ClassicalChannel,
                                JointDistribution, SearchBudget, _best_partition,
@@ -367,6 +367,17 @@ class TestBestPartition:
         assert pairs == (3 ** (ne - 1) - 1) // 2 + 2 ** (ne - 1)
 
     @pytest.mark.parametrize("ne", range(1, EXHAUSTIVE_LIMIT + 1))
+    def test_layers_match_the_submask_loop(self, ne):
+        # the DP's ties go to the first minimal block, so the order must match too
+        layers, where = _partition_layers(ne)
+        want_layers, want_where = oracles.partition_layers_loop(ne)
+        assert list(where) == want_where
+        assert len(layers) == len(want_layers)
+        for got, want in zip(layers, want_layers):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("ne", range(1, EXHAUSTIVE_LIMIT + 1))
     def test_matches_loop_on_tie_heavy_tables(self, rng, ne):
         # block values from a few small integers: many partitions tie exactly,
         # so the first minimal block of each subset decides the partition
@@ -424,9 +435,9 @@ def count_scores(monkeypatch):
     rows, exact = [], []
     screen, objective = secrecy._screen, secrecy._objective
 
-    def screened(q, support, coeffs, mat, e, new):
-        rows.append(int(oracles.screened_trials(mat, e, new).sum()))
-        return screen(q, support, coeffs, mat, e, new)
+    def screened(q, support, coeffs, mat, trials):
+        rows.append(int(oracles.screened_trials(mat, trials.e, trials.rows).sum()))
+        return screen(q, support, coeffs, mat, trials)
 
     def scored(p, n_parties, kind):
         exact.append(kind)
@@ -516,7 +527,8 @@ class TestBatchedSearch:
             step = rng.choice([0.5, 0.25, 1e-3, 1e-17], size=(n_steps, 1, 1))
             rows = (1.0 - step) * mat[e] + step * np.eye(nf)[rng.integers(nf, size=n_cols)]
             coeffs = rng.choice([-2.0, -1.0, 1.0], size=n_rows)
-            change, ambiguous = secrecy._screen(q, secrecy._nonzeros(q), coeffs, mat, e, rows)
+            change, ambiguous = secrecy._screen(q, secrecy._nonzeros(q), coeffs, mat,
+                                                 secrecy._trials(mat, e, rows))
             assert change.shape == ambiguous.shape == (n_steps, n_cols)
             e_t, rows_t = np.broadcast_to(e, change.shape).ravel(), rows.reshape(-1, nf)
             change, ambiguous = change.ravel(), ambiguous.ravel()
@@ -713,6 +725,64 @@ class TestBatchedSearch:
                 assert _best_partition(phi) == oracles.best_partition_loop(phi)
 
 
+def curves_csv(grid) -> str:
+    fh = io.StringIO()
+    write_curves_csv(compute_curves(grid, minimize=True), fh)
+    return fh.getvalue()
+
+
+class TestFirstBatch:
+    """`_first_batch` keeps the shape part of each start channel's first batch."""
+
+    def test_curves_do_not_depend_on_the_memo(self, monkeypatch):
+        golden = (oracles.GOLDEN / "curves_min.csv").read_bytes().decode()
+        secrecy._first_batch.cache_clear()
+        cleared = curves_csv(default_grid())
+        warm = curves_csv(default_grid())
+        monkeypatch.setattr(secrecy, "_first_batch", secrecy._first_batch.__wrapped__)
+        unkept = curves_csv(default_grid())  # built afresh for every search
+        assert cleared == warm == unkept == golden
+
+    def test_cached_arrays_are_read_only(self, monkeypatch):
+        kept, memo = [], secrecy._first_batch
+
+        def recorded(*key):
+            kept.append(memo(*key))
+            return kept[-1]
+
+        monkeypatch.setattr(secrecy, "_first_batch", recorded)
+        dist = build_cc_attack(0.05).joint
+        intrinsic_information(dist)
+        dual_intrinsic(dist)
+        assert len(kept) == 2 and kept[0] is kept[1]  # both start at honest mimicry
+        ks, moves, rows, trials = kept[0]
+        arrays = [ks, moves, rows, *trials]
+        assert len(arrays) == 8 and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.5
+
+    @pytest.mark.parametrize("grid, plans, searches, screens", [
+        # 104 searches start at honest mimicry; nu = 0's two start from one block
+        (default_grid(), 1, 104, 104),
+        # curves_min_high_noise's grid: 19, 6 and 1 searches start from three
+        # partitions, and 24 from one block
+        (noise_grid(0.3, 0.9, 0.025), 3, 26, 2716),
+    ])
+    def test_one_plan_per_start_on_bench_grids(self, monkeypatch, grid, plans, searches,
+                                               screens):
+        calls, screen = [], secrecy._screen
+
+        def counted(*args):
+            calls.append(1)
+            return screen(*args)
+
+        monkeypatch.setattr(secrecy, "_screen", counted)
+        secrecy._first_batch.cache_clear()
+        compute_curves(grid, minimize=True)
+        info = secrecy._first_batch.cache_info()
+        assert (info.misses, info.hits + info.misses, len(calls)) == (plans, searches, screens)
+
+
 class TestIntrinsicInformation:
     def test_correlated_pair_with_independent_eve(self):
         probs = np.zeros((2, 2, 2))
@@ -850,6 +920,16 @@ class TestInteger:
                 secrecy.integer(value, "x", 0, 5)
 
 
+class TestReal:
+    def test_reads_real_numbers_and_nothing_else(self):
+        for value, want in ((0.25, 0.25), (3, 3.0), (np.float32(0.5), 0.5), (10**400, math.inf),
+                            (-(10**400), -math.inf), (math.inf, math.inf)):
+            out = secrecy.real(value)
+            assert type(out) is float and out == want
+        for value in ("0.5", None, 0.5 + 0j, math.nan):
+            assert math.isnan(secrecy.real(value))
+
+
 class TestUnitInterval:
     def test_real_numbers_keep_their_value(self):
         for value in (0, 1, True, False, 0.25, np.float64(0.1), np.float32(0.5), np.int64(1),
@@ -870,7 +950,8 @@ class TestUnitInterval:
     def test_outside_unit_interval_rejected(self):
         for value, shown in ((-0.1, "-0.1"), (1.5, "1.5"), (math.nan, "nan"),
                              (math.inf, "inf"), (np.float64(-1e-300), "-1e-300"),
-                             (2, "2.0"), (math.nextafter(1.0, 2.0), "1.0000000000000002")):
+                             (2, "2.0"), (math.nextafter(1.0, 2.0), "1.0000000000000002"),
+                             (10**400, "inf"), (-(10**400), "-inf")):  # were OverflowErrors
             with pytest.raises(ValueError, match=rf"^x must lie in \[0, 1\], got {shown}$"):
                 unit_interval(value, "x")
 
@@ -893,6 +974,8 @@ class TestContinuityEnvelope:
             continuity_envelope(1.5, 1.0, "cmi")
         with pytest.raises(ValueError, match="^eps must be a real number, got None$"):
             continuity_envelope(None, 1.0, "cmi")  # was a TypeError
+        with pytest.raises(ValueError, match=r"^eps must lie in \[0, 1\], got inf$"):
+            continuity_envelope(10**400, 1.0, "cmi")  # was an OverflowError
         with pytest.raises(ValueError):
             continuity_envelope(0.5, 1.0, "unknown")
 
