@@ -17,10 +17,13 @@ program over the set partitions of Eve's alphabet (`_best_partition`, at
 most EXHAUSTIVE_LIMIT symbols).  The best deterministic channel it finds
 is scored by `_objective` and optionally refined by coordinate descent
 (`_refine`), whose first batch screens every move at every step in one
-`_screen` call, so a start it cannot improve costs one screen.  That batch's
-shape part, its trial rows and the entries they move, is built once per start
-channel (`_first_batch`), and each search gathers its own table into it.  Only
-the channel returned is checked as a `ClassicalChannel`.
+`_screen` call, so a start it cannot improve costs one screen.  A screen has an
+index part, `_screen_plan`: the trial rows and the entries of the stacked
+marginals q they move, which depend on q only through its support.  The first
+batch's plan is built once per start channel and support (`_first_batch`), so a
+search that keeps no move only gathers q's values into it, and the screen's error
+bound is computed once per table shape, objective and |F| (`_screen_bound`).
+Only the channel returned is checked as a `ClassicalChannel`.
 
 The search tries only that deterministic channel and a local descent from
 it over stochastic channels with one output per block, so its values are
@@ -51,7 +54,7 @@ REFINE_SWEEPS = 200
 REFINE_STEP = 0.5
 REFINE_TOL = 1e-9
 MARGIN = 1e-12  # bits: `_screen_bound` of the attack's tables, rounded up
-FIRST_BATCHES = 16  # start channels whose first refinement batch `_first_batch` keeps
+FIRST_BATCHES = 16  # (start channel, support) pairs whose first batch `_first_batch` keeps
 REAL = (float, numbers.Real)  # what `real` reads; float first skips the ABC check
 
 
@@ -394,57 +397,49 @@ def _best_partition(phi: np.ndarray) -> list[list[int]]:
     return blocks
 
 
-def _nonzeros(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """q's nonzero entries column by column, as (rows, values, kept), each of shape
-    (columns, L) with L the most nonzeros a column holds: column j's nonzero row indices
-    ascending in rows[j], those entries in values[j], and the slots in use in kept[j]."""
-    col, row = np.nonzero(q.T)
-    slot = np.arange(col.size) - np.searchsorted(col, col)
-    shape = (q.shape[1], int(slot.max(initial=-1)) + 1)
-    rows, values, kept = np.zeros(shape, dtype=int), np.zeros(shape), np.zeros(shape, dtype=bool)
-    rows[col, slot], values[col, slot], kept[col, slot] = row, q[row, col], True
-    return rows, values, kept
-
-
-class _Trials(NamedTuple):
-    """A block of trials, the part of a `_screen` call that does not depend on q: cell
-    (k, c) sets row e[c] of the channel to rows[k, c] (rows is (R, C, |F|)), delta is
-    rows - mat[e], and (c, f) are the (column, f) pairs that some row moves."""
+class _Plan(NamedTuple):
+    """A block of trials and the entries they move: the part of a `_screen` call that
+    depends on q only through its support.  Cell (k, c) sets row e[c] of the channel to
+    rows[k, c] (rows is (R, C, |F|)) and moves entry (r[i], f[i]) of q @ mat by
+    delta[k, i] q[r[i], col[i]], a term of cell[k, i] = k C + c."""
 
     e: np.ndarray
     rows: np.ndarray
-    delta: np.ndarray
-    c: np.ndarray
+    r: np.ndarray
+    col: np.ndarray
     f: np.ndarray
+    delta: np.ndarray
+    cell: np.ndarray
 
 
-def _trials(mat: np.ndarray, e: np.ndarray, rows: np.ndarray) -> _Trials:
-    """The `_Trials` block that sets row e[c] of `mat` to rows[k, c]."""
-    delta = rows - mat[e]
-    return _Trials(e, rows, delta, *np.nonzero(delta.any(axis=0)))
-
-
-def _screen(q: np.ndarray, support: tuple[np.ndarray, np.ndarray, np.ndarray],
-            coeffs: np.ndarray, mat: np.ndarray, trials: _Trials) -> tuple[np.ndarray, np.ndarray]:
-    """Per cell (k, c) of the `_Trials` block, the trial that sets row e[c] of `mat` to
-    rows[k, c]: the change of -sum_r coeffs[r] sum_f `_plogp`(q @ L)[r, f], and whether
-    it moves an entry within 2x of PROB_FLOOR.
+def _screen_plan(support: np.ndarray, mat: np.ndarray, e: np.ndarray,
+                 rows: np.ndarray) -> _Plan:
+    """The `_Plan` of the block that sets row e[c] of `mat` to rows[k, c], over a q whose
+    nonzero entries are `support` = (q.T != 0).
 
     Entry (r, f) moves by delta[k, c, f] q[r, e[c]], delta = rows - mat[e], so only the
     entries with q[r, e[c]] nonzero, in the (c, f) pairs that some row moves, are
-    gathered: once per pair, through `support` = `_nonzeros`(q), and broadcast over the
-    R rows.  A row that leaves a gathered pair alone adds exact zeros there, and every
-    entry outside the pairs adds exactly 0.  Each cell's terms are summed in (f, r)
-    order, one after another."""
-    q_rows, q_vals, kept = support
-    e, rows, delta, c, f = trials
+    kept: pair by pair, rows ascending, and broadcast over the R rows.  A row that
+    leaves a kept pair alone adds exact zeros there, and every entry outside the pairs
+    adds exactly 0."""
+    delta = rows - mat[e]
+    c, f = np.nonzero(delta.any(axis=0))
     col = e[c]
-    pair, slot = np.nonzero(kept[col])  # the pairs' entries end to end, pair by pair
+    pair, r = np.nonzero(support.take(col, axis=0))  # the pairs' entries end to end
     col, c, f = col[pair], c[pair], f[pair]
-    r = q_rows[col, slot]
-    moved = delta[:, c, f] * q_vals[col, slot]
     cell = c + np.arange(0, len(rows) * e.size, e.size)[:, np.newaxis]  # k C + c
-    p = np.empty((len(rows) + 1, r.size))  # each entry before, then after each row's move
+    return _Plan(e, rows, r, col, f, delta[:, c, f], cell)
+
+
+def _screen(q: np.ndarray, coeffs: np.ndarray, mat: np.ndarray,
+            plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell (k, c) of the `_Plan`, the trial that sets row e[c] of `mat` to
+    rows[k, c]: the change of -sum_r coeffs[r] sum_f `_plogp`(q @ L)[r, f], and whether
+    it moves an entry within 2x of PROB_FLOOR.  Each cell's terms are summed in (f, r)
+    order, one after another."""
+    _, rows, r, col, f, delta, cell = plan
+    moved = delta * q[r, col]
+    p = np.empty((len(delta) + 1, r.size))  # each entry before, then after each row's move
     p[0] = (q @ mat)[r, f]
     np.add(p[0], moved, out=p[1:])
     near = np.abs(p - 1.25 * PROB_FLOOR) <= 0.75 * PROB_FLOOR
@@ -455,6 +450,7 @@ def _screen(q: np.ndarray, support: tuple[np.ndarray, np.ndarray, np.ndarray],
     return change.reshape(ambiguous.shape), ambiguous
 
 
+@lru_cache(maxsize=None)
 def _screen_bound(a: int, ne: int, nf: int, rows: int, entries: int, c_abs: float) -> float:
     """|screened - exact| of a trial in bits is at most C [(3 g(a + |E|) + g(3a + 2|E| + 3))
     (H + 1.5) + (24 u + 2 g(S/8 + 3) + 2 g(|F| rows + 1) + 4 g(entries)) H], where
@@ -467,7 +463,8 @@ def _screen_bound(a: int, ne: int, nf: int, rows: int, entries: int, c_abs: floa
     pair alone adds terms c_r (x - x) = +-0 to its cell's sum, and s + 0 = s exactly (the
     sum starts at +0, so it never reaches -0), so those terms add no rounding and the
     sequential sum keeps at most |F| x rows nonzero terms.  For the attack's tables
-    (a = 8, |E| = 9, |F| <= 3) this is at most 9.9e-13."""
+    (a = 8, |E| = 9, |F| <= 3) this is at most 9.9e-13.  Cached: a search's arguments
+    depend only on the table's shape, the objective and |F|."""
     g = [k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
          for k in (a + ne, 3 * a + 2 * ne + 3, a * nf // 8 + 3, nf * rows + 1, entries)]
     h = math.log2(max(a * nf, 2))
@@ -496,29 +493,32 @@ def _trial_rows(mat: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndar
     return rows, (rows != now).any(axis=2)
 
 
-def _ladder(mat: np.ndarray, steps: np.ndarray):
+def _ladder(mat: np.ndarray, steps: np.ndarray, support: np.ndarray):
     """Every move of `mat` at each of `steps`, one row of trials per step: (ks, moves,
-    rows, trials), trial i being move moves[i] = e * nf + f at step ks[i], which sets
-    row e to rows[i], and `trials` the `_Trials` block over every move; None if no
-    move changes its row."""
+    rows, plan), trial i being move moves[i] = e * nf + f at step ks[i], which sets
+    row e to rows[i], and `plan` the `_screen_plan` over `support` of the block of every
+    move; None if no move changes its row."""
     every_e, _ = _moves(*mat.shape)
     rows, changed = _trial_rows(mat, steps)
     ks, moves = np.nonzero(changed)
     if not ks.size:
         return None
-    return ks, moves, rows[ks, moves], _trials(mat, every_e, rows)
+    return ks, moves, rows[ks, moves], _screen_plan(support, mat, every_e, rows)
 
 
 @lru_cache(maxsize=FIRST_BATCHES)
-def _first_batch(shape: tuple[int, int], start: bytes, steps: bytes):
+def _first_batch(shape: tuple[int, int], start: bytes, steps: bytes,
+                 support_shape: tuple[int, int], support: bytes):
     """The `_ladder` of the start channel, a float array of `shape` given by its bytes,
-    over the float `steps`, also given by their bytes: the shape part of the first batch
-    of every search from that start, built once and read-only."""
-    ladder = _ladder(np.frombuffer(start).reshape(shape), np.frombuffer(steps))
+    over the float `steps` and the bool `support` of `support_shape`, also given by
+    their bytes: the index part of the first batch of every search from that start whose
+    q has that support, built once and read-only."""
+    ladder = _ladder(np.frombuffer(start).reshape(shape), np.frombuffer(steps),
+                     np.frombuffer(support, dtype=bool).reshape(support_shape))
     if ladder is not None:
-        ks, moves, rows, trials = ladder
-        for a in (ks, moves, rows, *trials):
-            a.flags.writeable = False  # shared by every search from this start
+        ks, moves, rows, plan = ladder
+        for a in (ks, moves, rows, *plan):
+            a.flags.writeable = False  # shared by every search from this start and support
     return ladder
 
 
@@ -544,21 +544,21 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
     1e-9.  The first batch, before any move is kept, is screened whole in one `_screen`
     call, one row per step over every move: a start the descent cannot leave, as on the
     whole default grid, costs that one call, or none if it has no trial (one block).
-    That batch's shape part (its trial rows and the pairs they move, `_ladder`) depends
-    only on the start channel, so `_first_batch` builds it once per start; only q's
-    part is gathered per search.  In every later batch the first two sweeps are screened
-    first, their trials as one row, and the later ones are built and screened only if
-    neither has a passing trial, as one row per step over every move.  `_screen` rules
-    out the trials that cannot pass and `_objective`, the oracle's own expression,
-    scores the rest in order: the result is bit for bit that of scoring the moves one at
-    a time.
+    That batch's index part (its trial rows and the entries they move, `_ladder`)
+    depends only on the start channel and on the support of q, the stacked marginals,
+    so `_first_batch` builds it once per (start, support); a search gathers only q's
+    values into it.  In every later batch the first two sweeps are screened first,
+    their trials as one row, and the later ones are built and screened only if neither
+    has a passing trial, as one row per step over every move.  `_screen` rules out the
+    trials that cannot pass and `_objective`, the oracle's own expression, scores the
+    rest in order: the result is bit for bit that of scoring the moves one at a time.
     """
     n = dist.parties
     ne, nf = channel.shape
     mat = channel.copy()
     q = np.concatenate([m for m, _ in margs])
     coeffs = np.concatenate([np.full(m.shape[0], c) for m, c in margs])
-    support = _nonzeros(q)
+    support = q.T != 0.0
     entries, c_abs = sum(map(len, _plan(n, kind)[1])), sum(abs(c) for _, c in margs)
     margin = max(MARGIN, _screen_bound(dist.probs.size // ne, ne, nf, len(q), entries, c_abs))
 
@@ -591,19 +591,20 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
             ks, moves = np.nonzero(changed)
             if moves.size:  # by step, then move = e * nf + f
                 rows = rows[ks, moves]
-                trials = _trials(mat, moves // nf, rows[np.newaxis])
-                change, ambiguous = _screen(q, support, coeffs, mat, trials)
+                plan = _screen_plan(support, mat, moves // nf, rows[np.newaxis])
+                change, ambiguous = _screen(q, coeffs, mat, plan)
                 found = first_pass(ks, moves, rows, change[0], ambiguous[0])
             screened = 2
         if found is None:  # the rest, each sweep at half the last step, one row per step
             steps = np.ldexp(ahead, 1 - np.arange(REFINE_SWEEPS - sweep))  # 2 ahead, ahead, ...
             steps[0] = step
             steps = steps[steps >= 1e-9]
-            ladder = (_ladder(mat, steps[screened:]) if start
-                      else _first_batch(mat.shape, mat.tobytes(), steps.tobytes()))
+            ladder = (_ladder(mat, steps[screened:], support) if start
+                      else _first_batch(mat.shape, mat.tobytes(), steps.tobytes(),
+                                        support.shape, support.tobytes()))
             if ladder is not None:  # over every move
-                ks, moves, rows, trials = ladder
-                change, ambiguous = _screen(q, support, coeffs, mat, trials)
+                ks, moves, rows, plan = ladder
+                change, ambiguous = _screen(q, coeffs, mat, plan)
                 found = first_pass(ks + screened, moves, rows, change[ks, moves],
                                    ambiguous[ks, moves])
         if found is None:
@@ -654,7 +655,9 @@ def dual_intrinsic(dist: JointDistribution,
 
 
 def g(eps: float) -> float:
-    """Continuity overhead (1+eps) log2(1+eps) - eps log2(eps), with g(0) = 0."""
+    """Continuity overhead (1+eps) log2(1+eps) - eps log2(eps), with g(0) = 0, for eps in
+    [0, 1] (`unit_interval`)."""
+    eps = unit_interval(eps, "eps")
     if eps == 0.0:
         return 0.0
     return (1.0 + eps) * math.log2(1.0 + eps) - eps * math.log2(eps)
@@ -664,13 +667,17 @@ def continuity_envelope(eps: float, log_dim: float, flavor: str) -> float:
     """Trace-distance continuity envelope for conditional entropies or CMIs.
 
     `flavor` selects 2 eps log_dim + g(eps) for "conditional-entropy" or
-    2 eps log_dim + 2 g(eps) for "cmi".
+    2 eps log_dim + 2 g(eps) for "cmi".  eps lies in [0, 1] and log_dim is a finite
+    real number at least 0; anything else is a one-line ValueError.
     """
     eps = unit_interval(eps, "eps")
+    if not 0.0 <= (dim := real(log_dim)) < math.inf:
+        shown = dim if isinstance(log_dim, REAL) else repr(log_dim)
+        raise ValueError(f"log_dim must be a finite real number at least 0, got {shown}")
     if flavor == "conditional-entropy":
-        return 2.0 * eps * log_dim + g(eps)
+        return 2.0 * eps * dim + g(eps)
     if flavor == "cmi":
-        return 2.0 * eps * log_dim + 2.0 * g(eps)
+        return 2.0 * eps * dim + 2.0 * g(eps)
     raise ValueError(f"unknown flavor {flavor!r}")
 
 

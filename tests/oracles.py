@@ -313,7 +313,7 @@ def screened_trials(mat: np.ndarray, e: np.ndarray, rows: np.ndarray) -> np.ndar
 
 def screened_batches(dist, kind: str, start: np.ndarray) -> list:
     """Run `_refine` from `start` and return, for every batch it screened, the
-    arguments (q, coeffs, mat, e, rows) of its `_screen` call, less `support`, and
+    arguments (q, coeffs, mat) of its `_screen` call with its plan's (e, rows), and
     the result, all over the batch's trials only: the block's cells that are
     trials, in (row, column) order, trial t setting row e[t] of mat to rows[t]."""
     import pytest
@@ -323,9 +323,9 @@ def screened_batches(dist, kind: str, start: np.ndarray) -> list:
     batches = []
     screen = secrecy._screen
 
-    def recorded(q, support, coeffs, mat, block):
-        result = screen(q, support, coeffs, mat, block)
-        e, rows = block.e, block.rows
+    def recorded(q, coeffs, mat, plan):
+        result = screen(q, coeffs, mat, plan)
+        e, rows = plan.e, plan.rows
         trials = screened_trials(mat, e, rows)
         e = np.broadcast_to(e, trials.shape)[trials]
         batches.append(((q, coeffs, mat.copy(), e, rows[trials]),

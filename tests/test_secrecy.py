@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -435,9 +436,9 @@ def count_scores(monkeypatch):
     rows, exact = [], []
     screen, objective = secrecy._screen, secrecy._objective
 
-    def screened(q, support, coeffs, mat, trials):
-        rows.append(int(oracles.screened_trials(mat, trials.e, trials.rows).sum()))
-        return screen(q, support, coeffs, mat, trials)
+    def screened(q, coeffs, mat, plan):
+        rows.append(int(oracles.screened_trials(mat, plan.e, plan.rows).sum()))
+        return screen(q, coeffs, mat, plan)
 
     def scored(p, n_parties, kind):
         exact.append(kind)
@@ -527,8 +528,8 @@ class TestBatchedSearch:
             step = rng.choice([0.5, 0.25, 1e-3, 1e-17], size=(n_steps, 1, 1))
             rows = (1.0 - step) * mat[e] + step * np.eye(nf)[rng.integers(nf, size=n_cols)]
             coeffs = rng.choice([-2.0, -1.0, 1.0], size=n_rows)
-            change, ambiguous = secrecy._screen(q, secrecy._nonzeros(q), coeffs, mat,
-                                                 secrecy._trials(mat, e, rows))
+            plan = secrecy._screen_plan(q.T != 0.0, mat, e, rows)
+            change, ambiguous = secrecy._screen(q, coeffs, mat, plan)
             assert change.shape == ambiguous.shape == (n_steps, n_cols)
             e_t, rows_t = np.broadcast_to(e, change.shape).ravel(), rows.reshape(-1, nf)
             change, ambiguous = change.ravel(), ambiguous.ravel()
@@ -732,16 +733,20 @@ def curves_csv(grid) -> str:
 
 
 class TestFirstBatch:
-    """`_first_batch` keeps the shape part of each start channel's first batch."""
+    """`_first_batch` keeps the index part of the first batch per start channel and
+    support of the stacked marginals q."""
 
     def test_curves_do_not_depend_on_the_memo(self, monkeypatch):
-        golden = (oracles.GOLDEN / "curves_min.csv").read_bytes().decode()
-        secrecy._first_batch.cache_clear()
-        cleared = curves_csv(default_grid())
-        warm = curves_csv(default_grid())
-        monkeypatch.setattr(secrecy, "_first_batch", secrecy._first_batch.__wrapped__)
-        unkept = curves_csv(default_grid())  # built afresh for every search
-        assert cleared == warm == unkept == golden
+        for grid, name in [(default_grid(), "curves_min.csv"),
+                           (noise_grid(0.3, 0.9, 0.025), "curves_min_high_noise.csv")]:
+            golden = (oracles.GOLDEN / name).read_bytes().decode()
+            secrecy._first_batch.cache_clear()
+            cleared = curves_csv(grid)
+            warm = curves_csv(grid)
+            with monkeypatch.context() as mp:
+                mp.setattr(secrecy, "_first_batch", secrecy._first_batch.__wrapped__)
+                unkept = curves_csv(grid)  # built afresh for every search
+            assert cleared == warm == unkept == golden, name
 
     def test_cached_arrays_are_read_only(self, monkeypatch):
         kept, memo = [], secrecy._first_batch
@@ -754,33 +759,65 @@ class TestFirstBatch:
         dist = build_cc_attack(0.05).joint
         intrinsic_information(dist)
         dual_intrinsic(dist)
-        assert len(kept) == 2 and kept[0] is kept[1]  # both start at honest mimicry
-        ks, moves, rows, trials = kept[0]
-        arrays = [ks, moves, rows, *trials]
-        assert len(arrays) == 8 and not any(a.flags.writeable for a in arrays)
-        with pytest.raises(ValueError, match="read-only"):
-            rows[0, 0] = 0.5
+        intrinsic_information(dist)
+        # both start at honest mimicry, but their marginal stacks differ
+        assert len(kept) == 3 and kept[0] is not kept[1] and kept[0] is kept[2]
+        for ks, moves, rows, plan in kept[:2]:
+            arrays = [ks, moves, rows, *plan]
+            assert len(arrays) == 10 and not any(a.flags.writeable for a in arrays)
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                plan.delta[0, 0] = 0.5
 
-    @pytest.mark.parametrize("grid, plans, searches, screens", [
-        # 104 searches start at honest mimicry; nu = 0's two start from one block
-        (default_grid(), 1, 104, 104),
-        # curves_min_high_noise's grid: 19, 6 and 1 searches start from three
-        # partitions, and 24 from one block
-        (noise_grid(0.3, 0.9, 0.025), 3, 26, 2716),
-    ])
-    def test_one_plan_per_start_on_bench_grids(self, monkeypatch, grid, plans, searches,
-                                               screens):
-        calls, screen = [], secrecy._screen
-
-        def counted(*args):
-            calls.append(1)
-            return screen(*args)
-
-        monkeypatch.setattr(secrecy, "_screen", counted)
+    def test_one_plan_per_start_and_support(self, rng):
+        # two tables of one shape from one start channel, whose marginal stacks have
+        # different supports: each gets its own plan, and a repeat hits the memo
+        start = ClassicalChannel.from_partition([[0, 1], [2, 3]], 4).matrix
+        tables = [sparse_joint(rng, (2, 2, 3), 4) for _ in range(2)]
+        supports = [np.concatenate([m for m, _ in secrecy._subset_marginals(d, "cmi")]) != 0.0
+                    for d in tables]
+        assert supports[0].shape == supports[1].shape
+        assert not np.array_equal(*supports)
         secrecy._first_batch.cache_clear()
+        for dist in tables + tables[:1]:
+            batches = oracles.screened_batches(dist, "cmi", start)
+            assert batches
+            for (q, coeffs, mat, e, rows), (change, ambiguous) in batches:
+                want, want_ambiguous = oracles.screen_sparse(q, coeffs, mat, e, rows)
+                assert np.array_equal(change, want) and np.array_equal(ambiguous, want_ambiguous)
+            got, _ = oracles.refine(dist, start, "cmi")
+            assert got.tobytes() == oracles.refine_loop(dist, start, "cmi").tobytes()
+        info = secrecy._first_batch.cache_info()
+        # each table's first run builds its plan; its second run and the repeat's two hit
+        assert (info.misses, info.hits) == (2, 4)
+
+    @pytest.mark.parametrize("grid, plans, searches, screens, built, bounds", [
+        # 104 searches start at honest mimicry, 52 per objective, and nu = 0's two
+        # start from one block; the cmi and sn stacks have 15 and 21 rows, so two
+        # plans and two margins; no search keeps a move, so no other plan is built
+        pytest.param(default_grid(), 2, 104, 104, 2, 2, id="default"),
+        # curves_min_high_noise's grid: 19, 6 and 1 searches start from three
+        # partitions, and 24 from one block; the starts and the two objectives
+        # make five (start, support) pairs and four (objective, |F|) pairs
+        pytest.param(noise_grid(0.3, 0.9, 0.025), 5, 26, 2716, 2695, 4, id="high_noise"),
+    ])
+    def test_one_plan_per_start_and_support_on_bench_grids(self, monkeypatch, grid, plans,
+                                                           searches, screens, built, bounds):
+        calls = {"_screen": 0, "_screen_plan": 0}
+        for name in calls:
+            def counted(*args, name=name, wrapped=getattr(secrecy, name)):
+                calls[name] += 1
+                return wrapped(*args)
+
+            monkeypatch.setattr(secrecy, name, counted)
+        secrecy._first_batch.cache_clear()
+        secrecy._screen_bound.cache_clear()
         compute_curves(grid, minimize=True)
         info = secrecy._first_batch.cache_info()
-        assert (info.misses, info.hits + info.misses, len(calls)) == (plans, searches, screens)
+        assert (info.misses, info.hits + info.misses) == (plans, searches)
+        assert (calls["_screen"], calls["_screen_plan"]) == (screens, built)
+        assert secrecy._screen_bound.cache_info().misses == bounds
 
 
 class TestIntrinsicInformation:
@@ -978,6 +1015,30 @@ class TestContinuityEnvelope:
             continuity_envelope(10**400, 1.0, "cmi")  # was an OverflowError
         with pytest.raises(ValueError):
             continuity_envelope(0.5, 1.0, "unknown")
+
+    def test_rejects_bad_log_dim(self):
+        for log_dim, shown in [(-3.0, "-3.0"),  # was -0.245 for cmi
+                               (math.nan, "nan"),  # was nan
+                               (math.inf, "inf"), (10**400, "inf"),
+                               ("x", "'x'"),  # was a TypeError
+                               (None, "None")]:
+            for flavor in ("cmi", "conditional-entropy"):
+                with pytest.raises(ValueError, match=rf"^log_dim must be a finite real number "
+                                                     rf"at least 0, got {re.escape(shown)}$"):
+                    continuity_envelope(0.5, log_dim, flavor)
+
+    def test_log_dim_read_as_a_real_number(self):
+        assert continuity_envelope(0.5, 1, "cmi") == continuity_envelope(0.5, 1.0, "cmi")
+        assert continuity_envelope(0.5, np.int64(2), "cmi") == continuity_envelope(0.5, 2.0, "cmi")
+        assert continuity_envelope(0.25, 0.0, "cmi") == 2.0 * g(0.25)
+
+    def test_g_rejects_eps_outside_unit_interval(self):
+        for eps, message in [(-0.5, r"must lie in \[0, 1\], got -0.5"),  # was "math domain error"
+                             (2.0, r"must lie in \[0, 1\], got 2.0"),  # was returned silently
+                             (math.nan, r"must lie in \[0, 1\], got nan"),  # was nan
+                             ("0.1", "must be a real number, got '0.1'")]:
+            with pytest.raises(ValueError, match=rf"^eps {message}$"):
+                g(eps)
 
 
 def csv_text(dist):
