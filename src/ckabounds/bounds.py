@@ -1,10 +1,10 @@
 """Bound curves versus noise, party groupings, and the XOR key relay.
 
 The curves are assembled against the depolarizing noise level nu of the
-three-party honest device.  `point_values` is the one place that names and
-evaluates them; see its docstring for the list.  `compute_curves` maps it
-over a noise grid; it is defined for three parties only, since no
-biseparable decomposition of the noisy state is constructed for N > 3.
+three-party honest device.  `_run_values` names and evaluates them at a run of
+attacks searched as one stack, `point_values` (which lists them) at one, and
+`compute_curves` over a noise grid; they are defined for three parties only,
+since no biseparable decomposition of the noisy state is constructed for N > 3.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 
 from .attacks import CcAttack, build_cc_attack, eve_postprocess
 from .partitions import set_partitions
-from .secrecy import (dual_intrinsic, entropy_bits, integer, intrinsic_information, real, s_n,
-                      shannon_cmi, unit_interval)
+from .secrecy import (entropy_bits, integer, minimize_over_channels, real, s_n, shannon_cmi,
+                      unit_interval)
 
 VALUE_FLOOR = -1e-9
 _N_PARTIES = 3
@@ -27,6 +27,7 @@ MAX_RELAY_PARTIES = 1024
 MAX_KEY_LEN = 4096
 MAX_GRID_POINTS = 100_000
 MAX_WORKERS = 64
+GRID_CHUNK = 4  # grid points a serial run searches as one stack
 # The default noise grid, 0 to 0.13 in steps of 0.0025 (covers the critical level)
 DEFAULT_NU_MIN, DEFAULT_NU_MAX, DEFAULT_NU_STEP = 0.0, 0.13, 0.0025
 
@@ -116,23 +117,28 @@ def point_values(attack: CcAttack, minimize: bool) -> dict[str, float]:
       distillation rate; it is not a proved bound, hence the PROXY label in
       every output.
     """
+    return _run_values([attack], minimize)[0]
+
+
+def _run_values(attacks: Sequence[CcAttack], minimize: bool) -> list[dict[str, float]]:
+    """`point_values` of each attack, with every channel search as one stack."""
     if minimize:
         suffix = "min"
-        intrinsic, _ = intrinsic_information(attack.joint)
-        dual, _ = dual_intrinsic(attack.joint)
+        found = minimize_over_channels([attack.joint for attack in attacks], ("cmi", "sn"))
+        pairs = [(intrinsic, dual) for (intrinsic, _), (dual, _) in zip(found[::2], found[1::2])]
     else:
         suffix = "fixed"
-        post = eve_postprocess(attack)
-        intrinsic, dual = shannon_cmi(post), s_n(post)
-    return {f"intrinsic_{suffix}": intrinsic / (_N_PARTIES - 1),
-            f"dual_{suffix}": dual,
-            "trivial": 1.0 - attack.nu,
-            "dw_lower_PROXY": _proxy_value(attack)}
+        pairs = [(shannon_cmi(post), s_n(post)) for post in map(eve_postprocess, attacks)]
+    return [{f"intrinsic_{suffix}": intrinsic / (_N_PARTIES - 1),
+             f"dual_{suffix}": dual,
+             "trivial": 1.0 - attack.nu,
+             "dw_lower_PROXY": _proxy_value(attack)}
+            for attack, (intrinsic, dual) in zip(attacks, pairs)]
 
 
-def _point_worker(nu: float, minimize: bool) -> dict[str, float]:
-    """Every curve's value at one noise level."""
-    return point_values(build_cc_attack(nu), minimize)
+def _run_worker(nus: Sequence[float], minimize: bool) -> list[dict[str, float]]:
+    """Every curve's value at each noise level of one run of the grid."""
+    return _run_values([build_cc_attack(nu) for nu in nus], minimize)
 
 
 def compute_curves(grid: Sequence[float], minimize: bool = False,
@@ -140,16 +146,20 @@ def compute_curves(grid: Sequence[float], minimize: bool = False,
     """The curves of `point_values` over the grid; output independent of the worker count.
 
     At most `workers` (1..MAX_WORKERS) processes run, and no more than the
-    grid has points; with one, the points are computed in this process.
+    grid has points; with one, the points are computed in this process, in
+    runs of GRID_CHUNK.
     """
     workers = integer(workers, "workers", 1, MAX_WORKERS)
     grid = _check_grid(grid)
     processes = min(workers, len(grid))
+    size = 1 if processes > 1 else GRID_CHUNK  # pooled runs of 4 slowed the high-noise grid
+    runs = [grid[i:i + size] for i in range(0, len(grid), size)]
     if processes > 1:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            records = list(pool.map(_point_worker, grid, itertools.repeat(minimize)))
+            done = list(pool.map(_run_worker, runs, itertools.repeat(minimize)))
     else:
-        records = list(map(_point_worker, grid, itertools.repeat(minimize)))
+        done = list(map(_run_worker, runs, itertools.repeat(minimize)))
+    records = [record for run in done for record in run]
     return [BoundCurve(name, tuple(zip(grid, (r[name] for r in records))))
             for name in records[0]]
 

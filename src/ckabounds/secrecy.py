@@ -10,20 +10,17 @@ P(a_1..a_N, e):
   I(A_{N-1}:A_N|A_1..A_{N-2} E).
 
 Minimizing either quantity over classical channels E -> F gives the
-corresponding intrinsic-information value.  A search reads top to bottom:
-it stacks the monotone's subset marginals once (`_subset_marginals`), and
-the block table `_block_values` built from them feeds an exact dynamic
-program over the set partitions of Eve's alphabet (`_best_partition`, at
-most EXHAUSTIVE_LIMIT symbols).  The best deterministic channel it finds
-is scored by `_objective` and optionally refined by coordinate descent
-(`_refine`), whose first batch screens every move at every step in one
-`_screen` call, so a start it cannot improve costs one screen.  A screen has an
-index part, `_screen_plan`: the trial rows and the entries of the stacked
-marginals q they move, which depend on q only through its support.  The first
-batch's plan is built once per start channel and support (`_first_batch`), so a
-search that keeps no move only gathers q's values into it, and the screen's error
-bound is computed once per table shape, objective and |F| (`_screen_bound`).
-Only the channel returned is checked as a `ClassicalChannel`.
+corresponding intrinsic-information value.  A search reads top to bottom.  Its
+exact stage takes a stack of tables and objectives at once: each party
+subset's marginals (`_subset_marginals`) and their p log2 p sums are taken
+once for all objectives, each objective's block table (`_block_values`) adds
+those sums up, and one pass of an exact dynamic program over the set
+partitions of Eve's alphabet (`_best_partition`, at most EXHAUSTIVE_LIMIT
+symbols) solves every (table, objective) row.  Each row's best deterministic
+channel is scored by `_objective` and optionally refined by coordinate descent
+(`_refine`), whose first batch screens every move in one `_screen` call, over
+a plan built once per start channel and support (`_first_batch`).  Only the
+channel returned is checked as a `ClassicalChannel`.
 
 The search tries only that deterministic channel and a local descent from
 it over stochastic channels with one output per block, so its values are
@@ -301,10 +298,12 @@ class SearchBudget:
     refine: bool = True
 
 
-def _subset_marginals(dist: JointDistribution, kind: str) -> list[tuple[np.ndarray, float]]:
-    """(P_X, c_X) of each merged `_plan` term, P_X(x_X, e) as an (x-range, eve) array."""
-    axes, _, merged = _plan(dist.parties, kind)
-    return [(dist.probs.sum(axis=axes[i]).reshape(-1, dist.eve_alphabet), c) for i, c in merged]
+def _subset_marginals(p: np.ndarray, kinds: Sequence[str]) -> dict[tuple[int, ...], np.ndarray]:
+    """P_X(x_X, e) of the stack `p` of tables as a (stack, x-range, eve) array, for each party
+    subset X of a merged `_plan` term of `kinds`, keyed by its summed axes `_plan(...)[0][i]`."""
+    n = p.ndim - 2
+    axes = {_plan(n, kind)[0][i] for kind in kinds for i, _ in _plan(n, kind)[2]}
+    return {a: p.sum(axis=tuple(j + 1 for j in a)).reshape(len(p), -1, p.shape[-1]) for a in axes}
 
 
 def _plogp(p: np.ndarray) -> np.ndarray:
@@ -322,19 +321,19 @@ def _selector(ne: int) -> np.ndarray:
     return sel
 
 
-def _block_values(margs: list[tuple[np.ndarray, float]], ne: int) -> np.ndarray:
-    """Per-subset contribution phi[mask - 1] of each block of the ne Eve symbols to the
-    objective whose `_subset_marginals` are `margs`.
-
-    Both objectives are sums of entropies of (X, F) marginals, and those
-    entropies split additively over the blocks of a deterministic channel,
-    so the objective of any partition is the sum of phi over its blocks.
-    """
-    sel = _selector(ne)
-    phi = np.zeros(sel.shape[1])
-    for marg, coeff in margs:
-        phi -= coeff * _plogp(marg @ sel).sum(axis=0)
-    return phi
+def _block_values(margs: dict, n_parties: int, kinds: Sequence[str]) -> np.ndarray:
+    """phi[j, k, mask - 1]: the contribution of each block of Eve's symbols to objective
+    kinds[k] of table j of the stack whose `_subset_marginals` are `margs`.  Both
+    objectives are sums of entropies of (X, F) marginals, which split additively over
+    the blocks of a deterministic channel, so a partition scores the sum of phi over its
+    blocks.  Each subset's p log2 p sums are taken once, and added in `_plan` order."""
+    sums = {a: _plogp(m @ _selector(m.shape[-1])).sum(axis=1) for a, m in margs.items()}
+    phi = np.zeros((len(kinds),) + next(iter(sums.values())).shape)
+    for phi_k, kind in zip(phi, kinds):
+        axes, _, merged = _plan(n_parties, kind)
+        for i, c in merged:
+            phi_k -= c * sums[axes[i]]
+    return phi.swapaxes(0, 1)
 
 
 @lru_cache(maxsize=None)
@@ -369,32 +368,31 @@ def _partition_layers(ne: int) -> tuple[tuple[tuple[np.ndarray, ...], ...], tupl
     return tuple(layers), tuple(where)
 
 
-def _best_partition(phi: np.ndarray) -> list[list[int]]:
-    """Blocks, ordered by lowest symbol, of the partition of Eve's alphabet
-    with the least sum of the `_block_values` table `phi`: best[S] = min of
-    phi[T] + best[S - T] over the blocks T of S that hold S's lowest symbol.
+def _best_partition(phi: np.ndarray) -> list[list[list[int]]]:
+    """Per row of `phi`, a stack of `_block_values` tables, the blocks, ordered by lowest
+    symbol, of the partition of Eve's alphabet with the least sum of the row: best[S] =
+    min of phi[T] + best[S - T] over the blocks T of S that hold S's lowest symbol.
 
-    Only the subsets that some S - T can be are solved, with the full set:
-    S - T lacks S's lowest symbol, so from the full set down no other subset
-    holding symbol 0 is ever read.  That is (3^(|E|-1) - 1)/2 + 2^(|E|-1)
-    (subset, block) pairs, 3,536 at |E| = 9, where every subset would take
-    (3^|E| - 1)/2.  The subsets are solved a popcount layer at a time, since
-    S - T has fewer symbols than S; the blocks are then read back from the
-    full set down, each S taking the first of its minimal blocks.
-    """
-    ne = phi.size.bit_length()  # phi has 2^ne - 1 entries
+    Only the full set and the subsets some S - T can be, which lack symbol 0, are solved:
+    (3^(|E|-1) - 1)/2 + 2^(|E|-1) (subset, block) pairs, 3,536 at |E| = 9, against
+    (3^|E| - 1)/2 for every subset.  One pass solves all rows a popcount layer at a time,
+    since S - T has fewer symbols than S; each row is then read back from the full set
+    down, each S taking the first of its minimal blocks."""
+    ne = phi.shape[1].bit_length()  # a row has 2^ne - 1 entries
     layers, where = _partition_layers(ne)
-    best = np.zeros(1 << ne)
+    best = np.zeros((len(phi), 1 << ne))
     for subsets, minus_one, remainders in layers:
-        best[subsets] = (phi[minus_one] + best[remainders]).min(axis=1)
-    blocks, s = [], (1 << ne) - 1
-    while s:
-        layer, row = where[s]
-        _, minus_one, remainders = layers[layer]
-        rest = int(remainders[row, (phi[minus_one[row]] + best[remainders[row]]).argmin()])
-        blocks.append([i for i in range(ne) if (s ^ rest) >> i & 1])
-        s = rest
-    return blocks
+        best[:, subsets] = (phi.take(minus_one, axis=1) + best.take(remainders, axis=1)).min(axis=2)
+    found = [[] for _ in phi]
+    for row, row_best, blocks in zip(phi, best, found):
+        s = (1 << ne) - 1
+        while s:
+            layer, i = where[s]
+            _, minus_one, remainders = layers[layer]
+            rest = int(remainders[i, (row[minus_one[i]] + row_best[remainders[i]]).argmin()])
+            blocks.append([e for e in range(ne) if (s ^ rest) >> e & 1])
+            s = rest
+    return found
 
 
 class _Plan(NamedTuple):
@@ -525,9 +523,9 @@ def _first_batch(shape: tuple[int, int], start: bytes, steps: bytes,
 def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, float]],
             channel: np.ndarray, best: float) -> tuple[np.ndarray, float]:
     """Coordinate descent on channel rows; step halves when a sweep stalls.  `margs` are
-    the `_subset_marginals`(dist, kind) and `best` the start's exact score,
-    `_objective`(dist.probs @ channel).  Returns the channel it ends at and that
-    channel's exact score.
+    (P_X, c_X) of the merged `_plan` terms, P_X from `_subset_marginals`, and `best` the
+    start's exact score, `_objective`(dist.probs @ channel).  Returns the channel it ends
+    at and that channel's exact score.
 
     A sweep tries the moves (e, f) in row-major order: row e becomes
     (1 - step) * row + step at column f, and the move is kept if it lowers
@@ -544,14 +542,13 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
     1e-9.  The first batch, before any move is kept, is screened whole in one `_screen`
     call, one row per step over every move: a start the descent cannot leave, as on the
     whole default grid, costs that one call, or none if it has no trial (one block).
-    That batch's index part (its trial rows and the entries they move, `_ladder`)
-    depends only on the start channel and on the support of q, the stacked marginals,
-    so `_first_batch` builds it once per (start, support); a search gathers only q's
-    values into it.  In every later batch the first two sweeps are screened first,
-    their trials as one row, and the later ones are built and screened only if neither
-    has a passing trial, as one row per step over every move.  `_screen` rules out the
-    trials that cannot pass and `_objective`, the oracle's own expression, scores the
-    rest in order: the result is bit for bit that of scoring the moves one at a time.
+    Its index part (`_ladder`) depends only on the start and on the support of q, the
+    marginals laid end to end, so `_first_batch` builds it once per (start, support).
+    In every later batch the first two sweeps are screened first, their trials as one
+    row, and the later ones are built and screened only if neither has a passing trial,
+    as one row per step over every move.  `_screen` rules out the trials that cannot
+    pass and `_objective`, the oracle's own expression, scores the rest in order: the
+    result is bit for bit that of scoring the moves one at a time.
     """
     n = dist.parties
     ne, nf = channel.shape
@@ -620,21 +617,29 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
         start = move + 1
 
 
-def _minimize_over_channels(dist: JointDistribution, kind: str,
-                            budget: SearchBudget | None) -> tuple[float, ClassicalChannel]:
+def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[str],
+                           budget: SearchBudget | None = None,
+                           ) -> list[tuple[float, ClassicalChannel]]:
+    """The searched (value, channel) of each table of `dists`, all of one shape, for each
+    objective of `kinds` ("cmi", "sn"), table by table: the exact stage is one stack, and
+    the start's `_objective`, `_refine` and the channel check run per table and kind."""
     budget = budget or SearchBudget()
-    ne = dist.eve_alphabet
+    p = np.stack([dist.probs for dist in dists])
+    n, ne = p.ndim - 2, p.shape[-1]
     if ne > EXHAUSTIVE_LIMIT:
         raise ValueError(f"channel search takes at most {EXHAUSTIVE_LIMIT} Eve symbols, got {ne}")
-    margs = _subset_marginals(dist, kind)
-    blocks = _best_partition(_block_values(margs, ne))
-    mat = np.zeros((ne, len(blocks)))
-    for j, block in enumerate(blocks):
-        mat[block, j] = 1.0
-    value = _objective(dist.probs @ mat, dist.parties, kind)
-    if budget.refine and len(blocks) > 1:  # every channel to one output is the same
-        mat, value = _refine(dist, kind, margs, mat, value)
-    return value, ClassicalChannel(mat)
+    margs = _subset_marginals(p, kinds)
+    partitions = _best_partition(_block_values(margs, n, kinds).reshape(-1, (1 << ne) - 1))
+    found = []
+    for (j, dist), kind in itertools.product(enumerate(dists), kinds):
+        blocks = partitions[len(found)]
+        mat = np.array([[e in block for block in blocks] for e in range(ne)], dtype=float)
+        value = _objective(dist.probs @ mat, n, kind)
+        if budget.refine and len(blocks) > 1:  # every channel to one output is the same
+            axes, _, terms = _plan(n, kind)
+            mat, value = _refine(dist, kind, [(margs[axes[i]][j], c) for i, c in terms], mat, value)
+        found.append((value, ClassicalChannel(mat)))
+    return found
 
 
 def intrinsic_information(dist: JointDistribution,
@@ -645,13 +650,13 @@ def intrinsic_information(dist: JointDistribution,
     channel is always part of the search, so the value never exceeds
     `shannon_cmi(dist)`.
     """
-    return _minimize_over_channels(dist, "cmi", budget)
+    return minimize_over_channels([dist], ["cmi"], budget)[0]
 
 
 def dual_intrinsic(dist: JointDistribution,
                    budget: SearchBudget | None = None) -> tuple[float, ClassicalChannel]:
     """Minimize the telescoping quantity S_N over searched channels E -> F."""
-    return _minimize_over_channels(dist, "sn", budget)
+    return minimize_over_channels([dist], ["sn"], budget)[0]
 
 
 def g(eps: float) -> float:

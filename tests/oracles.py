@@ -3,12 +3,13 @@
 Everything here is deliberately written from scratch (plain loops, its own
 entropy code, a different partition enumerator) so that agreement with the
 package is meaningful.  The channel-search references (`objective_loop`,
-`refine_loop`, `best_partition_loop`, `screen_dense`, `screen_sparse`) are
-the exceptions: they run the package's own `entropy_bits`, `_plan`,
-`_objective` and `_plogp` one entropy, one move or one subset at a time,
-over every (trial, f, r) entry, or over the entries each trial moves,
-gathered trial by trial, so that its one-pass scoring and its batched and
-block-screened search can be checked against them.  `bench_grids` reads
+`refine_loop`, `best_partition_loop`, `block_table`, `screen_dense`,
+`screen_sparse`) are the exceptions: they run the package's own
+`entropy_bits`, `_plan`, `_objective`, `_selector` and `_plogp` one entropy,
+one move, one subset or one table and objective at a time, over every
+(trial, f, r) entry, or over the entries each trial moves, gathered trial by
+trial, so that its one-pass scoring, its stacked exact stage and its batched
+and block-screened search can be checked against them.  `bench_grids` reads
 the benchmark's noise levels from the committed golden CSVs, so a test over
 them follows the workloads.
 """
@@ -365,10 +366,8 @@ def screen_sum_gaps(dist, kind: str, start: np.ndarray) -> list[tuple[float, flo
     most 2 C log2(a |F|) (C = sum_X |c_X|, a = the parties' table size); the sums
     carry 1 + (|F| - 1) + rows roundings on the dense path and at most
     2 + (|F| rows - 1) on the block one, whose exact-zero terms round nothing."""
-    from ckabounds.secrecy import _subset_marginals
-
     u = 2.0 ** -53
-    c_abs = sum(abs(c) for _, c in _subset_marginals(dist, kind))
+    c_abs = sum(abs(c) for _, c in subset_terms(dist, kind))
     out = []
     for args, (change, ambiguous) in screened_batches(dist, kind, start):
         rows, nf = args[0].shape[0], args[2].shape[1]
@@ -450,27 +449,45 @@ def partition_layers_loop(ne: int) -> tuple[list[tuple[np.ndarray, ...]], list]:
     return [tuple(np.array(a, dtype=np.intp) for a in layer) for layer in layers], where
 
 
-def block_table(dist, kind: str) -> np.ndarray:
-    """The `_block_values` table `_minimize_over_channels` builds for `dist` and `kind`."""
+def subset_terms(dist, kind: str) -> list[tuple[np.ndarray, float]]:
+    """(P_X, c_X) of each merged `_plan` term of `kind`, P_X(x_X, e) as an (x-range, eve)
+    array: what `minimize_over_channels` hands `_refine` for `dist`, from a stack of one."""
     from ckabounds import secrecy
 
-    return secrecy._block_values(secrecy._subset_marginals(dist, kind), dist.eve_alphabet)
+    axes, _, merged = secrecy._plan(dist.parties, kind)
+    margs = secrecy._subset_marginals(dist.probs[np.newaxis], [kind])
+    return [(margs[axes[i]][0], c) for i, c in merged]
+
+
+def block_table(dist, kind: str) -> np.ndarray:
+    """The `_block_values` row of `dist` and `kind`, one table and one objective at a
+    time: each merged `_plan` term's marginal summed straight from `dist.probs`, its
+    `_plogp` sums over the rows taken alone, and subtracted in merged order."""
+    from ckabounds import secrecy
+
+    axes, _, merged = secrecy._plan(dist.parties, kind)
+    sel = secrecy._selector(dist.eve_alphabet)
+    phi = np.zeros(sel.shape[1])
+    for i, c in merged:
+        marg = dist.probs.sum(axis=axes[i]).reshape(-1, dist.eve_alphabet)
+        phi -= c * secrecy._plogp(marg @ sel).sum(axis=0)
+    return phi
 
 
 def best_partition(dist, kind: str) -> list[list[int]]:
-    """`_best_partition` of `dist` for `kind`, on its `block_table`."""
+    """`_best_partition` of `dist` for `kind`, on its `block_table` as a stack of one."""
     from ckabounds import secrecy
 
-    return secrecy._best_partition(block_table(dist, kind))
+    return secrecy._best_partition(block_table(dist, kind)[np.newaxis])[0]
 
 
 def refine(dist, start: np.ndarray, kind: str) -> tuple[np.ndarray, float]:
-    """`_refine` from `start`, given what `_minimize_over_channels` gives it: the
+    """`_refine` from `start`, given what `minimize_over_channels` gives it: the
     subset marginals and the start's exact score (one `_objective` call)."""
     from ckabounds import secrecy
 
     best = secrecy._objective(dist.probs @ start, dist.parties, kind)
-    return secrecy._refine(dist, kind, secrecy._subset_marginals(dist, kind), start, best)
+    return secrecy._refine(dist, kind, subset_terms(dist, kind), start, best)
 
 
 def joint_table_from_csv(fh) -> tuple[list[str], np.ndarray]:

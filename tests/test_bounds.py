@@ -10,8 +10,8 @@ import pytest
 
 from ckabounds import bounds
 from ckabounds.attacks import build_cc_attack
-from ckabounds.bounds import (MAX_GRID_POINTS, MAX_KEY_LEN, MAX_RELAY_PARTIES, MAX_WORKERS,
-                              BoundCurve, Xorshift64Star, compute_curves, default_grid,
+from ckabounds.bounds import (GRID_CHUNK, MAX_GRID_POINTS, MAX_KEY_LEN, MAX_RELAY_PARTIES,
+                              MAX_WORKERS, BoundCurve, Xorshift64Star, compute_curves, default_grid,
                               enumerate_partitions, noise_grid, relay_chain, relay_simulate,
                               write_curves_csv)
 from ckabounds.partitions import partitions_as_masks, set_partitions
@@ -46,9 +46,9 @@ def pools(monkeypatch):
 @pytest.fixture
 def no_points(monkeypatch):
     def worker(*job):
-        raise AssertionError(f"computed the point {job}")
+        raise AssertionError(f"computed the points {job}")
 
-    monkeypatch.setattr(bounds, "_point_worker", worker)
+    monkeypatch.setattr(bounds, "_run_worker", worker)
 
 
 class TestBoundCurveValidation:
@@ -222,6 +222,48 @@ class TestComputeCurves:
         write_curves_csv(compute_curves([-0.0, 0.1]), buf)
         nus = [line.split(",")[0] for line in buf.getvalue().splitlines()[1:]]
         assert set(nus) == {"0", "0.1"}
+
+
+class TestGridRuns:
+    """`compute_curves` searches a serial grid in runs of GRID_CHUNK points as one stack,
+    and gives a pool one point a task; either way each point gets `point_values`."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The noise levels of each unit of work `compute_curves` hands out."""
+        handed, worker = [], bounds._run_worker
+
+        def recorded(nus, minimize):
+            handed.append(list(nus))
+            return worker(nus, minimize)
+
+        monkeypatch.setattr(bounds, "_run_worker", recorded)
+        return handed
+
+    @pytest.mark.parametrize("points", [GRID_CHUNK - 1, GRID_CHUNK, GRID_CHUNK + 1,
+                                        2 * GRID_CHUNK + 1])
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+    def test_runs_are_the_point_values(self, request, runs, points, pooled):
+        # from the mimicry regime, where no move is kept, to high noise, where refinement
+        # lowers values, so that runs mix both kinds of search
+        grid = [round(0.02 + 0.85 * i / points, 12) for i in range(points)]
+        if pooled:
+            pools = request.getfixturevalue("pools")
+        curves = compute_curves(grid, minimize=True, workers=2 if pooled else 1)
+        if pooled:
+            assert pools == [2] and runs == [[nu] for nu in grid]
+        else:
+            assert runs == [grid[i:i + GRID_CHUNK] for i in range(0, points, GRID_CHUNK)]
+        for i, nu in enumerate(grid):
+            want = bounds.point_values(build_cc_attack(nu), minimize=True)
+            assert [c.samples[i][1].hex() for c in curves] == [v.hex() for v in want.values()]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_points_stops_every_run(self, pools, no_points, workers):
+        # the fixture replaces the one unit of work, serial or pooled
+        with pytest.raises(AssertionError, match="computed the points"):
+            compute_curves([0.1, 0.2], minimize=True, workers=workers)
+        assert pools == [2][:workers - 1]
 
 
 class TestValidators:

@@ -8,15 +8,16 @@ import pytest
 
 from ckabounds import secrecy
 from ckabounds.attacks import build_cc_attack
-from ckabounds.bounds import compute_curves, default_grid, noise_grid, write_curves_csv
+from ckabounds.bounds import (GRID_CHUNK, compute_curves, default_grid, noise_grid,
+                              write_curves_csv)
 from ckabounds.partitions import partitions_as_masks
 from ckabounds.secrecy import (EXHAUSTIVE_LIMIT, PROB_FLOOR, ClassicalChannel,
                                JointDistribution, SearchBudget, _best_partition,
                                _block_values, _objective, _partition_layers,
                                apply_channel, continuity_envelope,
                                distribution_to_csv, dual_intrinsic, g,
-                               intrinsic_information, s_n, shannon_cmi,
-                               total_correlation, unit_interval)
+                               intrinsic_information, minimize_over_channels, s_n,
+                               shannon_cmi, total_correlation, unit_interval)
 import oracles
 
 
@@ -333,8 +334,8 @@ class TestBestPartition:
     @pytest.mark.parametrize("nu", [0.05, 0.525, 0.7])  # 0.525: two partitions tie for cmi
     def test_matches_enumeration_on_the_attack(self, kind, nu):
         dist = build_cc_attack(nu).joint
-        phi = _block_values(secrecy._subset_marginals(dist, kind), 9)
-        blocks = _best_partition(phi)
+        phi = oracles.block_table(dist, kind)
+        [blocks] = _best_partition(phi[np.newaxis])
         value = sum(phi[sum(1 << e for e in b) - 1] for b in blocks)
         brute = min(sum(phi[m - 1] for m in masks) for masks in partitions_as_masks(9))
         assert value == pytest.approx(brute, abs=1e-12)
@@ -384,9 +385,79 @@ class TestBestPartition:
         # so the first minimal block of each subset decides the partition
         for top in (1, 2, 5):
             phi = rng.integers(-top, top + 1, size=(1 << ne) - 1).astype(float)
-            assert _best_partition(phi) == oracles.best_partition_loop(phi)
+            assert _best_partition(phi[np.newaxis]) == [oracles.best_partition_loop(phi)]
         # all tie: the largest block, tried first, is kept
-        assert _best_partition(np.zeros((1 << ne) - 1)) == [list(range(ne))]
+        assert _best_partition(np.zeros((1, (1 << ne) - 1))) == [[list(range(ne))]]
+
+
+KINDS = ("cmi", "sn")
+
+
+def stacked_phi(dists, kinds=KINDS):
+    """The `_block_values` of `dists` stacked as one table, phi[j, k, mask - 1]."""
+    p = np.stack([dist.probs for dist in dists])
+    return _block_values(secrecy._subset_marginals(p, kinds), dists[0].parties, kinds)
+
+
+class TestStackedStage:
+    """The exact stage takes a stack of tables and objectives at once.  Each row must
+    be, bit for bit, what its table and objective give alone, whatever the other rows."""
+
+    @pytest.mark.parametrize("ne", range(1, 8))
+    def test_block_values_are_the_single_table(self, rng, ne):
+        for _ in range(4):
+            alphabets, _ = random_shape(rng)
+            dists = [sparse_joint(rng, alphabets, ne) for _ in range(int(rng.integers(1, 6)))]
+            for kinds in (KINDS, ("sn", "cmi"), ("sn",)):
+                phi = stacked_phi(dists, kinds)
+                assert phi.shape == (len(dists), len(kinds), (1 << ne) - 1)
+                for j, dist in enumerate(dists):
+                    for k, kind in enumerate(kinds):
+                        assert np.array_equal(phi[j, k], oracles.block_table(dist, kind))
+
+    def test_block_values_are_the_single_table_on_bench_grids(self):
+        for grid in (default_grid(), noise_grid(0.3, 0.9, 0.025)):
+            dists = [build_cc_attack(nu).joint for nu in grid]
+            for size in (1, GRID_CHUNK, len(dists)):
+                for i in range(0, len(dists), size):
+                    phi = stacked_phi(dists[i:i + size])
+                    for j, dist in enumerate(dists[i:i + size]):
+                        for k, kind in enumerate(KINDS):
+                            assert np.array_equal(phi[j, k], oracles.block_table(dist, kind))
+
+    def test_batched_rows_are_the_loop(self, rng):
+        # one stack of both objectives' rows on both bench grids, with nu = 0.525's cmi tie,
+        # all-zero rows and tie-heavy integer rows: the first minimal block decides each row
+        grid = oracles.bench_grids()
+        assert 0.525 in grid
+        phi = stacked_phi([build_cc_attack(nu).joint for nu in grid]).reshape(-1, 511)
+        ties = rng.integers(-2, 3, size=(8, 511)).astype(float)
+        stack = np.concatenate([phi[:8], np.zeros((2, 511)), ties, phi[8:], np.zeros((1, 511))])
+        got = _best_partition(stack)
+        assert got == [oracles.best_partition_loop(row) for row in stack]
+        assert got[8] == got[9] == got[-1] == [list(range(9))]
+        for ne in range(1, EXHAUSTIVE_LIMIT):
+            rows = rng.integers(-1, 2, size=(5, (1 << ne) - 1)).astype(float)
+            rows[2] = 0.0
+            assert _best_partition(rows) == [oracles.best_partition_loop(row) for row in rows]
+
+    def test_permuting_the_stack_permutes_the_results(self, rng):
+        # 0: one block, no descent; 0.05 and 0.125: mimicry; 0.45 to 0.7: moves kept
+        dists = [build_cc_attack(nu).joint for nu in (0.0, 0.05, 0.125, 0.45, 0.525, 0.7)]
+        perm = rng.permutation(len(dists))
+        assert np.array_equal(stacked_phi([dists[i] for i in perm]), stacked_phi(dists)[perm])
+        rows = stacked_phi(dists).reshape(-1, 511)
+        order = rng.permutation(len(rows))
+        assert _best_partition(rows[order]) == [_best_partition(rows)[i] for i in order]
+        found = minimize_over_channels(dists, KINDS)
+        want = [found[2 * i + k] for i in perm for k in range(2)]
+        shuffled = [dists[i] for i in perm]
+
+        def bits(pairs):
+            return [(value.hex(), channel.matrix.tobytes()) for value, channel in pairs]
+
+        assert bits(minimize_over_channels(shuffled, KINDS)) == bits(want)
+        assert bits(minimize_over_channels(shuffled, ("sn",))) == bits(want[1::2])
 
 
 def sparse_joint(rng, alphabets, eve):
@@ -548,7 +619,7 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("nf", [2, 3])
     def test_screen_bound_is_within_the_margin_at_the_attack_shapes(self, kind, nf):
         dist = build_cc_attack(0.05).joint
-        margs = secrecy._subset_marginals(dist, kind)
+        margs = oracles.subset_terms(dist, kind)
         rows = sum(len(m) for m, _ in margs)
         assert (dist.probs.size // dist.eve_alphabet, dist.eve_alphabet) == (8, 9)
         assert rows == {"cmi": 15, "sn": 21}[kind]
@@ -713,7 +784,7 @@ class TestBatchedSearch:
     def test_best_partition_matches_loop(self, rng, kind):
         for nu in BENCH_POINTS:
             phi = oracles.block_table(build_cc_attack(nu).joint, kind)
-            assert _best_partition(phi) == oracles.best_partition_loop(phi)
+            assert _best_partition(phi[np.newaxis]) == [oracles.best_partition_loop(phi)]
         for ne in range(1, EXHAUSTIVE_LIMIT + 1):
             for i in range(3):
                 alphabets, _ = random_shape(rng)
@@ -723,7 +794,7 @@ class TestBatchedSearch:
                     probs.flat[0] += 1.0
                     dist = JointDistribution(probs / probs.sum())
                 phi = oracles.block_table(dist, kind)
-                assert _best_partition(phi) == oracles.best_partition_loop(phi)
+                assert _best_partition(phi[np.newaxis]) == [oracles.best_partition_loop(phi)]
 
 
 def curves_csv(grid) -> str:
@@ -775,7 +846,7 @@ class TestFirstBatch:
         # different supports: each gets its own plan, and a repeat hits the memo
         start = ClassicalChannel.from_partition([[0, 1], [2, 3]], 4).matrix
         tables = [sparse_joint(rng, (2, 2, 3), 4) for _ in range(2)]
-        supports = [np.concatenate([m for m, _ in secrecy._subset_marginals(d, "cmi")]) != 0.0
+        supports = [np.concatenate([m for m, _ in oracles.subset_terms(d, "cmi")]) != 0.0
                     for d in tables]
         assert supports[0].shape == supports[1].shape
         assert not np.array_equal(*supports)
@@ -885,8 +956,9 @@ class TestSearchedValue:
 class TestSearchInputs:
     @pytest.mark.parametrize("refine", [True, False])
     def test_one_marginal_table_and_one_channel_check_per_search(self, monkeypatch, refine):
-        # the DP and the descent share one `_subset_marginals` table, and only
-        # the witness goes through `probability_table`, after the search
+        # a search takes a run of tables and objectives: its DP and every descent share
+        # one `_subset_marginals` pass over the stacked tables, and only the returned
+        # channels go through `probability_table`, one check each, after the search
         dists = [build_cc_attack(nu).joint for nu in default_grid()]
         calls = []
         for name in ("_subset_marginals", "probability_table"):
@@ -894,11 +966,20 @@ class TestSearchInputs:
                 calls.append(_name)
                 return _wrapped(*args)
             monkeypatch.setattr(secrecy, name, counted)
-        for dist in dists:
-            for search in (intrinsic_information, dual_intrinsic):
-                calls.clear()
-                search(dist, SearchBudget(refine=refine))
-                assert calls == ["_subset_marginals", "probability_table"]
+        budget = SearchBudget(refine=refine)
+        for i in range(0, len(dists), GRID_CHUNK):
+            run = dists[i:i + GRID_CHUNK]
+            calls.clear()
+            assert len(minimize_over_channels(run, KINDS, budget)) == 2 * len(run)
+            assert calls == ["_subset_marginals"] + ["probability_table"] * (2 * len(run))
+        for search in (intrinsic_information, dual_intrinsic):  # a stack of one
+            calls.clear()
+            search(dists[0], budget)
+            assert calls == ["_subset_marginals", "probability_table"]
+        # the curves: one marginal pass per run of GRID_CHUNK points, not per search
+        calls.clear()
+        compute_curves(default_grid(), minimize=True)
+        assert calls.count("_subset_marginals") == -(-len(dists) // GRID_CHUNK)
 
 
 class TestDualIntrinsic:
