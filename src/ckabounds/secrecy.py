@@ -19,8 +19,11 @@ partitions of Eve's alphabet (`_best_partition`, at most EXHAUSTIVE_LIMIT
 symbols) solves every (table, objective) row.  Each row's best deterministic
 channel is scored by `_objective` and optionally refined by coordinate descent
 (`_refine`), whose first batch screens every move in one `_screen` call, over
-a plan built once per start channel and support (`_first_batch`).  Only the
-channel returned is checked as a `ClassicalChannel`.
+a plan built once per start channel and support (`_first_batch`).  After a
+kept move, a batch also screens, from the channels they predict, the trials
+up to the next kept moves `_predicted` by repeating the sweep before; they
+are used only while the prediction proves true, so refined values do not
+depend on it.  Only the channel returned is checked as a `ClassicalChannel`.
 
 The search tries only that deterministic channel and a local descent from
 it over stochastic channels with one output per block, so its values are
@@ -52,6 +55,7 @@ REFINE_STEP = 0.5
 REFINE_TOL = 1e-9
 MARGIN = 1e-12  # bits: `_screen_bound` of the attack's tables, rounded up
 FIRST_BATCHES = 16  # (start channel, support) pairs whose first batch `_first_batch` keeps
+LOOK_AHEAD = 9  # kept moves `_predicted` guesses after a kept move
 REAL = (float, numbers.Real)  # what `real` reads; float first skips the ABC check
 
 
@@ -292,10 +296,14 @@ class SearchBudget:
     REFINE_STEP, after each sweep that gains less than REFINE_TOL bits.
 
     refine: run coordinate descent over stochastic channels from the best
-        deterministic point, with one output symbol per block.
+        deterministic point, with one output symbol per block; True or False.
     """
 
     refine: bool = True
+
+    def __post_init__(self):
+        if not isinstance(self.refine, bool):
+            raise ValueError(f"refine must be True or False, got {self.refine!r}")
 
 
 def _subset_marginals(p: np.ndarray, kinds: Sequence[str]) -> dict[tuple[int, ...], np.ndarray]:
@@ -397,48 +405,50 @@ def _best_partition(phi: np.ndarray) -> list[list[list[int]]]:
 
 class _Plan(NamedTuple):
     """A block of trials and the entries they move: the part of a `_screen` call that
-    depends on q only through its support.  Cell (k, c) sets row e[c] of the channel to
-    rows[k, c] (rows is (R, C, |F|)) and moves entry (r[i], f[i]) of q @ mat by
-    delta[k, i] q[r[i], col[i]], a term of cell[k, i] = k C + c."""
+    depends on q only through its support.  Cell (k, c) sets row e[c] of channel ch[c]
+    of a stack to rows[k, c] (rows is (R, C, |F|)) and moves entry (r[i], f[i]) of q @
+    channel mats[chan[i]] by delta[k, i] q[r[i], col[i]], a term of cell[k, i] = k C + c."""
 
+    ch: np.ndarray
     e: np.ndarray
     rows: np.ndarray
     r: np.ndarray
+    chan: np.ndarray
     col: np.ndarray
     f: np.ndarray
     delta: np.ndarray
     cell: np.ndarray
 
 
-def _screen_plan(support: np.ndarray, mat: np.ndarray, e: np.ndarray,
+def _screen_plan(support: np.ndarray, mats: np.ndarray, ch: np.ndarray, e: np.ndarray,
                  rows: np.ndarray) -> _Plan:
-    """The `_Plan` of the block that sets row e[c] of `mat` to rows[k, c], over a q whose
-    nonzero entries are `support` = (q.T != 0).
+    """The `_Plan` of the block that sets row e[c] of channel mats[ch[c]] to rows[k, c],
+    over a q whose nonzero entries are `support` = (q.T != 0).
 
-    Entry (r, f) moves by delta[k, c, f] q[r, e[c]], delta = rows - mat[e], so only the
-    entries with q[r, e[c]] nonzero, in the (c, f) pairs that some row moves, are
+    Entry (r, f) moves by delta[k, c, f] q[r, e[c]], delta = rows - mats[ch, e], so only
+    the entries with q[r, e[c]] nonzero, in the (c, f) pairs that some row moves, are
     kept: pair by pair, rows ascending, and broadcast over the R rows.  A row that
     leaves a kept pair alone adds exact zeros there, and every entry outside the pairs
     adds exactly 0."""
-    delta = rows - mat[e]
+    delta = rows - mats[ch, e]
     c, f = np.nonzero(delta.any(axis=0))
     col = e[c]
     pair, r = np.nonzero(support.take(col, axis=0))  # the pairs' entries end to end
     col, c, f = col[pair], c[pair], f[pair]
     cell = c + np.arange(0, len(rows) * e.size, e.size)[:, np.newaxis]  # k C + c
-    return _Plan(e, rows, r, col, f, delta[:, c, f], cell)
+    return _Plan(ch, e, rows, r, ch[c], col, f, delta[:, c, f], cell)
 
 
-def _screen(q: np.ndarray, coeffs: np.ndarray, mat: np.ndarray,
+def _screen(q: np.ndarray, coeffs: np.ndarray, mats: np.ndarray,
             plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
-    """Per cell (k, c) of the `_Plan`, the trial that sets row e[c] of `mat` to
-    rows[k, c]: the change of -sum_r coeffs[r] sum_f `_plogp`(q @ L)[r, f], and whether
-    it moves an entry within 2x of PROB_FLOOR.  Each cell's terms are summed in (f, r)
-    order, one after another."""
-    _, rows, r, col, f, delta, cell = plan
+    """Per cell (k, c) of the `_Plan`, the trial that sets row e[c] of channel mats[ch[c]]
+    to rows[k, c]: the change of -sum_r coeffs[r] sum_f `_plogp`(q @ L)[r, f], and
+    whether it moves an entry within 2x of PROB_FLOOR.  Each cell's terms are summed in
+    (f, r) order, one after another."""
+    _, _, rows, r, chan, col, f, delta, cell = plan
     moved = delta * q[r, col]
     p = np.empty((len(delta) + 1, r.size))  # each entry before, then after each row's move
-    p[0] = (q @ mat)[r, f]
+    p[0] = np.matmul(q, mats)[chan, r, f]
     np.add(p[0], moved, out=p[1:])
     near = np.abs(p - 1.25 * PROB_FLOOR) <= 0.75 * PROB_FLOOR
     ambiguous = np.zeros(rows.shape[:2], dtype=bool)
@@ -482,26 +492,29 @@ def _moves(ne: int, nf: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _trial_rows(mat: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row e of `mat` after move (e, f) at each step, as (step, e * nf + f, nf), and
-    whether the move changes the row.  (1 - step) row + step 1_f adds an exact 0 off
-    column f."""
-    every_e, targets = _moves(*mat.shape)
-    now = mat[every_e]
-    steps = steps[:, np.newaxis, np.newaxis]
+    whether the move changes the row; for a stack of channels, `steps` holds a row of
+    steps per channel and the result leads with the stack axis.  (1 - step) row +
+    step 1_f adds an exact 0 off column f."""
+    every_e, targets = _moves(*mat.shape[-2:])
+    now = mat.take(every_e, axis=-2)[..., np.newaxis, :, :]
+    steps = steps[..., np.newaxis, np.newaxis]
     rows = (1.0 - steps) * now + steps * targets
-    return rows, (rows != now).any(axis=2)
+    return rows, (rows != now).any(axis=-1)
 
 
 def _ladder(mat: np.ndarray, steps: np.ndarray, support: np.ndarray):
-    """Every move of `mat` at each of `steps`, one row of trials per step: (ks, moves,
-    rows, plan), trial i being move moves[i] = e * nf + f at step ks[i], which sets
-    row e to rows[i], and `plan` the `_screen_plan` over `support` of the block of every
-    move; None if no move changes its row."""
+    """Every move of `mat` at each of `steps`, one row of trials per step: (at, rows,
+    plan), trial i being move e * nf + f at step k, at[i] = k * |E| nf + e * nf + f,
+    which sets row e to rows[i], and `plan` the `_screen_plan` over `support` of the
+    block of every move, from `mat` as a stack of one; None if no move changes its row."""
     every_e, _ = _moves(*mat.shape)
     rows, changed = _trial_rows(mat, steps)
-    ks, moves = np.nonzero(changed)
-    if not ks.size:
+    at = np.flatnonzero(changed)
+    if not at.size:
         return None
-    return ks, moves, rows[ks, moves], _screen_plan(support, mat, every_e, rows)
+    plan = _screen_plan(support, mat[np.newaxis], np.zeros(every_e.size, dtype=np.intp),
+                        every_e, rows)
+    return at, rows.reshape(-1, mat.shape[1])[at], plan
 
 
 @lru_cache(maxsize=FIRST_BATCHES)
@@ -514,10 +527,36 @@ def _first_batch(shape: tuple[int, int], start: bytes, steps: bytes,
     ladder = _ladder(np.frombuffer(start).reshape(shape), np.frombuffer(steps),
                      np.frombuffer(support, dtype=bool).reshape(support_shape))
     if ladder is not None:
-        ks, moves, rows, plan = ladder
-        for a in (ks, moves, rows, *plan):
+        at, rows, plan = ladder
+        for a in (at, rows, *plan):
             a.flags.writeable = False  # shared by every search from this start and support
     return ladder
+
+
+def _predicted(kept: list[int], last: list[int], sweeps: int) -> list[tuple[int, int]]:
+    """(sweep offset, move) of the next LOOK_AHEAD kept moves if the descent's sweeps
+    repeat their kept moves at this step: the rest of `last`, the moves the sweep before
+    kept, in this sweep, then all of `last` in each of the next `sweeps` sweeps.  No
+    guess unless `kept`, the moves this sweep has kept so far, are the first of `last`."""
+    if kept != last[:len(kept)]:
+        return []
+    now = ((0, move) for move in last[len(kept):])
+    later = ((k, move) for k in range(1, sweeps + 1) for move in last)
+    return list(itertools.islice(itertools.chain(now, later), LOOK_AHEAD))
+
+
+def _predicted_channels(mat: np.ndarray, moves: list[int], step: float) -> np.ndarray:
+    """`mat`, then the channel after each of `moves` at `step` in turn, as a stack: move
+    e * nf + f sets row e to (1 - step) row + step 1_f by the one-move loop's expression,
+    which is `_trial_rows`' (its step * 0 off column f adds an exact 0)."""
+    nf = mat.shape[1]
+    mats = np.repeat(mat[np.newaxis], len(moves) + 1, axis=0)
+    for i, move in enumerate(moves, 1):
+        e, f = divmod(move, nf)
+        row = (1.0 - step) * mats[i - 1, e]
+        row[f] += step
+        mats[i:, e] = row
+    return mats
 
 
 def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, float]],
@@ -533,25 +572,35 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
     would re-score the current channel, which can never pass, so it is
     skipped.
 
-    Trials come in batches, all from the current channel, and the first that passes in
-    (sweep, e, f) order is kept; a batch with none ends the descent.  A batch is every
-    trial the one-move loop would score before it keeps its next move: the rest of this
-    sweep at `step`, the next sweep at `ahead` (= step if this sweep has gained
-    REFINE_TOL, else step/2; at the same step its moves from `start` on repeat this
-    batch's and are dropped), then every later sweep at ahead/2, ahead/4, ... down to
-    1e-9.  The first batch, before any move is kept, is screened whole in one `_screen`
-    call, one row per step over every move: a start the descent cannot leave, as on the
+    Trials come in batches, each trial from its own channel, and `_screen` rules out the
+    ones that cannot pass; `_objective`, the oracle's own expression, scores the rest in
+    the one-move loop's order, and the first that passes is kept.  The first batch,
+    before any move is kept, is every move at every step of the halving ladder, one
+    row per step, in one `_screen` call: a start the descent cannot leave, as on the
     whole default grid, costs that one call, or none if it has no trial (one block).
     Its index part (`_ladder`) depends only on the start and on the support of q, the
     marginals laid end to end, so `_first_batch` builds it once per (start, support).
-    In every later batch the first two sweeps are screened first, their trials as one
-    row, and the later ones are built and screened only if neither has a passing trial,
-    as one row per step over every move.  `_screen` rules out the trials that cannot
-    pass and `_objective`, the oracle's own expression, scores the rest in order: the
-    result is bit for bit that of scoring the moves one at a time.
+
+    After a kept move a batch holds the trials the loop would score before its next
+    kept move in this sweep at `step` and in the next at `ahead` (= step if this sweep
+    has gained REFINE_TOL, else step/2; at the same step the next sweep's moves from
+    `start` on repeat this sweep's and are dropped), and a look-ahead: for each state the
+    next LOOK_AHEAD kept moves reach if the sweeps repeat (`_predicted`), the trials from
+    its channel (`_predicted_channels`) up to its predicted move, all in one `_screen`
+    call.  A walk confirms them state by state in the loop's order and goes on to a
+    predicted state only if the search holds its channel, step and start and, where its
+    trials run into the next sweep, takes that sweep at their step within REFINE_SWEEPS:
+    they are then the trials the loop scores next, so a wrong prediction costs screens,
+    never a bit.  A predicted state with no passing trial is the true state, its trials
+    up to the predicted move known to fail (`resume`).  If the current state's own
+    trials have no pass, the later sweeps at ahead/2, ahead/4, ... down to 1e-9 are
+    screened as one row per step over every move, and a batch with no pass ends the
+    descent.
     """
     n = dist.parties
     ne, nf = channel.shape
+    width = ne * nf  # the moves of a sweep
+    two_sweeps = np.tile(_moves(ne, nf)[0], 2)  # the row each position k * width + move moves
     mat = channel.copy()
     q = np.concatenate([m for m, _ in margs])
     coeffs = np.concatenate([np.full(m.shape[0], c) for m, c in margs])
@@ -559,40 +608,91 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
     entries, c_abs = sum(map(len, _plan(n, kind)[1])), sum(abs(c) for _, c in margs)
     margin = max(MARGIN, _screen_bound(dist.probs.size // ne, ne, nf, len(q), entries, c_abs))
 
-    def first_pass(ks: np.ndarray, moves: np.ndarray, rows: np.ndarray, change: np.ndarray,
+    def first_pass(trials: list[int], at: np.ndarray, rows: np.ndarray, change: np.ndarray,
                    ambiguous: np.ndarray):
-        """(k, move, row, value) of the first trial i, in the order given, that the screen
-        does not rule out and whose exact score beats `best`; or None.  Trial i is move
-        moves[i] = e * nf + f at step k = ks[i], setting row e of `mat` to rows[i]."""
-        for i in np.flatnonzero((best + change < best - 1e-15 + margin) | ambiguous):
-            trial = mat.copy()
-            trial[moves[i] // nf] = rows[i]
-            val = _objective(dist.probs @ trial, n, kind)
-            if val < best - 1e-15:
-                return ks[i], moves[i], rows[i], val
+        """(k, move, row, value) of the first trial i of `trials`, in the order given, that
+        the screen does not rule out and whose exact score beats `best`; or None.  Trial i
+        is move e * nf + f in the k-th sweep from here, at[i] = k * width + move, setting
+        row e of `mat` to rows[i]."""
+        for i in trials:
+            if best + change[i] < best - 1e-15 + margin or ambiguous[i]:
+                k, move = divmod(int(at[i]), width)
+                trial = mat.copy()
+                trial[move // nf] = rows[i]
+                val = _objective(dist.probs @ trial, n, kind)
+                if val < best - 1e-15:
+                    return k, move, rows[i], val
         return None
 
+    def near(change: np.ndarray, ambiguous: np.ndarray) -> np.ndarray:
+        """The trials `first_pass` might score, whatever `best`: best + change < best -
+        1e-15 + margin only if change < margin."""
+        return np.flatnonzero((change < margin) | ambiguous)
+
     step = REFINE_STEP
-    sweep = 0  # the sweep the next batch starts in, `gained` and `start` its own
+    sweep = 0  # the sweep the next batch starts in, `gained`, `start` and `kept` its own
     gained = 0.0
-    start = 0
+    start = resume = 0  # the move after the last kept one; the first trial not known to fail
+    kept, last = [], []  # the moves kept in this sweep so far and in the sweep before
+
+    def keep(k: int, at: float, move: int, row: np.ndarray, val: float):
+        """Keep `move`, scored `val`, in the k-th sweep after this one, at step `at`."""
+        nonlocal sweep, step, gained, start, resume, best, kept, last
+        if k:
+            sweep, step, gained = sweep + k, at, 0.0
+            kept, last = [], (kept if k == 1 else [])
+        gained += best - val
+        best = val
+        mat[move // nf] = row
+        kept.append(move)
+        start = resume = move + 1
+
     while True:
         ahead = step if gained >= REFINE_TOL else 0.5 * step
         found = None
-        screened = 0  # the steps of this batch screened so far
-        if start:  # after a kept move: this sweep and the next first, their trials as one row
-            steps = np.array([step, ahead] if ahead >= 1e-9 else [step])[:REFINE_SWEEPS - sweep]
-            rows, changed = _trial_rows(mat, steps)
-            changed[:1, :start] = False
-            changed[1:2, (start if ahead == step else ne * nf):] = False
-            ks, moves = np.nonzero(changed)
-            if moves.size:  # by step, then move = e * nf + f
-                rows = rows[ks, moves]
-                plan = _screen_plan(support, mat, moves // nf, rows[np.newaxis])
-                change, ambiguous = _screen(q, coeffs, mat, plan)
-                found = first_pass(ks, moves, rows, change[0], ambiguous[0])
-            screened = 2
+        if start:  # this sweep and the next, then each predicted state's trials
+            guess = _predicted(kept, last, REFINE_SWEEPS - 1 - sweep) if resume == start else []
+            # each state's trials are its positions k * width + move from lo to hi, move at
+            # step paces[i, k]: the current state's two sweeps, then each predicted state's,
+            # all at this step, up to its predicted move
+            lo = [resume] + [move + 1 for _, move in guess[:-1]]
+            hi = [(width + start if ahead == step else 2 * width) - 1
+                  if ahead >= 1e-9 and sweep + 1 < REFINE_SWEEPS else width - 1]
+            hi += [max((k1 - k0) * width + m1, m0)  # none if before lo
+                   for (k0, m0), (k1, m1) in zip(guess, guess[1:])]
+            paces = np.array([(step, ahead)] + [(step, step)] * len(guess[:-1]))
+            mats = _predicted_channels(mat, [move for _, move in guess[:-1]], step)
+            rows, changed = _trial_rows(mats, paces)
+            frames = changed.reshape(len(mats), -1)
+            for frame, a, b in zip(frames, lo, hi):
+                frame[:a] = frame[b + 1:] = False
+            ch, at = np.nonzero(frames)
+            if at.size:
+                rows = rows.reshape(len(mats), -1, nf)[ch, at]
+                plan = _screen_plan(support, mats, ch, two_sweeps.take(at), rows[np.newaxis])
+                change, ambiguous = _screen(q, coeffs, mats, plan)
+                change, ambiguous = change[0], ambiguous[0]
+                trials = near(change, ambiguous)
+                owner = ch[trials].tolist()  # ascending, as `ch` is
+                trials = trials.tolist()
+                for i, (a, b) in enumerate(zip(lo, hi)):
+                    if i and (start != a or step != paces[i, 0]
+                              or mat.tobytes() != mats[i].tobytes()):
+                        break  # not the predicted state
+                    if i and b >= width and (gained < REFINE_TOL or sweep + 1 >= REFINE_SWEEPS):
+                        break  # its next sweep is not at this step, or not at all
+                    mine = trials[bisect.bisect_left(owner, i):bisect.bisect_left(owner, i + 1)]
+                    found = first_pass(mine, at, rows, change, ambiguous)
+                    if found is None:
+                        if i:  # no trial up to its predicted move passes
+                            resume = b + 1
+                        break
+                    k, move, row, val = found
+                    keep(k, float(paces[i, k]), move, row, val)
+                if found is not None or i:  # the walk moved on: the next batch starts there
+                    continue
         if found is None:  # the rest, each sweep at half the last step, one row per step
+            screened = 2 if start else 0  # the steps screened already
             steps = np.ldexp(ahead, 1 - np.arange(REFINE_SWEEPS - sweep))  # 2 ahead, ahead, ...
             steps[0] = step
             steps = steps[steps >= 1e-9]
@@ -600,21 +700,15 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
                       else _first_batch(mat.shape, mat.tobytes(), steps.tobytes(),
                                         support.shape, support.tobytes()))
             if ladder is not None:  # over every move
-                ks, moves, rows, plan = ladder
-                change, ambiguous = _screen(q, coeffs, mat, plan)
-                found = first_pass(ks + screened, moves, rows, change[ks, moves],
-                                   ambiguous[ks, moves])
+                at, rows, plan = ladder
+                change, ambiguous = _screen(q, coeffs, mat[np.newaxis], plan)
+                change, ambiguous = change.take(at), ambiguous.take(at)
+                found = first_pass(near(change, ambiguous).tolist(), at + screened * width, rows,
+                                   change, ambiguous)
         if found is None:
             return mat, best
         k, move, row, val = found
-        if k:
-            sweep += int(k)
-            step = float(steps[k])
-            gained = 0.0
-        gained += best - val
-        best = val
-        mat[move // nf] = row
-        start = move + 1
+        keep(k, float(steps[k]), move, row, val)
 
 
 def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[str],
@@ -623,6 +717,10 @@ def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[s
     """The searched (value, channel) of each table of `dists`, all of one shape, for each
     objective of `kinds` ("cmi", "sn"), table by table: the exact stage is one stack, and
     the start's `_objective`, `_refine` and the channel check run per table and kind."""
+    if isinstance(kinds, str) or not len(kinds):
+        raise ValueError(f"kinds must be a nonempty sequence of objectives, got {kinds!r}")
+    if not len(dists):
+        raise ValueError("dists must hold at least one distribution")
     budget = budget or SearchBudget()
     p = np.stack([dist.probs for dist in dists])
     n, ne = p.ndim - 2, p.shape[-1]

@@ -11,7 +11,8 @@ one move, one subset or one table and objective at a time, over every
 trial, so that its one-pass scoring, its stacked exact stage and its batched
 and block-screened search can be checked against them.  `bench_grids` reads
 the benchmark's noise levels from the committed golden CSVs, so a test over
-them follows the workloads.
+them follows the workloads.  `WRONG_PREDICTORS` stand in for the refinement's
+guesses of its next kept moves, so a test can check that no guess moves a bit.
 """
 
 import csv
@@ -306,17 +307,18 @@ def screen_sparse(q: np.ndarray, coeffs: np.ndarray, mat: np.ndarray, e: np.ndar
     return np.bincount(t, coeffs[r] * (p[0] - p[1]), minlength=e.size), ambiguous
 
 
-def screened_trials(mat: np.ndarray, e: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The cells (k, c) of a `_screen` block `rows` that are trials: those whose row
-    rows[k, c] differs from row e[c] of `mat`."""
-    return (rows != mat[e]).any(axis=2)
+def screened_trials(mats: np.ndarray, plan) -> np.ndarray:
+    """The cells (k, c) of a `_screen` block that are trials: those whose row
+    plan.rows[k, c] differs from row plan.e[c] of channel mats[plan.ch[c]]."""
+    return (plan.rows != mats[plan.ch, plan.e]).any(axis=2)
 
 
 def screened_batches(dist, kind: str, start: np.ndarray) -> list:
-    """Run `_refine` from `start` and return, for every batch it screened, the
-    arguments (q, coeffs, mat) of its `_screen` call with its plan's (e, rows), and
-    the result, all over the batch's trials only: the block's cells that are
-    trials, in (row, column) order, trial t setting row e[t] of mat to rows[t]."""
+    """Run `_refine` from `start` and return, for every batch it screened and every
+    channel of its stack that the batch moves from, the arguments (q, coeffs, mat) of
+    its `_screen` call, mat that channel, with its plan's (e, rows), and the result,
+    all over that channel's trials only: the block's cells that are its trials, in
+    (row, column) order, trial t setting row e[t] of mat to rows[t]."""
     import pytest
 
     from ckabounds import secrecy
@@ -324,13 +326,14 @@ def screened_batches(dist, kind: str, start: np.ndarray) -> list:
     batches = []
     screen = secrecy._screen
 
-    def recorded(q, coeffs, mat, plan):
-        result = screen(q, coeffs, mat, plan)
-        e, rows = plan.e, plan.rows
-        trials = screened_trials(mat, e, rows)
-        e = np.broadcast_to(e, trials.shape)[trials]
-        batches.append(((q, coeffs, mat.copy(), e, rows[trials]),
-                        (result[0][trials], result[1][trials])))
+    def recorded(q, coeffs, mats, plan):
+        result = screen(q, coeffs, mats, plan)
+        trials = screened_trials(mats, plan)
+        ch, e = (np.broadcast_to(a, trials.shape) for a in (plan.ch, plan.e))
+        for j in np.unique(ch[trials]):
+            mine = trials & (ch == j)
+            batches.append(((q, coeffs, mats[j].copy(), e[mine], plan.rows[mine]),
+                            (result[0][mine], result[1][mine])))
         return result
 
     with pytest.MonkeyPatch.context() as mp:
@@ -488,6 +491,39 @@ def refine(dist, start: np.ndarray, kind: str) -> tuple[np.ndarray, float]:
 
     best = secrecy._objective(dist.probs @ start, dist.parties, kind)
     return secrecy._refine(dist, kind, subset_terms(dist, kind), start, best)
+
+
+def _wrong_predictors() -> dict:
+    """Stand-ins for `secrecy._predicted`, by name, each made from a random generator:
+    its (sweep offset, move) guesses are moves of the channel, wrong in one way."""
+    from ckabounds import secrecy
+
+    true = secrecy._predicted  # taken before any test replaces it
+
+    def reversed_(rng):
+        return lambda *args: true(*args)[::-1]
+
+    def shifted(rng):  # each move one earlier
+        return lambda *args: [(k, max(move - 1, 0)) for k, move in true(*args)]
+
+    def skipped(rng):  # each guess a sweep later
+        return lambda *args: [(k + 1, move) for k, move in true(*args)]
+
+    def always(rng):  # the last kept move again in every sweep, past the sweep cap too
+        return lambda kept, last, sweeps: [(k, kept[-1]) for k in range(1, secrecy.LOOK_AHEAD + 1)]
+
+    def random(rng):  # the true guesses up to a random one, then any kept move within
+        def guess(kept, last, sweeps):  # three sweeps
+            head = true(kept, last, sweeps)[:int(rng.integers(0, secrecy.LOOK_AHEAD))]
+            ks = (head[-1][0] if head else 0) + np.sort(
+                rng.integers(0, 3, size=secrecy.LOOK_AHEAD - len(head)))
+            return head + [(int(k), int(rng.choice(kept + last))) for k in ks]
+        return guess
+
+    return {f.__name__.rstrip("_"): f for f in (reversed_, shifted, skipped, always, random)}
+
+
+WRONG_PREDICTORS = _wrong_predictors()
 
 
 def joint_table_from_csv(fh) -> tuple[list[str], np.ndarray]:

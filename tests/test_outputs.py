@@ -60,6 +60,18 @@ def test_output_matches_golden(stem, tmp_path, monkeypatch):
         assert text.splitlines(keepends=True) == golden.splitlines(keepends=True), name
 
 
+def test_high_noise_curves_serially(tmp_path, monkeypatch):
+    # the benchmark runs this grid with `--workers 2`; one process, where the refinement's
+    # look-ahead runs over every point in turn, must write the same bytes
+    argv = CURVES["curves_min_high_noise"]
+    at = argv.index("--workers")
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv[:at], *argv[at + 2:], "--out", "h.csv"]) == 0
+    text = (tmp_path / "h.csv").read_bytes().decode()
+    golden = (GOLDEN / "curves_min_high_noise.csv").read_bytes().decode()
+    assert text.splitlines(keepends=True) == golden.splitlines(keepends=True)
+
+
 def test_bench_digests_are_the_committed_csvs():
     digests = json.loads((BENCH / "golden.json").read_text())
     for name, digest in digests.items():

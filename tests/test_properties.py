@@ -64,6 +64,22 @@ def test_refine_matches_the_one_move_loop(inputs, sweeps):
         assert value == secrecy._objective(dist.probs @ got, dist.parties, kind)
 
 
+@settings(FEW, max_examples=20)
+@given(inputs=refine_inputs(), sweeps=st.integers(1, 6),
+       predictor=st.sampled_from(sorted(oracles.WRONG_PREDICTORS)), seed=st.integers(0, 2 ** 32 - 1))
+def test_refine_does_not_depend_on_the_prediction(inputs, sweeps, predictor, seed):
+    # wrong guesses of the next kept moves cost screens, never a bit of the channel or
+    # the value
+    dist, kind, start = inputs
+    wrong = oracles.WRONG_PREDICTORS[predictor](np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(secrecy, "REFINE_SWEEPS", sweeps)
+        mp.setattr(secrecy, "_predicted", wrong)
+        got, value = oracles.refine(dist, start, kind)
+        assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
+        assert value == secrecy._objective(dist.probs @ got, dist.parties, kind)
+
+
 @st.composite
 def screen_inputs(draw):
     """A sparse table with entries down to 1e-16, an objective and a stochastic start.

@@ -1,3 +1,4 @@
+import functools
 import io
 import itertools
 import math
@@ -507,9 +508,9 @@ def count_scores(monkeypatch):
     rows, exact = [], []
     screen, objective = secrecy._screen, secrecy._objective
 
-    def screened(q, coeffs, mat, plan):
-        rows.append(int(oracles.screened_trials(mat, plan.e, plan.rows).sum()))
-        return screen(q, coeffs, mat, plan)
+    def screened(q, coeffs, mats, plan):
+        rows.append(int(oracles.screened_trials(mats, plan).sum()))
+        return screen(q, coeffs, mats, plan)
 
     def scored(p, n_parties, kind):
         exact.append(kind)
@@ -550,6 +551,13 @@ def look_ahead_branches(taken, moves, sweeps):
     if taken and taken[-1][0] == sweeps - 1:
         found.add("look-ahead cut by the cap")
     return found
+
+
+@functools.lru_cache(maxsize=None)
+def refine_loop_of(nu: float, kind: str) -> np.ndarray:
+    """The one-move loop's channel from the DP start of the attack at `nu`."""
+    dist = build_cc_attack(nu).joint
+    return oracles.refine_loop(dist, dp_start(dist, kind), kind)
 
 
 class TestBatchedSearch:
@@ -599,8 +607,8 @@ class TestBatchedSearch:
             step = rng.choice([0.5, 0.25, 1e-3, 1e-17], size=(n_steps, 1, 1))
             rows = (1.0 - step) * mat[e] + step * np.eye(nf)[rng.integers(nf, size=n_cols)]
             coeffs = rng.choice([-2.0, -1.0, 1.0], size=n_rows)
-            plan = secrecy._screen_plan(q.T != 0.0, mat, e, rows)
-            change, ambiguous = secrecy._screen(q, coeffs, mat, plan)
+            plan = secrecy._screen_plan(q.T != 0.0, mat[np.newaxis], np.zeros_like(e), e, rows)
+            change, ambiguous = secrecy._screen(q, coeffs, mat[np.newaxis], plan)
             assert change.shape == ambiguous.shape == (n_steps, n_cols)
             e_t, rows_t = np.broadcast_to(e, change.shape).ravel(), rows.reshape(-1, nf)
             change, ambiguous = change.ravel(), ambiguous.ravel()
@@ -734,21 +742,22 @@ class TestBatchedSearch:
             assert np.array_equal(got, start)
             assert len(rows) == (start.shape[1] > 1)
 
-    @pytest.mark.parametrize("nu, kind, calls, trials", [(0.45, "cmi", 264, 6986),
-                                                         (0.45, "sn", 259, 6936),
-                                                         (0.5, "cmi", 209, 6447),
-                                                         (0.5, "sn", 213, 7952)])
-    def test_look_ahead_call_counts_at_high_noise(self, monkeypatch, nu, kind, calls, trials):
-        # about one screened batch per kept move: these searches keep 261, 256,
-        # 205 and 206 moves, the first batch holds the start's whole ladder and
-        # each batch after a move also holds the next sweep; each kept move is
-        # the one trial scored exactly, after the start
+    @pytest.mark.parametrize("nu, kind", [(0.45, "cmi"), (0.45, "sn"), (0.5, "cmi"), (0.5, "sn")])
+    def test_look_ahead_call_counts_at_high_noise(self, monkeypatch, nu, kind):
+        # these searches keep 261, 256, 205 and 206 moves in 68, 91, 52 and 58 screened
+        # batches (264, 259, 209 and 213 without the look-ahead): the first holds the
+        # start's whole ladder, each batch after a move holds the next sweep and the
+        # trials of the predicted states up to their predicted moves, and the walk keeps
+        # a move per confirmed state; each kept move is the one trial scored exactly,
+        # after the start
+        calls = {(0.45, "cmi"): (68, 6916), (0.45, "sn"): (91, 7743),
+                 (0.5, "cmi"): (52, 6984), (0.5, "sn"): (58, 8459)}
         confirmed = {(0.45, "cmi"): 261, (0.45, "sn"): 256, (0.5, "cmi"): 205, (0.5, "sn"): 206}
         rows, exact = count_scores(monkeypatch)
         dist = build_cc_attack(nu).joint
         start = dp_start(dist, kind)
         got, _ = oracles.refine(dist, start, kind)
-        assert (len(rows), sum(rows)) == (calls, trials)
+        assert (len(rows), sum(rows)) == calls[nu, kind]
         assert len(exact) == 1 + confirmed[nu, kind]
         monkeypatch.undo()
         assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
@@ -779,6 +788,41 @@ class TestBatchedSearch:
             assert got.tobytes() == want.tobytes()
             assert taken and len(exact) > 1 + len(taken)  # failing trials were scored too
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("predictor", sorted(oracles.WRONG_PREDICTORS))
+    @pytest.mark.parametrize("nu", [0.45, 0.5, 0.575])
+    def test_refine_does_not_depend_on_the_prediction(self, monkeypatch, nu, predictor):
+        # a predictor that guesses wrong can only cost screens: the walk goes on to a
+        # predicted state only if it is the true one, so channel and value stay the loop's
+        dist = build_cc_attack(nu).joint
+        guesses = []
+        wrong = oracles.WRONG_PREDICTORS[predictor](np.random.default_rng(int(nu * 1000)))
+        monkeypatch.setattr(secrecy, "_predicted", lambda *args: guesses.append(wrong(*args))
+                            or guesses[-1])
+        for kind in ("cmi", "sn"):
+            start = dp_start(dist, kind)
+            got, value = oracles.refine(dist, start, kind)
+            assert got.tobytes() == refine_loop_of(nu, kind).tobytes()
+            assert value == _objective(dist.probs @ got, dist.parties, kind)
+        assert any(len(g) > 1 for g in guesses)  # some batch screened a predicted state
+
+    def test_refine_screens_no_predicted_state_but_the_true_one(self, monkeypatch, rng):
+        # predicted channels replaced by random ones: each predicted state's trials are
+        # then screened from a channel the search never holds, and the walk must stop at it
+        build = secrecy._predicted_channels
+
+        def scrambled(mat, moves, step):
+            mats = build(mat, moves, step)
+            mats[1:] = rng.random(mats[1:].shape)
+            mats[1:] /= mats[1:].sum(axis=2, keepdims=True)
+            return mats
+
+        monkeypatch.setattr(secrecy, "_predicted_channels", scrambled)
+        for nu in (0.45, 0.5, 0.575):
+            dist = build_cc_attack(nu).joint
+            for kind in ("cmi", "sn"):
+                got, _ = oracles.refine(dist, dp_start(dist, kind), kind)
+                assert got.tobytes() == refine_loop_of(nu, kind).tobytes()
 
     @pytest.mark.parametrize("kind", ["cmi", "sn"])
     def test_best_partition_matches_loop(self, rng, kind):
@@ -833,9 +877,9 @@ class TestFirstBatch:
         intrinsic_information(dist)
         # both start at honest mimicry, but their marginal stacks differ
         assert len(kept) == 3 and kept[0] is not kept[1] and kept[0] is kept[2]
-        for ks, moves, rows, plan in kept[:2]:
-            arrays = [ks, moves, rows, *plan]
-            assert len(arrays) == 10 and not any(a.flags.writeable for a in arrays)
+        for at, rows, plan in kept[:2]:
+            arrays = [at, rows, *plan]
+            assert len(arrays) == 11 and not any(a.flags.writeable for a in arrays)
             with pytest.raises(ValueError, match="read-only"):
                 rows[0, 0] = 0.5
             with pytest.raises(ValueError, match="read-only"):
@@ -870,8 +914,9 @@ class TestFirstBatch:
         pytest.param(default_grid(), 2, 104, 104, 2, 2, id="default"),
         # curves_min_high_noise's grid: 19, 6 and 1 searches start from three
         # partitions, and 24 from one block; the starts and the two objectives
-        # make five (start, support) pairs and four (objective, |F|) pairs
-        pytest.param(noise_grid(0.3, 0.9, 0.025), 5, 26, 2716, 2695, 4, id="high_noise"),
+        # make five (start, support) pairs and four (objective, |F|) pairs; with
+        # the look-ahead, the 2,622 kept moves take 1,258 screens in all
+        pytest.param(noise_grid(0.3, 0.9, 0.025), 5, 26, 1258, 1237, 4, id="high_noise"),
     ])
     def test_one_plan_per_start_and_support_on_bench_grids(self, monkeypatch, grid, plans,
                                                            searches, screens, built, bounds):
@@ -980,6 +1025,35 @@ class TestSearchInputs:
         calls.clear()
         compute_curves(default_grid(), minimize=True)
         assert calls.count("_subset_marginals") == -(-len(dists) // GRID_CHUNK)
+
+
+    @pytest.mark.parametrize("dists, kinds, message", [
+        ([build_cc_attack(0.55).joint], [], "kinds must be a nonempty sequence"),
+        ([build_cc_attack(0.55).joint], "cmi", "kinds must be a nonempty sequence"),
+        ([], ["cmi"], "dists must hold at least one distribution"),
+    ])
+    def test_malformed_arguments_are_one_line_errors(self, monkeypatch, dists, kinds, message):
+        # an empty kinds list, a bare string read as its letters, and no tables at all
+        # are refused before any marginal is taken
+        monkeypatch.setattr(secrecy, "_subset_marginals", None)
+        with pytest.raises(ValueError, match=message) as err:
+            minimize_over_channels(dists, kinds)
+        assert "\n" not in str(err.value)
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize("refine", ["no", "", 0, 1, None, np.True_])
+    def test_refine_must_be_a_bool(self, refine):
+        # a truthy string such as "no" used to refine
+        with pytest.raises(ValueError, match=r"refine must be True or False, got "):
+            SearchBudget(refine=refine)
+
+    def test_refine_off_is_the_best_partition(self):
+        dist = build_cc_attack(0.55).joint
+        refined, _ = intrinsic_information(dist, SearchBudget(refine=True))
+        fixed, _ = intrinsic_information(dist, SearchBudget(refine=False))
+        assert refined < fixed  # 0.0104990 against the DP's 0.0195703 bits
+        assert round(refined, 7) == 0.0104990 and round(fixed, 7) == 0.0195703
 
 
 class TestDualIntrinsic:
