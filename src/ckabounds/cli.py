@@ -12,6 +12,7 @@ bad value (a `ValueError` from the library or the parser, one stderr line);
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import sys
@@ -210,9 +211,10 @@ def _cmd_verify(cfg: dict, stdout) -> int:
 
 def _cmd_curves(cfg: dict, stdout) -> int:
     grid = bounds.noise_grid(cfg["nu_min"], cfg["nu_max"], cfg["nu_step"])
-    curves = bounds.compute_curves(grid, minimize=cfg["minimize"], workers=cfg["workers"])
+    workers = integer(cfg["workers"], "workers", 1, bounds.MAX_WORKERS)  # before the file
     out_path = cfg["out"] or "curves.csv"
-    with open(out_path, "w") as fh:
+    with open(out_path, "w") as fh:  # before the search: an unwritable path fails at once
+        curves = bounds.compute_curves(grid, minimize=cfg["minimize"], workers=workers)
         bounds.write_curves_csv(curves, fh)
     flag = "on" if cfg["minimize"] else "off"
     for curve in curves:
@@ -244,22 +246,24 @@ def _cmd_game(cfg: dict, stdout) -> int:
 
 def _cmd_attack(cfg: dict, stdout) -> int:
     attack = attacks.build_cc_attack(cfg["nu_min"])
-    # the curves' values; intrinsic is I/(N-1) with N = 3, and doubling it back is exact
-    values = {**bounds.point_values(attack, minimize=False),
-              **bounds.point_values(attack, minimize=True)}
-    fixed_i, min_i = values["intrinsic_fixed"], values["intrinsic_min"]
-    stdout.write(f"cc attack at nu={attack.nu:.6g}\n")
-    stdout.write(f"local weight       = {attack.local_weight:.12g}\n")
-    stdout.write(f"P(e='?')           = "
-                 f"{attack.joint.probs[..., attacks.EVE_IGNORANT].sum():.12g}\n")
-    stdout.write(f"intrinsic (minimize=off) = {2 * fixed_i:.9f} bits, /(N-1) = {fixed_i:.9f}\n")
-    stdout.write(f"intrinsic (minimize=on)  = {2 * min_i:.9f} bits, /(N-1) = {min_i:.9f}\n")
-    stdout.write(f"dual_sn   (minimize=off) = {values['dual_fixed']:.9f} bits\n")
-    stdout.write(f"dual_sn   (minimize=on)  = {values['dual_min']:.9f} bits\n")
-    stdout.write("note: minimize=on values are upper bounds on the channel infimum\n")
-    if cfg["out"]:
-        with open(cfg["out"], "w") as fh:
+    # opened before the search: an unwritable path fails at once, with nothing printed
+    with open(cfg["out"], "w") if cfg["out"] else contextlib.nullcontext() as fh:
+        # the curves' values; intrinsic is I/(N-1) with N = 3, and doubling it back is exact
+        values = {**bounds.point_values(attack, minimize=False),
+                  **bounds.point_values(attack, minimize=True)}
+        fixed_i, min_i = values["intrinsic_fixed"], values["intrinsic_min"]
+        stdout.write(f"cc attack at nu={attack.nu:.6g}\n")
+        stdout.write(f"local weight       = {attack.local_weight:.12g}\n")
+        stdout.write(f"P(e='?')           = "
+                     f"{attack.joint.probs[..., attacks.EVE_IGNORANT].sum():.12g}\n")
+        stdout.write(f"intrinsic (minimize=off) = {2 * fixed_i:.9f} bits, /(N-1) = {fixed_i:.9f}\n")
+        stdout.write(f"intrinsic (minimize=on)  = {2 * min_i:.9f} bits, /(N-1) = {min_i:.9f}\n")
+        stdout.write(f"dual_sn   (minimize=off) = {values['dual_fixed']:.9f} bits\n")
+        stdout.write(f"dual_sn   (minimize=on)  = {values['dual_min']:.9f} bits\n")
+        stdout.write("note: minimize=on values are upper bounds on the channel infimum\n")
+        if fh is not None:
             distribution_to_csv(attack.joint, fh)
+    if cfg["out"]:
         stdout.write(f"wrote attack joint to {cfg['out']}\n")
     return 0
 

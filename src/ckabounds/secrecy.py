@@ -23,7 +23,10 @@ a plan built once per start channel and support (`_first_batch`).  After a
 kept move, a batch also screens, from the channels they predict, the trials
 up to the next kept moves `_predicted` by repeating the sweep before; they
 are used only while the prediction proves true, so refined values do not
-depend on it.  Only the channel returned is checked as a `ClassicalChannel`.
+depend on it.  The screen's error bound (`_screen_bound`) rules trials out
+and also confirms passes, so `_objective` scores only the trials the screen
+cannot settle and, lazily, the states they are compared with.  Only the
+channel returned is checked as a `ClassicalChannel`.
 
 The search tries only that deterministic channel and a local descent from
 it over stochastic channels with one output per block, so its values are
@@ -471,8 +474,11 @@ def _screen_bound(a: int, ne: int, nf: int, rows: int, entries: int, c_abs: floa
     pair alone adds terms c_r (x - x) = +-0 to its cell's sum, and s + 0 = s exactly (the
     sum starts at +0, so it never reaches -0), so those terms add no rounding and the
     sequential sum keeps at most |F| x rows nonzero terms.  For the attack's tables
-    (a = 8, |E| = 9, |F| <= 3) this is at most 9.9e-13.  Cached: a search's arguments
-    depend only on the table's shape, the objective and |F|."""
+    (a = 8, |E| = 9, |F| <= 3) this is at most 9.9e-13.  `_refine` reads it both ways:
+    a trial whose screened change is at least the bound above the pass threshold
+    cannot pass, and an unflagged one more than twice the bound below it must, so
+    neither is scored exactly.  Cached: a search's arguments depend only on the
+    table's shape, the objective and |F|."""
     g = [k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
          for k in (a + ne, 3 * a + 2 * ne + 3, a * nf // 8 + 3, nf * rows + 1, entries)]
     h = math.log2(max(a * nf, 2))
@@ -559,6 +565,15 @@ def _predicted_channels(mat: np.ndarray, moves: list[int], step: float) -> np.nd
     return mats
 
 
+def _gained(scores: list[float]) -> float:
+    """The one-move loop's `gained` over a sweep whose states score `scores` in turn:
+    best - val of each kept move, added up in order."""
+    gained = 0.0
+    for best, val in zip(scores, scores[1:]):
+        gained += best - val
+    return gained
+
+
 def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, float]],
             channel: np.ndarray, best: float) -> tuple[np.ndarray, float]:
     """Coordinate descent on channel rows; step halves when a sweep stalls.  `margs` are
@@ -572,9 +587,14 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
     would re-score the current channel, which can never pass, so it is
     skipped.
 
-    Trials come in batches, each trial from its own channel, and `_screen` rules out the
-    ones that cannot pass; `_objective`, the oracle's own expression, scores the rest in
-    the one-move loop's order, and the first that passes is kept.  The first batch,
+    Trials come in batches, each trial from its own channel, and are taken in the
+    one-move loop's order.  `_screen` rules out the ones that cannot pass and confirms
+    the ones that must (`first_pass`); `_objective`, the oracle's own expression,
+    scores the rest, and the first that passes is kept.  A state's exact score is
+    taken only when a trial is compared with it, and at the end.  The loop halves its
+    step after a sweep that gains less than REFINE_TOL; that test is read from the
+    screened gains of the sweep's kept moves, or, within their error of REFINE_TOL,
+    replayed from the exact scores of its states (`_gained`).  The first batch,
     before any move is kept, is every move at every step of the halving ladder, one
     row per step, in one `_screen` call: a start the descent cannot leave, as on the
     whole default grid, costs that one call, or none if it has no trial (one block).
@@ -608,47 +628,76 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
     entries, c_abs = sum(map(len, _plan(n, kind)[1])), sum(abs(c) for _, c in margs)
     margin = max(MARGIN, _screen_bound(dist.probs.size // ne, ne, nf, len(q), entries, c_abs))
 
+    clear = -1e-15 - 2.0 * margin  # an unflagged change below this passes exactly
+    # this sweep's states from the one before its first kept move, their exact scores
+    # (None until read) and the gain of its kept moves, exact where scored
+    states, scores, est = [mat.copy()], [best], 0.0
+
+    def score(j: int = -1) -> float:
+        """The exact score of states[j], its `_objective` the first time it is read."""
+        if scores[j] is None:
+            scores[j] = _objective(dist.probs @ states[j], n, kind)
+        return scores[j]
+
     def first_pass(trials: list[int], at: np.ndarray, rows: np.ndarray, change: np.ndarray,
                    ambiguous: np.ndarray):
-        """(k, move, row, value) of the first trial i of `trials`, in the order given, that
-        the screen does not rule out and whose exact score beats `best`; or None.  Trial i
-        is move e * nf + f in the k-th sweep from here, at[i] = k * width + move, setting
-        row e of `mat` to rows[i]."""
+        """(k, move, row, value, change) of the first trial i of `trials`, in the order
+        given, that passes; or None.  Trial i is move e * nf + f in the k-th sweep from
+        here, at[i] = k * width + move, setting row e of `mat` to rows[i].  An unflagged
+        trial with change < `clear` passes unscored, with value None: its exact change is
+        within margin of the screened one.  Any other trial is ruled out if the screen
+        says it cannot beat the state's exact score, else scored by `_objective`, and a
+        pass then returns its exact change."""
         for i in trials:
+            k, move = divmod(int(at[i]), width)
+            if change[i] < clear and not ambiguous[i]:
+                return k, move, rows[i], None, float(change[i])
+            best = score()
             if best + change[i] < best - 1e-15 + margin or ambiguous[i]:
-                k, move = divmod(int(at[i]), width)
                 trial = mat.copy()
                 trial[move // nf] = rows[i]
                 val = _objective(dist.probs @ trial, n, kind)
                 if val < best - 1e-15:
-                    return k, move, rows[i], val
+                    return k, move, rows[i], val, val - best
         return None
 
     def near(change: np.ndarray, ambiguous: np.ndarray) -> np.ndarray:
-        """The trials `first_pass` might score, whatever `best`: best + change < best -
-        1e-15 + margin only if change < margin."""
+        """The trials `first_pass` might keep or score, whatever the state's score: best +
+        change < best - 1e-15 + margin only if change < margin, and a confirmed pass has
+        change < `clear` < margin."""
         return np.flatnonzero((change < margin) | ambiguous)
 
+    def gained_enough() -> bool:
+        """The loop's `gained >= REFINE_TOL` for this sweep: from `est` while that is
+        further from REFINE_TOL than its error, under 2 margin a state; else from
+        `_gained` of the states' exact scores."""
+        if abs(est - REFINE_TOL) > 2.0 * margin * len(states):
+            return est >= REFINE_TOL
+        return _gained([score(j) for j in range(len(states))]) >= REFINE_TOL
+
     step = REFINE_STEP
-    sweep = 0  # the sweep the next batch starts in, `gained`, `start` and `kept` its own
-    gained = 0.0
+    sweep = 0  # the sweep the next batch starts in, `start` and `kept` its own
     start = resume = 0  # the move after the last kept one; the first trial not known to fail
     kept, last = [], []  # the moves kept in this sweep so far and in the sweep before
 
-    def keep(k: int, at: float, move: int, row: np.ndarray, val: float):
-        """Keep `move`, scored `val`, in the k-th sweep after this one, at step `at`."""
-        nonlocal sweep, step, gained, start, resume, best, kept, last
+    def keep(steps: np.ndarray, k: int, move: int, row: np.ndarray, val: float | None,
+             change: float):
+        """Keep `move`, of `first_pass`' value and change, in the k-th sweep after this
+        one, at step steps[k]."""
+        nonlocal sweep, step, start, resume, kept, last, states, scores, est
         if k:
-            sweep, step, gained = sweep + k, at, 0.0
+            sweep, step = sweep + k, float(steps[k])
             kept, last = [], (kept if k == 1 else [])
-        gained += best - val
-        best = val
+            states, scores, est = states[-1:], scores[-1:], 0.0
+        est -= change
         mat[move // nf] = row
+        states.append(mat.copy())
+        scores.append(val)
         kept.append(move)
         start = resume = move + 1
 
     while True:
-        ahead = step if gained >= REFINE_TOL else 0.5 * step
+        ahead = step if gained_enough() else 0.5 * step
         found = None
         if start:  # this sweep and the next, then each predicted state's trials
             guess = _predicted(kept, last, REFINE_SWEEPS - 1 - sweep) if resume == start else []
@@ -679,7 +728,7 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
                     if i and (start != a or step != paces[i, 0]
                               or mat.tobytes() != mats[i].tobytes()):
                         break  # not the predicted state
-                    if i and b >= width and (gained < REFINE_TOL or sweep + 1 >= REFINE_SWEEPS):
+                    if i and b >= width and (sweep + 1 >= REFINE_SWEEPS or not gained_enough()):
                         break  # its next sweep is not at this step, or not at all
                     mine = trials[bisect.bisect_left(owner, i):bisect.bisect_left(owner, i + 1)]
                     found = first_pass(mine, at, rows, change, ambiguous)
@@ -687,8 +736,7 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
                         if i:  # no trial up to its predicted move passes
                             resume = b + 1
                         break
-                    k, move, row, val = found
-                    keep(k, float(paces[i, k]), move, row, val)
+                    keep(paces[i], *found)
                 if found is not None or i:  # the walk moved on: the next batch starts there
                     continue
         if found is None:  # the rest, each sweep at half the last step, one row per step
@@ -706,9 +754,8 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
                 found = first_pass(near(change, ambiguous).tolist(), at + screened * width, rows,
                                    change, ambiguous)
         if found is None:
-            return mat, best
-        k, move, row, val = found
-        keep(k, float(steps[k]), move, row, val)
+            return mat, score()
+        keep(steps, *found)
 
 
 def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[str],

@@ -259,6 +259,24 @@ def refine_loop(dist, channel: np.ndarray, kind: str, taken=None) -> np.ndarray:
     return mat
 
 
+def sweep_gains(dist, channel: np.ndarray, kind: str, taken) -> dict[int, float]:
+    """`refine_loop`'s `gained` of each sweep that keeps a move, by sweep: the kept
+    moves of its `taken` replayed from `channel` and scored in the loop's order."""
+    from ckabounds.secrecy import _objective
+
+    mat = channel.copy()
+    best = _objective(dist.probs @ mat, dist.parties, kind)
+    gains = {}
+    for sweep, move, step in taken:
+        e, f = divmod(move, mat.shape[1])
+        mat[e] = (1.0 - step) * mat[e]
+        mat[e, f] += step
+        val = _objective(dist.probs @ mat, dist.parties, kind)
+        gains[sweep] = gains.get(sweep, 0.0) + (best - val)
+        best = val
+    return gains
+
+
 def screen_dense(q: np.ndarray, coeffs: np.ndarray, mat: np.ndarray, e: np.ndarray,
                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`secrecy._screen` over the whole (trial, f, r) array: the entries a trial

@@ -94,6 +94,14 @@ class TestCurvesCommand:
         assert main(["curves", "--nu-max", "0.01", "--nu-step", "0.01",
                      "--out", "/nonexistent-dir/curves.csv"]) == 2
 
+    def test_unwritable_path_fails_before_the_search(self, tmp_path, monkeypatch, capsys):
+        searched = []
+        monkeypatch.setattr(bounds, "compute_curves", lambda *args, **kw: searched.append(args))
+        assert main(["curves", "--minimize", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+        captured = capsys.readouterr()
+        assert one_line(captured.err).startswith("I/O error: ") and captured.out == ""
+        assert searched == []
+
     def test_unknown_flag_exits_one(self):
         assert main(["curves", "--bogus"]) == 1
 
@@ -306,6 +314,14 @@ class TestAttackCommand:
 
     def test_rejects_nu_out_of_range(self, capsys):
         assert main(["attack", "--nu-min", "1.0"]) == 1
+
+    def test_unwritable_out_fails_before_the_search(self, tmp_path, monkeypatch, capsys):
+        searched = []
+        monkeypatch.setattr(bounds, "point_values", lambda *args, **kw: searched.append(args))
+        assert main(["attack", "--nu-min", "0.5", "--out", str(tmp_path / "missing" / "a.csv")]) == 2
+        captured = capsys.readouterr()
+        assert one_line(captured.err).startswith("I/O error: ") and captured.out == ""
+        assert searched == []
 
     def test_negative_zero_nu_is_printed_as_zero(self, capsys):
         assert main(["attack", "--nu-min", "-0.0"]) == 0

@@ -80,6 +80,28 @@ def test_refine_does_not_depend_on_the_prediction(inputs, sweeps, predictor, see
         assert value == secrecy._objective(dist.probs @ got, dist.parties, kind)
 
 
+@settings(FEW, max_examples=20)
+@given(inputs=refine_inputs(), above=st.booleans())
+def test_stall_test_replays_the_loop_near_the_tolerance(inputs, above):
+    # REFINE_TOL at the loop's gain over its first sweep that keeps a move, or the next
+    # float up: the screened gains sum to within their error of it, so the stall test
+    # is replayed from the exact scores and reads what the loop reads
+    dist, kind, start = inputs
+    taken = []
+    oracles.refine_loop(dist, start, kind, taken)
+    assume(taken)
+    tol = oracles.sweep_gains(dist, start, kind, taken)[taken[0][0]]
+    tol = np.nextafter(tol, np.inf) if above else tol
+    replays, gained = [], secrecy._gained
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(secrecy, "REFINE_TOL", float(tol))
+        mp.setattr(secrecy, "_gained", lambda scores: replays.append(scores) or gained(scores))
+        got, value = oracles.refine(dist, start, kind)
+        assert replays
+        assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
+        assert value == secrecy._objective(dist.probs @ got, dist.parties, kind)
+
+
 @st.composite
 def screen_inputs(draw):
     """A sparse table with entries down to 1e-16, an objective and a stochastic start.

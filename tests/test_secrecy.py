@@ -748,8 +748,8 @@ class TestBatchedSearch:
         # batches (264, 259, 209 and 213 without the look-ahead): the first holds the
         # start's whole ladder, each batch after a move holds the next sweep and the
         # trials of the predicted states up to their predicted moves, and the walk keeps
-        # a move per confirmed state; each kept move is the one trial scored exactly,
-        # after the start
+        # a move per confirmed state; every kept move passes on the screen's word, so
+        # the only exact scores are the start's and the end's
         calls = {(0.45, "cmi"): (68, 6916), (0.45, "sn"): (91, 7743),
                  (0.5, "cmi"): (52, 6984), (0.5, "sn"): (58, 8459)}
         confirmed = {(0.45, "cmi"): 261, (0.45, "sn"): 256, (0.5, "cmi"): 205, (0.5, "sn"): 206}
@@ -758,9 +758,11 @@ class TestBatchedSearch:
         start = dp_start(dist, kind)
         got, _ = oracles.refine(dist, start, kind)
         assert (len(rows), sum(rows)) == calls[nu, kind]
-        assert len(exact) == 1 + confirmed[nu, kind]
+        assert len(exact) == 2
         monkeypatch.undo()
-        assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
+        taken = []
+        assert got.tobytes() == oracles.refine_loop(dist, start, kind, taken).tobytes()
+        assert len(taken) == confirmed[nu, kind]
 
     @pytest.mark.parametrize("branch, nu, kind, sweeps", LOOK_AHEAD_CASES)
     def test_look_ahead_branch_matches_loop(self, monkeypatch, branch, nu, kind, sweeps):
@@ -788,6 +790,60 @@ class TestBatchedSearch:
             assert got.tobytes() == want.tobytes()
             assert taken and len(exact) > 1 + len(taken)  # failing trials were scored too
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("shift, flag", [(1.0, True), (1.5 * secrecy.MARGIN, False)],
+                             ids=["flagged", "off-by-1.5-margins"])
+    def test_passes_on_the_screens_word_keep_a_factor_two(self, monkeypatch, rng, shift, flag):
+        # every change screened low by `shift`: a trial the screen flags is scored
+        # whatever its change, and an unflagged one passes unscored only 2 margins
+        # below the pass threshold, so a screen 1.5 margins off still moves no bit;
+        # an Eve symbol of probability 0 gives moves of exact change 0 that fail
+        dist = build_cc_attack(0.5).joint
+        cases = [(dist, kind, dp_start(dist, kind)) for kind in ("cmi", "sn")]
+        for kind in ("cmi", "sn"):
+            probs = sparse_joint(rng, (2, 3), 3).probs.copy()
+            probs[..., 1] = 0.0
+            start = rng.random((3, 2))
+            cases.append((JointDistribution(probs / probs.sum()), kind,
+                          start / start.sum(axis=1, keepdims=True)))
+        screen = secrecy._screen
+
+        def low(q, coeffs, mats, plan):
+            change, ambiguous = screen(q, coeffs, mats, plan)
+            return change - shift, ambiguous | flag
+
+        for dist, kind, start in cases:
+            want = oracles.refine_loop(dist, start, kind)
+            with monkeypatch.context() as mp:
+                mp.setattr(secrecy, "_screen", low)
+                got, value = oracles.refine(dist, start, kind)
+            assert got.tobytes() == want.tobytes()
+            assert value == _objective(dist.probs @ got, dist.parties, kind)
+
+    @pytest.mark.parametrize("above", [False, True], ids=["at-the-gain", "one-ulp-above"])
+    def test_stall_test_replays_the_loop_near_the_tolerance(self, monkeypatch, above):
+        # REFINE_TOL set to the loop's gain over the first sweep that keeps a move, or
+        # the next float up, so the loop reads gained >= REFINE_TOL as True, or False,
+        # while the screened gains sum to within their error of it: the search must
+        # replay the loop's sum from the exact scores
+        dist = build_cc_attack(0.45).joint
+        gained = secrecy._gained
+        for kind in ("cmi", "sn"):
+            start = dp_start(dist, kind)
+            taken = []
+            oracles.refine_loop(dist, start, kind, taken)
+            tol = oracles.sweep_gains(dist, start, kind, taken)[taken[0][0]]
+            tol = math.nextafter(tol, math.inf) if above else tol
+            replays = []
+            with monkeypatch.context() as mp:
+                mp.setattr(secrecy, "REFINE_TOL", tol)  # the oracle reads it at call time
+                mp.setattr(secrecy, "_gained", lambda scores: replays.append(scores)
+                           or gained(scores))
+                got, value = oracles.refine(dist, start, kind)
+                want = oracles.refine_loop(dist, start, kind)
+            assert replays
+            assert got.tobytes() == want.tobytes()
+            assert value == _objective(dist.probs @ want, dist.parties, kind)
 
     @pytest.mark.parametrize("predictor", sorted(oracles.WRONG_PREDICTORS))
     @pytest.mark.parametrize("nu", [0.45, 0.5, 0.575])
@@ -845,6 +901,23 @@ def curves_csv(grid) -> str:
     fh = io.StringIO()
     write_curves_csv(compute_curves(grid, minimize=True), fh)
     return fh.getvalue()
+
+
+class TestExactScores:
+    """What the serial searches of a grid score with `_objective`."""
+
+    @pytest.mark.parametrize("grid, scores", [
+        # the 106 searches each score their start, and no trial comes near passing
+        pytest.param(default_grid(), 106, id="default"),
+        # 50 starts, the 287 trials the screen cannot settle, 7 states they are
+        # compared with, 2 states replayed for the stall test and 10 ends, for
+        # 2,622 kept moves
+        pytest.param(noise_grid(0.3, 0.9, 0.025), 356, id="high_noise"),
+    ])
+    def test_exact_scores_of_serial_curves(self, monkeypatch, grid, scores):
+        _, exact = count_scores(monkeypatch)
+        compute_curves(grid, minimize=True)
+        assert len(exact) == scores
 
 
 class TestFirstBatch:
