@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 
 from .attacks import CcAttack, build_cc_attack, eve_postprocess
 from .partitions import set_partitions
-from .secrecy import (entropy_bits, integer, minimize_over_channels, real, s_n, shannon_cmi,
-                      unit_interval)
+from .secrecy import (boolean, entropy_bits, integer, minimize_over_channels, real, s_n,
+                      shannon_cmi, unit_interval)
 
 VALUE_FLOOR = -1e-9
 _N_PARTIES = 3
@@ -27,7 +27,7 @@ MAX_RELAY_PARTIES = 1024
 MAX_KEY_LEN = 4096
 MAX_GRID_POINTS = 100_000
 MAX_WORKERS = 64
-GRID_CHUNK = 4  # grid points a serial run searches as one stack
+GRID_CHUNK = 8  # grid points a serial run searches as one stack, with one set-up per monotone
 # The default noise grid, 0 to 0.13 in steps of 0.0025 (covers the critical level)
 DEFAULT_NU_MIN, DEFAULT_NU_MAX, DEFAULT_NU_STEP = 0.0, 0.13, 0.0025
 
@@ -106,8 +106,8 @@ def point_values(attack: CcAttack, minimize: bool) -> dict[str, float]:
     """Every curve's value at one attack, by name, in CSV order.
 
     Eve's post-processing is the fixed honest mimicry (suffix ``_fixed``),
-    or with `minimize` the channel search over her raw 9-symbol record
-    (suffix ``_min``):
+    or with `minimize` (True or False) the channel search over her raw
+    9-symbol record (suffix ``_min``):
 
     * ``intrinsic_*``: the conditional-mutual-information bound divided by N-1;
     * ``dual_*``: the telescoping-sum bound S_N, no prefactor;
@@ -117,7 +117,7 @@ def point_values(attack: CcAttack, minimize: bool) -> dict[str, float]:
       distillation rate; it is not a proved bound, hence the PROXY label in
       every output.
     """
-    return _run_values([attack], minimize)[0]
+    return _run_values([attack], boolean(minimize, "minimize"))[0]
 
 
 def _run_values(attacks: Sequence[CcAttack], minimize: bool) -> list[dict[str, float]]:
@@ -145,10 +145,11 @@ def compute_curves(grid: Sequence[float], minimize: bool = False,
                    workers: int = 1) -> list[BoundCurve]:
     """The curves of `point_values` over the grid; output independent of the worker count.
 
-    At most `workers` (1..MAX_WORKERS) processes run, and no more than the
-    grid has points; with one, the points are computed in this process, in
-    runs of GRID_CHUNK.
+    `minimize` is True or False.  At most `workers` (1..MAX_WORKERS) processes
+    run, and no more than the grid has points; with one, the points are computed
+    in this process, in runs of GRID_CHUNK.
     """
+    minimize = boolean(minimize, "minimize")
     workers = integer(workers, "workers", 1, MAX_WORKERS)
     grid = _check_grid(grid)
     processes = min(workers, len(grid))

@@ -18,15 +18,17 @@ those sums up, and one pass of an exact dynamic program over the set
 partitions of Eve's alphabet (`_best_partition`, at most EXHAUSTIVE_LIMIT
 symbols) solves every (table, objective) row.  Each row's best deterministic
 channel is scored by `_objective` and optionally refined by coordinate descent
-(`_refine`), whose first batch screens every move in one `_screen` call, over
-a plan built once per start channel and support (`_first_batch`).  After a
-kept move, a batch also screens, from the channels they predict, the trials
-up to the next kept moves `_predicted` by repeating the sweep before; they
-are used only while the prediction proves true, so refined values do not
-depend on it.  The screen's error bound (`_screen_bound`) rules trials out
-and also confirms passes, so `_objective` scores only the trials the screen
-cannot settle and, lazily, the states they are compared with.  Only the
-channel returned is checked as a `ClassicalChannel`.
+(`_refine`) over its row of the objective's `_run_terms`, which lay the
+marginals end to end once for the whole stack.  The descent's first batch
+screens every move in one `_screen` call, over a plan built once per start
+channel and support (`_first_batch`).  After a kept move, a batch also
+screens, from the channels they predict, the trials up to the next kept moves
+`_predicted` by repeating the sweep before; they are used only while the
+prediction proves true, so refined values do not depend on it.  The screen's
+error bound (`_screen_bound`) rules trials out and also confirms passes, so
+`_objective` scores only the trials the screen cannot settle and, lazily, the
+states they are compared with.  Only the channel returned is checked as a
+`ClassicalChannel`.
 
 The search tries only that deterministic channel and a local descent from
 it over stochastic channels with one output per block, so its values are
@@ -82,6 +84,14 @@ def integer(value, name: str, lo: int | None = None, hi: int | None = None) -> i
     if lo is not None and v < lo:
         raise ValueError(f"{name} must be at least {lo}, got {v}")
     return v
+
+
+def boolean(value, name: str) -> bool:
+    """`value` if it is True or False; anything else, "no", None, 1 or np.True_, is a
+    ValueError led by `name`."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be True or False, got {value!r}")
+    return value
 
 
 def real(value) -> float:
@@ -305,8 +315,7 @@ class SearchBudget:
     refine: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.refine, bool):
-            raise ValueError(f"refine must be True or False, got {self.refine!r}")
+        boolean(self.refine, "refine")
 
 
 def _subset_marginals(p: np.ndarray, kinds: Sequence[str]) -> dict[tuple[int, ...], np.ndarray]:
@@ -318,9 +327,13 @@ def _subset_marginals(p: np.ndarray, kinds: Sequence[str]) -> dict[tuple[int, ..
 
 
 def _plogp(p: np.ndarray) -> np.ndarray:
-    """p log2 p entrywise, and 0 at or below PROB_FLOOR: the terms `entropy_bits` keeps."""
-    kept = np.where(p > PROB_FLOOR, p, 1.0)
-    return kept * np.log2(kept)
+    """p log2 p entrywise, and 0 at or below PROB_FLOOR: the terms `entropy_bits` keeps.
+    `p` is a temporary that it overwrites, its entries at or below PROB_FLOOR set to 1,
+    so the largest table, `_block_values`' run of tables, is held twice, not four times."""
+    np.putmask(p, p <= PROB_FLOOR, 1.0)
+    terms = np.log2(p)
+    terms *= p  # log2(p) * p and p * log2(p) are the same bits
+    return terms
 
 
 @lru_cache(maxsize=None)
@@ -455,7 +468,8 @@ def _screen(q: np.ndarray, coeffs: np.ndarray, mats: np.ndarray,
     np.add(p[0], moved, out=p[1:])
     near = np.abs(p - 1.25 * PROB_FLOOR) <= 0.75 * PROB_FLOOR
     ambiguous = np.zeros(rows.shape[:2], dtype=bool)
-    ambiguous.ravel()[cell[(near[:1] | near[1:]) & (moved != 0.0)]] = True
+    if near.any():  # seldom: most screens move no entry near the floor
+        ambiguous.ravel()[cell[(near[:1] | near[1:]) & (moved != 0.0)]] = True
     p = _plogp(p)
     change = np.bincount(cell.ravel(), (coeffs[r] * (p[:1] - p[1:])).ravel(), ambiguous.size)
     return change.reshape(ambiguous.shape), ambiguous
@@ -574,12 +588,12 @@ def _gained(scores: list[float]) -> float:
     return gained
 
 
-def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, float]],
-            channel: np.ndarray, best: float) -> tuple[np.ndarray, float]:
-    """Coordinate descent on channel rows; step halves when a sweep stalls.  `margs` are
-    (P_X, c_X) of the merged `_plan` terms, P_X from `_subset_marginals`, and `best` the
-    start's exact score, `_objective`(dist.probs @ channel).  Returns the channel it ends
-    at and that channel's exact score.
+def _refine(dist: JointDistribution, kind: str, q: np.ndarray, coeffs: np.ndarray,
+            c_abs: float, channel: np.ndarray, best: float) -> tuple[np.ndarray, float]:
+    """Coordinate descent on channel rows; step halves when a sweep stalls.  `q` is
+    `dist`'s row of the stacked q of `kind`'s `_run_terms`, built once per run with
+    `coeffs` and `c_abs`, and `best` the start's exact score, `_objective`(dist.probs @
+    channel).  Returns the channel it ends at and that channel's exact score.
 
     A sweep tries the moves (e, f) in row-major order: row e becomes
     (1 - step) * row + step at column f, and the move is kept if it lowers
@@ -620,12 +634,9 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
     n = dist.parties
     ne, nf = channel.shape
     width = ne * nf  # the moves of a sweep
-    two_sweeps = np.tile(_moves(ne, nf)[0], 2)  # the row each position k * width + move moves
     mat = channel.copy()
-    q = np.concatenate([m for m, _ in margs])
-    coeffs = np.concatenate([np.full(m.shape[0], c) for m, c in margs])
     support = q.T != 0.0
-    entries, c_abs = sum(map(len, _plan(n, kind)[1])), sum(abs(c) for _, c in margs)
+    entries = sum(map(len, _plan(n, kind)[1]))
     margin = max(MARGIN, _screen_bound(dist.probs.size // ne, ne, nf, len(q), entries, c_abs))
 
     clear = -1e-15 - 2.0 * margin  # an unflagged change below this passes exactly
@@ -718,7 +729,8 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
             ch, at = np.nonzero(frames)
             if at.size:
                 rows = rows.reshape(len(mats), -1, nf)[ch, at]
-                plan = _screen_plan(support, mats, ch, two_sweeps.take(at), rows[np.newaxis])
+                # position k * width + e * nf + f moves row e
+                plan = _screen_plan(support, mats, ch, at // nf % ne, rows[np.newaxis])
                 change, ambiguous = _screen(q, coeffs, mats, plan)
                 change, ambiguous = change[0], ambiguous[0]
                 trials = near(change, ambiguous)
@@ -758,12 +770,23 @@ def _refine(dist: JointDistribution, kind: str, margs: list[tuple[np.ndarray, fl
         keep(steps, *found)
 
 
+def _run_terms(margs: dict, n_parties: int, kind: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """What `_refine` reads of monotone `kind` for a stack whose `_subset_marginals` are
+    `margs`: q, the merged `_plan` terms' P_X laid end to end as (stack, rows, eve), each
+    row's c_X, and sum_X |c_X|."""
+    axes, _, merged = _plan(n_parties, kind)
+    q = np.concatenate([margs[axes[i]] for i, _ in merged], axis=1)
+    coeffs = np.concatenate([np.full(margs[axes[i]].shape[1], c) for i, c in merged])
+    return q, coeffs, sum(abs(c) for _, c in merged)
+
+
 def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[str],
                            budget: SearchBudget | None = None,
                            ) -> list[tuple[float, ClassicalChannel]]:
     """The searched (value, channel) of each table of `dists`, all of one shape, for each
-    objective of `kinds` ("cmi", "sn"), table by table: the exact stage is one stack, and
-    the start's `_objective`, `_refine` and the channel check run per table and kind."""
+    objective of `kinds` ("cmi", "sn"), table by table.  The exact stage is one stack,
+    and each kind's `_run_terms` are built once for the run; the start's `_objective`,
+    `_refine` and the channel check run per table and kind."""
     if isinstance(kinds, str) or not len(kinds):
         raise ValueError(f"kinds must be a nonempty sequence of objectives, got {kinds!r}")
     if not len(dists):
@@ -775,14 +798,17 @@ def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[s
         raise ValueError(f"channel search takes at most {EXHAUSTIVE_LIMIT} Eve symbols, got {ne}")
     margs = _subset_marginals(p, kinds)
     partitions = _best_partition(_block_values(margs, n, kinds).reshape(-1, (1 << ne) - 1))
+    runs = [_run_terms(margs, n, kind) for kind in kinds]
     found = []
-    for (j, dist), kind in itertools.product(enumerate(dists), kinds):
+    for (j, dist), (kind, (q, coeffs, c_abs)) in itertools.product(enumerate(dists),
+                                                                   zip(kinds, runs)):
         blocks = partitions[len(found)]
-        mat = np.array([[e in block for block in blocks] for e in range(ne)], dtype=float)
+        mat = np.zeros((ne, len(blocks)))
+        for f, block in enumerate(blocks):
+            mat[block, f] = 1.0
         value = _objective(dist.probs @ mat, n, kind)
         if budget.refine and len(blocks) > 1:  # every channel to one output is the same
-            axes, _, terms = _plan(n, kind)
-            mat, value = _refine(dist, kind, [(margs[axes[i]][j], c) for i, c in terms], mat, value)
+            mat, value = _refine(dist, kind, q[j], coeffs, c_abs, mat, value)
         found.append((value, ClassicalChannel(mat)))
     return found
 

@@ -388,7 +388,7 @@ def screen_sum_gaps(dist, kind: str, start: np.ndarray) -> list[tuple[float, flo
     carry 1 + (|F| - 1) + rows roundings on the dense path and at most
     2 + (|F| rows - 1) on the block one, whose exact-zero terms round nothing."""
     u = 2.0 ** -53
-    c_abs = sum(abs(c) for _, c in subset_terms(dist, kind))
+    c_abs = refine_inputs(dist, kind)[2]
     out = []
     for args, (change, ambiguous) in screened_batches(dist, kind, start):
         rows, nf = args[0].shape[0], args[2].shape[1]
@@ -470,14 +470,14 @@ def partition_layers_loop(ne: int) -> tuple[list[tuple[np.ndarray, ...]], list]:
     return [tuple(np.array(a, dtype=np.intp) for a in layer) for layer in layers], where
 
 
-def subset_terms(dist, kind: str) -> list[tuple[np.ndarray, float]]:
-    """(P_X, c_X) of each merged `_plan` term of `kind`, P_X(x_X, e) as an (x-range, eve)
-    array: what `minimize_over_channels` hands `_refine` for `dist`, from a stack of one."""
+def refine_inputs(dist, kind: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """(q, coeffs, c_abs) of `dist` and `kind`: what `minimize_over_channels` hands
+    `_refine` for `dist`, its row of the `_run_terms` of a stack of one."""
     from ckabounds import secrecy
 
-    axes, _, merged = secrecy._plan(dist.parties, kind)
     margs = secrecy._subset_marginals(dist.probs[np.newaxis], [kind])
-    return [(margs[axes[i]][0], c) for i, c in merged]
+    q, coeffs, c_abs = secrecy._run_terms(margs, dist.parties, kind)
+    return q[0], coeffs, c_abs
 
 
 def block_table(dist, kind: str) -> np.ndarray:
@@ -504,11 +504,11 @@ def best_partition(dist, kind: str) -> list[list[int]]:
 
 def refine(dist, start: np.ndarray, kind: str) -> tuple[np.ndarray, float]:
     """`_refine` from `start`, given what `minimize_over_channels` gives it: the
-    subset marginals and the start's exact score (one `_objective` call)."""
+    `refine_inputs` and the start's exact score (one `_objective` call)."""
     from ckabounds import secrecy
 
     best = secrecy._objective(dist.probs @ start, dist.parties, kind)
-    return secrecy._refine(dist, kind, subset_terms(dist, kind), start, best)
+    return secrecy._refine(dist, kind, *refine_inputs(dist, kind), start, best)
 
 
 def _wrong_predictors() -> dict:

@@ -240,8 +240,9 @@ class TestGridRuns:
         monkeypatch.setattr(bounds, "_run_worker", recorded)
         return handed
 
-    @pytest.mark.parametrize("points", [GRID_CHUNK - 1, GRID_CHUNK, GRID_CHUNK + 1,
-                                        2 * GRID_CHUNK + 1])
+    # grids shorter than one run, and around one and two runs
+    @pytest.mark.parametrize("points", sorted({3, 4, 5, GRID_CHUNK - 1, GRID_CHUNK,
+                                               GRID_CHUNK + 1, 2 * GRID_CHUNK + 1}))
     @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
     def test_runs_are_the_point_values(self, request, runs, points, pooled):
         # from the mimicry regime, where no move is kept, to high noise, where refinement
@@ -338,6 +339,18 @@ class TestValidators:
     def test_non_integer_workers_rejected(self, pools, no_points):
         with pytest.raises(ValueError, match="^workers must be an integer, got 2.5$"):
             compute_curves([0.1, 0.2], workers=2.5)
+        assert pools == []
+
+    @pytest.mark.parametrize("minimize", ["no", None, 1, np.True_])
+    def test_minimize_must_be_a_bool(self, monkeypatch, pools, no_points, minimize):
+        # any truthy value, "no" among them, used to run the channel search and name the
+        # curves intrinsic_min and dual_min
+        monkeypatch.setattr(bounds, "_run_values", None)
+        message = rf"^minimize must be True or False, got {re.escape(repr(minimize))}$"
+        with pytest.raises(ValueError, match=message):
+            compute_curves([0.1, 0.2], minimize=minimize, workers=2)
+        with pytest.raises(ValueError, match=message):
+            bounds.point_values(build_cc_attack(0.1), minimize)
         assert pools == []
 
 

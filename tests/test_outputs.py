@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ckabounds import bounds
 from ckabounds.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -60,15 +61,21 @@ def test_output_matches_golden(stem, tmp_path, monkeypatch):
         assert text.splitlines(keepends=True) == golden.splitlines(keepends=True), name
 
 
-def test_high_noise_curves_serially(tmp_path, monkeypatch):
-    # the benchmark runs this grid with `--workers 2`; one process, where the refinement's
-    # look-ahead runs over every point in turn, must write the same bytes
-    argv = CURVES["curves_min_high_noise"]
-    at = argv.index("--workers")
+@pytest.mark.parametrize("chunk", [1, 3, 8, None], ids=["1", "3", "8", "whole"])
+@pytest.mark.parametrize("stem", ["curves_min", "curves_min_high_noise"])
+def test_minimized_curves_serially_in_runs_of_any_size(tmp_path, monkeypatch, stem, chunk):
+    # one process searches the grid in runs of GRID_CHUNK points, each one stack with one
+    # set-up per monotone; whatever the run size, down to one point a run (as in the pool
+    # the high-noise workload uses) and up to the whole grid, it writes the same bytes
+    argv = CURVES[stem]
+    if "--workers" in argv:
+        at = argv.index("--workers")
+        argv = [*argv[:at], *argv[at + 2:]]
+    monkeypatch.setattr(bounds, "GRID_CHUNK", chunk or bounds.MAX_GRID_POINTS)
     monkeypatch.chdir(tmp_path)
-    assert main([*argv[:at], *argv[at + 2:], "--out", "h.csv"]) == 0
-    text = (tmp_path / "h.csv").read_bytes().decode()
-    golden = (GOLDEN / "curves_min_high_noise.csv").read_bytes().decode()
+    assert main([*argv, "--out", "c.csv"]) == 0
+    text = (tmp_path / "c.csv").read_bytes().decode()
+    golden = (GOLDEN / f"{stem}.csv").read_bytes().decode()
     assert text.splitlines(keepends=True) == golden.splitlines(keepends=True)
 
 

@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -627,12 +628,11 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("nf", [2, 3])
     def test_screen_bound_is_within_the_margin_at_the_attack_shapes(self, kind, nf):
         dist = build_cc_attack(0.05).joint
-        margs = oracles.subset_terms(dist, kind)
-        rows = sum(len(m) for m, _ in margs)
+        q, _, c_abs = oracles.refine_inputs(dist, kind)
+        rows = len(q)
         assert (dist.probs.size // dist.eve_alphabet, dist.eve_alphabet) == (8, 9)
         assert rows == {"cmi": 15, "sn": 21}[kind]
         entries = sum(map(len, secrecy._plan(dist.parties, kind)[1]))
-        c_abs = sum(abs(c) for _, c in margs)
         assert secrecy._screen_bound(8, 9, nf, rows, entries, c_abs) <= secrecy.MARGIN
 
     def test_default_grid_scores_only_the_starts(self, monkeypatch):
@@ -963,8 +963,7 @@ class TestFirstBatch:
         # different supports: each gets its own plan, and a repeat hits the memo
         start = ClassicalChannel.from_partition([[0, 1], [2, 3]], 4).matrix
         tables = [sparse_joint(rng, (2, 2, 3), 4) for _ in range(2)]
-        supports = [np.concatenate([m for m, _ in oracles.subset_terms(d, "cmi")]) != 0.0
-                    for d in tables]
+        supports = [oracles.refine_inputs(d, "cmi")[0] != 0.0 for d in tables]
         assert supports[0].shape == supports[1].shape
         assert not np.array_equal(*supports)
         secrecy._first_batch.cache_clear()
@@ -1098,6 +1097,46 @@ class TestSearchInputs:
         calls.clear()
         compute_curves(default_grid(), minimize=True)
         assert calls.count("_subset_marginals") == -(-len(dists) // GRID_CHUNK)
+
+    @pytest.mark.parametrize("size", [1, 3, GRID_CHUNK])
+    def test_run_terms_once_per_kind_and_call(self, monkeypatch, size):
+        # each kind's stacked q, its coefficients and sum |c_X| are built once per call,
+        # not once per table: every descent reads its q as a row of that one stack
+        dists = [build_cc_attack(nu).joint for nu in noise_grid(0.3, 0.9, 0.025)[:size]]
+        built, read = [], []
+        run_terms, refine = secrecy._run_terms, secrecy._refine
+
+        def spied_terms(margs, n, kind):
+            built.append((kind, run_terms(margs, n, kind)))
+            return built[-1][1]
+
+        def spied_refine(dist, kind, q, coeffs, c_abs, channel, best):
+            read.append((kind, q, coeffs, c_abs))
+            return refine(dist, kind, q, coeffs, c_abs, channel, best)
+
+        monkeypatch.setattr(secrecy, "_run_terms", spied_terms)
+        monkeypatch.setattr(secrecy, "_refine", spied_refine)
+        minimize_over_channels(dists, KINDS)
+        assert [kind for kind, _ in built] == list(KINDS)
+        assert len(read) == 2 * size  # no search here starts from one block
+        terms = dict(built)
+        for j, (kind, q, coeffs, c_abs) in enumerate(read):
+            stack, want_coeffs, want_c_abs = terms[kind]
+            assert kind == KINDS[j % 2] and q.base is stack and np.array_equal(q, stack[j // 2])
+            assert coeffs is want_coeffs and c_abs == want_c_abs
+
+    def test_warm_curves_stay_under_one_mebibyte(self):
+        # the largest arrays, `_block_values`' p log p terms and the DP's layers, grow
+        # with the run: a run of GRID_CHUNK = 8 points peaks near 0.8 MiB, and a stack
+        # of the whole default grid near 5 MiB
+        compute_curves(default_grid(), minimize=True)  # the memos, warm
+        tracemalloc.start()
+        try:
+            compute_curves(default_grid(), minimize=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
     @pytest.mark.parametrize("dists, kinds, message", [
