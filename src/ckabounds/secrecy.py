@@ -16,8 +16,11 @@ subset's marginals (`_subset_marginals`) and their p log2 p sums are taken
 once for all objectives, each objective's block table (`_block_values`) adds
 those sums up, and one pass of an exact dynamic program over the set
 partitions of Eve's alphabet (`_best_partition`, at most EXHAUSTIVE_LIMIT
-symbols) solves every (table, objective) row.  Each row's best deterministic
-channel is scored by `_objective` and optionally refined by coordinate descent
+symbols), run on the tables laid out as (mask, row), solves every (table,
+objective) row.  Each distinct best deterministic channel of the stack is
+built and checked as a `ClassicalChannel` once, and a table's objectives that
+start from one channel are scored in one p log2 p pass over their marginals
+(`_objectives`).  Each start is optionally refined by coordinate descent
 (`_refine`) over its row of the objective's `_run_terms`, which lay the
 marginals end to end once for the whole stack.  The descent's first batch
 screens every move in one `_screen` call, over a plan built once per start
@@ -27,8 +30,8 @@ screens, from the channels they predict, the trials up to the next kept moves
 prediction proves true, so refined values do not depend on it.  The screen's
 error bound (`_screen_bound`) rules trials out and also confirms passes, so
 `_objective` scores only the trials the screen cannot settle and, lazily, the
-states they are compared with.  Only the channel returned is checked as a
-`ClassicalChannel`.
+states they are compared with.  A search that keeps no move returns its shared
+start; only a refined channel is checked anew.
 
 The search tries only that deterministic channel and a local descent from
 it over stochastic channels with one output per block, so its values are
@@ -242,36 +245,50 @@ def _plan(n_parties: int, kind: str):
 
 
 @lru_cache(maxsize=None)
-def _segment_ends(shape: tuple[int, ...], n_parties: int, kind: str) -> tuple[int, ...]:
-    """Where each `_plan` marginal of a table of `shape` ends when the marginals are
-    flattened and laid end to end in `_plan` order."""
-    sizes = (math.prod(n for j, n in enumerate(shape) if j not in a)
-             for a in _plan(n_parties, kind)[0])
-    return tuple(itertools.accumulate(sizes))
+def _plans(shape: tuple[int, ...], n_parties: int, kinds: tuple[str, ...]):
+    """Sum axes per distinct subset of the `_plan`s of `kinds`, in order of first use, each
+    kind's groups of (subset index, c_X) over them, and where each marginal of a table of
+    `shape` ends when they are flattened and laid end to end in that order.  One kind's
+    axes and groups are its `_plan`'s."""
+    index: dict[tuple[int, ...], int] = {}
+    groups = tuple(
+        tuple(tuple((index.setdefault(axes[i], len(index)), c) for i, c in group) for group in plan)
+        for axes, plan, _ in (_plan(n_parties, kind) for kind in kinds))
+    sizes = (math.prod(n for j, n in enumerate(shape) if j not in a) for a in index)
+    return tuple(index), groups, tuple(itertools.accumulate(sizes))
 
 
-def _objective(p: np.ndarray, n_parties: int, kind: str) -> float:
-    """Monotone `kind`, sum_X c_X H(X, E) group by group, of a table with Eve's axis last.
+def _objectives(p: np.ndarray, n_parties: int, kinds: tuple[str, ...]) -> list[float]:
+    """Each monotone of `kinds`, sum_X c_X H(X, E) group by group, of a table with Eve's
+    axis last.
 
-    The marginals are laid end to end and their entries above PROB_FLOOR take
-    p log2 p in one pass.  Each entropy H(X, E) is then minus the sum of its own
-    contiguous run of terms: the terms `entropy_bits` would sum, in its order, so
-    its pairwise sum gives the same bits."""
-    axes, groups, _ = _plan(n_parties, kind)
+    The marginals of all the kinds, each subset once, are laid end to end and their
+    entries above PROB_FLOOR take p log2 p in one pass.  Each entropy H(X, E) is then
+    minus the sum of its own contiguous run of terms: the terms `entropy_bits` would sum,
+    in its order, so its pairwise sum gives the same bits, whatever the other kinds."""
+    axes, groups, ends = _plans(p.shape, n_parties, kinds)
     v = np.concatenate([np.add.reduce(p, axis=a).ravel() for a in axes])
     kept = v > PROB_FLOOR
     v = v[kept]
     terms = np.log2(v) * v
     at = kept.nonzero()[0].tolist()  # where each term came from, to split them by marginal
-    ends = [bisect.bisect_left(at, end) for end in _segment_ends(p.shape, n_parties, kind)]
+    ends = [bisect.bisect_left(at, end) for end in ends]
     h = [-float(np.add.reduce(terms[a:b])) for a, b in zip([0] + ends, ends)]
-    total = 0.0
-    for group in groups:
-        part = 0.0
-        for i, c in group:
-            part += c * h[i]
-        total += part
-    return total
+    values = []
+    for kind in groups:
+        total = 0.0
+        for group in kind:
+            part = 0.0
+            for i, c in group:
+                part += c * h[i]
+            total += part
+        values.append(total)
+    return values
+
+
+def _objective(p: np.ndarray, n_parties: int, kind: str) -> float:
+    """Monotone `kind` of a table with Eve's axis last: `_objectives` of that kind alone."""
+    return _objectives(p, n_parties, (kind,))[0]
 
 
 def shannon_cmi(dist: JointDistribution) -> float:
@@ -364,11 +381,12 @@ def _block_values(margs: dict, n_parties: int, kinds: Sequence[str]) -> np.ndarr
 def _partition_layers(ne: int) -> tuple[tuple[tuple[np.ndarray, ...], ...], tuple]:
     """The subsets S of {0..ne-1} that `_best_partition` solves, one popcount layer at
     a time: every nonempty subset of the symbols 1..ne-1, then the full set.  A layer is
-    (subsets, blocks - 1, remainders): for each S, the 2^(|S|-1) blocks T of S that hold
-    S's lowest symbol, in descending order of the submask T - low(S), as the `phi`
-    index T - 1 and as the remainder S - T.  Also returns each solved subset's
-    (layer, row), indexed by its mask, and None for the other masks.  No remainder
-    holds symbol 0, so every remainder but 0 is solved in an earlier layer.
+    (subsets, blocks - 1, remainders): for each S, column i of the last two, the
+    2^(|S|-1) blocks T of S that hold S's lowest symbol, in descending order of the
+    submask T - low(S), as the `phi` index T - 1 and as the remainder S - T.  Also
+    returns each solved subset's (layer, column), indexed by its mask, and None for the
+    other masks.  No remainder holds symbol 0, so every remainder but 0 is solved in an
+    earlier layer.
 
     Subsets come in ascending order within a layer.  The submasks of S - low(S),
     descending, are its bits picked by the bits of 2^k - 1, 2^k - 2, ..., 0, with
@@ -382,10 +400,10 @@ def _partition_layers(ne: int) -> tuple[tuple[tuple[np.ndarray, ...], ...], tupl
         subsets = masks[sizes == k + 1]
         symbols = np.nonzero(bits[sizes == k + 1])[1].reshape(subsets.size, k + 1)
         pickers = np.arange((1 << k) - 1, -1, -1)[:, np.newaxis] >> np.arange(k) & 1
-        blocks = ((1 << symbols[:, 1:]) @ pickers.T) | (1 << symbols[:, :1])
-        layers.append((subsets, blocks - 1, subsets[:, np.newaxis] ^ blocks))
-        for row, s in enumerate(subsets.tolist()):
-            where[s] = (k, row)
+        blocks = (pickers @ (1 << symbols[:, 1:]).T) | (1 << symbols[:, 0])
+        layers.append((subsets, blocks - 1, subsets ^ blocks))
+        for i, s in enumerate(subsets.tolist()):
+            where[s] = (k, i)
     for arrays in layers:
         for a in arrays:
             a.flags.writeable = False  # shared by every caller through the cache
@@ -400,20 +418,25 @@ def _best_partition(phi: np.ndarray) -> list[list[list[int]]]:
     Only the full set and the subsets some S - T can be, which lack symbol 0, are solved:
     (3^(|E|-1) - 1)/2 + 2^(|E|-1) (subset, block) pairs, 3,536 at |E| = 9, against
     (3^|E| - 1)/2 for every subset.  One pass solves all rows a popcount layer at a time,
-    since S - T has fewer symbols than S; each row is then read back from the full set
-    down, each S taking the first of its minimal blocks."""
+    since S - T has fewer symbols than S, over phi and best laid out as (mask, row): a
+    layer gathers whole rows of them, block by block, and takes the minimum over its
+    leading axis, the blocks.  Each row is then read back from the full set down, each S
+    taking the first of its minimal blocks."""
     ne = phi.shape[1].bit_length()  # a row has 2^ne - 1 entries
     layers, where = _partition_layers(ne)
-    best = np.zeros((len(phi), 1 << ne))
+    by_mask = np.ascontiguousarray(phi.T)
+    best = np.zeros((1 << ne, len(phi)))
     for subsets, minus_one, remainders in layers:
-        best[:, subsets] = (phi.take(minus_one, axis=1) + best.take(remainders, axis=1)).min(axis=2)
+        gathered = by_mask.take(minus_one, axis=0) + best.take(remainders, axis=0)
+        best[subsets] = gathered.min(axis=0)
     found = [[] for _ in phi]
-    for row, row_best, blocks in zip(phi, best, found):
+    for row, row_best, blocks in zip(phi, best.T, found):
         s = (1 << ne) - 1
         while s:
             layer, i = where[s]
             _, minus_one, remainders = layers[layer]
-            rest = int(remainders[i, (row[minus_one[i]] + row_best[remainders[i]]).argmin()])
+            rests = remainders[:, i]
+            rest = int(rests[(row[minus_one[:, i]] + row_best[rests]).argmin()])
             blocks.append([e for e in range(ne) if (s ^ rest) >> e & 1])
             s = rest
     return found
@@ -784,9 +807,10 @@ def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[s
                            budget: SearchBudget | None = None,
                            ) -> list[tuple[float, ClassicalChannel]]:
     """The searched (value, channel) of each table of `dists`, all of one shape, for each
-    objective of `kinds` ("cmi", "sn"), table by table.  The exact stage is one stack,
-    and each kind's `_run_terms` are built once for the run; the start's `_objective`,
-    `_refine` and the channel check run per table and kind."""
+    objective of `kinds` ("cmi", "sn"), table by table.  The exact stage is one stack, and
+    each kind's `_run_terms` and each distinct start channel are built once for the run; a
+    table's kinds that share a start are scored in one `_objectives` pass, and only a
+    channel that `_refine` moves is checked anew."""
     if isinstance(kinds, str) or not len(kinds):
         raise ValueError(f"kinds must be a nonempty sequence of objectives, got {kinds!r}")
     if not len(dists):
@@ -799,17 +823,24 @@ def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[s
     margs = _subset_marginals(p, kinds)
     partitions = _best_partition(_block_values(margs, n, kinds).reshape(-1, (1 << ne) - 1))
     runs = [_run_terms(margs, n, kind) for kind in kinds]
+    channels: dict[tuple, ClassicalChannel] = {}  # each distinct start of the run, by its blocks
     found = []
-    for (j, dist), (kind, (q, coeffs, c_abs)) in itertools.product(enumerate(dists),
-                                                                   zip(kinds, runs)):
-        blocks = partitions[len(found)]
-        mat = np.zeros((ne, len(blocks)))
-        for f, block in enumerate(blocks):
-            mat[block, f] = 1.0
-        value = _objective(dist.probs @ mat, n, kind)
-        if budget.refine and len(blocks) > 1:  # every channel to one output is the same
-            mat, value = _refine(dist, kind, q[j], coeffs, c_abs, mat, value)
-        found.append((value, ClassicalChannel(mat)))
+    for j, dist in enumerate(dists):
+        starts = [tuple(map(tuple, b)) for b in partitions[j * len(kinds):(j + 1) * len(kinds)]]
+        values = {}
+        for start in dict.fromkeys(starts):
+            if start not in channels:
+                channels[start] = ClassicalChannel.from_partition(start, ne)
+            ks = [k for k, s in enumerate(starts) if s == start]
+            table = dist.probs @ channels[start].matrix
+            values.update(zip(ks, _objectives(table, n, tuple(kinds[k] for k in ks))))
+        for k, (start, (q, coeffs, c_abs)) in enumerate(zip(starts, runs)):
+            channel, value = channels[start], values[k]
+            if budget.refine and len(start) > 1:  # every channel to one output is the same
+                mat, value = _refine(dist, kinds[k], q[j], coeffs, c_abs, channel.matrix, value)
+                if not np.array_equal(mat, channel.matrix):  # it kept a move
+                    channel = ClassicalChannel(mat)
+            found.append((value, channel))
     return found
 
 

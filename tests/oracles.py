@@ -450,7 +450,7 @@ def best_partition_loop(phi) -> list[list[int]]:
 def partition_layers_loop(ne: int) -> tuple[list[tuple[np.ndarray, ...]], list]:
     """`secrecy._partition_layers` one subset at a time: for each solved S in
     ascending order, its blocks T holding S's lowest symbol, walked down the
-    submasks of S - low(S) by t -> (t - 1) & (S - low(S))."""
+    submasks of S - low(S) by t -> (t - 1) & (S - low(S)), as a column."""
     full = (1 << ne) - 1
     layers = [([], [], []) for _ in range(ne)]
     where = [None] * (full + 1)
@@ -467,7 +467,7 @@ def partition_layers_loop(ne: int) -> tuple[list[tuple[np.ndarray, ...]], list]:
         subsets.append(s)
         minus_one.append([b - 1 for b in blocks])
         remainders.append([s ^ b for b in blocks])
-    return [tuple(np.array(a, dtype=np.intp) for a in layer) for layer in layers], where
+    return [tuple(np.array(a, dtype=np.intp).T for a in layer) for layer in layers], where
 
 
 def refine_inputs(dist, kind: str) -> tuple[np.ndarray, np.ndarray, float]:

@@ -143,6 +143,20 @@ class TestDualCurve:
         assert len(dual) == len(intr)
 
 
+class TestMimicryAttainsTheMinimum:
+    def test_minimized_is_the_fixed_post_processing_below_the_threshold(self):
+        # on today's attack the channel search ends at honest mimicry, the fixed
+        # post-processing, up to the zero threshold nu = 0.443307: the largest gap on
+        # these 178 points is 2.7e-15 (dual, nu = 0.26), so --minimize moves no digit
+        grid = noise_grid(0.0, 0.4425, 0.0025)
+        assert len(grid) == 178
+        found = {c.name: c.values for c in compute_curves(grid, minimize=True)}
+        fixed = {c.name: c.values for c in compute_curves(grid, minimize=False)}
+        for name in ("intrinsic", "dual"):
+            for nu, lo, hi in zip(grid, found[f"{name}_min"], fixed[f"{name}_fixed"]):
+                assert abs(lo - hi) <= 1e-14, f"{name} at nu = {nu}: {lo!r} != {hi!r}"
+
+
 class TestTrivialCurve:
     def test_values(self, curve):
         assert curve("trivial", [0.0, 0.5]).values == (1.0, 0.5)

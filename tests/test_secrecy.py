@@ -234,20 +234,22 @@ def floor_heavy_table(rng, shape, mode):
 
 
 class TestObjective:
-    """`_objective` takes p log2 p of all its marginals in one pass; it must give
-    the bits of scoring one entropy at a time, `oracles.objective_loop`."""
+    """`_objectives` takes p log2 p of all its marginals in one pass; it must give
+    the bits of scoring one entropy at a time, `oracles.objective_loop`, and each
+    kind the bits `_objective`, its one-kind case, gives."""
 
     def test_matches_loop_on_every_table_scored_on_bench_grids(self, monkeypatch):
         from ckabounds.bounds import point_values
 
-        objective, scored = secrecy._objective, []
+        objectives, scored = secrecy._objectives, []
 
-        def recorded(p, n_parties, kind):
-            value = objective(p, n_parties, kind)
-            scored.append((p.copy(), n_parties, kind, value))
-            return value
+        def recorded(p, n_parties, kinds):
+            values = objectives(p, n_parties, kinds)
+            scored.extend((p.copy(), n_parties, kind, value) for kind, value in zip(kinds, values))
+            return values
 
-        monkeypatch.setattr(secrecy, "_objective", recorded)
+        # `_objective` is `_objectives` of one kind, so every exact score passes here
+        monkeypatch.setattr(secrecy, "_objectives", recorded)
         grid = oracles.bench_grids()
         for nu in grid:
             attack = build_cc_attack(nu)
@@ -256,6 +258,35 @@ class TestObjective:
         assert len(scored) > 4 * len(grid)  # the fixed curves, the starts and confirmations
         for p, n_parties, kind, value in scored:
             assert value.hex() == oracles.objective_loop(p, n_parties, kind).hex()
+
+    def test_kinds_scored_together_are_each_scored_alone(self, rng):
+        # one pass over the union of the kinds' marginals: each value is what its kind
+        # alone gives, whatever the order of the kinds or a repeat among them
+        for i in range(300):
+            n = 2 + i % 3
+            shape = tuple(int(a) for a in rng.integers(1, 4, size=n)) + (1 + i % 10,)
+            p = floor_heavy_table(rng, shape, i % 6)
+            for kinds in (("cmi", "sn"), ("sn", "cmi"), ("sn",), ("cmi", "sn", "cmi")):
+                got = secrecy._objectives(p, n, kinds)
+                assert all(type(v) is float for v in got)
+                assert [v.hex() for v in got] == [_objective(p, n, kind).hex() for kind in kinds]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_kind_scores_its_own_plan(self, n):
+        # `_objective`'s marginals and groups are its `_plan`'s, so its cost is unchanged;
+        # both kinds together take each subset once
+        shape = (2,) * n + (3,)
+        for kind in ("cmi", "sn"):
+            axes, (groups,), _ = secrecy._plans(shape, n, (kind,))
+            assert (axes, groups) == secrecy._plan(n, kind)[:2]
+        axes, groups, ends = secrecy._plans(shape, n, ("cmi", "sn"))
+        assert ends[-1] == sum(3 * 2 ** (n - len(a)) for a in axes)
+        both = {*secrecy._plan(n, "cmi")[0], *secrecy._plan(n, "sn")[0]}
+        assert len(axes) == len(both) and set(axes) == both
+        for kind, kind_groups in zip(("cmi", "sn"), groups):
+            plan_axes, plan_groups, _ = secrecy._plan(n, kind)
+            assert [[(axes[i], c) for i, c in g] for g in kind_groups] == \
+                [[(plan_axes[i], c) for i, c in g] for g in plan_groups]
 
     def test_matches_loop_on_random_tables(self, rng):
         for i in range(600):
@@ -348,19 +379,21 @@ class TestBestPartition:
     def test_layers_solve_each_read_subset_once(self, ne):
         # the full set and every nonempty subset without symbol 0, each once, by
         # popcount; each remainder S - T is 0 or solved in an earlier layer, and
-        # the blocks T are those holding S's lowest symbol, descending in T - low(S)
+        # the blocks T, a column per S, are those holding S's lowest symbol,
+        # descending in T - low(S)
         layers, where = _partition_layers(ne)
         full = (1 << ne) - 1
         solved, seen = {0}, []
         for k, (subsets, minus_one, remainders) in enumerate(layers):
-            for row, s in enumerate(subsets.tolist()):
-                assert s.bit_count() == k + 1 and where[s] == (k, row)
+            assert minus_one.shape == remainders.shape == (1 << k, subsets.size)
+            for i, s in enumerate(subsets.tolist()):
+                assert s.bit_count() == k + 1 and where[s] == (k, i)
                 low = s & -s
                 rest = s ^ low
                 want = sorted((t | low for t in range(rest + 1) if t & rest == t), reverse=True)
-                assert (minus_one[row] + 1).tolist() == want
-                assert (remainders[row] ^ (minus_one[row] + 1)).tolist() == [s] * len(want)
-                assert set(remainders[row].tolist()) <= solved
+                assert (minus_one[:, i] + 1).tolist() == want
+                assert (remainders[:, i] ^ (minus_one[:, i] + 1)).tolist() == [s] * len(want)
+                assert set(remainders[:, i].tolist()) <= solved
             solved |= set(subsets.tolist())
             seen += subsets.tolist()
             assert not any(a.flags.writeable for a in (subsets, minus_one, remainders))
@@ -390,6 +423,18 @@ class TestBestPartition:
             assert _best_partition(phi[np.newaxis]) == [oracles.best_partition_loop(phi)]
         # all tie: the largest block, tried first, is kept
         assert _best_partition(np.zeros((1, (1 << ne) - 1))) == [[list(range(ne))]]
+
+    @pytest.mark.parametrize("ne", range(1, EXHAUSTIVE_LIMIT + 1))
+    def test_stacks_of_tie_heavy_rows_are_the_loop_in_any_order(self, rng, ne):
+        # the forward pass takes whole (mask, row) rows of phi and best: each row must
+        # still be its own loop, ties to the first minimal block, whatever the other rows
+        rows = [rng.integers(-top, top + 1, size=(1 << ne) - 1) for top in (1, 1, 2, 5)]
+        stack = np.array(rows + [np.zeros((1 << ne) - 1, dtype=int)], dtype=float)
+        got = _best_partition(stack)
+        assert got == [oracles.best_partition_loop(row) for row in stack]
+        for _ in range(2):
+            order = rng.permutation(len(stack))
+            assert _best_partition(stack[order]) == [got[i] for i in order]
 
 
 KINDS = ("cmi", "sn")
@@ -904,20 +949,28 @@ def curves_csv(grid) -> str:
 
 
 class TestExactScores:
-    """What the serial searches of a grid score with `_objective`."""
+    """What the serial searches of a grid score exactly: `_objectives` passes, each
+    of one or more kinds (`_objective` is a pass of one kind)."""
 
-    @pytest.mark.parametrize("grid, scores", [
-        # the 106 searches each score their start, and no trial comes near passing
-        pytest.param(default_grid(), 106, id="default"),
-        # 50 starts, the 287 trials the screen cannot settle, 7 states they are
-        # compared with, 2 states replayed for the stall test and 10 ends, for
-        # 2,622 kept moves
-        pytest.param(noise_grid(0.3, 0.9, 0.025), 356, id="high_noise"),
+    @pytest.mark.parametrize("grid, passes, kinds", [
+        # each point's two searches start from one partition, scored in one pass of
+        # both kinds, and no trial comes near passing
+        pytest.param(default_grid(), 53, 106, id="default"),
+        # 50 starts in 28 passes (22 points share one start, 3 do not), then the 287
+        # trials the screen cannot settle, 7 states they are compared with, 2 states
+        # replayed for the stall test and 10 ends, one kind each, for 2,622 kept moves
+        pytest.param(noise_grid(0.3, 0.9, 0.025), 334, 356, id="high_noise"),
     ])
-    def test_exact_scores_of_serial_curves(self, monkeypatch, grid, scores):
-        _, exact = count_scores(monkeypatch)
+    def test_exact_scores_of_serial_curves(self, monkeypatch, grid, passes, kinds):
+        scored, objectives = [], secrecy._objectives
+
+        def counted(p, n_parties, kinds):
+            scored.append(len(kinds))
+            return objectives(p, n_parties, kinds)
+
+        monkeypatch.setattr(secrecy, "_objectives", counted)
         compute_curves(grid, minimize=True)
-        assert len(exact) == scores
+        assert (len(scored), sum(scored)) == (passes, kinds)
 
 
 class TestFirstBatch:
@@ -1074,8 +1127,8 @@ class TestSearchInputs:
     @pytest.mark.parametrize("refine", [True, False])
     def test_one_marginal_table_and_one_channel_check_per_search(self, monkeypatch, refine):
         # a search takes a run of tables and objectives: its DP and every descent share
-        # one `_subset_marginals` pass over the stacked tables, and only the returned
-        # channels go through `probability_table`, one check each, after the search
+        # one `_subset_marginals` pass over the stacked tables, and only the channels a
+        # run returns go through `probability_table`, one check per distinct channel
         dists = [build_cc_attack(nu).joint for nu in default_grid()]
         calls = []
         for name in ("_subset_marginals", "probability_table"):
@@ -1084,11 +1137,18 @@ class TestSearchInputs:
                 return _wrapped(*args)
             monkeypatch.setattr(secrecy, name, counted)
         budget = SearchBudget(refine=refine)
+        checks = []
         for i in range(0, len(dists), GRID_CHUNK):
             run = dists[i:i + GRID_CHUNK]
             calls.clear()
-            assert len(minimize_over_channels(run, KINDS, budget)) == 2 * len(run)
-            assert calls == ["_subset_marginals"] + ["probability_table"] * (2 * len(run))
+            found = minimize_over_channels(run, KINDS, budget)
+            assert len(found) == 2 * len(run)
+            # no search here keeps a move, so a run returns its distinct starts
+            checks.append(len({id(channel) for _, channel in found}))
+            assert calls == ["_subset_marginals"] + ["probability_table"] * checks[-1]
+        # the first run holds nu = 0, whose searches start from one block; every other
+        # search starts from honest mimicry
+        assert checks == [2] + [1] * 6
         for search in (intrinsic_information, dual_intrinsic):  # a stack of one
             calls.clear()
             search(dists[0], budget)
@@ -1097,6 +1157,37 @@ class TestSearchInputs:
         calls.clear()
         compute_curves(default_grid(), minimize=True)
         assert calls.count("_subset_marginals") == -(-len(dists) // GRID_CHUNK)
+
+    def test_unrefined_searches_share_their_start_channel(self, monkeypatch):
+        # a run whose searches keep no move returns one read-only channel per distinct
+        # partition, built and checked once; a search that keeps moves returns a channel
+        # of its own, checked anew
+        run = [build_cc_attack(nu).joint for nu in default_grid()[:GRID_CHUNK]]
+        found = minimize_over_channels(run, KINDS)
+        by_bytes = {}
+        for _, channel in found:
+            assert by_bytes.setdefault(channel.matrix.tobytes(), channel) is channel
+            assert not channel.matrix.flags.writeable
+        assert len(by_bytes) == 2  # nu = 0's one block, and honest mimicry
+        assert found[0][1] is found[1][1] and found[2][1] is found[-1][1]
+        assert np.array_equal(found[2][1].matrix, dp_start(run[1], "cmi"))
+
+        dist, checked, table = build_cc_attack(0.55).joint, [], secrecy.probability_table
+
+        def counted(*args):
+            checked.append(args[3])
+            return table(*args)
+
+        monkeypatch.setattr(secrecy, "probability_table", counted)
+        [(_, start), _] = minimize_over_channels([dist], KINDS, SearchBudget(refine=False))
+        assert checked == ["channel rows"]  # both kinds start from one partition
+        checked.clear()
+        [(value, refined), (_, dual)] = minimize_over_channels([dist], KINDS)
+        assert checked == ["channel rows"] * 3  # the start, then each refined channel
+        assert refined is not dual and not refined.matrix.flags.writeable
+        assert refined.matrix.shape == start.matrix.shape
+        assert not np.array_equal(refined.matrix, start.matrix)
+        assert value.hex() == _objective(dist.probs @ refined.matrix, 3, "cmi").hex()
 
     @pytest.mark.parametrize("size", [1, 3, GRID_CHUNK])
     def test_run_terms_once_per_kind_and_call(self, monkeypatch, size):
