@@ -17,14 +17,15 @@ once for all objectives, each objective's block table (`_block_values`) adds
 those sums up, and one pass of an exact dynamic program over the set
 partitions of Eve's alphabet (`_best_partition`, at most EXHAUSTIVE_LIMIT
 symbols), run on the tables laid out as (mask, row), solves every (table,
-objective) row.  Each distinct best deterministic channel of the stack is
-built and checked as a `ClassicalChannel` once, and a table's objectives that
-start from one channel are scored in one p log2 p pass over their marginals
-(`_objectives`).  Each start is optionally refined by coordinate descent
-(`_refine`) over its row of the objective's `_run_terms`, which lay the
-marginals end to end once for the whole stack.  The descent's first batch
-screens every move in one `_screen` call, over a plan built once per start
-channel and support (`_first_batch`).  After a kept move, a batch also
+objective) row and reads back together the rows that stand at one subset.
+Each distinct best deterministic channel of the stack is built and checked as
+a `ClassicalChannel` once, and the tables whose objectives start from one
+channel are scored, those objectives together, in one p log2 p pass over
+their stacked marginals (`_objectives`).  Each start is optionally refined by
+coordinate descent (`_refine`) over its row of the objective's `_run_terms`,
+which lay the marginals end to end once for the whole stack.  The descent's
+first batch screens every move in one `_screen` call, over a plan built once
+per start channel and support (`_first_batch`).  After a kept move, a batch also
 screens, from the channels they predict, the trials up to the next kept moves
 `_predicted` by repeating the sweep before; they are used only while the
 prediction proves true, so refined values do not depend on it.  The screen's
@@ -246,49 +247,63 @@ def _plan(n_parties: int, kind: str):
 
 @lru_cache(maxsize=None)
 def _plans(shape: tuple[int, ...], n_parties: int, kinds: tuple[str, ...]):
-    """Sum axes per distinct subset of the `_plan`s of `kinds`, in order of first use, each
-    kind's groups of (subset index, c_X) over them, and where each marginal of a table of
-    `shape` ends when they are flattened and laid end to end in that order.  One kind's
-    axes and groups are its `_plan`'s."""
+    """For a stack of tables of `shape`, (tables, a_1..a_N, e): the stack's sum axes per
+    distinct subset of the `_plan`s of `kinds`, in order of first use, each kind's groups
+    of (subset index, c_X) over them, and where each (marginal, table) run ends when the
+    marginals are flattened and laid end to end in that order, each marginal table by
+    table.  One kind's axes, shifted past the stack's, and groups are its `_plan`'s."""
     index: dict[tuple[int, ...], int] = {}
     groups = tuple(
         tuple(tuple((index.setdefault(axes[i], len(index)), c) for i, c in group) for group in plan)
         for axes, plan, _ in (_plan(n_parties, kind) for kind in kinds))
-    sizes = (math.prod(n for j, n in enumerate(shape) if j not in a) for a in index)
-    return tuple(index), groups, tuple(itertools.accumulate(sizes))
+    tables, shape = shape[0], shape[1:]
+    ends, start = [], 0
+    for a in index:
+        size = math.prod(n for j, n in enumerate(shape) if j not in a)
+        ends += range(start + size, start + tables * size + 1, size)
+        start += tables * size
+    return tuple(tuple(j + 1 for j in a) for a in index), groups, tuple(ends)
 
 
-def _objectives(p: np.ndarray, n_parties: int, kinds: tuple[str, ...]) -> list[float]:
-    """Each monotone of `kinds`, sum_X c_X H(X, E) group by group, of a table with Eve's
-    axis last.
+def _objectives(p: np.ndarray, n_parties: int, kinds: tuple[str, ...]) -> list[list[float]]:
+    """Each monotone of `kinds`, sum_X c_X H(X, E) group by group, of each table of the
+    stack `p`, (tables, a_1..a_N, e), as values[table][kind].
 
-    The marginals of all the kinds, each subset once, are laid end to end and their
-    entries above PROB_FLOOR take p log2 p in one pass.  Each entropy H(X, E) is then
-    minus the sum of its own contiguous run of terms: the terms `entropy_bits` would sum,
-    in its order, so its pairwise sum gives the same bits, whatever the other kinds."""
+    The marginals of all the kinds, each subset once for the whole stack, are laid end
+    to end and their entries above PROB_FLOOR take p log2 p in one pass.  Each entropy
+    H(X, E) of a table is then minus the sum of its own contiguous run of terms: the terms
+    `entropy_bits` would sum, in its order, so its pairwise sum gives the same bits,
+    whatever the other kinds and tables."""
     axes, groups, ends = _plans(p.shape, n_parties, kinds)
-    v = np.concatenate([np.add.reduce(p, axis=a).ravel() for a in axes])
+    reduce = np.add.reduce
+    # the all-party subset sums over no axes, which would only copy p: p is used as it is
+    v = np.concatenate([(reduce(p, axis=a) if a else p).ravel() for a in axes])
     kept = v > PROB_FLOOR
     v = v[kept]
     terms = np.log2(v) * v
-    at = kept.nonzero()[0].tolist()  # where each term came from, to split them by marginal
+    at = kept.nonzero()[0].tolist()  # where each term came from, to split them by run
     ends = [bisect.bisect_left(at, end) for end in ends]
-    h = [-float(np.add.reduce(terms[a:b])) for a, b in zip([0] + ends, ends)]
-    values = []
-    for kind in groups:
-        total = 0.0
-        for group in kind:
-            part = 0.0
-            for i, c in group:
-                part += c * h[i]
-            total += part
-        values.append(total)
+    h = [-float(reduce(terms[a:b])) for a, b in zip([0] + ends, ends)]
+    values, m = [], len(p)
+    for j in range(m):
+        h_j = h[j::m]  # H(X, E) of table j, subset by subset
+        row = []
+        for kind in groups:
+            total = 0.0
+            for group in kind:
+                part = 0.0
+                for i, c in group:
+                    part += c * h_j[i]
+                total += part
+            row.append(total)
+        values.append(row)
     return values
 
 
 def _objective(p: np.ndarray, n_parties: int, kind: str) -> float:
-    """Monotone `kind` of a table with Eve's axis last: `_objectives` of that kind alone."""
-    return _objectives(p, n_parties, (kind,))[0]
+    """Monotone `kind` of a table with Eve's axis last: `_objectives` of a stack of one
+    table and that kind alone."""
+    return _objectives(p[np.newaxis], n_parties, (kind,))[0][0]
 
 
 def shannon_cmi(dist: JointDistribution) -> float:
@@ -420,8 +435,10 @@ def _best_partition(phi: np.ndarray) -> list[list[list[int]]]:
     (3^|E| - 1)/2 for every subset.  One pass solves all rows a popcount layer at a time,
     since S - T has fewer symbols than S, over phi and best laid out as (mask, row): a
     layer gathers whole rows of them, block by block, and takes the minimum over its
-    leading axis, the blocks.  Each row is then read back from the full set down, each S
-    taking the first of its minimal blocks."""
+    leading axis, the blocks.  The rows are then read back from the full set down, one
+    step at a time, all the rows standing at one S together: one gather of their
+    (block, row) sums, whole rows when every row stands there, and one argmin over the
+    blocks, each row taking the first of its minimal blocks."""
     ne = phi.shape[1].bit_length()  # a row has 2^ne - 1 entries
     layers, where = _partition_layers(ne)
     by_mask = np.ascontiguousarray(phi.T)
@@ -430,15 +447,27 @@ def _best_partition(phi: np.ndarray) -> list[list[list[int]]]:
         gathered = by_mask.take(minus_one, axis=0) + best.take(remainders, axis=0)
         best[subsets] = gathered.min(axis=0)
     found = [[] for _ in phi]
-    for row, row_best, blocks in zip(phi, best.T, found):
-        s = (1 << ne) - 1
-        while s:
+    symbols = {}  # each block's symbols, by mask
+    at = {(1 << ne) - 1: range(len(phi))}  # the rows standing at each subset S
+    while at:
+        rows_at = {}
+        for s, rows in at.items():
             layer, i = where[s]
             _, minus_one, remainders = layers[layer]
             rests = remainders[:, i]
-            rest = int(rests[(row[minus_one[:, i]] + row_best[rests]).argmin()])
-            blocks.append([e for e in range(ne) if (s ^ rest) >> e & 1])
-            s = rest
+            sums = by_mask.take(minus_one[:, i], axis=0) + best.take(rests, axis=0)
+            if len(rows) < len(phi):
+                sums = sums[:, rows]
+            else:  # every row, in whatever order they came
+                rows = range(len(phi))
+            for r, rest in zip(rows, rests.take(sums.argmin(axis=0)).tolist()):
+                block = s ^ rest
+                if block not in symbols:
+                    symbols[block] = [e for e in range(ne) if block >> e & 1]
+                found[r].append(list(symbols[block]))
+                if rest:
+                    rows_at.setdefault(rest, []).append(r)
+        at = rows_at
     return found
 
 
@@ -808,9 +837,9 @@ def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[s
                            ) -> list[tuple[float, ClassicalChannel]]:
     """The searched (value, channel) of each table of `dists`, all of one shape, for each
     objective of `kinds` ("cmi", "sn"), table by table.  The exact stage is one stack, and
-    each kind's `_run_terms` and each distinct start channel are built once for the run; a
-    table's kinds that share a start are scored in one `_objectives` pass, and only a
-    channel that `_refine` moves is checked anew."""
+    each kind's `_run_terms` and each distinct start channel are built once for the run;
+    the tables grouped by start and the kinds that share it are scored in one stacked
+    `_objectives` pass a group, and only a channel that `_refine` moves is checked anew."""
     if isinstance(kinds, str) or not len(kinds):
         raise ValueError(f"kinds must be a nonempty sequence of objectives, got {kinds!r}")
     if not len(dists):
@@ -823,24 +852,32 @@ def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[s
     margs = _subset_marginals(p, kinds)
     partitions = _best_partition(_block_values(margs, n, kinds).reshape(-1, (1 << ne) - 1))
     runs = [_run_terms(margs, n, kind) for kind in kinds]
+    starts = [tuple(map(tuple, blocks)) for blocks in partitions]  # row j * len(kinds) + k
+    shared: dict[tuple, list[int]] = {}  # the tables of each (start, kinds sharing it)
+    for j in range(len(dists)):
+        row = starts[j * len(kinds):(j + 1) * len(kinds)]
+        for start in dict.fromkeys(row):
+            ks = tuple(k for k, s in enumerate(row) if s == start)
+            shared.setdefault((start, ks), []).append(j)
     channels: dict[tuple, ClassicalChannel] = {}  # each distinct start of the run, by its blocks
+    values = [0.0] * len(starts)
+    for (start, ks), js in shared.items():
+        if start not in channels:
+            channels[start] = ClassicalChannel.from_partition(start, ne)
+        tables = (p if len(js) == len(p) else p[js]) @ channels[start].matrix
+        for j, scores in zip(js, _objectives(tables, n, tuple(kinds[k] for k in ks))):
+            for k, value in zip(ks, scores):
+                values[j * len(kinds) + k] = value
     found = []
-    for j, dist in enumerate(dists):
-        starts = [tuple(map(tuple, b)) for b in partitions[j * len(kinds):(j + 1) * len(kinds)]]
-        values = {}
-        for start in dict.fromkeys(starts):
-            if start not in channels:
-                channels[start] = ClassicalChannel.from_partition(start, ne)
-            ks = [k for k, s in enumerate(starts) if s == start]
-            table = dist.probs @ channels[start].matrix
-            values.update(zip(ks, _objectives(table, n, tuple(kinds[k] for k in ks))))
-        for k, (start, (q, coeffs, c_abs)) in enumerate(zip(starts, runs)):
-            channel, value = channels[start], values[k]
-            if budget.refine and len(start) > 1:  # every channel to one output is the same
-                mat, value = _refine(dist, kinds[k], q[j], coeffs, c_abs, channel.matrix, value)
-                if not np.array_equal(mat, channel.matrix):  # it kept a move
-                    channel = ClassicalChannel(mat)
-            found.append((value, channel))
+    for r, (start, value) in enumerate(zip(starts, values)):
+        j, k = divmod(r, len(kinds))
+        channel = channels[start]
+        if budget.refine and len(start) > 1:  # every channel to one output is the same
+            q, coeffs, c_abs = runs[k]
+            mat, value = _refine(dists[j], kinds[k], q[j], coeffs, c_abs, channel.matrix, value)
+            if not np.array_equal(mat, channel.matrix):  # it kept a move
+                channel = ClassicalChannel(mat)
+        found.append((value, channel))
     return found
 
 

@@ -234,9 +234,9 @@ def floor_heavy_table(rng, shape, mode):
 
 
 class TestObjective:
-    """`_objectives` takes p log2 p of all its marginals in one pass; it must give
-    the bits of scoring one entropy at a time, `oracles.objective_loop`, and each
-    kind the bits `_objective`, its one-kind case, gives."""
+    """`_objectives` takes p log2 p of all its marginals, for a stack of tables, in one
+    pass; it must give the bits of scoring one entropy at a time, `oracles.objective_loop`,
+    and each table and kind the bits `_objective`, its one-table, one-kind case, gives."""
 
     def test_matches_loop_on_every_table_scored_on_bench_grids(self, monkeypatch):
         from ckabounds.bounds import point_values
@@ -245,10 +245,13 @@ class TestObjective:
 
         def recorded(p, n_parties, kinds):
             values = objectives(p, n_parties, kinds)
-            scored.extend((p.copy(), n_parties, kind, value) for kind, value in zip(kinds, values))
+            for table, row in zip(p, values):  # the stack, split per table
+                scored.extend((table.copy(), n_parties, kind, value)
+                              for kind, value in zip(kinds, row))
             return values
 
-        # `_objective` is `_objectives` of one kind, so every exact score passes here
+        # `_objective` is `_objectives` of a stack of one and one kind, so every exact
+        # score passes here
         monkeypatch.setattr(secrecy, "_objectives", recorded)
         grid = oracles.bench_grids()
         for nu in grid:
@@ -256,35 +259,49 @@ class TestObjective:
             point_values(attack, minimize=True)
             point_values(attack, minimize=False)
         assert len(scored) > 4 * len(grid)  # the fixed curves, the starts and confirmations
+        # serial curves score the starts of each run of GRID_CHUNK points as stacks
+        for run in (default_grid(), noise_grid(0.3, 0.9, 0.025)):
+            compute_curves(run, minimize=True)
         for p, n_parties, kind, value in scored:
             assert value.hex() == oracles.objective_loop(p, n_parties, kind).hex()
 
     def test_kinds_scored_together_are_each_scored_alone(self, rng):
-        # one pass over the union of the kinds' marginals: each value is what its kind
-        # alone gives, whatever the order of the kinds or a repeat among them
+        # one pass over the union of the kinds' marginals, taken once for a stack of 1-5
+        # tables: each value is the bits its table and kind get alone, whatever the other
+        # tables, their floor entries, the order of the kinds or a repeat among them
         for i in range(300):
             n = 2 + i % 3
             shape = tuple(int(a) for a in rng.integers(1, 4, size=n)) + (1 + i % 10,)
-            p = floor_heavy_table(rng, shape, i % 6)
+            stack = np.stack([floor_heavy_table(rng, shape, int(mode))
+                              for mode in rng.integers(0, 6, size=1 + i % 5)])
             for kinds in (("cmi", "sn"), ("sn", "cmi"), ("sn",), ("cmi", "sn", "cmi")):
-                got = secrecy._objectives(p, n, kinds)
-                assert all(type(v) is float for v in got)
-                assert [v.hex() for v in got] == [_objective(p, n, kind).hex() for kind in kinds]
+                got = secrecy._objectives(stack, n, kinds)
+                assert len(got) == len(stack)
+                for table, row in zip(stack, got):
+                    assert all(type(v) is float for v in row)
+                    assert [v.hex() for v in row] == \
+                        [_objective(table, n, kind).hex() for kind in kinds]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_one_kind_scores_its_own_plan(self, n):
-        # `_objective`'s marginals and groups are its `_plan`'s, so its cost is unchanged;
-        # both kinds together take each subset once
-        shape = (2,) * n + (3,)
+        # `_objective`'s marginals and groups are its `_plan`'s, its axes shifted past
+        # the stack's, so its cost is unchanged; both kinds together take each subset once
+        shape = (1,) + (2,) * n + (3,)
+
+        def shifted(axes):
+            return tuple(tuple(j + 1 for j in a) for a in axes)
+
         for kind in ("cmi", "sn"):
             axes, (groups,), _ = secrecy._plans(shape, n, (kind,))
-            assert (axes, groups) == secrecy._plan(n, kind)[:2]
+            plan_axes, plan_groups, _ = secrecy._plan(n, kind)
+            assert (axes, groups) == (shifted(plan_axes), plan_groups)
         axes, groups, ends = secrecy._plans(shape, n, ("cmi", "sn"))
         assert ends[-1] == sum(3 * 2 ** (n - len(a)) for a in axes)
-        both = {*secrecy._plan(n, "cmi")[0], *secrecy._plan(n, "sn")[0]}
+        both = {*shifted(secrecy._plan(n, "cmi")[0]), *shifted(secrecy._plan(n, "sn")[0])}
         assert len(axes) == len(both) and set(axes) == both
         for kind, kind_groups in zip(("cmi", "sn"), groups):
             plan_axes, plan_groups, _ = secrecy._plan(n, kind)
+            plan_axes = shifted(plan_axes)
             assert [[(axes[i], c) for i, c in g] for g in kind_groups] == \
                 [[(plan_axes[i], c) for i, c in g] for g in plan_groups]
 
@@ -435,6 +452,41 @@ class TestBestPartition:
         for _ in range(2):
             order = rng.permutation(len(stack))
             assert _best_partition(stack[order]) == [got[i] for i in order]
+
+    @pytest.mark.parametrize("ne", range(3, EXHAUSTIVE_LIMIT + 1))
+    def test_rows_standing_at_different_subsets_are_each_the_loop(self, rng, ne):
+        # the read-back takes the rows standing at one subset together: rows that part
+        # ways, stand at one subset in a different order, or end at different steps
+        # must each still be their own loop, ties to the first minimal block
+        size = np.array([(m + 1).bit_count() for m in range((1 << ne) - 1)])
+        singletons, whole, pairs = size ** 2, -size ** 2, (size - 2) ** 2
+        ties = [rng.integers(-top, top + 1, size=(1 << ne) - 1) for top in (1, 1, 2)]
+        rows = [singletons, ties[0], whole, pairs, singletons, ties[1], pairs, ties[2],
+                singletons, ties[0]]
+        for stack in (np.array(rows, dtype=float), np.array(rows[::-1], dtype=float)):
+            got = _best_partition(stack)
+            want = [oracles.best_partition_loop(row) for row in stack]
+            assert got == want
+            # after the first block, the rows stand at several subsets, one of them
+            # holding some rows but not all, and the whole-set rows have ended
+            standing = [(1 << ne) - 1 - sum(1 << e for e in blocks[0])
+                        for blocks in want]
+            by_subset = {s: standing.count(s) for s in standing if s}
+            assert len(by_subset) > 1 and max(by_subset.values()) > 1
+            assert 0 in standing
+
+    def test_rows_that_meet_again_keep_their_own_blocks(self):
+        # rows that part at the first block all stand at {3, 4} after the second, where
+        # they take different blocks; interleaved, they arrive there out of row order
+        ne = 5
+        apart = [[[0], [1, 2], [3], [4]], [[0, 2], [1], [3, 4]]]
+        rows = []
+        for partition in apart:
+            row = np.ones((1 << ne) - 1)
+            row[[sum(1 << e for e in block) - 1 for block in partition]] = 0.0
+            rows.append(row)
+        stack = np.array([rows[0], rows[1], rows[0], rows[1], rows[1]])
+        assert _best_partition(stack) == [apart[0], apart[1], apart[0], apart[1], apart[1]]
 
 
 KINDS = ("cmi", "sn")
@@ -949,28 +1001,33 @@ def curves_csv(grid) -> str:
 
 
 class TestExactScores:
-    """What the serial searches of a grid score exactly: `_objectives` passes, each
-    of one or more kinds (`_objective` is a pass of one kind)."""
+    """What the serial searches of a grid score exactly: `_objectives` passes, each over
+    a stack of one or more tables and one or more kinds (`_objective` is a pass of one
+    table and one kind), and the (table, kind) values they give."""
 
-    @pytest.mark.parametrize("grid, passes, kinds", [
-        # each point's two searches start from one partition, scored in one pass of
-        # both kinds, and no trial comes near passing
-        pytest.param(default_grid(), 53, 106, id="default"),
-        # 50 starts in 28 passes (22 points share one start, 3 do not), then the 287
-        # trials the screen cannot settle, 7 states they are compared with, 2 states
-        # replayed for the stall test and 10 ends, one kind each, for 2,622 kept moves
-        pytest.param(noise_grid(0.3, 0.9, 0.025), 334, 356, id="high_noise"),
+    @pytest.mark.parametrize("grid, passes, scores", [
+        # the tables of a run that start both kinds from one partition are scored in one
+        # pass: nu = 0 from its one block, then the other 7 of its run and each later
+        # run of 8 from honest mimicry, and no trial comes near passing
+        pytest.param(default_grid(), 8, 106, id="default"),
+        # 50 starts in 10 passes, one per run and (start, kinds sharing it): the runs
+        # from nu = 0.3 and 0.7 and the run of nu = 0.9 alone take one each, and the
+        # run from nu = 0.5 takes 7, as nu = 0.525, 0.6 and 0.625 start their kinds
+        # apart; then the 287 trials the screen cannot settle, 7 states they are
+        # compared with, 2 states replayed for the stall test and 10 ends, one table
+        # and kind each, for 2,622 kept moves
+        pytest.param(noise_grid(0.3, 0.9, 0.025), 316, 356, id="high_noise"),
     ])
-    def test_exact_scores_of_serial_curves(self, monkeypatch, grid, passes, kinds):
+    def test_exact_scores_of_serial_curves(self, monkeypatch, grid, passes, scores):
         scored, objectives = [], secrecy._objectives
 
         def counted(p, n_parties, kinds):
-            scored.append(len(kinds))
+            scored.append(len(p) * len(kinds))
             return objectives(p, n_parties, kinds)
 
         monkeypatch.setattr(secrecy, "_objectives", counted)
         compute_curves(grid, minimize=True)
-        assert (len(scored), sum(scored)) == (passes, kinds)
+        assert (len(scored), sum(scored)) == (passes, scores)
 
 
 class TestFirstBatch:
