@@ -18,10 +18,11 @@ those sums up, and one pass of an exact dynamic program over the set
 partitions of Eve's alphabet (`_best_partition`, at most EXHAUSTIVE_LIMIT
 symbols), run on the tables laid out as (mask, row), solves every (table,
 objective) row and reads back together the rows that stand at one subset.
-Each distinct best deterministic channel of the stack is built and checked as
-a `ClassicalChannel` once, and the tables whose objectives start from one
-channel are scored, those objectives together, in one p log2 p pass over
-their stacked marginals (`_objectives`).  Each start is optionally refined by
+Each distinct best deterministic channel is built and checked as a
+`ClassicalChannel` once per process (`_start_channel`), and the tables with a
+search from one channel are scored, every objective, in one p log2 p pass over
+their stacked marginals (`_objectives`), each marginal's runs of one length
+summed as the rows of one 2-D reduce.  Each start is optionally refined by
 coordinate descent (`_refine`) over its row of the objective's `_run_terms`,
 which lay the marginals end to end once for the whole stack.  The descent's
 first batch screens every move in one `_screen` call, over a plan built once
@@ -273,7 +274,10 @@ def _objectives(p: np.ndarray, n_parties: int, kinds: tuple[str, ...]) -> list[l
     to end and their entries above PROB_FLOOR take p log2 p in one pass.  Each entropy
     H(X, E) of a table is then minus the sum of its own contiguous run of terms: the terms
     `entropy_bits` would sum, in its order, so its pairwise sum gives the same bits,
-    whatever the other kinds and tables."""
+    whatever the other kinds and tables.  Where a marginal's runs, one a table, have one
+    length, they are summed as the rows of one 2-D reduce along its contiguous last axis,
+    which runs the 1-D sum's pairwise routine on each row; runs of different lengths, and
+    a stack of one table, are summed one at a time."""
     axes, groups, ends = _plans(p.shape, n_parties, kinds)
     reduce = np.add.reduce
     # the all-party subset sums over no axes, which would only copy p: p is used as it is
@@ -283,8 +287,20 @@ def _objectives(p: np.ndarray, n_parties: int, kinds: tuple[str, ...]) -> list[l
     terms = np.log2(v) * v
     at = kept.nonzero()[0].tolist()  # where each term came from, to split them by run
     ends = [bisect.bisect_left(at, end) for end in ends]
-    h = [-float(reduce(terms[a:b])) for a, b in zip([0] + ends, ends)]
-    values, m = [], len(p)
+    m = len(p)
+    if m == 1:
+        h = [-float(reduce(terms[a:b])) for a, b in zip([0] + ends, ends)]
+    else:
+        h, a = [], 0
+        for i in range(m, len(ends) + 1, m):  # a marginal's m runs, table by table
+            run = ends[i - m:i]
+            size = (run[-1] - a) // m
+            if run == [a + size * k for k in range(1, m + 1)]:  # all of one length
+                h += (-reduce(terms[a:run[-1]].reshape(m, size), axis=1)).tolist()
+            else:
+                h += [-float(reduce(terms[b:c])) for b, c in zip([a] + run, run)]
+            a = run[-1]
+    values = []
     for j in range(m):
         h_j = h[j::m]  # H(X, E) of table j, subset by subset
         row = []
@@ -832,19 +848,27 @@ def _run_terms(margs: dict, n_parties: int, kind: str) -> tuple[np.ndarray, np.n
     return q, coeffs, sum(abs(c) for _, c in merged)
 
 
+@lru_cache(maxsize=128)
+def _start_channel(blocks: tuple[tuple[int, ...], ...], ne: int) -> ClassicalChannel:
+    """`ClassicalChannel.from_partition(blocks, ne)`, built and checked once per process
+    and shared by every search that starts from it: its matrix is read-only."""
+    return ClassicalChannel.from_partition(blocks, ne)
+
+
 def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[str],
                            budget: SearchBudget | None = None,
                            ) -> list[tuple[float, ClassicalChannel]]:
     """The searched (value, channel) of each table of `dists`, all of one shape, for each
     objective of `kinds` ("cmi", "sn"), table by table.  The exact stage is one stack, and
-    each kind's `_run_terms` and each distinct start channel are built once for the run;
-    the tables grouped by start and the kinds that share it are scored in one stacked
-    `_objectives` pass a group, and only a channel that `_refine` moves is checked anew."""
+    each kind's `_run_terms` is built once for the run; the tables grouped by start are
+    scored, every kind, in one stacked `_objectives` pass a start.  Each start channel is
+    built and checked once per process (`_start_channel`), and only a channel that
+    `_refine` moves is checked anew."""
     if isinstance(kinds, str) or not len(kinds):
         raise ValueError(f"kinds must be a nonempty sequence of objectives, got {kinds!r}")
     if not len(dists):
         raise ValueError("dists must hold at least one distribution")
-    budget = budget or SearchBudget()
+    budget, kinds = budget or SearchBudget(), tuple(kinds)
     p = np.stack([dist.probs for dist in dists])
     n, ne = p.ndim - 2, p.shape[-1]
     if ne > EXHAUSTIVE_LIMIT:
@@ -853,29 +877,25 @@ def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[s
     partitions = _best_partition(_block_values(margs, n, kinds).reshape(-1, (1 << ne) - 1))
     runs = [_run_terms(margs, n, kind) for kind in kinds]
     starts = [tuple(map(tuple, blocks)) for blocks in partitions]  # row j * len(kinds) + k
-    shared: dict[tuple, list[int]] = {}  # the tables of each (start, kinds sharing it)
+    shared: dict[tuple, list[int]] = {}  # the tables with a search from each start
     for j in range(len(dists)):
-        row = starts[j * len(kinds):(j + 1) * len(kinds)]
-        for start in dict.fromkeys(row):
-            ks = tuple(k for k, s in enumerate(row) if s == start)
-            shared.setdefault((start, ks), []).append(j)
-    channels: dict[tuple, ClassicalChannel] = {}  # each distinct start of the run, by its blocks
+        for start in dict.fromkeys(starts[j * len(kinds):(j + 1) * len(kinds)]):
+            shared.setdefault(start, []).append(j)
     values = [0.0] * len(starts)
-    for (start, ks), js in shared.items():
-        if start not in channels:
-            channels[start] = ClassicalChannel.from_partition(start, ne)
-        tables = (p if len(js) == len(p) else p[js]) @ channels[start].matrix
-        for j, scores in zip(js, _objectives(tables, n, tuple(kinds[k] for k in ks))):
-            for k, value in zip(ks, scores):
-                values[j * len(kinds) + k] = value
+    for start, js in shared.items():
+        tables = (p if len(js) == len(p) else p[js]) @ _start_channel(start, ne).matrix
+        for j, scores in zip(js, _objectives(tables, n, kinds)):
+            for r, value in enumerate(scores, j * len(kinds)):
+                if starts[r] == start:
+                    values[r] = value
     found = []
     for r, (start, value) in enumerate(zip(starts, values)):
         j, k = divmod(r, len(kinds))
-        channel = channels[start]
+        channel = _start_channel(start, ne)
         if budget.refine and len(start) > 1:  # every channel to one output is the same
             q, coeffs, c_abs = runs[k]
             mat, value = _refine(dists[j], kinds[k], q[j], coeffs, c_abs, channel.matrix, value)
-            if not np.array_equal(mat, channel.matrix):  # it kept a move
+            if mat.tobytes() != channel.matrix.tobytes():  # kept a move; else mat is a copy
                 channel = ClassicalChannel(mat)
         found.append((value, channel))
     return found
