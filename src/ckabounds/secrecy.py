@@ -18,11 +18,11 @@ those sums up, and one pass of an exact dynamic program over the set
 partitions of Eve's alphabet (`_best_partition`, at most EXHAUSTIVE_LIMIT
 symbols), run on the tables laid out as (mask, row), solves every (table,
 objective) row and reads back together the rows that stand at one subset.
-Each distinct best deterministic channel is built and checked as a
-`ClassicalChannel` once per process (`_start_channel`), and the tables with a
-search from one channel are scored, every objective, in one p log2 p pass over
-their stacked marginals (`_objectives`), each marginal's runs of one length
-summed as the rows of one 2-D reduce.  Each start is optionally refined by
+Each distinct best deterministic channel of the stack is built and checked as
+a `ClassicalChannel` once, and the tables with a search from one channel are
+scored, every objective, in one p log2 p pass over their stacked marginals
+(`_objectives`), each marginal's runs of one length summed as the rows of one
+2-D reduce.  Each start is optionally refined by
 coordinate descent (`_refine`) over its row of the objective's `_run_terms`,
 which lay the marginals end to end once for the whole stack.  The descent's
 first batch screens every move in one `_screen` call, over a plan built once
@@ -848,22 +848,14 @@ def _run_terms(margs: dict, n_parties: int, kind: str) -> tuple[np.ndarray, np.n
     return q, coeffs, sum(abs(c) for _, c in merged)
 
 
-@lru_cache(maxsize=128)
-def _start_channel(blocks: tuple[tuple[int, ...], ...], ne: int) -> ClassicalChannel:
-    """`ClassicalChannel.from_partition(blocks, ne)`, built and checked once per process
-    and shared by every search that starts from it: its matrix is read-only."""
-    return ClassicalChannel.from_partition(blocks, ne)
-
-
 def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[str],
                            budget: SearchBudget | None = None,
                            ) -> list[tuple[float, ClassicalChannel]]:
     """The searched (value, channel) of each table of `dists`, all of one shape, for each
     objective of `kinds` ("cmi", "sn"), table by table.  The exact stage is one stack, and
-    each kind's `_run_terms` is built once for the run; the tables grouped by start are
-    scored, every kind, in one stacked `_objectives` pass a start.  Each start channel is
-    built and checked once per process (`_start_channel`), and only a channel that
-    `_refine` moves is checked anew."""
+    each kind's `_run_terms` and each distinct start channel are built once for the run;
+    the tables grouped by start are scored, every kind, in one stacked `_objectives` pass
+    a start, and only a channel that `_refine` moves is checked anew."""
     if isinstance(kinds, str) or not len(kinds):
         raise ValueError(f"kinds must be a nonempty sequence of objectives, got {kinds!r}")
     if not len(dists):
@@ -881,9 +873,10 @@ def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[s
     for j in range(len(dists)):
         for start in dict.fromkeys(starts[j * len(kinds):(j + 1) * len(kinds)]):
             shared.setdefault(start, []).append(j)
+    channels = {start: ClassicalChannel.from_partition(start, ne) for start in shared}
     values = [0.0] * len(starts)
     for start, js in shared.items():
-        tables = (p if len(js) == len(p) else p[js]) @ _start_channel(start, ne).matrix
+        tables = (p if len(js) == len(p) else p[js]) @ channels[start].matrix
         for j, scores in zip(js, _objectives(tables, n, kinds)):
             for r, value in enumerate(scores, j * len(kinds)):
                 if starts[r] == start:
@@ -891,7 +884,7 @@ def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[s
     found = []
     for r, (start, value) in enumerate(zip(starts, values)):
         j, k = divmod(r, len(kinds))
-        channel = _start_channel(start, ne)
+        channel = channels[start]
         if budget.refine and len(start) > 1:  # every channel to one output is the same
             q, coeffs, c_abs = runs[k]
             mat, value = _refine(dists[j], kinds[k], q[j], coeffs, c_abs, channel.matrix, value)

@@ -269,15 +269,29 @@ class TestObjective:
         # one pass over the union of the kinds' marginals, taken once for a stack of 1-6
         # tables: each value is the bits its table and kind get alone, whatever the other
         # tables, their floor entries, the order of the kinds or a repeat among them.
-        # Tables of one support give each marginal runs of one length, summed as the rows
-        # of one 2-D reduce; their runs hold none, under 8, 8-128 and over 128 terms (|E|
-        # up to 40).  Floor-heavy tables of mixed supports are summed run by run
-        lengths = set()  # the run lengths of the one-support stacks
-        for i in range(300):
+        # Floor-heavy tables mostly give a marginal's runs, one a table, different
+        # lengths, summed run by run; tables of one support give them one length, summed
+        # as the rows of one 2-D reduce, with none, under 8, 8-128 and over 128 terms
+        def check(stack, n):
+            for kinds in (("cmi", "sn"), ("sn", "cmi"), ("sn",), ("cmi", "sn", "cmi")):
+                got = secrecy._objectives(stack, n, kinds)
+                assert len(got) == len(stack)
+                for table, row in zip(stack, got):
+                    assert all(type(v) is float for v in row)
+                    assert [v.hex() for v in row] == \
+                        [_objective(table, n, kind).hex() for kind in kinds]
+
+        for i in range(300):  # floor-heavy stacks of 1-5 tables, |E| 1-10
             n = 2 + i % 3
-            eve = 1 + i % 10 if i % 3 else int(rng.integers(11, 41))
+            shape = tuple(int(a) for a in rng.integers(1, 4, size=n)) + (1 + i % 10,)
+            check(np.stack([floor_heavy_table(rng, shape, int(mode))
+                            for mode in rng.integers(0, 6, size=1 + i % 5)]), n)
+        lengths = set()  # the run lengths of the one-support stacks
+        for i in range(300):  # stacks of 2-6 tables, |E| 1-10 or 11-40
+            n = 2 + i % 3
+            eve = int(rng.integers(1, 11) if i % 4 < 2 else rng.integers(11, 41))
             shape = tuple(int(a) for a in rng.integers(1, 4, size=n)) + (eve,)
-            size = 1 + i % 6
+            size = int(rng.integers(2, 7))
             if i % 2:  # one zero pattern, every other entry far above PROB_FLOOR
                 zero = rng.random(shape) < (1.0 if i % 7 == 0 else rng.random())
                 stack = np.where(zero, 0.0, rng.random((size,) + shape) + 0.1) / (1.1 * zero.size)
@@ -287,13 +301,7 @@ class TestObjective:
             else:
                 stack = np.stack([floor_heavy_table(rng, shape, int(mode))
                                   for mode in rng.integers(0, 6, size=size)])
-            for kinds in (("cmi", "sn"), ("sn", "cmi"), ("sn",), ("cmi", "sn", "cmi")):
-                got = secrecy._objectives(stack, n, kinds)
-                assert len(got) == len(stack)
-                for table, row in zip(stack, got):
-                    assert all(type(v) is float for v in row)
-                    assert [v.hex() for v in row] == \
-                        [_objective(table, n, kind).hex() for kind in kinds]
+            check(stack, n)
         # none, under 8, 8-128 and over 128 terms
         assert {(length > 0) + (length >= 8) + (length > 128) for length in lengths} == {0, 1, 2, 3}
 
@@ -1199,50 +1207,41 @@ class TestSearchInputs:
     @pytest.mark.parametrize("refine", [True, False])
     def test_one_marginal_table_and_one_channel_check_per_search(self, monkeypatch, refine):
         # a search takes a run of tables and objectives: its DP and every descent share
-        # one `_subset_marginals` pass over the stacked tables, and each distinct start
-        # channel goes through `probability_table` once per process, however many runs
-        # return it
-        secrecy._start_channel.cache_clear()  # whatever ran before
+        # one `_subset_marginals` pass over the stacked tables, and only the channels a
+        # run returns go through `probability_table`, one check per distinct channel
         dists = [build_cc_attack(nu).joint for nu in default_grid()]
         calls = []
         for name in ("_subset_marginals", "probability_table"):
             def counted(*args, _name=name, _wrapped=getattr(secrecy, name)):
-                calls.append(args[3] if _name == "probability_table" else _name)
+                calls.append(_name)
                 return _wrapped(*args)
             monkeypatch.setattr(secrecy, name, counted)
         budget = SearchBudget(refine=refine)
-        returned, checks = [], []
+        checks = []
         for i in range(0, len(dists), GRID_CHUNK):
             run = dists[i:i + GRID_CHUNK]
             calls.clear()
             found = minimize_over_channels(run, KINDS, budget)
             assert len(found) == 2 * len(run)
             # no search here keeps a move, so a run returns its distinct starts
-            returned.append({id(channel) for _, channel in found})
-            checks.append(calls.count("channel rows"))
-            assert calls == ["_subset_marginals"] + ["channel rows"] * checks[-1]
+            checks.append(len({id(channel) for _, channel in found}))
+            assert calls == ["_subset_marginals"] + ["probability_table"] * checks[-1]
         # the first run holds nu = 0, whose searches start from one block; every other
-        # search starts from honest mimicry, one channel shared by every run
-        assert [len(ids) for ids in returned] == [2] + [1] * 6
-        assert all(ids == returned[1] for ids in returned[2:]) and returned[1] < returned[0]
-        assert checks == [2] + [0] * 6
+        # search starts from honest mimicry
+        assert checks == [2] + [1] * 6
         for search in (intrinsic_information, dual_intrinsic):  # a stack of one
             calls.clear()
             search(dists[0], budget)
-            assert calls == ["_subset_marginals"]
-        # the curves: one marginal pass per run of GRID_CHUNK points, not per search, and
-        # warm, no start channel is checked again
-        for _ in range(2):
-            calls.clear()
-            compute_curves(default_grid(), minimize=True)
-            assert calls.count("_subset_marginals") == -(-len(dists) // GRID_CHUNK)
-            assert "channel rows" not in calls
+            assert calls == ["_subset_marginals", "probability_table"]
+        # the curves: one marginal pass per run of GRID_CHUNK points, not per search
+        calls.clear()
+        compute_curves(default_grid(), minimize=True)
+        assert calls.count("_subset_marginals") == -(-len(dists) // GRID_CHUNK)
 
     def test_unrefined_searches_share_their_start_channel(self, monkeypatch):
         # a run whose searches keep no move returns one read-only channel per distinct
-        # partition, built and checked once a process; a search that keeps moves returns
-        # a channel of its own, checked anew
-        secrecy._start_channel.cache_clear()  # whatever ran before
+        # partition, built and checked once; a search that keeps moves returns a channel
+        # of its own, checked anew
         run = [build_cc_attack(nu).joint for nu in default_grid()[:GRID_CHUNK]]
         found = minimize_over_channels(run, KINDS)
         by_bytes = {}
@@ -1252,9 +1251,6 @@ class TestSearchInputs:
         assert len(by_bytes) == 2  # nu = 0's one block, and honest mimicry
         assert found[0][1] is found[1][1] and found[2][1] is found[-1][1]
         assert np.array_equal(found[2][1].matrix, dp_start(run[1], "cmi"))
-        # a later run from the same partition returns the same channel
-        [(_, again), _] = minimize_over_channels(run[1:2], KINDS)
-        assert again is found[2][1]
 
         dist, checked, table = build_cc_attack(0.55).joint, [], secrecy.probability_table
 
@@ -1264,17 +1260,14 @@ class TestSearchInputs:
 
         monkeypatch.setattr(secrecy, "probability_table", counted)
         [(_, start), _] = minimize_over_channels([dist], KINDS, SearchBudget(refine=False))
-        assert checked == ["channel rows"]  # both kinds start from one new partition
+        assert checked == ["channel rows"]  # both kinds start from one partition
         checked.clear()
         [(value, refined), (_, dual)] = minimize_over_channels([dist], KINDS)
-        assert checked == ["channel rows"] * 2  # each refined channel; the start is shared
+        assert checked == ["channel rows"] * 3  # the start, then each refined channel
         assert refined is not dual and not refined.matrix.flags.writeable
         assert refined.matrix.shape == start.matrix.shape
         assert not np.array_equal(refined.matrix, start.matrix)
         assert value.hex() == _objective(dist.probs @ refined.matrix, 3, "cmi").hex()
-        checked.clear()
-        [(_, shared), _] = minimize_over_channels([dist], KINDS, SearchBudget(refine=False))
-        assert shared is start and not checked
 
     @pytest.mark.parametrize("size", [1, 3, GRID_CHUNK])
     def test_run_terms_once_per_kind_and_call(self, monkeypatch, size):
