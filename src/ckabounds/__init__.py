@@ -1,7 +1,7 @@
 """Upper bounds on device-independent conference key rates of noisy GHZ devices."""
 
-from .qmat import (DensityMatrix, Povm, maximally_mixed, partial_trace, purify,
-                   quantum_cmi, relative_entropy, tensor, von_neumann_entropy)
+from .qmat import (DensityMatrix, Povm, partial_trace, purify, quantum_cmi,
+                   relative_entropy, von_neumann_entropy)
 from .states import GhzDecomposition, ghz, noisy_ghz3
 from .behaviors import (Behavior, behavior_from_measurement, critical_noise,
                         default_measurements, depolarized, expected_winning_probability,

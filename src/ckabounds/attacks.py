@@ -32,7 +32,6 @@ MARGINAL_TOL = 1e-10
 
 EVE_IGNORANT = 0
 EVE_ALPHABET = 9
-POST_IGNORANT = 2
 
 
 def eve_symbol(a: int, b1: int, b2: int) -> int:

@@ -36,18 +36,13 @@ EIGENVALUE_CLAMP = 1e-12
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def _as_complex_matrix(m) -> np.ndarray:
-    arr = np.array(m, dtype=complex)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a matrix, got an array of ndim {arr.ndim}")
-    return arr
-
-
 def hermitian_matrix(m, dim: int, min_eigenvalue: float, name: str) -> np.ndarray:
     """`m` as a read-only complex (dim x dim) matrix: finite, Hermitian within
     `HERMITICITY_TOL`, no eigenvalue below `min_eigenvalue`; `name` leads each message."""
     dim = integer(dim, f"{name} dimension", 1)
-    m = _as_complex_matrix(m)
+    m = np.array(m, dtype=complex)
+    if m.ndim != 2:
+        raise ValueError(f"expected a matrix, got an array of ndim {m.ndim}")
     if m.shape != (dim, dim):
         raise ValueError(f"{name} shape {m.shape} does not match dimension {dim}")
     if not np.isfinite(m).all():
@@ -86,10 +81,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def n_factors(self) -> int:
         return len(self.dims)
 
@@ -119,18 +110,6 @@ class Povm:
     @property
     def n_outcomes(self) -> int:
         return len(self.effects)
-
-
-def tensor(a, b):
-    """Kronecker product; for `DensityMatrix` arguments the dims concatenate."""
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(a.dims + b.dims, np.kron(a.matrix, b.matrix))
-    return np.kron(_as_complex_matrix(a), _as_complex_matrix(b))
-
-
-def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
-    dims = tuple(integer(d, "dimension", 1) for d in dims)
-    return DensityMatrix(dims, np.eye(math.prod(dims), dtype=complex) / math.prod(dims))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:

@@ -187,10 +187,6 @@ class ClassicalChannel:
     def in_alphabet(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def out_alphabet(self) -> int:
-        return self.matrix.shape[1]
-
     @staticmethod
     def from_partition(blocks: Sequence[Sequence[int]], in_alphabet: int) -> "ClassicalChannel":
         """Deterministic channel mapping every symbol of block j to output j."""

@@ -22,6 +22,16 @@ def random_density(rng: np.random.Generator, dims) -> DensityMatrix:
     return DensityMatrix(tuple(dims), m / m.trace())
 
 
+def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
+    """Kronecker product of two states; the dims concatenate."""
+    return DensityMatrix(a.dims + b.dims, np.kron(a.matrix, b.matrix))
+
+
+def maximally_mixed(dims) -> DensityMatrix:
+    d = math.prod(dims)
+    return DensityMatrix(tuple(dims), np.eye(d, dtype=complex) / d)
+
+
 def random_pure(rng: np.random.Generator, dims) -> DensityMatrix:
     d = math.prod(dims)
     v = rng.normal(size=d) + 1j * rng.normal(size=d)

@@ -12,8 +12,8 @@ from ckabounds.behaviors import (GAME_FIXED_INPUTS, KEY_SETTING, PAULI_X, PAULI_
                                  parity_chsh_value,
                                  povm_from_observable, qber)
 from ckabounds.states import ghz, ghz3, noisy_ghz3
-from ckabounds.qmat import Povm, maximally_mixed
-from conftest import random_density
+from ckabounds.qmat import Povm
+from conftest import maximally_mixed, random_density
 import oracles
 
 TSIRELSON = 0.5 + 1.0 / (2.0 * math.sqrt(2.0))

@@ -215,6 +215,19 @@ class TestComputeCurves:
             assert a.name == b.name
             assert a.samples == b.samples
 
+    @pytest.mark.parametrize("lo, hi", [(0.4, 0.46), (0.1, 0.13)])
+    def test_pooled_minimized_csv_is_the_serial_csv(self, lo, hi):
+        # a real two-process pool, not the `pools` fixture's in-process map; on 0.4-0.46 one
+        # serial run of GRID_CHUNK points holds searches that refinement lowers and ones it
+        # leaves, as refinement first lowers a value at nu = 0.4435
+        grid = noise_grid(lo, hi, 0.0005)
+        texts = []
+        for workers in (1, 2):
+            buf = io.StringIO()
+            write_curves_csv(compute_curves(grid, minimize=True, workers=workers), buf)
+            texts.append(buf.getvalue())
+        assert texts[0] == texts[1]
+
     def test_one_point_starts_no_pool(self, pools):
         assert compute_curves([0.1], workers=4)[0].samples[0][0] == 0.1
         assert pools == []

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ckabounds.qmat import (DensityMatrix, Povm, hermitian_matrix, maximally_mixed,
-                            partial_trace, purify, quantum_cmi, relative_entropy, tensor,
-                            von_neumann_entropy)
+from ckabounds.qmat import (DensityMatrix, Povm, hermitian_matrix, partial_trace, purify,
+                            quantum_cmi, relative_entropy, von_neumann_entropy)
 from ckabounds.states import ghz
-from conftest import random_density, random_pure
+from conftest import maximally_mixed, random_density, random_pure, tensor
 
 
 class TestDensityMatrixValidation:
@@ -41,8 +40,6 @@ class TestDensityMatrixValidation:
         # int() read 2.7 as 2 and built a qubit
         with pytest.raises(ValueError, match="^dimension must be an integer, got 2.7$"):
             DensityMatrix((2.7,), np.eye(2) / 2)
-        with pytest.raises(ValueError, match="^dimension must be an integer, got 2.5$"):
-            maximally_mixed((2.5,))
         # hermitian_matrix passed 2.0 and reported 2.5 as a shape mismatch
         for dim in (2.0, 2.5):
             with pytest.raises(ValueError, match=f"^x dimension must be an integer, got {dim}$"):
@@ -50,8 +47,6 @@ class TestDensityMatrixValidation:
         # below 1: numpy's "zero-size array" and "negative dimensions" errors
         with pytest.raises(ValueError, match="^x dimension must be at least 1, got 0$"):
             hermitian_matrix(np.zeros((0, 0)), 0, 0.0, "x")
-        with pytest.raises(ValueError, match="^dimension must be at least 1, got -2$"):
-            maximally_mixed((-2,))
 
     def test_rejects_no_or_empty_subsystems(self):
         with pytest.raises(ValueError, match="^dimension must be at least 1, got 0$"):
@@ -95,30 +90,6 @@ class TestPovmValidation:
     def test_rejects_negative_effect(self):
         with pytest.raises(ValueError, match="positive"):
             Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
-
-
-class TestTensor:
-    def test_identity_case(self):
-        assert np.allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_case(self):
-        zero = np.diag([1.0, 0.0]).astype(complex)
-        one = np.diag([0.0, 1.0]).astype(complex)
-        assert np.allclose(tensor(zero, one), np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_random_pair_against_index_oracle(self, rng):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        out = tensor(a, b)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        assert out[2 * i + k, 2 * j + l] == pytest.approx(a[i, j] * b[k, l])
-
-    def test_density_dims_concatenate(self, rng):
-        rho = tensor(random_density(rng, (2,)), random_density(rng, (3,)))
-        assert rho.dims == (2, 3)
 
 
 class TestPartialTrace:

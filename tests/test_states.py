@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from ckabounds import states
-from ckabounds.qmat import (DensityMatrix, maximally_mixed, partial_trace,
-                            quantum_cmi, tensor)
+from ckabounds.qmat import DensityMatrix, partial_trace, quantum_cmi
 from ckabounds.states import GhzDecomposition, _depolarized, ghz, noisy_ghz3
-from conftest import random_density, random_pure
+from conftest import maximally_mixed, random_density, random_pure, tensor
 import oracles
 
 
@@ -125,7 +124,7 @@ class TestDepolarize:
                     k[site] = r[site] = b
                     total += t[tuple(k) + tuple(r)]
                 mixed[ket + bra] = 0.5 * total
-        d = rho.dim
+        d = rho.matrix.shape[0]
         expect = 0.6 * rho.matrix + 0.4 * mixed.reshape(d, d)
         assert out.dims == dims
         assert np.abs(out.matrix - expect).max() < 1e-12
