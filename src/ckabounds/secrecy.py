@@ -17,14 +17,15 @@ once for all objectives, each objective's block table (`_block_values`) adds
 those sums up, and one pass of an exact dynamic program over the set
 partitions of Eve's alphabet (`_best_partition`, at most EXHAUSTIVE_LIMIT
 symbols), run on the tables laid out as (mask, row), solves every (table,
-objective) row and reads back together the rows that stand at one subset.
-Each distinct best deterministic channel of the stack is built and checked as
-a `ClassicalChannel` once, and the tables with a search from one channel are
-scored, every objective, in one p log2 p pass over their stacked marginals
-(`_objectives`), each marginal's runs of one length summed as the rows of one
-2-D reduce.  Each start is optionally refined by
-coordinate descent (`_refine`) over its row of the objective's `_run_terms`,
-which lay the marginals end to end once for the whole stack.  The descent's
+objective) row and reads back together the rows that stand at one subset, each
+row's partition as a tuple of block masks.  Each distinct partition of the stack
+becomes its deterministic start channel once, the DP's own `_selector` columns of
+its blocks checked as a `ClassicalChannel`, and the tables with a search from one
+channel are scored, every objective, in one p log2 p pass over their stacked
+marginals (`_objectives`), each marginal's runs of one length summed as the rows of
+one 2-D reduce.  Each start is optionally refined by coordinate descent (`_refine`)
+over its row of the objective's `_run_terms`, which lay the marginals end to end
+once for the whole stack.  The descent's
 first batch screens every move in one `_screen` call, over a plan built once
 per start channel and support (`_first_batch`).  After a kept move, a batch also
 screens, from the channels they predict, the trials up to the next kept moves
@@ -437,10 +438,11 @@ def _partition_layers(ne: int) -> tuple[tuple[tuple[np.ndarray, ...], ...], tupl
     return tuple(layers), tuple(where)
 
 
-def _best_partition(phi: np.ndarray) -> list[list[list[int]]]:
-    """Per row of `phi`, a stack of `_block_values` tables, the blocks, ordered by lowest
-    symbol, of the partition of Eve's alphabet with the least sum of the row: best[S] =
-    min of phi[T] + best[S - T] over the blocks T of S that hold S's lowest symbol.
+def _best_partition(phi: np.ndarray) -> list[tuple[int, ...]]:
+    """Per row of `phi`, a stack of `_block_values` tables, the block masks, ordered by
+    lowest symbol, of the partition of Eve's alphabet with the least sum of the row:
+    best[S] = min of phi[T] + best[S - T] over the blocks T of S that hold S's lowest
+    symbol.  Block T of the row is column T - 1 of `_selector` and of the row.
 
     Only the full set and the subsets some S - T can be, which lack symbol 0, are solved:
     (3^(|E|-1) - 1)/2 + 2^(|E|-1) (subset, block) pairs, 3,536 at |E| = 9, against
@@ -449,8 +451,8 @@ def _best_partition(phi: np.ndarray) -> list[list[list[int]]]:
     layer gathers whole rows of them, block by block, and takes the minimum over its
     leading axis, the blocks.  The rows are then read back from the full set down, one
     step at a time, all the rows standing at one S together: one gather of their
-    (block, row) sums, whole rows when every row stands there, and one argmin over the
-    blocks, each row taking the first of its minimal blocks."""
+    (block, row) sums and one argmin over the blocks, each row taking the first of its
+    minimal blocks, S - rest, as a mask."""
     ne = phi.shape[1].bit_length()  # a row has 2^ne - 1 entries
     layers, where = _partition_layers(ne)
     by_mask = np.ascontiguousarray(phi.T)
@@ -458,8 +460,7 @@ def _best_partition(phi: np.ndarray) -> list[list[list[int]]]:
     for subsets, minus_one, remainders in layers:
         gathered = by_mask.take(minus_one, axis=0) + best.take(remainders, axis=0)
         best[subsets] = gathered.min(axis=0)
-    found = [[] for _ in phi]
-    symbols = {}  # each block's symbols, by mask
+    found = [()] * len(phi)
     at = {(1 << ne) - 1: range(len(phi))}  # the rows standing at each subset S
     while at:
         rows_at = {}
@@ -468,15 +469,8 @@ def _best_partition(phi: np.ndarray) -> list[list[list[int]]]:
             _, minus_one, remainders = layers[layer]
             rests = remainders[:, i]
             sums = by_mask.take(minus_one[:, i], axis=0) + best.take(rests, axis=0)
-            if len(rows) < len(phi):
-                sums = sums[:, rows]
-            else:  # every row, in whatever order they came
-                rows = range(len(phi))
-            for r, rest in zip(rows, rests.take(sums.argmin(axis=0)).tolist()):
-                block = s ^ rest
-                if block not in symbols:
-                    symbols[block] = [e for e in range(ne) if block >> e & 1]
-                found[r].append(list(symbols[block]))
+            for r, rest in zip(rows, rests.take(sums[:, rows].argmin(axis=0)).tolist()):
+                found[r] += (s ^ rest,)
                 if rest:
                     rows_at.setdefault(rest, []).append(r)
         at = rows_at
@@ -849,9 +843,11 @@ def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[s
                            ) -> list[tuple[float, ClassicalChannel]]:
     """The searched (value, channel) of each table of `dists`, all of one shape, for each
     objective of `kinds` ("cmi", "sn"), table by table.  The exact stage is one stack, and
-    each kind's `_run_terms` and each distinct start channel are built once for the run;
-    the tables grouped by start are scored, every kind, in one stacked `_objectives` pass
-    a start, and only a channel that `_refine` moves is checked anew."""
+    each kind's `_run_terms` and each distinct start channel are built once for the run,
+    a start keyed by `_best_partition`'s tuple of block masks and its channel taken from
+    those columns of `_selector`, in C order; the tables grouped by start are scored,
+    every kind, in one stacked `_objectives` pass a start, and only a channel that
+    `_refine` moves is checked anew."""
     if isinstance(kinds, str) or not len(kinds):
         raise ValueError(f"kinds must be a nonempty sequence of objectives, got {kinds!r}")
     if not len(dists):
@@ -862,17 +858,18 @@ def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[s
     if ne > EXHAUSTIVE_LIMIT:
         raise ValueError(f"channel search takes at most {EXHAUSTIVE_LIMIT} Eve symbols, got {ne}")
     margs = _subset_marginals(p, kinds)
-    partitions = _best_partition(_block_values(margs, n, kinds).reshape(-1, (1 << ne) - 1))
+    phi = _block_values(margs, n, kinds).reshape(-1, (1 << ne) - 1)
+    starts = _best_partition(phi)  # block masks of row j * len(kinds) + k
     runs = [_run_terms(margs, n, kind) for kind in kinds]
-    starts = [tuple(map(tuple, blocks)) for blocks in partitions]  # row j * len(kinds) + k
     shared: dict[tuple, list[int]] = {}  # the tables with a search from each start
     for j in range(len(dists)):
         for start in dict.fromkeys(starts[j * len(kinds):(j + 1) * len(kinds)]):
             shared.setdefault(start, []).append(j)
-    channels = {start: ClassicalChannel.from_partition(start, ne) for start in shared}
+    channels = {start: ClassicalChannel(_selector(ne).take(np.subtract(start, 1), axis=1))
+                for start in shared}
     values = [0.0] * len(starts)
     for start, js in shared.items():
-        tables = (p if len(js) == len(p) else p[js]) @ channels[start].matrix
+        tables = p[js] @ channels[start].matrix
         for j, scores in zip(js, _objectives(tables, n, kinds)):
             for r, value in enumerate(scores, j * len(kinds)):
                 if starts[r] == start:

@@ -13,6 +13,9 @@ and block-screened search can be checked against them.  `bench_grids` reads
 the benchmark's noise levels from the committed golden CSVs, so a test over
 them follows the workloads.  `WRONG_PREDICTORS` stand in for the refinement's
 guesses of its next kept moves, so a test can check that no guess moves a bit.
+The DP gives each partition as block masks; `mask_symbols` is the one place the
+tests turn them into symbol lists, and `start_channel` builds a start from those
+with `from_partition`, not from the search's own `_selector` columns.
 """
 
 import csv
@@ -416,9 +419,10 @@ def objective_loop(p: np.ndarray, n_parties: int, kind: str) -> float:
     return total
 
 
-def best_partition_loop(phi) -> list[list[int]]:
+def best_partition_loop(phi) -> tuple[int, ...]:
     """The set-partition DP over a `_block_values` table `phi`, solving every
-    subset, one (subset, block) pair at a time.
+    subset, one (subset, block) pair at a time; the blocks come back as masks,
+    in order of their lowest symbol.
 
     best[S] = min of phi[T] + best[S - T] over the blocks T of S holding S's
     lowest symbol, tried in descending submask order; the first strict
@@ -442,9 +446,9 @@ def best_partition_loop(phi) -> list[list[int]]:
         best[s], choice[s] = best_val, best_block
     blocks, s = [], (1 << ne) - 1
     while s:
-        blocks.append([i for i in range(ne) if choice[s] >> i & 1])
+        blocks.append(choice[s])
         s ^= choice[s]
-    return blocks
+    return tuple(blocks)
 
 
 def partition_layers_loop(ne: int) -> tuple[list[tuple[np.ndarray, ...]], list]:
@@ -495,11 +499,28 @@ def block_table(dist, kind: str) -> np.ndarray:
     return phi
 
 
-def best_partition(dist, kind: str) -> list[list[int]]:
-    """`_best_partition` of `dist` for `kind`, on its `block_table` as a stack of one."""
+def best_partition(dist, kind: str) -> tuple[int, ...]:
+    """`_best_partition` of `dist` for `kind`, on its `block_table` as a stack of one:
+    the block masks, in order of their lowest symbol."""
     from ckabounds import secrecy
 
     return secrecy._best_partition(block_table(dist, kind)[np.newaxis])[0]
+
+
+def mask_symbols(masks, ne: int) -> list[list[int]]:
+    """The symbols of range(ne) in each block mask, ascending: the blocks as
+    `ClassicalChannel.from_partition` takes them."""
+    return [[e for e in range(ne) if m >> e & 1] for m in masks]
+
+
+def start_channel(dist, kind: str) -> np.ndarray:
+    """The deterministic start of `dist` and `kind`, a writable copy of the matrix
+    `from_partition` builds from its `best_partition` blocks."""
+    from ckabounds.secrecy import ClassicalChannel
+
+    ne = dist.eve_alphabet
+    blocks = mask_symbols(best_partition(dist, kind), ne)
+    return ClassicalChannel.from_partition(blocks, ne).matrix.copy()
 
 
 def refine(dist, start: np.ndarray, kind: str) -> tuple[np.ndarray, float]:

@@ -13,8 +13,8 @@ from hypothesis.extra.numpy import arrays
 import oracles
 from ckabounds import secrecy
 from ckabounds.attacks import build_cc_attack, eve_postprocess
-from ckabounds.secrecy import (ClassicalChannel, JointDistribution, distribution_to_csv,
-                               dual_intrinsic, intrinsic_information, s_n, shannon_cmi)
+from ckabounds.secrecy import (JointDistribution, distribution_to_csv, dual_intrinsic,
+                               intrinsic_information, s_n, shannon_cmi)
 
 FEW = settings(derandomize=True, deadline=None, max_examples=8, database=None)
 MANY = settings(FEW, max_examples=60)
@@ -48,7 +48,7 @@ def refine_inputs(draw):
     raw.flat[0] += 1e-3
     dist = JointDistribution(raw / raw.sum())
     if draw(st.booleans()):
-        return dist, kind, ClassicalChannel.from_partition(oracles.best_partition(dist, kind), shape[-1]).matrix
+        return dist, kind, oracles.start_channel(dist, kind)
     start = rng.random((shape[-1], draw(st.integers(2, 3))))
     return dist, kind, start / start.sum(axis=1, keepdims=True)
 

@@ -382,26 +382,33 @@ class TestApplyChannel:
 OBJECTIVES = {"cmi": shannon_cmi, "sn": s_n}
 
 
-def mask_blocks(masks, ne):
-    return [[e for e in range(ne) if m >> e & 1] for m in masks]
-
-
 class TestBestPartition:
     """The subset DP of the deterministic search against every partition."""
 
     @pytest.mark.parametrize("kind", ["cmi", "sn"])
     def test_matches_enumeration_on_random_tables(self, rng, kind):
         objective = OBJECTIVES[kind]
+        unique = 0
         for ne in range(1, 8):
             dist = random_joint(rng, (2, 3, 2), ne)
-            blocks = oracles.best_partition(dist, kind)
+            got = oracles.best_partition(dist, kind)
+            blocks = oracles.mask_symbols(got, ne)
             assert sorted(e for b in blocks for e in b) == list(range(ne))
             assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
             found = objective(apply_channel(dist, ClassicalChannel.from_partition(blocks, ne)))
             brute = min(objective(apply_channel(
-                dist, ClassicalChannel.from_partition(mask_blocks(masks, ne), ne)))
+                dist, ClassicalChannel.from_partition(oracles.mask_symbols(masks, ne), ne)))
                 for masks in partitions_as_masks(ne))
             assert found == pytest.approx(brute, abs=1e-12)
+            # a minimum of the block sums that is unique by more than 1e-9 is the DP's own
+            # tuple, in the brute force's form: blocks ordered by lowest symbol
+            phi = oracles.block_table(dist, kind)
+            sums = sorted((sum(phi[m - 1] for m in masks), masks)
+                          for masks in partitions_as_masks(ne))
+            if len(sums) == 1 or sums[1][0] - sums[0][0] > 1e-9:
+                assert got == sums[0][1]
+                unique += 1
+        assert unique >= 5  # random tables seldom tie, so the check is not vacuous
 
     @pytest.mark.parametrize("kind", ["cmi", "sn"])
     @pytest.mark.parametrize("nu", [0.05, 0.525, 0.7])  # 0.525: two partitions tie for cmi
@@ -409,10 +416,10 @@ class TestBestPartition:
         dist = build_cc_attack(nu).joint
         phi = oracles.block_table(dist, kind)
         [blocks] = _best_partition(phi[np.newaxis])
-        value = sum(phi[sum(1 << e for e in b) - 1] for b in blocks)
+        value = sum(phi[m - 1] for m in blocks)
         brute = min(sum(phi[m - 1] for m in masks) for masks in partitions_as_masks(9))
         assert value == pytest.approx(brute, abs=1e-12)
-        channel = ClassicalChannel.from_partition(blocks, 9)
+        channel = ClassicalChannel.from_partition(oracles.mask_symbols(blocks, 9), 9)
         assert OBJECTIVES[kind](apply_channel(dist, channel)) == pytest.approx(value, abs=1e-12)
 
     @pytest.mark.parametrize("ne", range(1, EXHAUSTIVE_LIMIT + 1))
@@ -462,7 +469,7 @@ class TestBestPartition:
             phi = rng.integers(-top, top + 1, size=(1 << ne) - 1).astype(float)
             assert _best_partition(phi[np.newaxis]) == [oracles.best_partition_loop(phi)]
         # all tie: the largest block, tried first, is kept
-        assert _best_partition(np.zeros((1, (1 << ne) - 1))) == [[list(range(ne))]]
+        assert _best_partition(np.zeros((1, (1 << ne) - 1))) == [((1 << ne) - 1,)]
 
     @pytest.mark.parametrize("ne", range(1, EXHAUSTIVE_LIMIT + 1))
     def test_stacks_of_tie_heavy_rows_are_the_loop_in_any_order(self, rng, ne):
@@ -492,8 +499,7 @@ class TestBestPartition:
             assert got == want
             # after the first block, the rows stand at several subsets, one of them
             # holding some rows but not all, and the whole-set rows have ended
-            standing = [(1 << ne) - 1 - sum(1 << e for e in blocks[0])
-                        for blocks in want]
+            standing = [(1 << ne) - 1 - blocks[0] for blocks in want]
             by_subset = {s: standing.count(s) for s in standing if s}
             assert len(by_subset) > 1 and max(by_subset.values()) > 1
             assert 0 in standing
@@ -502,11 +508,11 @@ class TestBestPartition:
         # rows that part at the first block all stand at {3, 4} after the second, where
         # they take different blocks; interleaved, they arrive there out of row order
         ne = 5
-        apart = [[[0], [1, 2], [3], [4]], [[0, 2], [1], [3, 4]]]
+        apart = [(0b1, 0b110, 0b1000, 0b10000), (0b101, 0b10, 0b11000)]
         rows = []
         for partition in apart:
             row = np.ones((1 << ne) - 1)
-            row[[sum(1 << e for e in block) - 1 for block in partition]] = 0.0
+            row[np.subtract(partition, 1)] = 0.0
             rows.append(row)
         stack = np.array([rows[0], rows[1], rows[0], rows[1], rows[1]])
         assert _best_partition(stack) == [apart[0], apart[1], apart[0], apart[1], apart[1]]
@@ -557,7 +563,7 @@ class TestStackedStage:
         stack = np.concatenate([phi[:8], np.zeros((2, 511)), ties, phi[8:], np.zeros((1, 511))])
         got = _best_partition(stack)
         assert got == [oracles.best_partition_loop(row) for row in stack]
-        assert got[8] == got[9] == got[-1] == [list(range(9))]
+        assert got[8] == got[9] == got[-1] == (511,)
         for ne in range(1, EXHAUSTIVE_LIMIT):
             rows = rng.integers(-1, 2, size=(5, (1 << ne) - 1)).astype(float)
             rows[2] = 0.0
@@ -595,8 +601,7 @@ def random_shape(rng):
     return tuple(int(a) for a in rng.integers(1, 4, size=n)), int(rng.integers(1, 7))
 
 
-def dp_start(dist, kind):
-    return ClassicalChannel.from_partition(oracles.best_partition(dist, kind), dist.eve_alphabet).matrix.copy()
+dp_start = oracles.start_channel
 
 
 # About 14 points from each benchmark grid: curves_min's default grid, and
@@ -1251,6 +1256,20 @@ class TestSearchInputs:
         assert len(by_bytes) == 2  # nu = 0's one block, and honest mimicry
         assert found[0][1] is found[1][1] and found[2][1] is found[-1][1]
         assert np.array_equal(found[2][1].matrix, dp_start(run[1], "cmi"))
+        # unrefined, every channel is its table and kind's DP start, built from the
+        # `_selector` columns of its block masks: from_partition's bytes, shape and C order
+        grids = (default_grid(), noise_grid(0.3, 0.9, 0.025), noise_grid(0.10, 0.13, 0.0005),
+                 noise_grid(0.40, 0.46, 0.0005))
+        for grid in grids:
+            dists = [build_cc_attack(nu).joint for nu in grid]
+            for i in range(0, len(dists), GRID_CHUNK):
+                run = dists[i:i + GRID_CHUNK]
+                found = minimize_over_channels(run, KINDS, SearchBudget(refine=False))
+                for r, (_, channel) in enumerate(found):
+                    want = dp_start(run[r // 2], KINDS[r % 2])
+                    m = channel.matrix
+                    assert m.shape == want.shape and m.tobytes() == want.tobytes()
+                    assert m.flags.c_contiguous and not m.flags.writeable
 
         dist, checked, table = build_cc_attack(0.55).joint, [], secrecy.probability_table
 
