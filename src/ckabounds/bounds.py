@@ -1,10 +1,11 @@
 """Bound curves versus noise, party groupings, and the XOR key relay.
 
 The curves are assembled against the depolarizing noise level nu of the
-three-party honest device.  `_run_values` names and evaluates them at a run of
-attacks searched as one stack, `point_values` (which lists them) at one, and
-`compute_curves` over a noise grid; they are defined for three parties only,
-since no biseparable decomposition of the noisy state is constructed for N > 3.
+three-party honest device.  `compute_curves`, which lists them, is the one public
+evaluator: it evaluates them over a noise grid, and `attack` prints it at a grid of
+one point.  `_run_values` names and evaluates them at a run of attacks searched as
+one stack.  They are defined for three parties only, since no biseparable
+decomposition of the noisy state is constructed for N > 3.
 """
 
 from __future__ import annotations
@@ -102,26 +103,8 @@ def _proxy_value(attack: CcAttack) -> float:
     return max(0.0, h_a_given_e - best_bob)
 
 
-def point_values(attack: CcAttack, minimize: bool) -> dict[str, float]:
-    """Every curve's value at one attack, by name, in CSV order.
-
-    Eve's post-processing is the fixed honest mimicry (suffix ``_fixed``),
-    or with `minimize` (True or False) the channel search over her raw
-    9-symbol record (suffix ``_min``):
-
-    * ``intrinsic_*``: the conditional-mutual-information bound divided by N-1;
-    * ``dual_*``: the telescoping-sum bound S_N, no prefactor;
-    * ``trivial``: 1 - nu, from the single-site fully separable split;
-    * ``dw_lower_PROXY``: max(0, H(A|E) - max_i H(A|B_i)) on the attack
-      distribution.  This stand-in only has the shape of a one-way
-      distillation rate; it is not a proved bound, hence the PROXY label in
-      every output.
-    """
-    return _run_values([attack], boolean(minimize, "minimize"))[0]
-
-
 def _run_values(attacks: Sequence[CcAttack], minimize: bool) -> list[dict[str, float]]:
-    """`point_values` of each attack, with every channel search as one stack."""
+    """Every curve's value at each attack, by name, with every channel search as one stack."""
     if minimize:
         suffix = "min"
         found = minimize_over_channels([attack.joint for attack in attacks], ("cmi", "sn"))
@@ -143,11 +126,23 @@ def _run_worker(nus: Sequence[float], minimize: bool) -> list[dict[str, float]]:
 
 def compute_curves(grid: Sequence[float], minimize: bool = False,
                    workers: int = 1) -> list[BoundCurve]:
-    """The curves of `point_values` over the grid; output independent of the worker count.
+    """Every curve over the grid, in CSV order; output independent of the worker count.
 
-    `minimize` is True or False.  At most `workers` (1..MAX_WORKERS) processes
-    run, and no more than the grid has points; with one, the points are computed
-    in this process, in runs of GRID_CHUNK.
+    Eve's post-processing is the fixed honest mimicry (suffix ``_fixed``),
+    or with `minimize` (True or False) the channel search over her raw
+    9-symbol record (suffix ``_min``):
+
+    * ``intrinsic_*``: the conditional-mutual-information bound divided by N-1;
+    * ``dual_*``: the telescoping-sum bound S_N, no prefactor;
+    * ``trivial``: 1 - nu, from the single-site fully separable split;
+    * ``dw_lower_PROXY``: max(0, H(A|E) - max_i H(A|B_i)) on the attack
+      distribution.  This stand-in only has the shape of a one-way
+      distillation rate; it is not a proved bound, hence the PROXY label in
+      every output.
+
+    At most `workers` (1..MAX_WORKERS) processes run, and no more than the grid
+    has points; with one, the points are computed in this process, in runs of
+    GRID_CHUNK.
     """
     minimize = boolean(minimize, "minimize")
     workers = integer(workers, "workers", 1, MAX_WORKERS)

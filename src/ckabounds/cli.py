@@ -248,9 +248,10 @@ def _cmd_attack(cfg: dict, stdout) -> int:
     attack = attacks.build_cc_attack(cfg["nu_min"])
     # opened before the search: an unwritable path fails at once, with nothing printed
     with open(cfg["out"], "w") if cfg["out"] else contextlib.nullcontext() as fh:
-        # the curves' values; intrinsic is I/(N-1) with N = 3, and doubling it back is exact
-        values = {**bounds.point_values(attack, minimize=False),
-                  **bounds.point_values(attack, minimize=True)}
+        # what `curves` writes at this nu; intrinsic is I/(N-1) with N = 3, and doubling
+        # it back is exact
+        values = {curve.name: curve.values[0] for minimize in (False, True)
+                  for curve in bounds.compute_curves([attack.nu], minimize=minimize)}
         fixed_i, min_i = values["intrinsic_fixed"], values["intrinsic_min"]
         stdout.write(f"cc attack at nu={attack.nu:.6g}\n")
         stdout.write(f"local weight       = {attack.local_weight:.12g}\n")

@@ -154,6 +154,51 @@ def postprocessed_table(nu: float) -> np.ndarray:
     return out
 
 
+def family_table(e: float, w: float) -> np.ndarray:
+    """The symmetric convex-combination attack (a, b1, b2, e) at flip probability `e`
+    and local weight `w`, with 9 Eve symbols.
+
+    '?' (symbol 0) gets (1-w) G, with G = 1/2 on 000 and 111; the triple t, recorded
+    as symbol 1 + 4a + 2b1 + b2, gets P_e(t) - (1-w) G(t), where
+    P_e(t) = [e^k (1-e)^(3-k) + e^(3-k) (1-e)^k] / 2 and k is t's Hamming weight.
+    w lies in [1 - (1-e)^3 - e^3, 1]; at the lower end the 000 and 111 entries are 0
+    up to rounding.
+    """
+    probs = np.zeros((2, 2, 2, 9))
+    for a, b1, b2 in itertools.product(range(2), repeat=3):
+        k = a + b1 + b2
+        ghz = 0.5 if a == b1 == b2 else 0.0
+        device = 0.5 * (e ** k * (1.0 - e) ** (3 - k) + e ** (3 - k) * (1.0 - e) ** k)
+        probs[a, b1, b2, 0] = (1.0 - w) * ghz
+        probs[a, b1, b2, 1 + 4 * a + 2 * b1 + b2] = device - (1.0 - w) * ghz
+    return probs
+
+
+def leaky_channel(e: float, w: float) -> tuple[float, np.ndarray]:
+    """Leaky mimicry on `family_table(e, w)` where 1 - w <= e(1-e): its parameter
+    lambda = (e(1-e) - (1-w)) / ((1-e)^3 + e^3 - (1-w)) and its 9 x 3 matrix.
+
+    000 goes to 0, and 111 to 1, with probability 1 - lambda, and to U (output 2)
+    otherwise; '?' and the six other triples go to U.  Given U the key table is
+    uniform, and given 0 or 1 it is a point mass, so both monotones are 0.
+
+    The denominator is taken as the numerator plus (1-2e)^2, its value since
+    (1-e)^3 + e^3 = 1 - 3e(1-e): taken as written, it cancels near e = 1/2 and can
+    round below the numerator or to 0 or less, which puts lambda outside [0, 1].  It
+    is 0 only at e = 1/2 and 1 - w = 1/4, where 000 and 111 have no mass and lambda is
+    taken as 1.
+    """
+    leak = e * (1.0 - e) - (1.0 - w)
+    spread = leak + (1.0 - 2.0 * e) ** 2
+    lam = leak / spread if spread > 0.0 else 1.0
+    channel = np.zeros((9, 3))
+    channel[:, 2] = 1.0
+    for bit, symbol in ((0, 1), (1, 8)):  # the symbols of 000 and 111
+        channel[symbol] = 0.0
+        channel[symbol, bit], channel[symbol, 2] = 1.0 - lam, lam
+    return lam, channel
+
+
 def born_table(rho: np.ndarray, effects) -> np.ndarray:
     """p(a|x) = Tr[(E_1 (x) ... (x) E_N) rho], one Kronecker product per entry.
 

@@ -197,7 +197,7 @@ class TestComputeCurves:
 
     @pytest.mark.parametrize("minimize", [False, True])
     def test_curves_are_the_point_records(self, minimize):
-        record = bounds.point_values(build_cc_attack(0.05), minimize)
+        record = bounds._run_values([build_cc_attack(0.05)], minimize)[0]
         assert list(record) == [c.name for c in compute_curves([0.05], minimize=minimize)]
 
     def test_readme_names_the_record_curves(self):
@@ -205,7 +205,8 @@ class TestComputeCurves:
         bullet = readme.split("* `curves` ", 1)[1].split("\n* ", 1)[0]
         documented = re.findall(r"`([^`]+)`", bullet.split("Curve names are", 1)[1])
         attack = build_cc_attack(0.05)
-        records = {**bounds.point_values(attack, False), **bounds.point_values(attack, True)}
+        records = {**bounds._run_values([attack], False)[0],
+                   **bounds._run_values([attack], True)[0]}
         assert sorted(documented) == sorted(records)
 
     def test_worker_count_does_not_change_output(self):
@@ -253,7 +254,8 @@ class TestComputeCurves:
 
 class TestGridRuns:
     """`compute_curves` searches a serial grid in runs of GRID_CHUNK points as one stack,
-    and gives a pool one point a task; either way each point gets `point_values`."""
+    and gives a pool one point a task; either way each point gets the values of its attack
+    evaluated alone."""
 
     @pytest.fixture
     def runs(self, monkeypatch):
@@ -283,7 +285,7 @@ class TestGridRuns:
         else:
             assert runs == [grid[i:i + GRID_CHUNK] for i in range(0, points, GRID_CHUNK)]
         for i, nu in enumerate(grid):
-            want = bounds.point_values(build_cc_attack(nu), minimize=True)
+            want = bounds._run_values([build_cc_attack(nu)], True)[0]
             assert [c.samples[i][1].hex() for c in curves] == [v.hex() for v in want.values()]
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -376,8 +378,6 @@ class TestValidators:
         message = rf"^minimize must be True or False, got {re.escape(repr(minimize))}$"
         with pytest.raises(ValueError, match=message):
             compute_curves([0.1, 0.2], minimize=minimize, workers=2)
-        with pytest.raises(ValueError, match=message):
-            bounds.point_values(build_cc_attack(0.1), minimize)
         assert pools == []
 
 

@@ -317,7 +317,8 @@ class TestAttackCommand:
 
     def test_unwritable_out_fails_before_the_search(self, tmp_path, monkeypatch, capsys):
         searched = []
-        monkeypatch.setattr(bounds, "point_values", lambda *args, **kw: searched.append(args))
+        monkeypatch.setattr(bounds, "compute_curves",
+                            lambda *args, **kw: searched.append(args))
         assert main(["attack", "--nu-min", "0.5", "--out", str(tmp_path / "missing" / "a.csv")]) == 2
         captured = capsys.readouterr()
         assert one_line(captured.err).startswith("I/O error: ") and captured.out == ""

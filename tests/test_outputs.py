@@ -3,9 +3,11 @@
 `OUTPUTS` is the one list of them: a file stem and its `ckabounds` argv, whose
 stdout is `<stem>.txt` and whose `--out` file is `<stem>.csv`.  Its `curves` rows,
 the benchmark's workloads, pin only the CSV: `bench/test_golden.py` runs them, and
-here their `bench/golden.json` digests are tied to these files.  A mismatch names
-its line; explain it, then rewrite every file and `VERSIONS` (the Python and numpy
-that wrote them) with `PYTHONPATH=src python tests/test_outputs.py`.
+here their `bench/golden.json` digests are tied to these files, and each is recomputed
+with every attack joint nudged by one ulp and with `log2` rounded another way, to
+show which rows hang on the last ulp.  A mismatch names its line; explain it, then
+rewrite every file and `VERSIONS` (the Python and numpy that wrote them) with
+`PYTHONPATH=src python tests/test_outputs.py`.
 """
 
 import hashlib
@@ -22,11 +24,14 @@ import numpy as np
 import pytest
 
 from ckabounds import bounds
+from ckabounds.attacks import CcAttack
 from ckabounds.cli import main
+from ckabounds.secrecy import JointDistribution
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BENCH = GOLDEN.parents[1] / "bench"
-CURVES = runpy.run_path(str(BENCH / "run.py"))["WORKLOADS"]
+RUN = runpy.run_path(str(BENCH / "run.py"))
+CURVES, serial_of = RUN["WORKLOADS"], RUN["serial_of"]
 
 OUTPUTS = {
     "verify": ["verify"],  # at the default seed
@@ -67,13 +72,56 @@ def test_minimized_curves_serially_in_runs_of_any_size(tmp_path, monkeypatch, st
     # one process searches the grid in runs of GRID_CHUNK points, each one stack with one
     # set-up per monotone; whatever the run size, down to one point a run (as in the pool
     # the high-noise workload uses) and up to the whole grid, it writes the same bytes
-    argv = CURVES[stem]
-    if "--workers" in argv:
-        at = argv.index("--workers")
-        argv = [*argv[:at], *argv[at + 2:]]
     monkeypatch.setattr(bounds, "GRID_CHUNK", chunk or bounds.MAX_GRID_POINTS)
+    assert_serial_csv_is_golden(stem, tmp_path, monkeypatch)
+
+
+# Above the zero threshold (nu = 0.443307) the refinement prints small nonzero values
+# where the exact minimum is 0, and they move with the last ulp of the joint or of log2;
+# ROADMAP item 2's exact zeros replace those rows, and with them this mark
+HANGS_ON_THE_LAST_ULP = pytest.mark.xfail(
+    strict=True, reason="refined rows at nu >= 0.45 hang on the last ulp (ROADMAP item 2)")
+WORKLOADS = [pytest.param(stem, marks=HANGS_ON_THE_LAST_ULP)
+             if stem == "curves_min_high_noise" else stem for stem in CURVES]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("stem", WORKLOADS)
+def test_curves_do_not_hang_on_a_one_ulp_nudge_of_the_joint(tmp_path, monkeypatch, stem, seed):
+    # every entry of every attack joint one ulp up or down, each way with even odds
+    rng, build = np.random.default_rng(seed), bounds.build_cc_attack
+
+    def nudged(nu):
+        attack = build(nu)
+        p = attack.joint.probs
+        joint = JointDistribution(np.nextafter(p, np.where(rng.random(p.shape) < 0.5,
+                                                           -np.inf, np.inf)))
+        return CcAttack(attack.nu, attack.local_weight, joint)
+
+    monkeypatch.setattr(bounds, "build_cc_attack", nudged)
+    assert_serial_csv_is_golden(stem, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("stem", WORKLOADS)
+def test_curves_do_not_hang_on_the_rounding_of_log2(tmp_path, monkeypatch, stem):
+    monkeypatch.setattr(np, "log2", lambda x: np.log(x) / np.log(2))
+    assert_serial_csv_is_golden(stem, tmp_path, monkeypatch)
+
+
+def test_fixed_and_minimized_default_grids_agree():
+    # the README's "agree on all 212 values": with today's attack the search ends at the
+    # fixed post-processing on the whole default grid, so the nu,value columns are equal
+    columns = [[",".join(line.split(",")[:2]) for line in (GOLDEN / f"{stem}.csv").read_text()
+                .splitlines()] for stem in ("curves_fixed", "curves_min")]
+    assert len(columns[0]) == 1 + 212
+    assert columns[0] == columns[1]
+
+
+def assert_serial_csv_is_golden(stem: str, tmp_path, monkeypatch) -> None:
+    """Write workload `stem`'s CSV in this process, with no pool, and compare it with the
+    golden bytes, as lists of lines so that a mismatch names its line."""
     monkeypatch.chdir(tmp_path)
-    assert main([*argv, "--out", "c.csv"]) == 0
+    assert main([*serial_of(CURVES[stem]), "--out", "c.csv"]) == 0
     text = (tmp_path / "c.csv").read_bytes().decode()
     golden = (GOLDEN / f"{stem}.csv").read_bytes().decode()
     assert text.splitlines(keepends=True) == golden.splitlines(keepends=True)

@@ -1,4 +1,5 @@
-"""Property tests (Hypothesis) for the channel search, S_N and the CSV writer.
+"""Property tests (Hypothesis) for the channel search, S_N, the CSV writer, and the
+conjectured two-channel law on the symmetric attack family.
 
 Examples are derandomized and few, so runs are repeatable and quick.
 """
@@ -11,10 +12,11 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from ckabounds import secrecy
+from ckabounds import attacks, secrecy
 from ckabounds.attacks import build_cc_attack, eve_postprocess
-from ckabounds.secrecy import (JointDistribution, distribution_to_csv, dual_intrinsic,
-                               intrinsic_information, s_n, shannon_cmi)
+from ckabounds.secrecy import (JointDistribution, SearchBudget, apply_channel,
+                               distribution_to_csv, dual_intrinsic, intrinsic_information,
+                               minimize_over_channels, s_n, shannon_cmi)
 
 FEW = settings(derandomize=True, deadline=None, max_examples=8, database=None)
 MANY = settings(FEW, max_examples=60)
@@ -164,6 +166,46 @@ def test_minimized_never_exceeds_fixed_postprocessing(nu):
     fixed = eve_postprocess(attack)
     assert intrinsic_information(attack.joint)[0] <= shannon_cmi(fixed) + 1e-12
     assert dual_intrinsic(attack.joint)[0] <= s_n(fixed) + 1e-12
+
+
+@st.composite
+def family_points(draw):
+    """(e, w) of the symmetric attack family: a flip probability e in [0, 1/2] and a local
+    weight w in [1 - (1-e)^3 - e^3, 1], on either side of 1 - e(1-e) with even odds."""
+    e = draw(st.floats(0.0, 0.5))
+    w_min, w_leaky = 1.0 - (1.0 - e) ** 3 - e ** 3, 1.0 - e * (1.0 - e)
+    if draw(st.booleans()):
+        return e, draw(st.floats(max(w_min, w_leaky), 1.0))
+    return e, draw(st.floats(w_min, max(w_min, w_leaky)))
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.05, 0.1189, 0.3, 0.45, 0.9])
+def test_family_holds_the_shipped_attack(nu):
+    # today's attack is the family's member at e = nu/2 and w = 1 - (1-nu)^3
+    family = oracles.family_table(nu / 2, 1.0 - (1.0 - nu) ** 3)
+    assert np.abs(family - build_cc_attack(nu).joint.probs).max() <= 1e-15
+
+
+@MANY
+@given(point=family_points())
+def test_two_channel_law_on_the_attack_family(point):
+    # the conjectured infimum of both monotones over Eve's channels: the honest mimicry's
+    # value where 1 - w > e(1-e), which the exact deterministic search must not beat, and
+    # 0 otherwise, which leaky mimicry reaches
+    e, w = point
+    dist = JointDistribution(oracles.family_table(e, w))
+    if 1.0 - w > e * (1.0 - e):
+        mimicry = apply_channel(dist, attacks._MIMICRY)
+        found = minimize_over_channels([dist], ("cmi", "sn"), SearchBudget(refine=False))
+        assert found[0][0] >= shannon_cmi(mimicry) - 1e-14
+        assert found[1][0] >= s_n(mimicry) - 1e-14
+    else:
+        lam, channel = oracles.leaky_channel(e, w)
+        assert 0.0 <= lam <= 1.0
+        assert (channel >= 0.0).all() and np.abs(channel.sum(axis=1) - 1.0).max() <= 1e-15
+        processed = JointDistribution(dist.probs @ channel)
+        assert abs(shannon_cmi(processed)) <= 1e-14
+        assert abs(s_n(processed)) <= 1e-14
 
 
 @MANY

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ckabounds import secrecy
+from ckabounds import bounds, secrecy
 from ckabounds.attacks import build_cc_attack
 from ckabounds.bounds import (GRID_CHUNK, compute_curves, default_grid, noise_grid,
                               write_curves_csv)
@@ -239,8 +239,6 @@ class TestObjective:
     and each table and kind the bits `_objective`, its one-table, one-kind case, gives."""
 
     def test_matches_loop_on_every_table_scored_on_bench_grids(self, monkeypatch):
-        from ckabounds.bounds import point_values
-
         objectives, scored = secrecy._objectives, []
 
         def recorded(p, n_parties, kinds):
@@ -256,8 +254,8 @@ class TestObjective:
         grid = oracles.bench_grids()
         for nu in grid:
             attack = build_cc_attack(nu)
-            point_values(attack, minimize=True)
-            point_values(attack, minimize=False)
+            bounds._run_values([attack], True)
+            bounds._run_values([attack], False)
         assert len(scored) > 4 * len(grid)  # the fixed curves, the starts and confirmations
         # serial curves score the starts of each run of GRID_CHUNK points as stacks
         for run in (default_grid(), noise_grid(0.3, 0.9, 0.025)):
