@@ -246,24 +246,24 @@ def _cmd_game(cfg: dict, stdout) -> int:
 
 def _cmd_attack(cfg: dict, stdout) -> int:
     attack = attacks.build_cc_attack(cfg["nu_min"])
-    # opened before the search: an unwritable path fails at once, with nothing printed
+    # opened before the search and closed before the report: a failed open or write prints nothing
     with open(cfg["out"], "w") if cfg["out"] else contextlib.nullcontext() as fh:
         # what `curves` writes at this nu; intrinsic is I/(N-1) with N = 3, and doubling
         # it back is exact
         values = {curve.name: curve.values[0] for minimize in (False, True)
                   for curve in bounds.compute_curves([attack.nu], minimize=minimize)}
-        fixed_i, min_i = values["intrinsic_fixed"], values["intrinsic_min"]
-        stdout.write(f"cc attack at nu={attack.nu:.6g}\n")
-        stdout.write(f"local weight       = {attack.local_weight:.12g}\n")
-        stdout.write(f"P(e='?')           = "
-                     f"{attack.joint.probs[..., attacks.EVE_IGNORANT].sum():.12g}\n")
-        stdout.write(f"intrinsic (minimize=off) = {2 * fixed_i:.9f} bits, /(N-1) = {fixed_i:.9f}\n")
-        stdout.write(f"intrinsic (minimize=on)  = {2 * min_i:.9f} bits, /(N-1) = {min_i:.9f}\n")
-        stdout.write(f"dual_sn   (minimize=off) = {values['dual_fixed']:.9f} bits\n")
-        stdout.write(f"dual_sn   (minimize=on)  = {values['dual_min']:.9f} bits\n")
-        stdout.write("note: minimize=on values are upper bounds on the channel infimum\n")
         if fh is not None:
             distribution_to_csv(attack.joint, fh)
+    fixed_i, min_i = values["intrinsic_fixed"], values["intrinsic_min"]
+    stdout.write(f"cc attack at nu={attack.nu:.6g}\n")
+    stdout.write(f"local weight       = {attack.local_weight:.12g}\n")
+    stdout.write(f"P(e='?')           = "
+                 f"{attack.joint.probs[..., attacks.EVE_IGNORANT].sum():.12g}\n")
+    stdout.write(f"intrinsic (minimize=off) = {2 * fixed_i:.9f} bits, /(N-1) = {fixed_i:.9f}\n")
+    stdout.write(f"intrinsic (minimize=on)  = {2 * min_i:.9f} bits, /(N-1) = {min_i:.9f}\n")
+    stdout.write(f"dual_sn   (minimize=off) = {values['dual_fixed']:.9f} bits\n")
+    stdout.write(f"dual_sn   (minimize=on)  = {values['dual_min']:.9f} bits\n")
+    stdout.write("note: minimize=on values are upper bounds on the channel infimum\n")
     if cfg["out"]:
         stdout.write(f"wrote attack joint to {cfg['out']}\n")
     return 0

@@ -17,17 +17,18 @@ once for all objectives, each objective's block table (`_block_values`) adds
 those sums up, and one pass of an exact dynamic program over the set
 partitions of Eve's alphabet (`_best_partition`, at most EXHAUSTIVE_LIMIT
 symbols), run on the tables laid out as (mask, row), solves every (table,
-objective) row and reads back together the rows that stand at one subset, each
-row's partition as a tuple of block masks.  Each distinct partition of the stack
-becomes its deterministic start channel once, the DP's own `_selector` columns of
-its blocks checked as a `ClassicalChannel`, and the tables with a search from one
-channel are scored, every objective, in one p log2 p pass over their stacked
-marginals (`_objectives`), each marginal's runs of one length summed as the rows of
-one 2-D reduce.  Each start is optionally refined by coordinate descent (`_refine`)
+objective) row and reads back together the rows that stand at one subset, found
+in the layer of its popcount, each row's partition as a tuple of block masks.
+Each distinct partition of the stack becomes its deterministic start channel
+once, the DP's own `_selector` columns of its blocks checked as a
+`ClassicalChannel`, and the tables with a search from one channel are scored,
+every objective, in one p log2 p pass over their stacked marginals
+(`_objectives`), each marginal's runs of one length summed as the rows of one
+2-D reduce.  Each start is optionally refined by coordinate descent (`_refine`)
 over its row of the objective's `_run_terms`, which lay the marginals end to end
-once for the whole stack.  The descent's
-first batch screens every move in one `_screen` call, over a plan built once
-per start channel and support (`_first_batch`).  After a kept move, a batch also
+once for the whole stack.  The descent's first batch screens every move in one
+`_screen` call, over a plan built once per start channel and support
+(`_first_batch`).  After a kept move, a batch also
 screens, from the channels they predict, the trials up to the next kept moves
 `_predicted` by repeating the sweep before; they are used only while the
 prediction proves true, so refined values do not depend on it.  The screen's
@@ -244,7 +245,7 @@ def _plan(n_parties: int, kind: str):
 
 
 @lru_cache(maxsize=None)
-def _plans(shape: tuple[int, ...], n_parties: int, kinds: tuple[str, ...]):
+def _plans(shape: tuple[int, ...], kinds: tuple[str, ...]):
     """For a stack of tables of `shape`, (tables, a_1..a_N, e): the stack's sum axes per
     distinct subset of the `_plan`s of `kinds`, in order of first use, each kind's groups
     of (subset index, c_X) over them, and where each (marginal, table) run ends when the
@@ -253,7 +254,7 @@ def _plans(shape: tuple[int, ...], n_parties: int, kinds: tuple[str, ...]):
     index: dict[tuple[int, ...], int] = {}
     groups = tuple(
         tuple(tuple((index.setdefault(axes[i], len(index)), c) for i, c in group) for group in plan)
-        for axes, plan, _ in (_plan(n_parties, kind) for kind in kinds))
+        for axes, plan, _ in (_plan(len(shape) - 2, kind) for kind in kinds))
     tables, shape = shape[0], shape[1:]
     ends, start = [], 0
     for a in index:
@@ -263,7 +264,7 @@ def _plans(shape: tuple[int, ...], n_parties: int, kinds: tuple[str, ...]):
     return tuple(tuple(j + 1 for j in a) for a in index), groups, tuple(ends)
 
 
-def _objectives(p: np.ndarray, n_parties: int, kinds: tuple[str, ...]) -> list[list[float]]:
+def _objectives(p: np.ndarray, kinds: tuple[str, ...]) -> list[list[float]]:
     """Each monotone of `kinds`, sum_X c_X H(X, E) group by group, of each table of the
     stack `p`, (tables, a_1..a_N, e), as values[table][kind].
 
@@ -275,7 +276,7 @@ def _objectives(p: np.ndarray, n_parties: int, kinds: tuple[str, ...]) -> list[l
     length, they are summed as the rows of one 2-D reduce along its contiguous last axis,
     which runs the 1-D sum's pairwise routine on each row; runs of different lengths, and
     a stack of one table, are summed one at a time."""
-    axes, groups, ends = _plans(p.shape, n_parties, kinds)
+    axes, groups, ends = _plans(p.shape, kinds)
     reduce = np.add.reduce
     # the all-party subset sums over no axes, which would only copy p: p is used as it is
     v = np.concatenate([(reduce(p, axis=a) if a else p).ravel() for a in axes])
@@ -313,26 +314,26 @@ def _objectives(p: np.ndarray, n_parties: int, kinds: tuple[str, ...]) -> list[l
     return values
 
 
-def _objective(p: np.ndarray, n_parties: int, kind: str) -> float:
+def _objective(p: np.ndarray, kind: str) -> float:
     """Monotone `kind` of a table with Eve's axis last: `_objectives` of a stack of one
     table and that kind alone."""
-    return _objectives(p[np.newaxis], n_parties, (kind,))[0][0]
+    return _objectives(p[np.newaxis], (kind,))[0][0]
 
 
 def shannon_cmi(dist: JointDistribution) -> float:
     """Multipartite conditional mutual information I(A_1:...:A_N|E) in bits."""
-    return _objective(dist.probs, dist.parties, "cmi")
+    return _objective(dist.probs, "cmi")
 
 
 def total_correlation(dist: JointDistribution) -> float:
     """I(A_1:...:A_N) with no conditioning (the adversary symbol is ignored)."""
     marg = dist.probs.sum(axis=-1)[..., np.newaxis]
-    return _objective(marg, dist.parties, "cmi")
+    return _objective(marg, "cmi")
 
 
 def s_n(dist: JointDistribution) -> float:
     """Telescoping secrecy quantity S_N in bits; invariant under party reordering."""
-    return _objective(dist.probs, dist.parties, "sn")
+    return _objective(dist.probs, "sn")
 
 
 def apply_channel(dist: JointDistribution, channel: ClassicalChannel) -> JointDistribution:
@@ -406,36 +407,34 @@ def _block_values(margs: dict, n_parties: int, kinds: Sequence[str]) -> np.ndarr
 
 
 @lru_cache(maxsize=None)
-def _partition_layers(ne: int) -> tuple[tuple[tuple[np.ndarray, ...], ...], tuple]:
+def _partition_layers(ne: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """The subsets S of {0..ne-1} that `_best_partition` solves, one popcount layer at
-    a time: every nonempty subset of the symbols 1..ne-1, then the full set.  A layer is
-    (subsets, blocks - 1, remainders): for each S, column i of the last two, the
-    2^(|S|-1) blocks T of S that hold S's lowest symbol, in descending order of the
-    submask T - low(S), as the `phi` index T - 1 and as the remainder S - T.  Also
-    returns each solved subset's (layer, column), indexed by its mask, and None for the
-    other masks.  No remainder holds symbol 0, so every remainder but 0 is solved in an
-    earlier layer.
+    a time: every nonempty subset of the symbols 1..ne-1, then the full set, so layer
+    |S| - 1 holds S.  A layer is (subsets, blocks - 1, remainders): for each S, column i
+    of the last two, the 2^(|S|-1) blocks T of S that hold S's lowest symbol, in
+    descending order of the submask T - low(S), as the `phi` index T - 1 and as the
+    remainder S - T.  No remainder holds symbol 0, so every remainder but 0 is solved in
+    an earlier layer.
 
-    Subsets come in ascending order within a layer.  The submasks of S - low(S),
-    descending, are its bits picked by the bits of 2^k - 1, 2^k - 2, ..., 0, with
-    k = |S| - 1, since picking bits keeps the order of the pickers."""
+    Subsets come in ascending order within a layer, so S's column is where S sorts
+    into its layer's subsets.  The submasks of S - low(S), descending, are its bits
+    picked by the bits of 2^k - 1, 2^k - 2, ..., 0, with k = |S| - 1, since picking bits
+    keeps the order of the pickers."""
     full = (1 << ne) - 1
     masks = np.append(np.arange(2, full, 2, dtype=np.intp), full)
     bits = masks[:, np.newaxis] >> np.arange(ne) & 1
     sizes = bits.sum(axis=1)
-    layers, where = [], [None] * (full + 1)
+    layers = []
     for k in range(ne):
         subsets = masks[sizes == k + 1]
         symbols = np.nonzero(bits[sizes == k + 1])[1].reshape(subsets.size, k + 1)
         pickers = np.arange((1 << k) - 1, -1, -1)[:, np.newaxis] >> np.arange(k) & 1
         blocks = (pickers @ (1 << symbols[:, 1:]).T) | (1 << symbols[:, 0])
         layers.append((subsets, blocks - 1, subsets ^ blocks))
-        for i, s in enumerate(subsets.tolist()):
-            where[s] = (k, i)
     for arrays in layers:
         for a in arrays:
             a.flags.writeable = False  # shared by every caller through the cache
-    return tuple(layers), tuple(where)
+    return tuple(layers)
 
 
 def _best_partition(phi: np.ndarray) -> list[tuple[int, ...]]:
@@ -450,11 +449,12 @@ def _best_partition(phi: np.ndarray) -> list[tuple[int, ...]]:
     since S - T has fewer symbols than S, over phi and best laid out as (mask, row): a
     layer gathers whole rows of them, block by block, and takes the minimum over its
     leading axis, the blocks.  The rows are then read back from the full set down, one
-    step at a time, all the rows standing at one S together: one gather of their
-    (block, row) sums and one argmin over the blocks, each row taking the first of its
-    minimal blocks, S - rest, as a mask."""
+    step at a time, all the rows standing at one S together: S's layer is its popcount
+    less one and its column where it sorts into that layer's subsets, and one gather of
+    their (block, row) sums and one argmin over the blocks give each row the first of
+    its minimal blocks, S - rest, as a mask."""
     ne = phi.shape[1].bit_length()  # a row has 2^ne - 1 entries
-    layers, where = _partition_layers(ne)
+    layers = _partition_layers(ne)
     by_mask = np.ascontiguousarray(phi.T)
     best = np.zeros((1 << ne, len(phi)))
     for subsets, minus_one, remainders in layers:
@@ -465,8 +465,8 @@ def _best_partition(phi: np.ndarray) -> list[tuple[int, ...]]:
     while at:
         rows_at = {}
         for s, rows in at.items():
-            layer, i = where[s]
-            _, minus_one, remainders = layers[layer]
+            subsets, minus_one, remainders = layers[s.bit_count() - 1]
+            i = subsets.searchsorted(s)
             rests = remainders[:, i]
             sums = by_mask.take(minus_one[:, i], axis=0) + best.take(rests, axis=0)
             for r, rest in zip(rows, rests.take(sums[:, rows].argmin(axis=0)).tolist()):
@@ -689,12 +689,11 @@ def _refine(dist: JointDistribution, kind: str, q: np.ndarray, coeffs: np.ndarra
     screened as one row per step over every move, and a batch with no pass ends the
     descent.
     """
-    n = dist.parties
     ne, nf = channel.shape
     width = ne * nf  # the moves of a sweep
     mat = channel.copy()
     support = q.T != 0.0
-    entries = sum(map(len, _plan(n, kind)[1]))
+    entries = sum(map(len, _plan(dist.parties, kind)[1]))
     margin = max(MARGIN, _screen_bound(dist.probs.size // ne, ne, nf, len(q), entries, c_abs))
 
     clear = -1e-15 - 2.0 * margin  # an unflagged change below this passes exactly
@@ -705,7 +704,7 @@ def _refine(dist: JointDistribution, kind: str, q: np.ndarray, coeffs: np.ndarra
     def score(j: int = -1) -> float:
         """The exact score of states[j], its `_objective` the first time it is read."""
         if scores[j] is None:
-            scores[j] = _objective(dist.probs @ states[j], n, kind)
+            scores[j] = _objective(dist.probs @ states[j], kind)
         return scores[j]
 
     def first_pass(trials: list[int], at: np.ndarray, rows: np.ndarray, change: np.ndarray,
@@ -725,7 +724,7 @@ def _refine(dist: JointDistribution, kind: str, q: np.ndarray, coeffs: np.ndarra
             if best + change[i] < best - 1e-15 + margin or ambiguous[i]:
                 trial = mat.copy()
                 trial[move // nf] = rows[i]
-                val = _objective(dist.probs @ trial, n, kind)
+                val = _objective(dist.probs @ trial, kind)
                 if val < best - 1e-15:
                     return k, move, rows[i], val, val - best
         return None
@@ -870,7 +869,7 @@ def minimize_over_channels(dists: Sequence[JointDistribution], kinds: Sequence[s
     values = [0.0] * len(starts)
     for start, js in shared.items():
         tables = p[js] @ channels[start].matrix
-        for j, scores in zip(js, _objectives(tables, n, kinds)):
+        for j, scores in zip(js, _objectives(tables, kinds)):
             for r, value in enumerate(scores, j * len(kinds)):
                 if starts[r] == start:
                     values[r] = value

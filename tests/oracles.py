@@ -276,11 +276,10 @@ def refine_loop(dist, channel: np.ndarray, kind: str, taken=None) -> np.ndarray:
     """
     from ckabounds.secrecy import REFINE_STEP, REFINE_SWEEPS, REFINE_TOL, _objective
 
-    n = dist.parties
     probs = dist.probs
 
     def objective(mat: np.ndarray) -> float:
-        return _objective(probs @ mat, n, kind)
+        return _objective(probs @ mat, kind)
 
     mat = channel.copy()
     best = objective(mat)
@@ -313,13 +312,13 @@ def sweep_gains(dist, channel: np.ndarray, kind: str, taken) -> dict[int, float]
     from ckabounds.secrecy import _objective
 
     mat = channel.copy()
-    best = _objective(dist.probs @ mat, dist.parties, kind)
+    best = _objective(dist.probs @ mat, kind)
     gains = {}
     for sweep, move, step in taken:
         e, f = divmod(move, mat.shape[1])
         mat[e] = (1.0 - step) * mat[e]
         mat[e, f] += step
-        val = _objective(dist.probs @ mat, dist.parties, kind)
+        val = _objective(dist.probs @ mat, kind)
         gains[sweep] = gains.get(sweep, 0.0) + (best - val)
         best = val
     return gains
@@ -414,14 +413,13 @@ def screen_errors(dist, kind: str, start: np.ndarray) -> list[tuple[float, bool]
     the screen called the trial ambiguous."""
     from ckabounds import secrecy
 
-    n = dist.parties
     out = []
     for (_, _, mat, e, new), (change, ambiguous) in screened_batches(dist, kind, start):
-        best = secrecy._objective(dist.probs @ mat, n, kind)
+        best = secrecy._objective(dist.probs @ mat, kind)
         for t in range(e.size):
             trial = mat.copy()
             trial[e[t]] = new[t]
-            exact = secrecy._objective(dist.probs @ trial, n, kind)
+            exact = secrecy._objective(dist.probs @ trial, kind)
             out.append((abs(best + change[t] - exact), bool(ambiguous[t])))
     return out
 
@@ -496,13 +494,12 @@ def best_partition_loop(phi) -> tuple[int, ...]:
     return tuple(blocks)
 
 
-def partition_layers_loop(ne: int) -> tuple[list[tuple[np.ndarray, ...]], list]:
+def partition_layers_loop(ne: int) -> list[tuple[np.ndarray, ...]]:
     """`secrecy._partition_layers` one subset at a time: for each solved S in
     ascending order, its blocks T holding S's lowest symbol, walked down the
     submasks of S - low(S) by t -> (t - 1) & (S - low(S)), as a column."""
     full = (1 << ne) - 1
     layers = [([], [], []) for _ in range(ne)]
-    where = [None] * (full + 1)
     for s in [*range(2, full, 2), full]:
         low = s & -s
         rest = s ^ low
@@ -510,13 +507,11 @@ def partition_layers_loop(ne: int) -> tuple[list[tuple[np.ndarray, ...]], list]:
         for _ in range(1 << rest.bit_count()):
             blocks.append(t | low)
             t = (t - 1) & rest
-        k = s.bit_count() - 1
-        subsets, minus_one, remainders = layers[k]
-        where[s] = (k, len(subsets))
+        subsets, minus_one, remainders = layers[s.bit_count() - 1]
         subsets.append(s)
         minus_one.append([b - 1 for b in blocks])
         remainders.append([s ^ b for b in blocks])
-    return [tuple(np.array(a, dtype=np.intp).T for a in layer) for layer in layers], where
+    return [tuple(np.array(a, dtype=np.intp).T for a in layer) for layer in layers]
 
 
 def refine_inputs(dist, kind: str) -> tuple[np.ndarray, np.ndarray, float]:
@@ -573,7 +568,7 @@ def refine(dist, start: np.ndarray, kind: str) -> tuple[np.ndarray, float]:
     `refine_inputs` and the start's exact score (one `_objective` call)."""
     from ckabounds import secrecy
 
-    best = secrecy._objective(dist.probs @ start, dist.parties, kind)
+    best = secrecy._objective(dist.probs @ start, kind)
     return secrecy._refine(dist, kind, *refine_inputs(dist, kind), start, best)
 
 

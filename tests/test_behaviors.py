@@ -129,6 +129,10 @@ class TestPovmFromObservable:
 
 
 class TestBehaviorFromMeasurement:
+    def test_povms_for_too_few_parties_rejected(self):
+        with pytest.raises(ValueError, match="^got POVMs for 2 parties, state has 3 factors$"):
+            behavior_from_measurement(ghz3(), default_measurements()[:2])
+
     def test_honest_device_against_kron_loop(self):
         povms = default_measurements()
         for nu in np.linspace(0.0, 1.0, 21):

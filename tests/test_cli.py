@@ -148,6 +148,13 @@ class TestConfigFile:
         cfg.write_text("bogus = 1\n")
         assert main(["curves", "--config", str(cfg)]) == 1
 
+    def test_line_without_equals_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nu_max = 0.01\n  minimize  # no value\n")
+        assert main(["curves", "--config", str(cfg)]) == 1
+        assert one_line(capsys.readouterr().err) == \
+            "malformed config line: 'minimize  # no value'\n"
+
     def test_missing_config_exits_two(self):
         assert main(["curves", "--config", "/nonexistent.cfg"]) == 2
 
@@ -323,6 +330,17 @@ class TestAttackCommand:
         captured = capsys.readouterr()
         assert one_line(captured.err).startswith("I/O error: ") and captured.out == ""
         assert searched == []
+
+    def test_failed_write_prints_nothing(self, tmp_path, monkeypatch, capsys):
+        # the report comes after the CSV is written and closed, as for `curves`
+        def full(dist, fh):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "distribution_to_csv", full)
+        assert main(["attack", "--nu-min", "0.3", "--out", str(tmp_path / "a.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert one_line(captured.err) == "I/O error: [Errno 28] No space left on device\n"
 
     def test_negative_zero_nu_is_printed_as_zero(self, capsys):
         assert main(["attack", "--nu-min", "-0.0"]) == 0

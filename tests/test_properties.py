@@ -63,7 +63,7 @@ def test_refine_matches_the_one_move_loop(inputs, sweeps):
         mp.setattr(secrecy, "REFINE_SWEEPS", sweeps)  # both read it at call time
         got, value = oracles.refine(dist, start, kind)
         assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
-        assert value == secrecy._objective(dist.probs @ got, dist.parties, kind)
+        assert value == secrecy._objective(dist.probs @ got, kind)
 
 
 @settings(FEW, max_examples=20)
@@ -79,7 +79,7 @@ def test_refine_does_not_depend_on_the_prediction(inputs, sweeps, predictor, see
         mp.setattr(secrecy, "_predicted", wrong)
         got, value = oracles.refine(dist, start, kind)
         assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
-        assert value == secrecy._objective(dist.probs @ got, dist.parties, kind)
+        assert value == secrecy._objective(dist.probs @ got, kind)
 
 
 @settings(FEW, max_examples=20)
@@ -101,7 +101,7 @@ def test_stall_test_replays_the_loop_near_the_tolerance(inputs, above):
         got, value = oracles.refine(dist, start, kind)
         assert replays
         assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
-        assert value == secrecy._objective(dist.probs @ got, dist.parties, kind)
+        assert value == secrecy._objective(dist.probs @ got, kind)
 
 
 @st.composite

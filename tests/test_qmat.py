@@ -48,6 +48,10 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="^x dimension must be at least 1, got 0$"):
             hermitian_matrix(np.zeros((0, 0)), 0, 0.0, "x")
 
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match="^expected a matrix, got an array of ndim 1$"):
+            DensityMatrix((2,), [0.5, 0.5])
+
     def test_rejects_no_or_empty_subsystems(self):
         with pytest.raises(ValueError, match="^dimension must be at least 1, got 0$"):
             DensityMatrix((2, 0), np.eye(2) / 2)
@@ -216,6 +220,12 @@ class TestQuantumCmi:
             quantum_cmi(rho, [[0.5], [1]])
         with pytest.raises(ValueError, match="^eve index must be an integer, got 2.5$"):
             quantum_cmi(random_density(rng, (2, 2, 2)), [[0], [1]], (2.5,))
+
+    @pytest.mark.parametrize("groups", [[[0, 1]], [[0], []], [[], [0, 1]]])
+    def test_fewer_than_two_nonempty_groups_rejected(self, rng, groups):
+        rho = random_density(rng, (2, 2))
+        with pytest.raises(ValueError, match="^need at least two nonempty groups$"):
+            quantum_cmi(rho, groups)
 
     def test_malformed_partition_rejected(self, rng):
         rho = random_density(rng, (2, 2, 2))

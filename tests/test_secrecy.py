@@ -98,6 +98,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="rows"):
             ClassicalChannel(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
+    def test_channel_needs_a_matrix(self):
+        with pytest.raises(ValueError, match="^channel matrix must be 2-dimensional$"):
+            ClassicalChannel(np.ones(3))
+
     def test_partition_channel(self):
         ch = ClassicalChannel.from_partition([[0, 2], [1]], 3)
         assert ch.matrix.shape[1] == 2
@@ -241,10 +245,10 @@ class TestObjective:
     def test_matches_loop_on_every_table_scored_on_bench_grids(self, monkeypatch):
         objectives, scored = secrecy._objectives, []
 
-        def recorded(p, n_parties, kinds):
-            values = objectives(p, n_parties, kinds)
+        def recorded(p, kinds):
+            values = objectives(p, kinds)
             for table, row in zip(p, values):  # the stack, split per table
-                scored.extend((table.copy(), n_parties, kind, value)
+                scored.extend((table.copy(), p.ndim - 2, kind, value)
                               for kind, value in zip(kinds, row))
             return values
 
@@ -270,20 +274,20 @@ class TestObjective:
         # Floor-heavy tables mostly give a marginal's runs, one a table, different
         # lengths, summed run by run; tables of one support give them one length, summed
         # as the rows of one 2-D reduce, with none, under 8, 8-128 and over 128 terms
-        def check(stack, n):
+        def check(stack):
             for kinds in (("cmi", "sn"), ("sn", "cmi"), ("sn",), ("cmi", "sn", "cmi")):
-                got = secrecy._objectives(stack, n, kinds)
+                got = secrecy._objectives(stack, kinds)
                 assert len(got) == len(stack)
                 for table, row in zip(stack, got):
                     assert all(type(v) is float for v in row)
                     assert [v.hex() for v in row] == \
-                        [_objective(table, n, kind).hex() for kind in kinds]
+                        [_objective(table, kind).hex() for kind in kinds]
 
         for i in range(300):  # floor-heavy stacks of 1-5 tables, |E| 1-10
             n = 2 + i % 3
             shape = tuple(int(a) for a in rng.integers(1, 4, size=n)) + (1 + i % 10,)
             check(np.stack([floor_heavy_table(rng, shape, int(mode))
-                            for mode in rng.integers(0, 6, size=1 + i % 5)]), n)
+                            for mode in rng.integers(0, 6, size=1 + i % 5)]))
         lengths = set()  # the run lengths of the one-support stacks
         for i in range(300):  # stacks of 2-6 tables, |E| 1-10 or 11-40
             n = 2 + i % 3
@@ -293,13 +297,13 @@ class TestObjective:
             if i % 2:  # one zero pattern, every other entry far above PROB_FLOOR
                 zero = rng.random(shape) < (1.0 if i % 7 == 0 else rng.random())
                 stack = np.where(zero, 0.0, rng.random((size,) + shape) + 0.1) / (1.1 * zero.size)
-                axes = secrecy._plans(stack.shape, n, KINDS)[0]
+                axes = secrecy._plans(stack.shape, KINDS)[0]
                 lengths.update(int((stack[0].sum(axis=tuple(j - 1 for j in a)) > PROB_FLOOR).sum())
                                for a in axes)
             else:
                 stack = np.stack([floor_heavy_table(rng, shape, int(mode))
                                   for mode in rng.integers(0, 6, size=size)])
-            check(stack, n)
+            check(stack)
         # none, under 8, 8-128 and over 128 terms
         assert {(length > 0) + (length >= 8) + (length > 128) for length in lengths} == {0, 1, 2, 3}
 
@@ -313,10 +317,10 @@ class TestObjective:
             return tuple(tuple(j + 1 for j in a) for a in axes)
 
         for kind in ("cmi", "sn"):
-            axes, (groups,), _ = secrecy._plans(shape, n, (kind,))
+            axes, (groups,), _ = secrecy._plans(shape, (kind,))
             plan_axes, plan_groups, _ = secrecy._plan(n, kind)
             assert (axes, groups) == (shifted(plan_axes), plan_groups)
-        axes, groups, ends = secrecy._plans(shape, n, ("cmi", "sn"))
+        axes, groups, ends = secrecy._plans(shape, ("cmi", "sn"))
         assert ends[-1] == sum(3 * 2 ** (n - len(a)) for a in axes)
         both = {*shifted(secrecy._plan(n, "cmi")[0]), *shifted(secrecy._plan(n, "sn")[0])}
         assert len(axes) == len(both) and set(axes) == both
@@ -332,7 +336,7 @@ class TestObjective:
             shape = tuple(int(a) for a in rng.integers(1, 4, size=n)) + (1 + i % 10,)
             p = floor_heavy_table(rng, shape, i % 6)
             for kind in ("cmi", "sn"):
-                got = _objective(p, n, kind)
+                got = _objective(p, kind)
                 assert type(got) is float
                 assert got.hex() == oracles.objective_loop(p, n, kind).hex()
 
@@ -423,16 +427,17 @@ class TestBestPartition:
     @pytest.mark.parametrize("ne", range(1, EXHAUSTIVE_LIMIT + 1))
     def test_layers_solve_each_read_subset_once(self, ne):
         # the full set and every nonempty subset without symbol 0, each once, by
-        # popcount; each remainder S - T is 0 or solved in an earlier layer, and
-        # the blocks T, a column per S, are those holding S's lowest symbol,
-        # descending in T - low(S)
-        layers, where = _partition_layers(ne)
+        # popcount and ascending, so the read-back finds S by searchsorted; each
+        # remainder S - T is 0 or solved in an earlier layer, and the blocks T, a
+        # column per S, are those holding S's lowest symbol, descending in T - low(S)
+        layers = _partition_layers(ne)
         full = (1 << ne) - 1
         solved, seen = {0}, []
         for k, (subsets, minus_one, remainders) in enumerate(layers):
             assert minus_one.shape == remainders.shape == (1 << k, subsets.size)
+            assert (np.diff(subsets) > 0).all()
             for i, s in enumerate(subsets.tolist()):
-                assert s.bit_count() == k + 1 and where[s] == (k, i)
+                assert s.bit_count() == k + 1
                 low = s & -s
                 rest = s ^ low
                 want = sorted((t | low for t in range(rest + 1) if t & rest == t), reverse=True)
@@ -444,16 +449,14 @@ class TestBestPartition:
             assert not any(a.flags.writeable for a in (subsets, minus_one, remainders))
         assert sorted(seen) == sorted({*range(2, full, 2), full})
         assert len(seen) == len(set(seen))
-        assert [s for s, w in enumerate(where) if w is not None] == sorted(seen)
         pairs = sum(m.size for _, m, _ in layers)
         assert pairs == (3 ** (ne - 1) - 1) // 2 + 2 ** (ne - 1)
 
     @pytest.mark.parametrize("ne", range(1, EXHAUSTIVE_LIMIT + 1))
     def test_layers_match_the_submask_loop(self, ne):
         # the DP's ties go to the first minimal block, so the order must match too
-        layers, where = _partition_layers(ne)
-        want_layers, want_where = oracles.partition_layers_loop(ne)
-        assert list(where) == want_where
+        layers = _partition_layers(ne)
+        want_layers = oracles.partition_layers_loop(ne)
         assert len(layers) == len(want_layers)
         for got, want in zip(layers, want_layers):
             for a, b in zip(got, want):
@@ -636,9 +639,9 @@ def count_scores(monkeypatch):
         rows.append(int(oracles.screened_trials(mats, plan).sum()))
         return screen(q, coeffs, mats, plan)
 
-    def scored(p, n_parties, kind):
+    def scored(p, kind):
         exact.append(kind)
-        return objective(p, n_parties, kind)
+        return objective(p, kind)
 
     monkeypatch.setattr(secrecy, "_screen", screened)
     monkeypatch.setattr(secrecy, "_objective", scored)
@@ -796,7 +799,7 @@ class TestBatchedSearch:
                 start /= start.sum(axis=1, keepdims=True)
             got, value = oracles.refine(dist, start, kind)
             assert got.tobytes() == oracles.refine_loop(dist, start, kind).tobytes()
-            assert value == _objective(dist.probs @ got, dist.parties, kind)  # its last score
+            assert value == _objective(dist.probs @ got, kind)  # its last score
 
     @pytest.mark.parametrize("nu, kind, sweep", [(0.45, "cmi", 3), (0.45, "sn", 3),
                                                  (0.475, "cmi", 1), (0.475, "sn", 1),
@@ -941,7 +944,7 @@ class TestBatchedSearch:
                 mp.setattr(secrecy, "_screen", low)
                 got, value = oracles.refine(dist, start, kind)
             assert got.tobytes() == want.tobytes()
-            assert value == _objective(dist.probs @ got, dist.parties, kind)
+            assert value == _objective(dist.probs @ got, kind)
 
     @pytest.mark.parametrize("above", [False, True], ids=["at-the-gain", "one-ulp-above"])
     def test_stall_test_replays_the_loop_near_the_tolerance(self, monkeypatch, above):
@@ -966,7 +969,7 @@ class TestBatchedSearch:
                 want = oracles.refine_loop(dist, start, kind)
             assert replays
             assert got.tobytes() == want.tobytes()
-            assert value == _objective(dist.probs @ want, dist.parties, kind)
+            assert value == _objective(dist.probs @ want, kind)
 
     @pytest.mark.parametrize("predictor", sorted(oracles.WRONG_PREDICTORS))
     @pytest.mark.parametrize("nu", [0.45, 0.5, 0.575])
@@ -982,7 +985,7 @@ class TestBatchedSearch:
             start = dp_start(dist, kind)
             got, value = oracles.refine(dist, start, kind)
             assert got.tobytes() == refine_loop_of(nu, kind).tobytes()
-            assert value == _objective(dist.probs @ got, dist.parties, kind)
+            assert value == _objective(dist.probs @ got, kind)
         assert any(len(g) > 1 for g in guesses)  # some batch screened a predicted state
 
     def test_refine_screens_no_predicted_state_but_the_true_one(self, monkeypatch, rng):
@@ -1047,9 +1050,9 @@ class TestExactScores:
     def test_exact_scores_of_serial_curves(self, monkeypatch, grid, passes, scores):
         scored, objectives = [], secrecy._objectives
 
-        def counted(p, n_parties, kinds):
+        def counted(p, kinds):
             scored.append(len(p) * len(kinds))
-            return objectives(p, n_parties, kinds)
+            return objectives(p, kinds)
 
         monkeypatch.setattr(secrecy, "_objectives", counted)
         compute_curves(grid, minimize=True)
@@ -1202,7 +1205,7 @@ class TestSearchedValue:
         for nu in oracles.bench_grids():
             dist = build_cc_attack(nu).joint
             value, witness = search(dist, SearchBudget(refine=refine))
-            exact = _objective(apply_channel(dist, witness).probs, 3, kind)
+            exact = _objective(apply_channel(dist, witness).probs, kind)
             assert value.hex() == exact.hex()
 
 
@@ -1284,7 +1287,7 @@ class TestSearchInputs:
         assert refined is not dual and not refined.matrix.flags.writeable
         assert refined.matrix.shape == start.matrix.shape
         assert not np.array_equal(refined.matrix, start.matrix)
-        assert value.hex() == _objective(dist.probs @ refined.matrix, 3, "cmi").hex()
+        assert value.hex() == _objective(dist.probs @ refined.matrix, "cmi").hex()
 
     @pytest.mark.parametrize("size", [1, 3, GRID_CHUNK])
     def test_run_terms_once_per_kind_and_call(self, monkeypatch, size):
@@ -1339,6 +1342,10 @@ class TestSearchInputs:
         with pytest.raises(ValueError, match=message) as err:
             minimize_over_channels(dists, kinds)
         assert "\n" not in str(err.value)
+
+    def test_unknown_objective_is_a_one_line_error(self):
+        with pytest.raises(ValueError, match="^unknown objective 'xyz'$"):
+            minimize_over_channels([build_cc_attack(0.55).joint], ["xyz"])
 
 
 class TestSearchBudget:
