@@ -191,13 +191,17 @@ def critical_noise(n_parties: int) -> float:
     """Noise level where the reference curve crosses the classical bound 3/4.
 
     With u = 1 - nu the crossing is 3 u^N + u^2 = 2 sqrt2, whose left side
-    increases on u > 0 from 0 to 4 at u = 1: exactly one root lies in (0, 1).
+    increases on u > 0 from 0 to 4 at u = 1: exactly one root lies in (0, 1), and it
+    is bisected until the midpoint stops moving.
     """
     n_parties = integer(n_parties, "n_parties", 3)
-    coeffs = np.zeros(n_parties + 1)
-    coeffs[[0, n_parties - 2, n_parties]] = 3.0, 1.0, -2 * _SQRT2
-    u = next(r.real for r in np.roots(coeffs) if r.imag == 0.0 and 0.0 < r.real < 1.0)
-    return float(1.0 - u)
+    lo, hi = 0.0, 1.0
+    while lo < (u := 0.5 * (lo + hi)) < hi:
+        if 3.0 * u ** n_parties + u * u < 2 * _SQRT2:
+            lo = u
+        else:
+            hi = u
+    return 1.0 - u
 
 
 def qber(p: Behavior, key_inputs: Sequence[int] = KEY_SETTING) -> float:

@@ -23,10 +23,10 @@ Each distinct partition of the stack becomes its deterministic start channel
 once, the DP's own `_selector` columns of its blocks checked as a
 `ClassicalChannel`, and the tables with a search from one channel are scored,
 every objective, in one p log2 p pass over their stacked marginals
-(`_objectives`), each marginal's runs of one length summed as the rows of one
-2-D reduce.  Each start is optionally refined by coordinate descent (`_refine`)
-over its row of the objective's `_run_terms`, which lay the marginals end to end
-once for the whole stack.  The descent's first batch screens every move in one
+(`_objectives`), each table's entropy the sum of its own run of terms.  Each
+start is optionally refined by coordinate descent (`_refine`) over its row of
+the objective's `_run_terms`, which lay the marginals end to end once for the
+whole stack.  The descent's first batch screens every move in one
 `_screen` call, over a plan built once per start channel and support
 (`_first_batch`).  After a kept move, a batch also
 screens, from the channels they predict, the trials up to the next kept moves
@@ -270,12 +270,9 @@ def _objectives(p: np.ndarray, kinds: tuple[str, ...]) -> list[list[float]]:
 
     The marginals of all the kinds, each subset once for the whole stack, are laid end
     to end and their entries above PROB_FLOOR take p log2 p in one pass.  Each entropy
-    H(X, E) of a table is then minus the sum of its own contiguous run of terms: the terms
-    `entropy_bits` would sum, in its order, so its pairwise sum gives the same bits,
-    whatever the other kinds and tables.  Where a marginal's runs, one a table, have one
-    length, they are summed as the rows of one 2-D reduce along its contiguous last axis,
-    which runs the 1-D sum's pairwise routine on each row; runs of different lengths, and
-    a stack of one table, are summed one at a time."""
+    H(X, E) of a table is then minus the 1-D sum of its own contiguous run of terms: the
+    terms `entropy_bits` would sum, in its order, so its pairwise sum gives the same bits,
+    whatever the other kinds and tables."""
     axes, groups, ends = _plans(p.shape, kinds)
     reduce = np.add.reduce
     # the all-party subset sums over no axes, which would only copy p: p is used as it is
@@ -285,19 +282,8 @@ def _objectives(p: np.ndarray, kinds: tuple[str, ...]) -> list[list[float]]:
     terms = np.log2(v) * v
     at = kept.nonzero()[0].tolist()  # where each term came from, to split them by run
     ends = [bisect.bisect_left(at, end) for end in ends]
+    h = [-float(reduce(terms[a:b])) for a, b in zip([0] + ends, ends)]
     m = len(p)
-    if m == 1:
-        h = [-float(reduce(terms[a:b])) for a, b in zip([0] + ends, ends)]
-    else:
-        h, a = [], 0
-        for i in range(m, len(ends) + 1, m):  # a marginal's m runs, table by table
-            run = ends[i - m:i]
-            size = (run[-1] - a) // m
-            if run == [a + size * k for k in range(1, m + 1)]:  # all of one length
-                h += (-reduce(terms[a:run[-1]].reshape(m, size), axis=1)).tolist()
-            else:
-                h += [-float(reduce(terms[b:c])) for b, c in zip([a] + run, run)]
-            a = run[-1]
     values = []
     for j in range(m):
         h_j = h[j::m]  # H(X, E) of table j, subset by subset

@@ -398,6 +398,16 @@ class TestCriticalNoise:
         nus = [critical_noise(n) for n in range(3, 11)]
         assert 0.0 < nus[-1] and all(b < a for a, b in zip(nus, nus[1:]))
 
+    def test_many_parties(self):
+        # bisection needs no degree-N polynomial: a million parties take microseconds
+        sizes = (100, 10**4, 10**6)
+        nus = [critical_noise(n) for n in sizes]
+        assert all(0.0 < nu < 1.0 for nu in nus)
+        assert all(b < a for a, b in zip(nus, nus[1:]))
+        for n, nu in zip(sizes, nus):
+            u = 1.0 - nu
+            assert abs(3.0 * u ** n + u * u - 2.0 * math.sqrt(2.0)) <= 1e-13 * n
+
     def test_rejects_two_parties(self):
         with pytest.raises(ValueError, match="^n_parties must be at least 3, got 2$"):
             critical_noise(2)

@@ -272,8 +272,8 @@ class TestObjective:
         # tables: each value is the bits its table and kind get alone, whatever the other
         # tables, their floor entries, the order of the kinds or a repeat among them.
         # Floor-heavy tables mostly give a marginal's runs, one a table, different
-        # lengths, summed run by run; tables of one support give them one length, summed
-        # as the rows of one 2-D reduce, with none, under 8, 8-128 and over 128 terms
+        # lengths; tables of one support give them one length, with none, under 8, 8-128
+        # and over 128 terms
         def check(stack):
             for kinds in (("cmi", "sn"), ("sn", "cmi"), ("sn",), ("cmi", "sn", "cmi")):
                 got = secrecy._objectives(stack, kinds)
